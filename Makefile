@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint semantic chaos chaos-service check golden-check service-smoke bench-hotpath bench-fleet bench-check bench-paper
+.PHONY: test lint semantic chaos chaos-service check golden-check service-smoke bench-hotpath bench-fleet bench-check bench-trace-smoke bench-paper
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -38,9 +38,9 @@ service-smoke:
 	REPRO_DETERMINISM=1 $(PYTHON) examples/campaign_service.py
 
 # Full gate: static analysis (all rules plus a cold semantic pass), the
-# service determinism smoke, the service chaos suite and the
-# perf-regression check, as CI would run them.
-check: lint semantic golden-check service-smoke chaos-service bench-check
+# service determinism smoke, the service chaos suite, the traced
+# benchmark smoke and the perf-regression check, as CI would run them.
+check: lint semantic golden-check service-smoke chaos-service bench-trace-smoke bench-check
 
 # PHY golden-vector drift gate: the committed conformance corpus
 # (tests/fixtures/phy_golden/) must match what the current modulators
@@ -64,6 +64,20 @@ bench-fleet:
 # hit ratio, and the streaming LoRa receiver (>= 4.0 Msps sustained).
 bench-check:
 	$(PYTHON) benchmarks/check_regression.py
+
+# Traced-benchmark smoke: each perfbench workload runs for 2 s with its
+# stage tracing on.  The last line must report "correct": true, which
+# fails when an operation fails or when a layer the benchmark traces is
+# no longer where the benchmark looks for it.
+bench-trace-smoke:
+	@for workload in lora_gateway_rx fleet_ota_100k service_zipf_journal; do \
+		result=$$($(PYTHON) perfbench/run.py --workload $$workload \
+			--trace 1 --seconds 2 | tail -n 1); \
+		case "$$result" in \
+			*'"correct": true'*) echo "$$workload: correct" ;; \
+			*) echo "$$workload: not correct: $$result"; exit 1 ;; \
+		esac; \
+	done
 
 # The paper's tables/figures (pytest-benchmark suite).
 bench-paper:

@@ -330,7 +330,6 @@ def _bench_lora_streaming(report: ThroughputReport,
         "lora_streaming_4msps.fast", run_stream, items,
         repeats=FAST_REPEATS))
     report.annotate("lora_streaming_4msps", streaming={
-        "backend": demod.backend_name,
         "chunk_samples": STREAMING_CHUNK,
         "packets": STREAMING_PACKETS,
         "min_items_per_second": STREAMING_MIN_SPS,

@@ -113,6 +113,45 @@ def _fingerprint_main() -> None:
     print(fleet_fingerprint(report))
 
 
+def _double_run(what: str, entry: str,
+                runs: Sequence[tuple[str, Mapping[str, str]]]) -> str:
+    """Run ``entry`` once per ``(label, env)`` in a fresh interpreter and diff.
+
+    ``entry`` names a function of this module that prints one
+    fingerprint; each run's environment is the parent's plus ``env``
+    (which sets ``PYTHONHASHSEED`` and the entry's knobs).  Returns the
+    common fingerprint.
+
+    Raises:
+        SanitizerError: when any run's fingerprint diverges, or a run
+            fails outright.
+    """
+    import repro
+
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    fingerprints: list[tuple[str, str]] = []
+    for label, overrides in runs:
+        env = dict(os.environ)
+        env.update(overrides)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"from repro.analysis.determinism import {entry}; {entry}()"],
+            env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SanitizerError(
+                f"{what} determinism run ({label}) failed: "
+                f"{proc.stderr.strip()[-500:]}")
+        fingerprints.append((label, proc.stdout.strip()))
+    if len({fp for _, fp in fingerprints}) != 1:
+        detail = ", ".join(f"{label} -> {fp[:16]}"
+                           for label, fp in fingerprints)
+        raise SanitizerError(
+            f"{what} is not run-deterministic: {detail}; some value "
+            f"depends on hash-seed iteration order or per-process state")
+    return fingerprints[0][1]
+
+
 def double_run_check(config: "FleetCampaignConfig",
                      runs: Sequence[tuple[str, int]] = DEFAULT_RUNS,
                      max_nodes: int = DEFAULT_MAX_NODES) -> str:
@@ -124,35 +163,13 @@ def double_run_check(config: "FleetCampaignConfig",
         SanitizerError: when any run's fingerprint diverges, or a run
             fails outright.
     """
-    import repro
-
     if config.num_nodes > max_nodes:
         config = dataclasses.replace(config, num_nodes=max_nodes)
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    fingerprints: list[tuple[str, int, str]] = []
-    for hashseed, shards in runs:
-        env = dict(os.environ)
-        env.update(_campaign_env(config, shards))
-        env["PYTHONHASHSEED"] = hashseed
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.analysis.determinism import _fingerprint_main; "
-             "_fingerprint_main()"],
-            env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SanitizerError(
-                f"determinism run (hashseed={hashseed}, shards={shards}) "
-                f"failed: {proc.stderr.strip()[-500:]}")
-        fingerprints.append((hashseed, shards, proc.stdout.strip()))
-    distinct = {fp for _, _, fp in fingerprints}
-    if len(distinct) != 1:
-        detail = ", ".join(f"hashseed={h} shards={s} -> {fp[:16]}"
-                           for h, s, fp in fingerprints)
-        raise SanitizerError(
-            f"campaign is not run-deterministic: {detail}; some value "
-            f"depends on hash-seed iteration order or per-process state")
-    return fingerprints[0][2]
+    return _double_run(
+        "campaign", "_fingerprint_main",
+        [(f"hashseed={hashseed}, shards={shards}",
+          {**_campaign_env(config, shards), "PYTHONHASHSEED": hashseed})
+         for hashseed, shards in runs])
 
 
 def check_from_env(config: "FleetCampaignConfig",
@@ -275,34 +292,11 @@ def service_double_run_check(
         SanitizerError: when any run's fingerprint diverges, or a run
             fails outright.
     """
-    import repro
-
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    fingerprints: list[tuple[str, str]] = []
-    for hashseed in hashseeds:
-        env = dict(os.environ)
-        env[ENV_SERVICE_SEED] = str(seed)
-        env["PYTHONHASHSEED"] = hashseed
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.analysis.determinism import "
-             "_service_fingerprint_main; _service_fingerprint_main()"],
-            env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SanitizerError(
-                f"service determinism run (hashseed={hashseed}) failed: "
-                f"{proc.stderr.strip()[-500:]}")
-        fingerprints.append((hashseed, proc.stdout.strip()))
-    distinct = {fp for _, fp in fingerprints}
-    if len(distinct) != 1:
-        detail = ", ".join(f"hashseed={h} -> {fp[:16]}"
-                           for h, fp in fingerprints)
-        raise SanitizerError(
-            f"campaign service is not run-deterministic: {detail}; some "
-            f"admission, scheduling or caching decision depends on "
-            f"hash-seed iteration order")
-    return fingerprints[0][1]
+    return _double_run(
+        "campaign service", "_service_fingerprint_main",
+        [(f"hashseed={hashseed}",
+          {ENV_SERVICE_SEED: str(seed), "PYTHONHASHSEED": hashseed})
+         for hashseed in hashseeds])
 
 
 def service_check_from_env(
@@ -435,34 +429,11 @@ def resilience_double_run_check(
         SanitizerError: when any run's fingerprint diverges, or a run
             fails outright.
     """
-    import repro
-
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    fingerprints: list[tuple[str, str]] = []
-    for hashseed in hashseeds:
-        env = dict(os.environ)
-        env[ENV_RESILIENCE_SEED] = str(seed)
-        env["PYTHONHASHSEED"] = hashseed
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.analysis.determinism import "
-             "_resilient_fingerprint_main; _resilient_fingerprint_main()"],
-            env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SanitizerError(
-                f"resilience determinism run (hashseed={hashseed}) "
-                f"failed: {proc.stderr.strip()[-500:]}")
-        fingerprints.append((hashseed, proc.stdout.strip()))
-    distinct = {fp for _, fp in fingerprints}
-    if len(distinct) != 1:
-        detail = ", ".join(f"hashseed={h} -> {fp[:16]}"
-                           for h, fp in fingerprints)
-        raise SanitizerError(
-            f"resilient service is not run-deterministic: {detail}; some "
-            f"supervision, breaker, shedding or recovery decision "
-            f"depends on hash-seed iteration order")
-    return fingerprints[0][1]
+    return _double_run(
+        "resilient service", "_resilient_fingerprint_main",
+        [(f"hashseed={hashseed}",
+          {ENV_RESILIENCE_SEED: str(seed), "PYTHONHASHSEED": hashseed})
+         for hashseed in hashseeds])
 
 
 def resilience_check_from_env(

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.perf.cache import get_or_build
-from repro.phy.backend.registry import get_backend
+from repro.phy import backend
 
 
 def is_power_of_two(n: int) -> bool:
@@ -65,18 +65,14 @@ class Radix2Fft:
 
     Instances cache twiddles for one transform length, the way an FPGA core
     is configured for a fixed size; the demodulator keeps one per LoRa
-    spreading factor.  The butterfly kernel itself is dispatched through
-    the DSP backend registry (:mod:`repro.phy.backend`) selected at
-    construction time.
+    spreading factor.  The butterflies run on the batched kernel in
+    :mod:`repro.phy.backend`.
 
     Args:
         length: transform size (power of two).
-        backend: DSP backend name (``None`` consults the
-            ``REPRO_DSP_BACKEND`` environment variable, defaulting to the
-            pure-NumPy backend).
     """
 
-    def __init__(self, length: int, backend: str | None = None) -> None:
+    def __init__(self, length: int) -> None:
         if not is_power_of_two(length):
             raise ConfigurationError(
                 f"FFT length must be a power of two, got {length}")
@@ -86,17 +82,11 @@ class Radix2Fft:
         # frozen copy through the plan cache instead of recomputing it.
         self._permutation, self._stage_twiddles = get_or_build(
             ("fft_plan", length), lambda: _build_fft_plan(length))
-        self._backend = get_backend(backend)
 
     @property
     def plan(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """The frozen ``(permutation, stage_twiddles)`` plan pair."""
         return self._permutation, self._stage_twiddles
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the DSP backend executing the butterflies."""
-        return self._backend.name
 
     def forward(self, samples: np.ndarray) -> np.ndarray:
         """Compute the forward DFT of ``samples``.
@@ -109,9 +99,8 @@ class Radix2Fft:
         if samples.size != self.length:
             raise ConfigurationError(
                 f"expected {self.length} samples, got {samples.size}")
-        return self._backend.fft_block(self._permutation,
-                                       self._stage_twiddles,
-                                       samples.reshape(1, -1))[0]
+        return backend.fft_block(self._permutation, self._stage_twiddles,
+                                 samples.reshape(1, -1))[0]
 
     def forward_block(self, blocks: np.ndarray) -> np.ndarray:
         """Compute the forward DFT of each row of a ``(count, length)`` matrix.
@@ -131,8 +120,8 @@ class Radix2Fft:
             raise ConfigurationError(
                 f"expected a (count, {self.length}) matrix, got shape "
                 f"{blocks.shape}")
-        return self._backend.fft_block(self._permutation,
-                                       self._stage_twiddles, blocks)
+        return backend.fft_block(self._permutation, self._stage_twiddles,
+                                 blocks)
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         """Compute the inverse DFT (normalized by ``1/N``)."""

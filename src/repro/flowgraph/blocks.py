@@ -19,11 +19,12 @@ import numpy as np
 
 from repro.channel.awgn import awgn
 from repro.dsp.filters import StreamingFir
-from repro.errors import ConfigurationError, DemodulationError
+from repro.errors import ConfigurationError
 from repro.flowgraph.graph import Block
-from repro.phy.lora.demodulator import LoRaDemodulator
+from repro.phy.lora.demodulator import ReceivedPacket
 from repro.phy.lora.modulator import LoRaModulator
 from repro.phy.lora.params import LoRaParams
+from repro.phy.lora.streaming import StreamingDemodulator
 
 
 class VectorSource(Block):
@@ -150,7 +151,7 @@ class LoRaPacketSource(Block):
 
 
 class LoRaReceiverSink(Block):
-    """Buffers the stream and decodes every packet it can find."""
+    """Streams samples through the LoRa receiver, keeping every packet."""
 
     num_inputs = 1
     num_outputs = 0
@@ -159,34 +160,21 @@ class LoRaReceiverSink(Block):
                  name: str | None = None) -> None:
         super().__init__(name)
         self.params = params
-        self._demodulator = LoRaDemodulator(params, crc=crc)
-        self._buffer = np.zeros(0, dtype=np.complex128)
+        self._receiver = StreamingDemodulator(params, crc=crc)
         self.payloads: list[bytes] = []
         self.crc_failures = 0
 
     def work(self, inputs):
-        self._buffer = np.concatenate([self._buffer, inputs[0]])
+        self._keep(self._receiver.push(inputs[0]))
         return []
 
     def finish(self):
-        cursor = 0
-        sym = self.params.samples_per_symbol
-        while self._buffer.size - cursor > 16 * sym:
-            try:
-                sync = self._demodulator.synchronizer.find_packet(
-                    self._demodulator.frontend(self._buffer), cursor)
-            except DemodulationError:
-                break
-            try:
-                decoded = self._demodulator.receive(
-                    self._buffer[max(cursor, sync.preamble_start - sym):])
-            except DemodulationError:
-                break
-            if decoded.crc_ok is False:
+        self._keep(self._receiver.flush())
+        return None
+
+    def _keep(self, packets: list[ReceivedPacket]) -> None:
+        for packet in packets:
+            if packet.decoded.crc_ok is False:
                 self.crc_failures += 1
             else:
-                self.payloads.append(decoded.payload)
-            consumed = self._demodulator.codec.symbol_count(
-                len(decoded.payload))
-            cursor = sync.payload_start + (consumed + 2) * sym
-        return None
+                self.payloads.append(packet.decoded.payload)

@@ -221,20 +221,18 @@ class FlowGraph:
         else:
             raise ConfigurationError(
                 f"flow graph did not settle in {max_iterations} iterations")
+        # Blocks finish in topological order, each after consuming the
+        # tails its upstream blocks flushed, so finish() sees the whole
+        # input (a sink that flushes there misses nothing).
         for block in order:
+            edges = in_edges[id(block)]
+            if any(edge.buffer.size for edge in edges):
+                inputs = [edge.buffer for edge in edges]
+                for edge in edges:
+                    edge.buffer = np.zeros(0, dtype=np.complex128)
+                outputs = block.work(inputs)
+                if outputs is not None:
+                    self._deliver(out_edges[id(block)], outputs)
             tail = block.finish()
             if tail is not None:
                 self._deliver(out_edges[id(block)], tail)
-        # One final pass so sinks see flushed tails.
-        for block in order:
-            if block.num_inputs == 0:
-                continue
-            edges = in_edges[id(block)]
-            if all(edge.buffer.size == 0 for edge in edges):
-                continue
-            inputs = [edge.buffer for edge in edges]
-            for edge in edges:
-                edge.buffer = np.zeros(0, dtype=np.complex128)
-            outputs = block.work(inputs)
-            if outputs is not None:
-                self._deliver(out_edges[id(block)], outputs)

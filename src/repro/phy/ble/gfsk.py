@@ -22,7 +22,7 @@ from repro.dsp.filters import design_lowpass, filter_block
 from repro.dsp.nco import Nco, NcoConfig
 from repro.dsp.pulse import frequency_to_phase, shape_bits
 from repro.errors import ConfigurationError, DemodulationError
-from repro.phy.backend.registry import get_backend
+from repro.phy import backend
 
 BLE_BIT_RATE_BPS = 1_000_000
 BLE_MODULATION_INDEX = 0.5
@@ -114,15 +114,12 @@ class GfskDemodulator:
     Pipeline: channel-select FIR -> phase-difference discriminator ->
     integrate-and-dump over each symbol -> sign decision.
 
-    The discriminator and integrate-and-dump kernels are dispatched
-    through the DSP backend registry (:mod:`repro.phy.backend`); every
-    backend is bit-identical, so bit decisions never depend on the
-    backend choice.
+    The discriminator and integrate-and-dump kernels live in
+    :mod:`repro.phy.backend`.
     """
 
     def __init__(self, config: GfskConfig | None = None,
-                 filter_taps: int = 24,
-                 backend: str | None = None) -> None:
+                 filter_taps: int = 24) -> None:
         self.config = config or GfskConfig()
         cutoff = 0.6 * self.config.bit_rate_bps
         nyquist = self.config.sample_rate_hz / 2.0
@@ -130,13 +127,6 @@ class GfskDemodulator:
         if cutoff < nyquist * 0.95:
             self._taps = design_lowpass(filter_taps, cutoff,
                                         self.config.sample_rate_hz)
-        self._backend_request = backend
-        self._backend = get_backend(backend)
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the DSP backend executing the hot kernels."""
-        return self._backend.name
 
     def instantaneous_frequency(self, samples: np.ndarray) -> np.ndarray:
         """Per-sample phase increments (radians/sample) after filtering."""
@@ -144,16 +134,15 @@ class GfskDemodulator:
         if samples.size < 2:
             raise DemodulationError("need at least 2 samples to discriminate")
         if self._taps is not None:
-            samples = filter_block(self._taps, samples,
-                                   backend=self._backend_request)
-        return self._backend.discriminate(samples)
+            samples = filter_block(self._taps, samples)
+        return backend.discriminate(samples)
 
     def demodulate(self, samples: np.ndarray, num_bits: int,
                    start_sample: int = 0) -> np.ndarray:
         """Recover ``num_bits`` symbol decisions from an aligned stream.
 
         Bit-exact with :meth:`demodulate_reference` (sequential
-        in-symbol accumulation on every backend).
+        in-symbol accumulation).
 
         Args:
             samples: complex baseband stream.
@@ -171,8 +160,7 @@ class GfskDemodulator:
                 f"stream of {samples.size} samples cannot supply {num_bits} "
                 f"bits from offset {start_sample}")
         freq = self.instantaneous_frequency(samples)
-        metrics = self._backend.integrate_bits(freq, start_sample,
-                                               num_bits, sps)
+        metrics = backend.integrate_bits(freq, start_sample, num_bits, sps)
         return (metrics > 0.0).astype(np.int64)
 
     def demodulate_reference(self, samples: np.ndarray, num_bits: int,

@@ -10,6 +10,8 @@ and comparing the FFT peak magnitudes - exactly as described in the paper.
 :class:`PacketSynchronizer` locates packets (preamble run detection,
 symbol-boundary alignment, SFD search, integer CFO estimation); and
 :class:`LoRaDemodulator` combines them with the codec to recover payloads.
+Multi-packet reception is the streaming receiver of
+:mod:`repro.phy.lora.streaming`, which runs the same synchronizer.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import numpy as np
 
 from repro.dsp.fft import Radix2Fft
 from repro.dsp.filters import design_lowpass, filter_block
-from repro.errors import CodingError, DemodulationError
+from repro.errors import DemodulationError
 from repro.perf.cache import get_or_build
-from repro.phy.backend.registry import get_backend
+from repro.phy import backend
 from repro.phy.lora.chirp import ideal_chirp
 from repro.phy.lora.codec import (
     HEADER_CR_DENOMINATOR,
@@ -44,6 +46,12 @@ MIN_PREAMBLE_RUN = 6
 HEADER_SYMBOLS = HEADER_CR_DENOMINATOR
 """Symbols in the explicit header block (one CR=4/8 interleaver block)."""
 
+SCAN_WINDOWS = 16
+"""Most windows one preamble-scan batch demodulates."""
+
+WALK_WINDOWS = 8
+"""Most windows one SFD-walk batch demodulates (each runs two FFTs)."""
+
 
 @dataclass(frozen=True)
 class SymbolDecision:
@@ -63,13 +71,10 @@ class SymbolDecision:
 class SymbolDemodulator:
     """Dechirp + FFT + peak detection for one LoRa configuration.
 
-    The dechirp-FFT-fold kernel is dispatched through the DSP backend
-    registry (:mod:`repro.phy.backend`); every registered backend is
-    bit-identical, so the choice never changes symbol decisions.
+    The dechirp-FFT-fold kernel lives in :mod:`repro.phy.backend`.
     """
 
-    def __init__(self, params: LoRaParams,
-                 backend: str | None = None) -> None:
+    def __init__(self, params: LoRaParams) -> None:
         self.params = params
         # The conjugate dechirp reference and base upchirp are shared
         # through the plan cache: every modem built for the same params
@@ -79,24 +84,18 @@ class SymbolDemodulator:
             ("lora_dechirp", params), lambda: np.conj(ideal_chirp(params, 0)))
         self._upchirp = get_or_build(
             ("lora_upchirp_ref", params), lambda: ideal_chirp(params, 0))
-        self._fft = Radix2Fft(params.samples_per_symbol, backend=backend)
-        self._backend = get_backend(backend)
+        self._fft = Radix2Fft(params.samples_per_symbol)
 
     @property
     def fft_length(self) -> int:
         """FFT size used per symbol (``2**SF * oversampling``)."""
         return self._fft.length
 
-    @property
-    def backend_name(self) -> str:
-        """Name of the DSP backend executing the dechirp kernels."""
-        return self._backend.name
-
     def _mags(self, windows: np.ndarray,
               reference: np.ndarray) -> np.ndarray:
         """Dechirped, folded FFT magnitudes for a window matrix."""
         permutation, stage_twiddles = self._fft.plan
-        return self._backend.dechirp_magnitudes(
+        return backend.dechirp_magnitudes(
             windows, reference, permutation, stage_twiddles,
             self.params.chips_per_symbol, self.params.oversampling)
 
@@ -131,17 +130,6 @@ class SymbolDemodulator:
                 f"expected {self.params.samples_per_symbol} samples, "
                 f"got {window.size}")
         mags = self._mags(window.reshape(1, -1), self._downchirp)[0]
-        bin_index = int(np.argmax(mags))
-        return bin_index, float(mags[bin_index])
-
-    def demodulate_downchirp(self, window: np.ndarray) -> tuple[int, float]:
-        """Fast path assuming the window holds a downchirp symbol."""
-        window = np.asarray(window, dtype=np.complex128)
-        if window.size != self.params.samples_per_symbol:
-            raise DemodulationError(
-                f"expected {self.params.samples_per_symbol} samples, "
-                f"got {window.size}")
-        mags = self._mags(window.reshape(1, -1), self._upchirp)[0]
         bin_index = int(np.argmax(mags))
         return bin_index, float(mags[bin_index])
 
@@ -260,147 +248,149 @@ class PacketSynchronizer:
     3. **CFO estimate** - the preamble (upchirp) bin measures ``timing +
        cfo`` while the SFD (downchirp) bin measures ``cfo - timing``;
        their combination isolates the integer-bin CFO.
+
+    The search is a state machine over absolute sample positions that
+    resumes where its samples ran out: :meth:`find_packet` runs it over
+    one array, the streaming receiver over its sliding buffer.  Every
+    decision is made per symbol window, so how the samples arrive never
+    changes the result.  A batch holds at most ``SCAN_WINDOWS`` (scan)
+    or ``WALK_WINDOWS`` (walk) windows, so a search over a long buffer
+    demodulates little past the packet it finds.
     """
 
-    def __init__(self, params: LoRaParams,
-                 backend: str | None = None) -> None:
+    def __init__(self, params: LoRaParams) -> None:
         self.params = params
-        self.symbol_demod = SymbolDemodulator(params, backend=backend)
+        self.symbol_demod = SymbolDemodulator(params)
+        self.restart(0)
+
+    def restart(self, position: int) -> None:
+        """Start a new search at absolute sample ``position``."""
+        self._scan_pos = position
+        self._run_start = position
+        self._run_length = 0
+        self._previous_bin = -1
+        # Set once a preamble run is found: the next window to walk.
+        self._walk_pos: int | None = None
+        self._history: list[int] = []
+
+    @property
+    def keep_from(self) -> int:
+        """First absolute sample a resumed search can still read."""
+        sym = self.params.samples_per_symbol
+        if self._walk_pos is None:
+            # A run trigger reaches back MIN_PREAMBLE_RUN windows, and
+            # alignment steps back under one more symbol.
+            return self._scan_pos - (MIN_PREAMBLE_RUN + 2) * sym
+        return self._walk_pos - sym
 
     def find_packet(self, samples: np.ndarray,
                     search_start: int = 0) -> SyncResult:
         """Find the first packet at or after ``search_start``.
 
+        Restarts the search (see :meth:`restart`).
+
         Raises:
             DemodulationError: if no preamble/SFD can be located.
         """
-        samples = np.asarray(samples, dtype=np.complex128)
-        sym = self.params.samples_per_symbol
-        n = self.params.chips_per_symbol
-        os = self.params.oversampling
-
-        run_position, run_bin = self._find_preamble_run(samples, search_start)
-        # A window starting e samples after the packet's symbol grid sees
-        # the repeated-upchirp peak at bin (w - p)/os mod N, so stepping
-        # back by bin*os chips lands on a packet symbol boundary.
-        offset_samples = (run_bin % n) * os
-        aligned = run_position - offset_samples
-        while aligned < 0:
-            aligned += sym
-
-        sfd_index, sync_high, sync_low, up_bin, preamble_mag = \
-            self._find_sfd(samples, aligned)
-        sfd_start = aligned + sfd_index * sym
-        down_bin, _ = self.symbol_demod.demodulate_downchirp(
-            samples[sfd_start:sfd_start + sym])
-        cfo_bins = self._estimate_cfo_bins(up_bin, down_bin)
-        # The preamble bin measured timing + CFO together; take the CFO
-        # share back out of the timing estimate.
-        sfd_start += cfo_bins * os
-
-        payload_start = sfd_start + int(round(2.25 * sym))
-        sync_word = sync_word_from_symbols(
-            self.params,
-            (sync_high - cfo_bins) % n,
-            (sync_low - cfo_bins) % n)
-        preamble_start = sfd_start - (2 + MIN_PREAMBLE_RUN) * sym
-        return SyncResult(payload_start=payload_start,
-                          preamble_start=max(preamble_start, 0),
-                          sync_word=sync_word,
-                          cfo_bins=cfo_bins,
-                          preamble_magnitude=preamble_mag)
-
-    def _find_preamble_run(self, samples: np.ndarray,
-                           search_start: int) -> tuple[int, int]:
-        """Scan for a run of constant upchirp bins.
-
-        Returns:
-            ``(position, bin)`` where ``position`` is the *absolute
-            sample index* of the first window in the run (windows sit
-            on a symbol-rate grid anchored at ``search_start``, which
-            need not itself be symbol-aligned).
-        """
-        sym = self.params.samples_per_symbol
-        n = self.params.chips_per_symbol
-        num_windows = (samples.size - search_start) // sym
-        if num_windows < MIN_PREAMBLE_RUN:
-            raise DemodulationError(
-                "stream too short to contain a LoRa preamble")
-        run_start = 0
-        run_length = 0
-        previous_bin = -1
-        # Windows are demodulated in batched chunks (dechirp + FFT over
-        # a whole matrix); the run bookkeeping below stays scalar so the
-        # scan can stop at the first qualifying run.  Chunks start small
-        # and grow geometrically: packets near the stream head (the
-        # common case) are found after one small batch instead of
-        # paying for a full 64-window transform up front.  Chunking
-        # never changes the result - decisions are per-window and the
-        # run state carries across chunk boundaries.
-        chunk_windows = 8
-        chunk_start = 0
-        while chunk_start < num_windows:
-            count = min(chunk_windows, num_windows - chunk_start)
-            begin = search_start + chunk_start * sym
-            windows = samples[begin:begin + count * sym].reshape(count, sym)
-            bins, _ = self.symbol_demod.demodulate_upchirp_block(windows)
-            for local, bin_index in enumerate(bins):
-                w = chunk_start + local
-                bin_index = int(bin_index)
-                delta = (bin_index - previous_bin) % n
-                if previous_bin >= 0 and (delta <= 1 or delta == n - 1):
-                    run_length += 1
-                else:
-                    run_start = w
-                    run_length = 1
-                previous_bin = bin_index
-                if run_length >= MIN_PREAMBLE_RUN:
-                    return (search_start + run_start * sym, bin_index)
-            chunk_start += count
-            chunk_windows = min(chunk_windows * 2, 64)
-        raise DemodulationError("no LoRa preamble found in stream")
-
-    def _find_sfd(self, samples: np.ndarray,
-                  aligned: int) -> tuple[int, int, int, int, float]:
-        """Walk aligned symbols until the first downchirp (SFD).
-
-        Symbols are classified in batched chunks (one dechirp + FFT
-        matrix per chunk, both chirp types at once); the walk logic is
-        unchanged, so decisions match the one-symbol-at-a-time walk bit
-        for bit.
-        """
-        sym = self.params.samples_per_symbol
-        max_symbols = (samples.size - aligned) // sym
-        history: list[int] = []
-        magnitudes: list[float] = []
-        chunk_symbols = 8
-        k = 0
-        while k < max_symbols:
-            count = min(chunk_symbols, max_symbols - k)
-            begin = aligned + k * sym
-            windows = samples[begin:begin + count * sym].reshape(count, sym)
-            values, mags, is_up = self.symbol_demod.demodulate_block(windows)
-            for local in range(count):
-                if not is_up[local] and (k + local) >= 3:
-                    if len(history) < 2:
-                        raise DemodulationError(
-                            "SFD found without preceding sync symbols")
-                    sync_high = history[-2]
-                    sync_low = history[-1]
-                    up_bin = int(np.median(history[:-2])) \
-                        if len(history) > 2 else history[0]
-                    mean_mag = float(np.mean(magnitudes[:-2])) if len(
-                        magnitudes) > 2 else float(np.mean(magnitudes))
-                    return k + local, sync_high, sync_low, up_bin, mean_mag
-                history.append(int(values[local]))
-                magnitudes.append(float(mags[local]))
-            k += count
+        self.restart(search_start)
+        sync = self.search(np.asarray(samples, dtype=np.complex128), 0)
+        if sync is not None:
+            return sync
+        if self._walk_pos is None:
+            raise DemodulationError("no LoRa preamble found in stream")
         raise DemodulationError("no SFD (downchirp) found after preamble")
 
-    def _estimate_cfo_bins(self, up_bin: int, down_bin: int) -> int:
-        """Integer CFO from the up/down bin pair (both ~ cfo +- timing)."""
-        return estimate_cfo_bins(self.params.chips_per_symbol,
-                                 up_bin, down_bin)
+    def search(self, samples: np.ndarray, start: int) -> SyncResult | None:
+        """Advance the search over ``samples`` (absolute index ``start``).
+
+        Returns the packet found, or ``None`` when the whole symbol
+        windows run out first; a later call over more samples (still
+        holding :attr:`keep_from` onward) resumes the search there.
+        """
+        sym = self.params.samples_per_symbol
+        end = start + samples.size
+        while self._walk_pos is None:
+            count = min((end - self._scan_pos) // sym, SCAN_WINDOWS)
+            if count <= 0:
+                return None
+            self._scan(self._windows(samples, start, self._scan_pos, count))
+        while True:
+            count = min((end - self._walk_pos) // sym, WALK_WINDOWS)
+            if count <= 0:
+                return None
+            sync = self._walk(
+                self._windows(samples, start, self._walk_pos, count))
+            if sync is not None:
+                return sync
+
+    def _windows(self, samples: np.ndarray, start: int, position: int,
+                 count: int) -> np.ndarray:
+        """``count`` symbol windows from absolute ``position`` on."""
+        sym = self.params.samples_per_symbol
+        base = position - start
+        return samples[base:base + count * sym].reshape(count, sym)
+
+    def _scan(self, windows: np.ndarray) -> None:
+        """Track the run of constant upchirp bins; align when it is long."""
+        sym = self.params.samples_per_symbol
+        n = self.params.chips_per_symbol
+        bins, _ = self.symbol_demod.demodulate_upchirp_block(windows)
+        for local, bin_index in enumerate(bins):
+            bin_index = int(bin_index)
+            delta = (bin_index - self._previous_bin) % n
+            if self._previous_bin >= 0 and (delta <= 1 or delta == n - 1):
+                self._run_length += 1
+            else:
+                self._run_start = self._scan_pos + local * sym
+                self._run_length = 1
+            self._previous_bin = bin_index
+            if self._run_length >= MIN_PREAMBLE_RUN:
+                # A window starting e samples after the packet's symbol
+                # grid sees the repeated-upchirp peak at bin (w - p)/os
+                # mod N, so stepping back by bin*os chips lands on a
+                # packet symbol boundary.
+                aligned = self._run_start - \
+                    bin_index * self.params.oversampling
+                while aligned < 0:
+                    aligned += sym
+                self._walk_pos = aligned
+                return
+        self._scan_pos += len(bins) * sym
+
+    def _walk(self, windows: np.ndarray) -> SyncResult | None:
+        """Classify aligned symbols until the first downchirp (SFD)."""
+        sym = self.params.samples_per_symbol
+        values, _, is_up = self.symbol_demod.demodulate_block(windows)
+        for local, value in enumerate(values):
+            # Every symbol walked before the SFD joins the history, so
+            # its length is this symbol's index in the walk.
+            if not is_up[local] and len(self._history) >= 3:
+                return self._sync_result(self._walk_pos + local * sym,
+                                         int(value))
+            self._history.append(int(value))
+        self._walk_pos += len(values) * sym
+        return None
+
+    def _sync_result(self, sfd_start: int, down_bin: int) -> SyncResult:
+        """CFO, sync word and payload position once the SFD is found.
+
+        ``down_bin`` is the SFD window's downchirp bin; the history holds
+        the preamble bins followed by the two sync-word symbols.
+        """
+        sym = self.params.samples_per_symbol
+        n = self.params.chips_per_symbol
+        up_bin = int(np.median(self._history[:-2]))
+        cfo_bins = estimate_cfo_bins(n, up_bin, down_bin)
+        # The preamble bin measured timing + CFO together; take the CFO
+        # share back out of the timing estimate.
+        sfd_start += cfo_bins * self.params.oversampling
+        sync_high, sync_low = self._history[-2:]
+        return SyncResult(
+            payload_start=sfd_start + int(round(2.25 * sym)),
+            sync_word=sync_word_from_symbols(
+                self.params, (sync_high - cfo_bins) % n,
+                (sync_low - cfo_bins) % n),
+            cfo_bins=cfo_bins)
 
 
 @dataclass(frozen=True)
@@ -431,6 +421,39 @@ def estimate_cfo_bins(n: int, up_bin: int, down_bin: int) -> int:
     return (signed(up_bin) + signed(down_bin)) // 2
 
 
+def receive_fir_taps(params: LoRaParams,
+                     use_fir: bool | None) -> np.ndarray | None:
+    """The receive low-pass taps, or ``None`` when the FIR is off.
+
+    ``use_fir=None`` turns the filter on only when oversampling > 1.
+    """
+    if use_fir is None:
+        use_fir = params.oversampling > 1
+    if not use_fir:
+        return None
+    cutoff_hz = params.bandwidth_hz / 2.0 * 1.1
+    return get_or_build(
+        ("fir_lowpass", FIR_TAPS, cutoff_hz, params.sample_rate_hz),
+        lambda: design_lowpass(FIR_TAPS, cutoff_hz=cutoff_hz,
+                               sample_rate_hz=params.sample_rate_hz))
+
+
+def derotate(samples: np.ndarray, start: int, cfo_bins: int,
+             params: LoRaParams) -> np.ndarray:
+    """Remove an integer-bin CFO from samples at absolute index ``start``.
+
+    The phase ramp indexes samples by their absolute stream position, so
+    derotating a slice equals slicing the derotated stream bit for bit
+    (``exp`` and complex multiply are elementwise).
+    """
+    if cfo_bins == 0:
+        return samples
+    offset_hz = cfo_bins * params.bandwidth_hz / params.chips_per_symbol
+    idx = start + np.arange(samples.size)
+    return samples * np.exp(
+        -2j * np.pi * offset_hz / params.sample_rate_hz * idx)
+
+
 class LoRaDemodulator:
     """Full receive chain: FIR front-end, synchronizer, symbol demod, codec.
 
@@ -441,72 +464,21 @@ class LoRaDemodulator:
             demodulator.  Defaults to on only when oversampling > 1 - at
             critical sampling the signal already occupies the whole band
             and the filter would bite into the outer bins.
-        backend: DSP backend name for the hot kernels (``None`` consults
-            ``REPRO_DSP_BACKEND``); all backends are bit-identical.
     """
 
     def __init__(self, params: LoRaParams, crc: bool = True,
-                 use_fir: bool | None = None,
-                 backend: str | None = None) -> None:
+                 use_fir: bool | None = None) -> None:
         self.params = params
         self.codec = LoRaCodec(params, crc=crc)
-        self.synchronizer = PacketSynchronizer(params, backend=backend)
+        self.synchronizer = PacketSynchronizer(params)
         self.symbol_demod = self.synchronizer.symbol_demod
-        self._backend_request = backend
-        if use_fir is None:
-            use_fir = params.oversampling > 1
-        self._fir_taps = None
-        if use_fir:
-            cutoff_hz = params.bandwidth_hz / 2.0 * 1.1
-            self._fir_taps = get_or_build(
-                ("fir_lowpass", FIR_TAPS, cutoff_hz, params.sample_rate_hz),
-                lambda: design_lowpass(
-                    FIR_TAPS, cutoff_hz=cutoff_hz,
-                    sample_rate_hz=params.sample_rate_hz))
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the DSP backend executing the hot kernels."""
-        return self.symbol_demod.backend_name
+        self._fir_taps = receive_fir_taps(params, use_fir)
 
     def frontend(self, samples: np.ndarray) -> np.ndarray:
         """Apply the receive FIR (identity when disabled)."""
         if self._fir_taps is None:
             return np.asarray(samples, dtype=np.complex128)
-        return filter_block(self._fir_taps, samples,
-                            backend=self._backend_request)
-
-    def _derotate(self, samples: np.ndarray, cfo_bins: int) -> np.ndarray:
-        """Remove an integer-bin CFO."""
-        if cfo_bins == 0:
-            return samples
-        offset_hz = cfo_bins * self.params.bandwidth_hz / \
-            self.params.chips_per_symbol
-        n = np.arange(samples.size)
-        return samples * np.exp(
-            -2j * np.pi * offset_hz / self.params.sample_rate_hz * n)
-
-    def _aligned_symbol_values(self, stream: np.ndarray, start: int,
-                               count: int, cfo_bins: int) -> np.ndarray:
-        """Demodulate ``count`` aligned payload symbols at ``start``.
-
-        Derotation uses *global* sample indices (``start + k``), so the
-        result is bit-identical to derotating the whole stream and then
-        slicing - ``exp``/complex multiply are elementwise, making the
-        slice-then-derotate order safe.  Only the packet's own samples
-        are touched, which keeps multi-packet scans linear in stream
-        length instead of quadratic.
-        """
-        sym = self.params.samples_per_symbol
-        window = stream[start:start + count * sym]
-        if cfo_bins != 0:
-            offset_hz = cfo_bins * self.params.bandwidth_hz / \
-                self.params.chips_per_symbol
-            idx = start + np.arange(window.size)
-            window = window * np.exp(
-                -2j * np.pi * offset_hz /
-                self.params.sample_rate_hz * idx)
-        return self.symbol_demod.demodulate_stream(window, count)
+        return filter_block(self._fir_taps, samples)
 
     def receive(self, samples: np.ndarray,
                 payload_symbols: int | None = None) -> DecodedPayload:
@@ -523,82 +495,44 @@ class LoRaDemodulator:
         """
         filtered = self.frontend(samples)
         sync = self.synchronizer.find_packet(filtered)
-        stream = self._derotate(filtered, sync.cfo_bins)
         sym = self.params.samples_per_symbol
-        available = max(0, (stream.size - sync.payload_start) // sym)
+        start = sync.payload_start
+        available = max(0, (filtered.size - start) // sym)
         if payload_symbols is None:
             payload_symbols = available
         if payload_symbols > available:
             raise DemodulationError(
                 f"stream holds only {available} payload symbols, "
                 f"{payload_symbols} requested")
-        values = self.symbol_demod.demodulate_stream(
-            stream, payload_symbols, start=sync.payload_start)
+        window = derotate(filtered[start:start + payload_symbols * sym],
+                          start, sync.cfo_bins, self.params)
+        values = self.symbol_demod.demodulate_stream(window, payload_symbols)
         return self.codec.decode(values)
 
     def receive_all(self, samples: np.ndarray) -> list[ReceivedPacket]:
         """Find and decode every packet in a sample stream.
 
-        The front-end FIR runs once over the whole stream; each packet
-        is then located, its explicit header decoded to learn the exact
-        payload symbol count, and only that packet's samples derotated
-        and demodulated.  A truncated final packet (header promises more
-        symbols than the stream holds) is never demodulated - partial
-        windows cannot shift earlier symbol decisions.
+        This is one ``push`` of the whole stream plus ``flush`` on a
+        fresh :class:`~repro.phy.lora.streaming.StreamingDemodulator`:
+        each packet's explicit header gives its symbol count, and a
+        truncated final packet (header promises more symbols than the
+        stream holds) is never demodulated.
 
         Requires explicit-header mode (the header carries the length).
 
         Raises:
             DemodulationError: in implicit-header mode.
         """
+        # Imported here: the streaming receiver builds on this module.
+        from repro.phy.lora.streaming import StreamingDemodulator
+
         if not self.params.explicit_header:
             raise DemodulationError(
                 "receive_all requires explicit-header mode")
-        filtered = self.frontend(samples)
-        sym = self.params.samples_per_symbol
-        packets: list[ReceivedPacket] = []
-        search = 0
-        while True:
-            try:
-                sync = self.synchronizer.find_packet(filtered, search)
-            except DemodulationError:
-                break
-            start = sync.payload_start
-            available = max(0, (filtered.size - start) // sym)
-            if available < HEADER_SYMBOLS:
-                break
-            header_values = self._aligned_symbol_values(
-                filtered, start, HEADER_SYMBOLS, sync.cfo_bins)
-            header = self.codec.decode_header(header_values)
-            if not header.header_ok:
-                # Corrupt header: skip past it and keep scanning.
-                search = start + HEADER_SYMBOLS * sym
-                continue
-            try:
-                count = HEADER_SYMBOLS + self.codec.payload_section_symbols(
-                    header.payload_length,
-                    header.coding_rate_denominator,
-                    header.crc_flag)
-            except CodingError:
-                # A corrupt header whose checksum happens to validate can
-                # still announce an out-of-range coding rate; treat it
-                # like any other bad header.
-                search = start + HEADER_SYMBOLS * sym
-                continue
-            if count > available:
-                # Truncated tail packet: never demodulate partial
-                # symbols (they must not shift earlier decisions).
-                break
-            values = self._aligned_symbol_values(
-                filtered, start, count, sync.cfo_bins)
-            packets.append(ReceivedPacket(
-                decoded=self.codec.decode(values),
-                payload_start=start,
-                cfo_bins=sync.cfo_bins,
-                symbols=tuple(int(v) for v in values),
-                sync_word=sync.sync_word))
-            search = start + count * sym
-        return packets
+        receiver = StreamingDemodulator(
+            self.params, crc=self.codec.crc,
+            use_fir=self._fir_taps is not None)
+        return receiver.push(samples) + receiver.flush()
 
     def receive_aligned_symbols(self, samples: np.ndarray,
                                 num_symbols: int) -> np.ndarray:

@@ -8,7 +8,7 @@ and the payload symbols encoding header, payload and CRC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,16 +92,10 @@ class SyncResult:
 
     Attributes:
         payload_start: sample index of the first payload symbol.
-        preamble_start: sample index where the (aligned) preamble begins.
         sync_word: recovered network sync word.
         cfo_bins: estimated integer carrier-frequency offset in FFT bins.
-        preamble_magnitude: mean dechirped peak magnitude over the preamble
-            (a detection-confidence proxy).
     """
 
     payload_start: int
-    preamble_start: int
     sync_word: int
     cfo_bins: int = 0
-    preamble_magnitude: float = 0.0
-    metadata: dict = field(default_factory=dict)

@@ -150,6 +150,33 @@ class TestLoRaPipeline:
         assert sink.payloads == payloads
         assert sink.crc_failures == 0
 
+    def test_sink_sees_tails_flushed_upstream(self):
+        class HoldBack(Block):
+            """Withholds the last ``count`` samples until finish()."""
+
+            def __init__(self, count):
+                super().__init__()
+                self.count = count
+                self.held = np.zeros(0, dtype=np.complex128)
+
+            def work(self, inputs):
+                stream = np.concatenate([self.held, inputs[0]])
+                self.held = stream[-self.count:]
+                return [stream[:-self.count]]
+
+            def finish(self):
+                return [self.held]
+
+        params = LoRaParams(7, 125e3)
+        graph = FlowGraph()
+        source = LoRaPacketSource(params, [b"held back"], gap_symbols=0)
+        hold = HoldBack(4 * params.samples_per_symbol)
+        sink = LoRaReceiverSink(params)
+        graph.connect(source, hold)
+        graph.connect(hold, sink)
+        graph.run()
+        assert sink.payloads == [b"held back"]
+
     def test_noiseless_pipeline(self):
         params = LoRaParams(7, 125e3)
         graph = FlowGraph()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dsp.filters import design_lowpass, filter_block
 from repro.errors import ConfigurationError, DemodulationError
 from repro.phy.lora import (
     LoRaDemodulator,
@@ -21,6 +22,7 @@ from repro.phy.lora import (
     StreamingDemodulator,
 )
 from repro.phy.lora.demodulator import SymbolDemodulator
+from repro.phy.lora.streaming import _AlignedStreamingFir
 
 
 def make_capture(params, payloads, seed, head_gap=2000):
@@ -106,6 +108,62 @@ class TestChunkInvariance:
         streamed = stream_in_chunks(StreamingDemodulator(params),
                                     capture, boundaries)
         assert streamed == batch
+
+
+class TestAlignedFir:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 60),
+           num_splits=st.integers(0, 6))
+    def test_streamed_output_equals_filter_block(self, seed, count,
+                                                 num_splits):
+        # Includes streams shorter than the group delay, whose whole
+        # output comes from the flush.
+        rng = np.random.default_rng(seed)
+        taps = design_lowpass(14, 1000.0, 8000.0)
+        samples = rng.normal(size=count) + 1j * rng.normal(size=count)
+        fir = _AlignedStreamingFir(taps)
+        splits = np.sort(rng.integers(0, count + 1, num_splits))
+        pieces = [fir.process(part) for part in np.split(samples, splits)]
+        streamed = np.concatenate(pieces + [fir.flush()])
+        assert np.array_equal(streamed, filter_block(taps, samples))
+
+
+class TestLinearWork:
+    """Receive work grows with the capture, not with the chunk size."""
+
+    @pytest.mark.parametrize("params", PARAMS_CASES,
+                             ids=["sf7_os1", "sf8_os2"])
+    def test_whole_push_dechirps_like_symbol_pushes(
+            self, params, monkeypatch):
+        rows = []
+
+        def counted(method, transforms):
+            def wrapper(self, windows):
+                rows.append(transforms * len(windows))
+                return method(self, windows)
+            return wrapper
+
+        # Count dechirped rows, not time: demodulate_block runs both
+        # chirp references, so each of its rows is two transforms.
+        for name, transforms in (("demodulate_upchirp_block", 1),
+                                 ("demodulate_block", 2)):
+            monkeypatch.setattr(SymbolDemodulator, name, counted(
+                getattr(SymbolDemodulator, name), transforms))
+        rng = np.random.default_rng(24)
+        payloads = [bytes(rng.integers(0, 256, size).astype(np.uint8))
+                    for size in rng.integers(8, 40, 24)]
+        capture = make_capture(params, payloads, seed=24)
+        sym = params.samples_per_symbol
+
+        stepped = stream_in_chunks(StreamingDemodulator(params), capture,
+                                   range(sym, capture.size, sym))
+        stepped_rows = sum(rows)
+        rows.clear()
+        whole = stream_in_chunks(StreamingDemodulator(params), capture, [])
+
+        assert [p.decoded.payload for p in stepped] == payloads
+        assert whole == stepped
+        assert sum(rows) <= 1.5 * stepped_rows
 
 
 class TestTailWindows:
