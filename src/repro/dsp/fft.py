@@ -2,13 +2,15 @@
 
 The LoRa demodulator multiplies each received symbol by a conjugate chirp
 and takes an FFT whose length equals ``2**SF`` (paper Fig. 6b, "an FFT
-block implemented using a standard IP core from Lattice").  We implement
-the iterative radix-2 decimation-in-time algorithm directly - both because
-the exercise demands building substrates from scratch and because it lets
-us model the core's fixed-point behaviour (per-stage scaling) when needed.
+block implemented using a standard IP core from Lattice").  This module
+implements that core's iterative radix-2 decimation-in-time algorithm:
+its butterfly count sizes the core in :mod:`repro.fpga.resources`, and
+its per-stage schedule is where fixed-point scaling would be modelled.
 
-``numpy.fft`` remains available for spectral *measurement* in
-:mod:`repro.dsp.measure`; the demodulation path uses this module.
+The receive path itself transforms with ``numpy.fft``
+(:func:`repro.phy.backend.dechirp_magnitudes`), as does spectral
+measurement in :mod:`repro.dsp.measure`; the tests check the receive
+kernel against :class:`Radix2Fft`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.perf.cache import get_or_build
-from repro.phy import backend
 
 
 def is_power_of_two(n: int) -> bool:
@@ -64,9 +65,8 @@ class Radix2Fft:
     """Iterative radix-2 DIT FFT with precomputed twiddle factors.
 
     Instances cache twiddles for one transform length, the way an FPGA core
-    is configured for a fixed size; the demodulator keeps one per LoRa
-    spreading factor.  The butterflies run on the batched kernel in
-    :mod:`repro.phy.backend`.
+    is configured for a fixed size.  The butterflies run over every row
+    of a block at once.
 
     Args:
         length: transform size (power of two).
@@ -83,11 +83,6 @@ class Radix2Fft:
         self._permutation, self._stage_twiddles = get_or_build(
             ("fft_plan", length), lambda: _build_fft_plan(length))
 
-    @property
-    def plan(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """The frozen ``(permutation, stage_twiddles)`` plan pair."""
-        return self._permutation, self._stage_twiddles
-
     def forward(self, samples: np.ndarray) -> np.ndarray:
         """Compute the forward DFT of ``samples``.
 
@@ -99,8 +94,7 @@ class Radix2Fft:
         if samples.size != self.length:
             raise ConfigurationError(
                 f"expected {self.length} samples, got {samples.size}")
-        return backend.fft_block(self._permutation, self._stage_twiddles,
-                                 samples.reshape(1, -1))[0]
+        return self.forward_block(samples.reshape(1, -1))[0]
 
     def forward_block(self, blocks: np.ndarray) -> np.ndarray:
         """Compute the forward DFT of each row of a ``(count, length)`` matrix.
@@ -108,8 +102,8 @@ class Radix2Fft:
         Runs the same butterfly schedule as :meth:`forward` across all
         rows at once, so each row's result is bit-exact with a
         per-row :meth:`forward` call while amortizing the stage loop
-        over the whole batch (the LoRa demodulator feeds one row per
-        received symbol).
+        over the whole batch (one row per dechirped symbol window when
+        it checks the receive kernel).
 
         Raises:
             ConfigurationError: if the input is not a 2-D array with
@@ -120,8 +114,17 @@ class Radix2Fft:
             raise ConfigurationError(
                 f"expected a (count, {self.length}) matrix, got shape "
                 f"{blocks.shape}")
-        return backend.fft_block(self._permutation, self._stage_twiddles,
-                                 blocks)
+        data = blocks[:, self._permutation]
+        half = 1
+        for twiddle in self._stage_twiddles:
+            span = half * 2
+            shaped = data.reshape(data.shape[0], -1, span)
+            even = shaped[:, :, :half].copy()
+            odd = shaped[:, :, half:] * twiddle
+            shaped[:, :, :half] = even + odd
+            shaped[:, :, half:] = even - odd
+            half = span
+        return data
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         """Compute the inverse DFT (normalized by ``1/N``)."""
@@ -140,27 +143,16 @@ class Radix2Fft:
         return index, float(magnitudes[index])
 
 
-_FFT_CACHE: dict[int, Radix2Fft] = {}
-
-
 def fft(samples: np.ndarray) -> np.ndarray:
-    """Convenience forward FFT using a cached :class:`Radix2Fft` core."""
+    """Convenience forward FFT on a :class:`Radix2Fft` core."""
     samples = np.asarray(samples)
-    core = _FFT_CACHE.get(samples.size)
-    if core is None:
-        core = Radix2Fft(samples.size)
-        _FFT_CACHE[samples.size] = core
-    return core.forward(samples)
+    return Radix2Fft(samples.size).forward(samples)
 
 
 def ifft(spectrum: np.ndarray) -> np.ndarray:
-    """Convenience inverse FFT using a cached :class:`Radix2Fft` core."""
+    """Convenience inverse FFT on a :class:`Radix2Fft` core."""
     spectrum = np.asarray(spectrum)
-    core = _FFT_CACHE.get(spectrum.size)
-    if core is None:
-        core = Radix2Fft(spectrum.size)
-        _FFT_CACHE[spectrum.size] = core
-    return core.inverse(spectrum)
+    return Radix2Fft(spectrum.size).inverse(spectrum)
 
 
 def fft_butterfly_count(length: int) -> int:

@@ -131,9 +131,14 @@ class StreamingFir:
         if samples.size == 0:
             return samples.copy()
         output = backend.fir_carry(self._taps, self._state, samples)
-        if self._state.size:
-            extended = np.concatenate([self._state, samples])
-            self._state = extended[-self._state.size:].copy()
+        keep = self._state.size
+        if keep:
+            # The delay line is the last ``keep`` inputs of the history.
+            if samples.size >= keep:
+                self._state = samples[-keep:].copy()
+            else:
+                self._state = np.concatenate(
+                    [self._state[samples.size:], samples])
         return output
 
 

@@ -3,7 +3,7 @@
 A "plan" is anything derived deterministically from a hashable
 configuration and expensive enough to matter when rebuilt per modem:
 chirp symbol tables per :class:`~repro.phy.lora.params.LoRaParams`,
-conjugate dechirp references, :class:`~repro.dsp.fft.Radix2Fft`
+per-CFO dechirp references, :class:`~repro.dsp.fft.Radix2Fft`
 twiddle/bit-reverse plans, FIR tap sets, NCO sin/cos lookup tables.
 Testbed sweeps build one modem per node per configuration, so without a
 cache the same tables are recomputed thousands of times.

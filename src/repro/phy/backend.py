@@ -1,15 +1,17 @@
 """The NumPy DSP kernels every PHY chain runs on.
 
-One module holds the sample-level hot kernels: the batched radix-2 FFT,
-the FIR, the LoRa dechirp-fold, the BLE discriminator and
-integrate-and-dump, and the O-QPSK matched filter.  Their outputs are
-pinned bit for bit by the ``*_reference`` scalar twins and the
-golden-vector corpus (``tests/fixtures/phy_golden``).
+One module holds the sample-level hot kernels: the FIR, the LoRa
+dechirp-FFT-fold, the BLE discriminator and integrate-and-dump, and the
+O-QPSK matched filter.  The FIR, GFSK and O-QPSK kernels are pinned bit
+for bit by their ``*_reference`` scalar twins and the golden-vector
+corpus (``tests/fixtures/phy_golden``).
 
-FFT kernels receive their plan as the ``(permutation, stage_twiddles)``
-pair built by :class:`repro.dsp.fft.Radix2Fft` — ``permutation`` is the
-bit-reverse index array and ``stage_twiddles`` one frozen twiddle array
-per butterfly stage, sliced from the master twiddle table.
+The LoRa FFT is ``numpy.fft``.  The paper's receiver runs its FFT on a
+fixed-point Lattice IP core, so the float bits of a transform model
+nothing physical; what the corpus pins for LoRa is the decisions
+(symbols, bytes, flags, positions).  :class:`repro.dsp.fft.Radix2Fft`
+keeps the radix-2 butterflies as the model of that core and as the
+tests' oracle for :func:`dechirp_magnitudes`.
 
 The FIR / integration kernels use explicit **tap-major accumulation**
 (ascending tap index, one vectorized slice-add per tap) instead of
@@ -38,23 +40,6 @@ def get_backend() -> ModuleType:
     return sys.modules[__name__]
 
 
-def fft_block(permutation: np.ndarray,
-              stage_twiddles: tuple[np.ndarray, ...],
-              blocks: np.ndarray) -> np.ndarray:
-    """Radix-2 DIT forward FFT of each row of a ``(count, n)`` matrix."""
-    data = blocks[:, permutation].astype(np.complex128)
-    half = 1
-    for twiddle in stage_twiddles:
-        span = half * 2
-        shaped = data.reshape(data.shape[0], -1, span)
-        even = shaped[:, :, :half].copy()
-        odd = shaped[:, :, half:] * twiddle
-        shaped[:, :, :half] = even + odd
-        shaped[:, :, half:] = even - odd
-        half = span
-    return data
-
-
 def fir_carry(taps: np.ndarray, carry: np.ndarray,
               chunk: np.ndarray) -> np.ndarray:
     """Streaming FIR step: ``len(chunk)`` new running-convolution outputs.
@@ -78,22 +63,19 @@ def fir_carry(taps: np.ndarray, carry: np.ndarray,
 
 
 def dechirp_magnitudes(windows: np.ndarray, reference: np.ndarray,
-                       permutation: np.ndarray,
-                       stage_twiddles: tuple[np.ndarray, ...],
                        n_bins: int, oversampling: int) -> np.ndarray:
     """Dechirp + FFT + magnitude fold of a ``(count, sym)`` matrix.
 
-    Multiplies each window by the conjugate-chirp ``reference``,
-    transforms every row, takes magnitudes and folds the oversampled
-    spectrum onto the ``n_bins`` symbol alphabet.
+    Multiplies each window by the dechirp ``reference``, transforms
+    every row, takes magnitudes and folds the oversampled spectrum onto
+    the ``n_bins`` symbol alphabet.  Each row's result depends only on
+    that row, never on how many rows share the call.
     """
-    spectra = np.abs(fft_block(permutation, stage_twiddles,
-                               windows * reference))
+    spectra = np.fft.fft(windows * reference, axis=1)
     if oversampling == 1:
-        return spectra
-    folded = spectra[:, :n_bins].copy()
-    folded += spectra[:, (oversampling - 1) * n_bins:oversampling * n_bins]
-    return folded
+        return np.abs(spectra)
+    return np.abs(spectra[:, :n_bins]) + \
+        np.abs(spectra[:, (oversampling - 1) * n_bins:])
 
 
 def discriminate(samples: np.ndarray) -> np.ndarray:

@@ -82,6 +82,16 @@ def _nibbles_to_bytes_array(nibbles: np.ndarray) -> bytes:
     return (low | (high << 4)).astype(np.uint8).tobytes()
 
 
+def _header_valid(payload_length: int, flags: int, checksum: int) -> bool:
+    """Whether a header's checksum holds and it announces CR 4/5..4/8.
+
+    A corrupt header can pass the 8-bit checksum by chance; its coding
+    rate field must still name a rate the receiver can decode.
+    """
+    expected = (payload_length ^ (payload_length >> 4) ^ flags) & 0xFF
+    return checksum == expected and 1 <= (flags & 0x7) <= 4
+
+
 @dataclass(frozen=True)
 class LoRaHeader:
     """Decoded explicit-header fields (the first 8 payload-section symbols).
@@ -92,7 +102,8 @@ class LoRaHeader:
             fallback when the header checksum failed).
         crc_flag: whether a payload CRC follows (config fallback when the
             header checksum failed).
-        header_ok: header checksum status.
+        header_ok: whether the header checksum holds and the header
+            announces a coding rate of 4/5..4/8.
         fec_errors: Hamming errors detected inside the header block.
         leading_nibbles: payload nibbles absorbed into the header block
             (``SF - 7`` of them).
@@ -344,8 +355,7 @@ class LoRaCodec:
             payload_length = header[0] | (header[1] << 4)
             flags = header[2]
             checksum = header[3] | (header[4] << 4)
-            expected = (payload_length ^ (payload_length >> 4) ^ flags) & 0xFF
-            header_ok = checksum == expected
+            header_ok = _header_valid(payload_length, flags, checksum)
             if header_ok:
                 cr = (flags & 0x7) + 4
                 crc_flag = bool(flags & 0x8)
@@ -404,8 +414,7 @@ class LoRaCodec:
         payload_length = int(nibbles[0]) | (int(nibbles[1]) << 4)
         flags = int(nibbles[2])
         checksum = int(nibbles[3]) | (int(nibbles[4]) << 4)
-        expected = (payload_length ^ (payload_length >> 4) ^ flags) & 0xFF
-        header_ok = checksum == expected
+        header_ok = _header_valid(payload_length, flags, checksum)
         if header_ok:
             cr = (flags & 0x7) + 4
             crc_flag = bool(flags & 0x8)

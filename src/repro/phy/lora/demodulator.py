@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.fft import Radix2Fft
 from repro.dsp.filters import design_lowpass, filter_block
 from repro.errors import DemodulationError
 from repro.perf.cache import get_or_build
@@ -72,6 +71,8 @@ class SymbolDemodulator:
     """Dechirp + FFT + peak detection for one LoRa configuration.
 
     The dechirp-FFT-fold kernel lives in :mod:`repro.phy.backend`.
+    An integer-bin CFO is removed in the dechirp reference
+    (:meth:`_dechirp_reference`).
     """
 
     def __init__(self, params: LoRaParams) -> None:
@@ -80,24 +81,42 @@ class SymbolDemodulator:
         # through the plan cache: every modem built for the same params
         # (testbed sweeps build one per node per config) reuses one
         # frozen table instead of regenerating it.
-        self._downchirp = get_or_build(
-            ("lora_dechirp", params), lambda: np.conj(ideal_chirp(params, 0)))
+        self._downchirp = self._dechirp_reference(0)
         self._upchirp = get_or_build(
             ("lora_upchirp_ref", params), lambda: ideal_chirp(params, 0))
-        self._fft = Radix2Fft(params.samples_per_symbol)
 
     @property
     def fft_length(self) -> int:
         """FFT size used per symbol (``2**SF * oversampling``)."""
-        return self._fft.length
+        return self.params.samples_per_symbol
+
+    def _dechirp_reference(self, cfo_bins: int) -> np.ndarray:
+        """``conj(chirp) * exp(-2j*pi*cfo*n/sym)``, one per CFO bin.
+
+        Derotating a window that starts at absolute sample ``p`` by the
+        ramp ``exp(-2j*pi*cfo*(p + n)/sym)`` differs from this
+        reference's in-window ramp only by the unit-modulus constant
+        ``exp(-2j*pi*cfo*p/sym)``, which the FFT magnitude removes; so a
+        window's decision never depends on where it sits in the stream.
+        """
+        params = self.params
+        sym = params.samples_per_symbol
+
+        def build() -> np.ndarray:
+            reference = np.conj(ideal_chirp(params, 0))
+            if cfo_bins:
+                reference = reference * np.exp(
+                    -2j * np.pi * cfo_bins * np.arange(sym) / sym)
+            return reference
+
+        return get_or_build(("lora_dechirp", params, cfo_bins), build)
 
     def _mags(self, windows: np.ndarray,
               reference: np.ndarray) -> np.ndarray:
         """Dechirped, folded FFT magnitudes for a window matrix."""
-        permutation, stage_twiddles = self._fft.plan
         return backend.dechirp_magnitudes(
-            windows, reference, permutation, stage_twiddles,
-            self.params.chips_per_symbol, self.params.oversampling)
+            windows, reference, self.params.chips_per_symbol,
+            self.params.oversampling)
 
     def demodulate(self, window: np.ndarray) -> SymbolDecision:
         """Demodulate one symbol-length window of samples.
@@ -133,12 +152,15 @@ class SymbolDemodulator:
         bin_index = int(np.argmax(mags))
         return bin_index, float(mags[bin_index])
 
-    def demodulate_upchirp_block(self, windows: np.ndarray
+    def demodulate_upchirp_block(self, windows: np.ndarray,
+                                 cfo_bins: int = 0
                                  ) -> tuple[np.ndarray, np.ndarray]:
         """Batched upchirp demodulation of a ``(count, sym)`` window matrix.
 
-        Dechirps and FFTs every row at once; each row's decision is
-        bit-exact with :meth:`demodulate_upchirp` on that window.
+        Dechirps and FFTs every row at once, removing an integer carrier
+        offset of ``cfo_bins`` bins in the dechirp; with no offset each
+        row's decision is bit-exact with :meth:`demodulate_upchirp` on
+        that window.
 
         Returns:
             ``(bins, magnitudes)`` arrays of length ``count``.
@@ -152,7 +174,7 @@ class SymbolDemodulator:
             raise DemodulationError(
                 f"expected a (count, {self.params.samples_per_symbol}) "
                 f"window matrix, got shape {windows.shape}")
-        mags = self._mags(windows, self._downchirp)
+        mags = self._mags(windows, self._dechirp_reference(cfo_bins))
         bins = np.argmax(mags, axis=1)
         return bins.astype(np.int64), mags[np.arange(mags.shape[0]), bins]
 
@@ -191,45 +213,58 @@ class SymbolDemodulator:
 
     def demodulate_stream(self, samples: np.ndarray,
                           num_symbols: int,
-                          start: int = 0) -> np.ndarray:
+                          start: int = 0,
+                          cfo_bins: int = 0) -> np.ndarray:
         """Demodulate ``num_symbols`` aligned upchirp symbols from a stream.
 
-        Batched fast path: the stream is viewed as a symbol matrix and
-        dechirp + FFT run over all symbols at once.  Results are
-        bit-exact with :meth:`demodulate_stream_reference`.
+        Batched fast path: the symbols from sample ``start`` on are
+        viewed as a window matrix and dechirped against the reference
+        for ``cfo_bins`` all at once.  Decisions match
+        :meth:`demodulate_stream_reference`.
 
         Raises:
-            DemodulationError: if the stream is too short.
+            DemodulationError: if ``start`` or ``num_symbols`` is
+                negative, or the stream is too short.
         """
         sym = self.params.samples_per_symbol
-        end = start + num_symbols * sym
         samples = np.asarray(samples, dtype=np.complex128)
-        if num_symbols < 0 or end > samples.size:
-            raise DemodulationError(
-                f"stream of {samples.size} samples cannot hold {num_symbols} "
-                f"symbols from offset {start}")
+        self._check_stream(samples.size, num_symbols, start)
         if num_symbols == 0:
             return np.empty(0, dtype=np.int64)
-        windows = samples[start:end].reshape(num_symbols, sym)
-        values, _ = self.demodulate_upchirp_block(windows)
+        windows = samples[start:start + num_symbols * sym].reshape(
+            num_symbols, sym)
+        values, _ = self.demodulate_upchirp_block(windows, cfo_bins=cfo_bins)
         return values
 
     def demodulate_stream_reference(self, samples: np.ndarray,
                                     num_symbols: int,
-                                    start: int = 0) -> np.ndarray:
-        """One-symbol-per-call reference for :meth:`demodulate_stream`."""
-        sym = self.params.samples_per_symbol
-        end = start + num_symbols * sym
+                                    start: int = 0,
+                                    cfo_bins: int = 0) -> np.ndarray:
+        """One-symbol-per-call reference for :meth:`demodulate_stream`.
+
+        Removes the CFO the direct way: every sample is derotated by
+        the phase ramp of its absolute stream index before dechirping.
+        """
+        params = self.params
+        sym = params.samples_per_symbol
         samples = np.asarray(samples, dtype=np.complex128)
-        if num_symbols < 0 or end > samples.size:
-            raise DemodulationError(
-                f"stream of {samples.size} samples cannot hold {num_symbols} "
-                f"symbols from offset {start}")
+        self._check_stream(samples.size, num_symbols, start)
+        offset_hz = cfo_bins * params.bandwidth_hz / params.chips_per_symbol
         values = np.empty(num_symbols, dtype=np.int64)
         for i in range(num_symbols):
-            window = samples[start + i * sym:start + (i + 1) * sym]
+            idx = start + i * sym + np.arange(sym)
+            window = samples[idx] * np.exp(
+                -2j * np.pi * offset_hz / params.sample_rate_hz * idx)
             values[i], _ = self.demodulate_upchirp(window)
         return values
+
+    def _check_stream(self, size: int, num_symbols: int, start: int) -> None:
+        """Reject a symbol range that is negative or overruns the stream."""
+        if start < 0 or num_symbols < 0 or \
+                start + num_symbols * self.params.samples_per_symbol > size:
+            raise DemodulationError(
+                f"stream of {size} samples cannot hold {num_symbols} "
+                f"symbols from offset {start}")
 
 
 class PacketSynchronizer:
@@ -438,22 +473,6 @@ def receive_fir_taps(params: LoRaParams,
                                sample_rate_hz=params.sample_rate_hz))
 
 
-def derotate(samples: np.ndarray, start: int, cfo_bins: int,
-             params: LoRaParams) -> np.ndarray:
-    """Remove an integer-bin CFO from samples at absolute index ``start``.
-
-    The phase ramp indexes samples by their absolute stream position, so
-    derotating a slice equals slicing the derotated stream bit for bit
-    (``exp`` and complex multiply are elementwise).
-    """
-    if cfo_bins == 0:
-        return samples
-    offset_hz = cfo_bins * params.bandwidth_hz / params.chips_per_symbol
-    idx = start + np.arange(samples.size)
-    return samples * np.exp(
-        -2j * np.pi * offset_hz / params.sample_rate_hz * idx)
-
-
 class LoRaDemodulator:
     """Full receive chain: FIR front-end, synchronizer, symbol demod, codec.
 
@@ -495,18 +514,12 @@ class LoRaDemodulator:
         """
         filtered = self.frontend(samples)
         sync = self.synchronizer.find_packet(filtered)
-        sym = self.params.samples_per_symbol
         start = sync.payload_start
-        available = max(0, (filtered.size - start) // sym)
         if payload_symbols is None:
-            payload_symbols = available
-        if payload_symbols > available:
-            raise DemodulationError(
-                f"stream holds only {available} payload symbols, "
-                f"{payload_symbols} requested")
-        window = derotate(filtered[start:start + payload_symbols * sym],
-                          start, sync.cfo_bins, self.params)
-        values = self.symbol_demod.demodulate_stream(window, payload_symbols)
+            payload_symbols = max(
+                0, (filtered.size - start) // self.params.samples_per_symbol)
+        values = self.symbol_demod.demodulate_stream(
+            filtered, payload_symbols, start, sync.cfo_bins)
         return self.codec.decode(values)
 
     def receive_all(self, samples: np.ndarray) -> list[ReceivedPacket]:

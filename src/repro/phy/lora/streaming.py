@@ -18,9 +18,10 @@ suites:
    CFO estimate) is made per symbol-window on a fixed sample grid by
    :class:`PacketSynchronizer`, which resumes where the buffered samples
    ran out.
-3. Payload derotation uses *global* sample indices, so derotating a
-   packet's slice equals slicing the derotated capture (``exp`` and
-   complex multiply are elementwise).
+3. A payload window is dechirped against the reference for the packet's
+   CFO, which depends on neither the window's position nor the rows
+   that share its batch (each FFT row is transformed on its own), so a
+   window's magnitudes are the same however the capture was chunked.
 
 **Streaming-state discipline** (lint rule REPRO015): every buffer this
 class keeps is trimmed to a bounded window each :meth:`push`; memory use
@@ -34,13 +35,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dsp.filters import StreamingFir
-from repro.errors import CodingError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.phy.lora.codec import LoRaCodec
 from repro.phy.lora.demodulator import (
     HEADER_SYMBOLS,
     PacketSynchronizer,
     ReceivedPacket,
-    derotate,
     receive_fir_taps,
 )
 from repro.phy.lora.packet import SyncResult
@@ -205,10 +205,9 @@ class StreamingDemodulator:
             // sym
         count = min(available, target - len(self._symbols))
         if count > 0:
-            base = position - self._buffer_start
-            window = derotate(self._buffer[base:base + count * sym],
-                              position, self._sync.cfo_bins, self.params)
-            values = self.symbol_demod.demodulate_stream(window, count)
+            values = self.symbol_demod.demodulate_stream(
+                self._buffer, count, position - self._buffer_start,
+                self._sync.cfo_bins)
             self._symbols.extend(int(v) for v in values)
         if len(self._symbols) < target:
             return False
@@ -240,11 +239,6 @@ class StreamingDemodulator:
             np.asarray(self._symbols, dtype=np.int64))
         if not header.header_ok:
             return None
-        try:
-            return HEADER_SYMBOLS + self.codec.payload_section_symbols(
-                header.payload_length, header.coding_rate_denominator,
-                header.crc_flag)
-        except CodingError:
-            # A corrupt header whose checksum happens to validate can
-            # still announce an out-of-range coding rate.
-            return None
+        return HEADER_SYMBOLS + self.codec.payload_section_symbols(
+            header.payload_length, header.coding_rate_denominator,
+            header.crc_flag)

@@ -1,7 +1,7 @@
 """Golden-vector corpus generator for the PHY conformance suite.
 
-The batch and streaming receivers must reproduce these vectors **bit
-exactly**.
+The batch and streaming receivers must reproduce every pinned field of
+these vectors **exactly**.
 Each JSON case pins:
 
 * the full seeded generation recipe (modulation parameters, payload,
@@ -9,10 +9,12 @@ Each JSON case pins:
 * ``capture_sha256`` over the rebuilt capture's raw ``complex128``
   bytes, so a silent modulator/noise change is caught as corpus drift
   rather than misattributed to a demodulator bug;
-* the expected receiver outputs — LoRa payload bytes, raw symbol
-  values, CFO and sync word; GFSK bit decisions plus their
-  integrate-and-dump metrics; O-QPSK recovered bytes plus soft chips —
-  with every float pinned via ``float.hex()`` (exact, not approximate).
+* the expected receiver outputs.  LoRa cases pin decisions only —
+  payload bytes, CRC flag, raw symbol values, payload start, CFO and
+  sync word — since the receiver's float FFT models nothing on the
+  FPGA.  GFSK cases pin bit decisions plus their integrate-and-dump
+  metrics, and O-QPSK cases recovered bytes plus soft chips, with
+  those floats pinned via ``float.hex()`` (exact, not approximate).
 
 Regenerate the corpus after an intentional DSP change::
 

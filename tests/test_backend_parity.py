@@ -1,21 +1,26 @@
-"""Bit-exact parity contracts of the DSP kernels and fast paths.
+"""Parity contracts of the DSP kernels and fast paths.
 
 Every vectorized fast path must match its ``*_reference`` scalar twin
 exactly: the FIR, GFSK and O-QPSK kernels in :mod:`repro.phy.backend`
-and the LoRa codec.
+and the LoRa codec.  The LoRa dechirp kernel transforms with
+``numpy.fft``; the radix-2 model of the FPGA's FFT core is its oracle,
+to a tolerance on magnitudes and exactly on well-separated peaks.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dsp.fft import Radix2Fft
 from repro.dsp.filters import (
     StreamingFir,
     design_lowpass,
     filter_block,
     filter_block_reference,
 )
+from repro.phy import backend
 from repro.phy.ble.gfsk import GfskConfig, GfskDemodulator, GfskModulator
+from repro.phy.lora.chirp import chirp_train, ideal_chirp
 from repro.phy.lora.coding import whiten, whiten_reference
 from repro.phy.lora.codec import LoRaCodec
 from repro.phy.lora.params import LoRaParams
@@ -58,6 +63,40 @@ class TestFirParity:
                                   streaming.process(samples[split:])])
         whole = StreamingFir(taps).process(samples)
         assert np.array_equal(chunked, whole)
+
+
+class TestDechirpOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sf=st.integers(7, 10),
+           oversampling=st.sampled_from([1, 2, 4]), rows=st.integers(1, 16))
+    def test_dechirp_magnitudes_match_radix2_model(self, seed, sf,
+                                                   oversampling, rows):
+        params = LoRaParams(sf, 125e3, oversampling=oversampling)
+        n = params.chips_per_symbol
+        sym = params.samples_per_symbol
+        rng = np.random.default_rng(seed)
+        symbols = rng.integers(0, n, rows)
+        windows = chirp_train(params, symbols).reshape(rows, sym)
+        # From clean chirps down to -3 dB SNR per sample.
+        scale = rng.uniform(0.0, 1.0)
+        windows = windows + scale * (rng.normal(size=(rows, sym))
+                                     + 1j * rng.normal(size=(rows, sym)))
+        reference = np.conj(ideal_chirp(params, 0))
+
+        fast = backend.dechirp_magnitudes(windows, reference, n,
+                                          oversampling)
+        spectra = np.abs(Radix2Fft(sym).forward_block(windows * reference))
+        oracle = spectra[:, :n]
+        if oversampling > 1:
+            oracle = oracle + spectra[:, (oversampling - 1) * n:]
+
+        bound = 1e-9 * sym
+        assert fast.shape == (rows, n)
+        assert np.max(np.abs(fast - oracle)) < bound
+        top_two = np.sort(oracle, axis=1)[:, -2:]
+        separated = top_two[:, 1] - top_two[:, 0] > bound
+        assert np.array_equal(np.argmax(fast, axis=1)[separated],
+                              np.argmax(oracle, axis=1)[separated])
 
 
 class TestGfskParity:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.channel.impairments import apply_cfo
 from repro.errors import ConfigurationError, FramingError
 from repro.dsp.fft import Radix2Fft
 from repro.phy.lora import LoRaParams
@@ -276,19 +277,30 @@ class TestFftBlockParity:
 class TestDemodStreamParity:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 24),
-           oversampling=st.sampled_from([1, 2]))
+           oversampling=st.sampled_from([1, 2]),
+           cfo_bins=st.integers(-64, 64), start=st.integers(0, 300))
     def test_batched_stream_matches_reference(self, seed, count,
-                                              oversampling):
+                                              oversampling, cfo_bins,
+                                              start):
+        # The fast path folds the CFO into its dechirp reference; the
+        # reference twin derotates every sample by its absolute index.
+        # Symbols start off the symbol grid, at sample ``start``.
         params = LoRaParams(7, 125e3, oversampling=oversampling)
+        n = params.chips_per_symbol
         rng = np.random.default_rng(seed)
-        values = rng.integers(0, params.chips_per_symbol, count)
-        clean = chirp_train(params, values)
-        noisy = clean + 0.3 * (rng.normal(size=clean.size)
-                               + 1j * rng.normal(size=clean.size))
+        values = rng.integers(0, n, count)
+        clean = np.concatenate([np.zeros(start, dtype=np.complex128),
+                                chirp_train(params, values)])
+        shifted = apply_cfo(clean, cfo_bins * params.bandwidth_hz / n,
+                            params.sample_rate_hz)
+        noisy = shifted + 0.3 * (rng.normal(size=clean.size)
+                                 + 1j * rng.normal(size=clean.size))
         demod = SymbolDemodulator(params)
-        fast = demod.demodulate_stream(noisy, count)
-        reference = demod.demodulate_stream_reference(noisy, count)
+        fast = demod.demodulate_stream(noisy, count, start, cfo_bins)
+        reference = demod.demodulate_stream_reference(noisy, count, start,
+                                                      cfo_bins)
         assert np.array_equal(fast, reference)
+        assert np.array_equal(fast, values)
 
     def test_batched_window_matrix_matches_single_windows(self, rng):
         params = LoRaParams(8, 125e3, oversampling=2)

@@ -109,6 +109,33 @@ class TestCodecStructure:
             codec.decode(np.array([0, 0, 0]))
 
 
+def header_block(codec, payload_length, flags):
+    """A header block with a valid checksum for any ``flags`` nibble."""
+    ppm = codec.params.spreading_factor - 2
+    checksum = (payload_length ^ (payload_length >> 4) ^ flags) & 0xFF
+    nibbles = [payload_length & 0xF, payload_length >> 4, flags,
+               checksum & 0xF, checksum >> 4]
+    nibbles += [0] * (ppm - len(nibbles))
+    return codec._encode_blocks(np.asarray([nibbles]), ppm, 8)
+
+
+class TestHeaderCodingRate:
+    @pytest.mark.parametrize("rate_field", range(8))
+    @pytest.mark.parametrize("crc_bit", [0, 8])
+    def test_only_rates_4_5_to_4_8_pass(self, rate_field, crc_bit):
+        # The checksum holds for every block built here; a rate field
+        # outside 1..4 (CR 4/4, 4/9..4/11) must still fail the header on
+        # every decode path instead of reaching the Hamming tables.
+        codec = LoRaCodec(LoRaParams(8, 125e3))
+        symbols = np.concatenate([
+            header_block(codec, 5, rate_field | crc_bit),
+            codec.encode(b"hello")[8:]])
+        valid = 1 <= rate_field <= 4
+        assert codec.decode_header(symbols).header_ok is valid
+        assert codec.decode(symbols).header_ok is valid
+        assert codec.decode_reference(symbols).header_ok is valid
+
+
 class TestCodecErrorBehaviour:
     def test_crc_catches_corrupted_payload_symbol(self):
         codec = LoRaCodec(LoRaParams(8, 125e3))

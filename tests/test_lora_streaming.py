@@ -138,9 +138,9 @@ class TestLinearWork:
         rows = []
 
         def counted(method, transforms):
-            def wrapper(self, windows):
+            def wrapper(self, windows, *args, **kwargs):
                 rows.append(transforms * len(windows))
-                return method(self, windows)
+                return method(self, windows, *args, **kwargs)
             return wrapper
 
         # Count dechirped rows, not time: demodulate_block runs both
@@ -210,6 +210,14 @@ class TestTailWindows:
         with pytest.raises(DemodulationError):
             demod.demodulate_stream_reference(samples, -1)
         assert demod.demodulate_stream(samples, 3).size == 3
+        # A negative start must be rejected too, not wrap around to the
+        # stream's tail or silently read from its head.
+        stream = np.zeros(1000, dtype=np.complex128)
+        for start in (-10, -1000):
+            with pytest.raises(DemodulationError):
+                demod.demodulate_stream(stream, 1, start)
+            with pytest.raises(DemodulationError):
+                demod.demodulate_stream_reference(stream, 1, start)
 
     def test_receive_handles_short_tail_after_sync(self):
         # A capture ending right after the SFD leaves zero whole payload

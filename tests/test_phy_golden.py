@@ -1,12 +1,12 @@
-"""Golden-vector conformance suite: batch and streaming, bit-exact.
+"""Golden-vector conformance suite: batch and streaming, exact.
 
 Each committed vector under ``tests/fixtures/phy_golden/`` pins a
-seeded IQ capture (by generation recipe + SHA-256) and the exact
-receiver outputs, floats as ``float.hex()``.  The receivers must
-reproduce them **exactly** — equality here is ``==`` on ints and hex
-strings, never ``allclose``.  Regenerate after an
-intentional DSP change with ``python -m tests.gen_phy_golden``; CI
-runs ``--check`` so the corpus cannot drift silently.
+seeded IQ capture (by generation recipe + SHA-256) and the receiver
+outputs: LoRa decisions, and GFSK/O-QPSK floats as ``float.hex()``.
+The receivers must reproduce them **exactly** — equality here is
+``==`` on ints, bytes and hex strings, never ``allclose``.  Regenerate
+after an intentional DSP change with ``python -m tests.gen_phy_golden``;
+CI runs ``--check`` so the corpus cannot drift silently.
 """
 
 import json
@@ -65,6 +65,7 @@ class TestLoRaGolden:
         expected = case["expected"]
         assert packet.decoded.payload.hex() == expected["payload"]
         assert packet.decoded.crc_ok == expected["crc_ok"]
+        assert packet.decoded.header_ok is True
         assert [int(s) for s in packet.symbols] == expected["symbols"]
         assert packet.payload_start == expected["payload_start"]
         assert packet.cfo_bins == expected["cfo_bins"]
@@ -79,11 +80,15 @@ class TestLoRaGolden:
             packets.extend(demod.push(capture[start:start + chunk]))
         packets.extend(demod.flush())
         assert len(packets) == 1
+        packet = packets[0]
         expected = case["expected"]
-        assert packets[0].decoded.payload.hex() == expected["payload"]
-        assert [int(s) for s in packets[0].symbols] == expected["symbols"]
-        assert packets[0].cfo_bins == expected["cfo_bins"]
-        assert packets[0].sync_word == expected["sync_word"]
+        assert packet.decoded.payload.hex() == expected["payload"]
+        assert packet.decoded.crc_ok == expected["crc_ok"]
+        assert packet.decoded.header_ok is True
+        assert [int(s) for s in packet.symbols] == expected["symbols"]
+        assert packet.payload_start == expected["payload_start"]
+        assert packet.cfo_bins == expected["cfo_bins"]
+        assert packet.sync_word == expected["sync_word"]
 
 
 @pytest.mark.parametrize("case", GFSK, ids=lambda c: c["name"])

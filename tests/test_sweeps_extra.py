@@ -31,6 +31,16 @@ class TestLoRaSweeps:
                                        b"abc", 5, rng)
         assert point.error_rate == 1.0
 
+    def test_packet_sweep_survives_header_with_bad_coding_rate(self):
+        # At this seed a noise-corrupted header passes its checksum while
+        # announcing CR 4/9; that packet is a header failure, not a
+        # CodingError that ends the sweep.
+        point = lora_packet_error_rate(LoRaParams(7, 125e3), -128.0,
+                                       b"tinysdr per", 20,
+                                       np.random.default_rng(3))
+        assert point.error_rate == 1.0
+        assert point.trials == 20
+
     def test_ideal_vs_quantized_tx_agree_at_high_snr(self, rng):
         for quantized in (True, False):
             point = lora_packet_error_rate(
