@@ -21,15 +21,15 @@ chaos:
 chaos-service:
 	REPRO_DETERMINISM=1 $(PYTHON) -m pytest -q tests/test_chaos_service.py
 
-# reprolint: the domain-aware static analyzer over src/ with the
-# committed baseline (see [tool.reprolint] in pyproject.toml).
+# reprolint: the domain-aware static analyzer over src/ (all sixteen
+# rules; scopes and exemptions are built into repro.analysis.config).
 lint:
 	$(PYTHON) -m repro.analysis src
 
-# Just the whole-program semantic rules, cold (no incremental cache):
-# determinism taint, parity-signature drift, shard safety.
+# Just the whole-program semantic rules: determinism taint,
+# parity-signature drift, shard safety.
 semantic:
-	$(PYTHON) -m repro.analysis src --select REPRO011,REPRO012,REPRO013 --no-cache
+	$(PYTHON) -m repro.analysis src --select REPRO011,REPRO012,REPRO013
 
 # Campaign-service smoke: run the end-to-end service example with the
 # determinism double-run enabled (REPRO_DETERMINISM=1), re-proving the
@@ -37,7 +37,7 @@ semantic:
 service-smoke:
 	REPRO_DETERMINISM=1 $(PYTHON) examples/campaign_service.py
 
-# Full gate: static analysis (all rules plus a cold semantic pass), the
+# Full gate: static analysis (all rules plus the semantic pass), the
 # service determinism smoke, the service chaos suite, the traced
 # benchmark smoke and the perf-regression check, as CI would run them.
 check: lint semantic golden-check service-smoke chaos-service bench-trace-smoke bench-check

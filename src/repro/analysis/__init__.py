@@ -10,23 +10,20 @@ machine-checks them:
 * :mod:`repro.analysis.engine` — AST rule engine with a registry,
   per-finding rule IDs / locations / fix-it hints and inline
   ``# reprolint: disable=...`` suppressions.
-* :mod:`repro.analysis.rules` — the seven domain rules
-  (REPRO001..REPRO007).
-* :mod:`repro.analysis.baseline` — checked-in grandfathering of
-  pre-existing findings.
-* :mod:`repro.analysis.sanitize` — runtime sanitizer activated by
-  ``REPRO_SANITIZE=1``.
+* :mod:`repro.analysis.rules` — the sixteen domain rules
+  (REPRO001..REPRO016).
+* :mod:`repro.analysis.semantic` — the whole-program model behind the
+  semantic rules REPRO011..REPRO013.
+* :mod:`repro.analysis.determinism` — the ``REPRO_DETERMINISM=1``
+  double-run fingerprint checks.
 * :mod:`repro.analysis.cli` — the ``python -m repro.analysis`` /
   ``make lint`` entry point.
+
+No other ``repro`` module imports this package, so ``import repro``
+never loads the linter.
 """
 
-from repro.analysis.baseline import (
-    BaselineResult,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.config import LintConfig, default_config, load_config
+from repro.analysis.config import LintConfig, default_config
 from repro.analysis.engine import (
     FileContext,
     FileRule,
@@ -38,14 +35,8 @@ from repro.analysis.engine import (
     register,
     run_analysis,
 )
-from repro.analysis.sanitize import (
-    SanitizerError,
-    assert_frozen,
-    install_from_env,
-)
 
 __all__ = [
-    "BaselineResult",
     "FileContext",
     "FileRule",
     "Finding",
@@ -53,15 +44,8 @@ __all__ = [
     "Project",
     "ProjectRule",
     "Rule",
-    "SanitizerError",
     "all_rules",
-    "apply_baseline",
-    "assert_frozen",
     "default_config",
-    "install_from_env",
-    "load_baseline",
-    "load_config",
     "register",
     "run_analysis",
-    "write_baseline",
 ]

@@ -1,22 +1,20 @@
 """Command-line front end: ``python -m repro.analysis [paths...]``.
 
-Exit status is 0 when every finding is absorbed by the baseline and 1
-otherwise, so the command slots directly into ``make lint`` and CI
-gates.  ``--write-baseline`` accepts the current findings wholesale —
-the grandfathering half of the baseline workflow.
+Exit status is 0 when there are no findings, 1 when there are, and 2
+when a target cannot be read or parsed, so the command slots directly
+into ``make lint`` and CI gates.  Inline ``# reprolint: disable=``
+comments are the only way to silence a finding.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis import reporting
-from repro.analysis.cache import (DEFAULT_CACHE_NAME, LintCache,
-                                  config_cache_key)
-from repro.analysis.config import LintConfig, load_config
+from repro.analysis.config import default_config
 from repro.analysis.engine import all_rules, run_analysis
 from repro.errors import ReproError
 
@@ -43,20 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="project root (default: nearest pyproject.toml)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text", help="report format")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="baseline file (default: from [tool.reprolint])")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline; report everything")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="accept current findings into the baseline")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule IDs to run exclusively")
     parser.add_argument("--ignore", default=None,
                         help="comma-separated rule IDs to skip")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the registered rules and exit")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the incremental per-file result cache")
     return parser
 
 
@@ -74,47 +64,20 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     targets = [Path(p) for p in args.paths]
     root = args.root if args.root is not None else find_root(targets[0])
+    config = default_config()
+    if args.select:
+        config = replace(config, select=_split_ids(args.select))
+    if args.ignore:
+        config = replace(config, ignore=_split_ids(args.ignore))
     try:
-        config = load_config(root)
-        if args.select:
-            config = LintConfig(**{**config.__dict__,
-                                   "select": _split_ids(args.select)})
-        if args.ignore:
-            config = LintConfig(**{**config.__dict__,
-                                   "ignore": config.ignore
-                                   | _split_ids(args.ignore)})
-        cache = None
-        if not args.no_cache:
-            cache = LintCache.load(
-                root / DEFAULT_CACHE_NAME,
-                config_cache_key(config, all_rules()))
-        findings = run_analysis(root, targets, config, cache=cache)
-        if cache is not None:
-            cache.save()
-            print(f"reprolint: cache {cache.hits} hit(s), "
-                  f"{cache.misses} miss(es)", file=sys.stderr)
-        baseline_path = (args.baseline if args.baseline is not None
-                         else root / config.baseline_path)
-        if args.write_baseline:
-            baseline_mod.write_baseline(baseline_path, findings)
-            print(f"wrote {len(findings)} finding(s) to {baseline_path}")
-            return 0
-        if args.no_baseline:
-            known = baseline_mod.Counter()
-        else:
-            known = baseline_mod.load_baseline(baseline_path)
-        known, pruned = baseline_mod.prune_missing(known, root)
-        if pruned:
-            print(f"reprolint: pruned {len(pruned)} baseline entr(y/ies) "
-                  f"for deleted files", file=sys.stderr)
-        result = baseline_mod.apply_baseline(findings, known)
+        findings = run_analysis(root, targets, config)
     except (ReproError, SyntaxError, OSError) as exc:
         print(f"reprolint: error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(reporting.render_json(result))
+        print(reporting.render_json(findings))
     elif args.format == "sarif":
-        print(reporting.render_sarif(result, all_rules()))
+        print(reporting.render_sarif(findings, all_rules()))
     else:
-        print(reporting.render_text(result))
-    return 1 if result.new else 0
+        print(reporting.render_text(findings))
+    return 1 if findings else 0

@@ -1,39 +1,15 @@
 """Configuration for the reprolint engine.
 
-Configuration lives in ``pyproject.toml`` under ``[tool.reprolint]`` and
-is parsed with the stdlib ``tomllib``.  Everything has a sensible
-default so ``python -m repro.analysis src`` works on a bare checkout;
-the TOML block only overrides what it names.
+Module-scoped rules carry their own ``default_scope``; the built-in
+configuration (:func:`default_config`) adds the per-rule exemptions for
+this repository's layout.  ``--select`` and ``--ignore`` on the command
+line narrow the rule set, and tests build a :class:`LintConfig`
+directly to point the scoped rules at fixtures.
 """
 
 from __future__ import annotations
 
-import tomllib
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-
-from repro.errors import ConfigurationError
-
-DEFAULT_BASELINE = "reprolint_baseline.json"
-
-#: Modules whose arithmetic models declared-width hardware words; the
-#: dtype/bit-width rule (REPRO004) only runs here.
-DEFAULT_QUANTIZED_MODULES = (
-    "*/radio/iqword.py",
-    "*/radio/lvds.py",
-    "*/dsp/fixedpoint.py",
-    "*/dsp/nco.py",
-    "*/fpga/*.py",
-)
-
-#: Component-model modules whose numeric constants must cite a datasheet
-#: or the paper (REPRO006).
-DEFAULT_PROVENANCE_MODULES = (
-    "*/radio/*.py",
-    "*/fpga/*.py",
-    "*/power/*.py",
-    "*/platforms/*.py",
-)
+from dataclasses import dataclass, field
 
 #: Files the magic-number rule (REPRO005) skips: the units module itself
 #: (it *defines* the conversions) and the analysis package.
@@ -70,20 +46,12 @@ class LintConfig:
     Attributes:
         select: if non-empty, only these rule IDs run.
         ignore: rule IDs that never run.
-        baseline_path: root-relative path of the baseline JSON file.
-        tests_path: root-relative directory of the test corpus.
-        exclude: fnmatch patterns of relpaths never linted.
-        units_threshold: smallest literal magnitude REPRO005 flags.
         rule_scopes: per-rule fnmatch scope overrides, keyed by rule ID.
         rule_exempt: per-rule fnmatch patterns of files the rule skips.
     """
 
     select: frozenset[str] = frozenset()
     ignore: frozenset[str] = frozenset()
-    baseline_path: str = DEFAULT_BASELINE
-    tests_path: str = "tests"
-    exclude: tuple[str, ...] = ()
-    units_threshold: float = 100_000.0
     rule_scopes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     rule_exempt: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
@@ -97,100 +65,11 @@ class LintConfig:
 
 
 def default_config() -> LintConfig:
-    """The built-in configuration (scopes wired to the repo layout)."""
+    """The built-in configuration (exemptions wired to the repo layout)."""
     return LintConfig(
-        rule_scopes={
-            "REPRO004": DEFAULT_QUANTIZED_MODULES,
-            "REPRO006": DEFAULT_PROVENANCE_MODULES,
-        },
         rule_exempt={
             "REPRO005": DEFAULT_UNITS_EXEMPT,
             "REPRO008": DEFAULT_ACCOUNTING_EXEMPT,
             "REPRO010": DEFAULT_FLEET_BUFFER_EXEMPT,
             "REPRO014": DEFAULT_SERVICE_EXEMPT,
         })
-
-
-def load_config(root: Path) -> LintConfig:
-    """Read ``[tool.reprolint]`` from ``root/pyproject.toml`` if present.
-
-    Raises:
-        ConfigurationError: on a malformed config block (wrong types,
-            unknown keys).
-    """
-    config = default_config()
-    pyproject = root / "pyproject.toml"
-    if not pyproject.is_file():
-        return config
-    with pyproject.open("rb") as handle:
-        data = tomllib.load(handle)
-    block = data.get("tool", {}).get("reprolint")
-    if block is None:
-        return config
-    return apply_toml(config, block)
-
-
-def apply_toml(config: LintConfig, block: dict) -> LintConfig:
-    """Overlay a ``[tool.reprolint]`` mapping onto ``config``.
-
-    Raises:
-        ConfigurationError: for unknown keys or wrong value types.
-    """
-    known = {"select", "ignore", "baseline", "tests-path", "exclude",
-             "units-threshold", "scopes", "exempt"}
-    unknown = set(block) - known
-    if unknown:
-        raise ConfigurationError(
-            f"unknown [tool.reprolint] keys: {sorted(unknown)}")
-    updates: dict = {}
-    if "select" in block:
-        updates["select"] = frozenset(
-            item.upper() for item in _string_list(block, "select"))
-    if "ignore" in block:
-        updates["ignore"] = frozenset(
-            item.upper() for item in _string_list(block, "ignore"))
-    if "baseline" in block:
-        updates["baseline_path"] = _string(block, "baseline")
-    if "tests-path" in block:
-        updates["tests_path"] = _string(block, "tests-path")
-    if "exclude" in block:
-        updates["exclude"] = tuple(_string_list(block, "exclude"))
-    if "units-threshold" in block:
-        value = block["units-threshold"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigurationError(
-                f"units-threshold must be a number, got {value!r}")
-        updates["units_threshold"] = float(value)
-    for key, attribute in (("scopes", "rule_scopes"),
-                           ("exempt", "rule_exempt")):
-        if key not in block:
-            continue
-        table = block[key]
-        if not isinstance(table, dict):
-            raise ConfigurationError(
-                f"{key} must be a table of rule -> patterns, got {table!r}")
-        merged = dict(getattr(config, attribute))
-        for rule_id, patterns in table.items():
-            if (not isinstance(patterns, list)
-                    or not all(isinstance(p, str) for p in patterns)):
-                raise ConfigurationError(
-                    f"{key}.{rule_id} must be a list of strings")
-            merged[rule_id.upper()] = tuple(patterns)
-        updates[attribute] = merged
-    return replace(config, **updates)
-
-
-def _string(block: dict, key: str) -> str:
-    value = block[key]
-    if not isinstance(value, str):
-        raise ConfigurationError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _string_list(block: dict, key: str) -> list[str]:
-    value = block[key]
-    if not isinstance(value, list) or not all(
-            isinstance(item, str) for item in value):
-        raise ConfigurationError(
-            f"{key} must be a list of strings, got {value!r}")
-    return list(value)

@@ -6,7 +6,7 @@ construction.  It runs the same fleet campaign **twice in separate
 interpreters** under different ``PYTHONHASHSEED`` values and different
 shard counts, fingerprints everything each run produced (every per-node
 result array plus the hierarchical rollup), and raises
-:class:`~repro.analysis.sanitize.SanitizerError` unless the hashes are
+:class:`SanitizerError` unless the hashes are
 bit-identical.  A hash-seed difference flushes out any surviving
 dict/set iteration-order dependence; a shard-count difference flushes
 out any per-process accumulated state — the two runtime failure modes
@@ -29,11 +29,14 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.analysis.sanitize import SanitizerError, determinism_enabled
+from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.ota.fleet.config import FleetCampaignConfig
     from repro.ota.fleet.engine import FleetReport
+
+#: Opt-in flag for the double-run determinism check.
+DETERMINISM_ENV_VAR = "REPRO_DETERMINISM"
 
 #: Environment knobs the subprocess entry point reads.
 ENV_NODES = "REPRO_DET_NODES"
@@ -51,6 +54,16 @@ DEFAULT_RUNS: tuple[tuple[str, int], ...] = (("101", 1), ("202", 3))
 #: Node-count cap for the double run — enough nodes to exercise every
 #: outcome path while keeping the check a sub-second affair per run.
 DEFAULT_MAX_NODES = 2048
+
+
+class SanitizerError(ReproError):
+    """A runtime invariant check failed (a double run diverged)."""
+
+
+def determinism_enabled(environ: dict[str, str] | None = None) -> bool:
+    """Whether ``REPRO_DETERMINISM=1`` asks for double-run diffing."""
+    env = os.environ if environ is None else environ
+    return env.get(DETERMINISM_ENV_VAR, "") == "1"
 
 
 def fleet_fingerprint(report: "FleetReport") -> str:

@@ -10,9 +10,8 @@ registry of domain rules.  Rules come in two flavours:
 * :class:`ProjectRule` — examines the whole tree at once, including the
   test corpus (parity-pair coverage needs to cross-reference ``tests/``).
 
-Findings carry a stable rule ID, a location, and a fix-it hint so the
-reporters (:mod:`repro.analysis.reporting`) and the baseline filter
-(:mod:`repro.analysis.baseline`) can round-trip them.
+Findings carry a stable rule ID, a location, and a fix-it hint that the
+reporters (:mod:`repro.analysis.reporting`) render.
 """
 
 from __future__ import annotations
@@ -28,6 +27,9 @@ from repro.analysis.config import LintConfig
 from repro.errors import ConfigurationError
 
 _SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)")
+
+#: Root-relative directory of the test corpus project rules cross-reference.
+TESTS_DIR = "tests"
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class Finding:
     hint: str = ""
 
     def fingerprint(self) -> tuple[str, str, str]:
-        """Line-number-insensitive identity used for baseline matching."""
+        """Line-number-insensitive identity (SARIF partial fingerprint)."""
         return (self.rule_id, self.path, self.message)
 
     def render(self) -> str:
@@ -260,13 +262,11 @@ def _iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
             yield path
 
 
-def load_project(root: Path, targets: Iterable[Path],
-                 config: LintConfig) -> Project:
+def load_project(root: Path, targets: Iterable[Path]) -> Project:
     """Parse the lint targets and the test corpus into a :class:`Project`.
 
-    Files that fail to parse are skipped with a synthetic ``REPRO000``
-    finding attached later by :func:`run_analysis` (a syntax error in a
-    target is itself a violation, not a crash).
+    A target that fails to parse raises :class:`SyntaxError` (the CLI
+    exits 2); an unparseable test file is skipped.
     """
     project = Project(root=root)
     seen: set[Path] = set()
@@ -276,11 +276,9 @@ def load_project(root: Path, targets: Iterable[Path],
             continue
         seen.add(resolved)
         relpath = _relative_to_root(resolved, root)
-        if any(fnmatch(relpath, pattern) for pattern in config.exclude):
-            continue
         source = resolved.read_text(encoding="utf-8")
         project.contexts.append(FileContext(resolved, relpath, source))
-    tests_dir = root / config.tests_path
+    tests_dir = root / TESTS_DIR
     if tests_dir.is_dir():
         for path in _iter_python_files([tests_dir]):
             resolved = path.resolve()
@@ -304,19 +302,13 @@ def _relative_to_root(path: Path, root: Path) -> str:
 
 
 def run_analysis(root: Path, targets: Iterable[Path],
-                 config: LintConfig,
-                 cache: "LintCache | None" = None) -> list[Finding]:
-    """Run every enabled rule over the targets and return raw findings.
+                 config: LintConfig) -> list[Finding]:
+    """Run every enabled rule over the targets; return sorted findings.
 
-    Inline suppressions are honoured here; baseline filtering is the
-    caller's responsibility (see :mod:`repro.analysis.baseline`).  With
-    a :class:`~repro.analysis.cache.LintCache`, per-file rule results
-    for content-unchanged files are served from the cache; project
-    rules always run (their answers span files).
+    Findings silenced by an inline ``# reprolint: disable=`` comment
+    are dropped.
     """
-    from repro.analysis.cache import file_digest
-
-    project = load_project(root, targets, config)
+    project = load_project(root, targets)
     rules = [cls() for rule_id, cls in sorted(all_rules().items())
              if config.rule_enabled(rule_id)]
     file_rules = [rule for rule in rules if isinstance(rule, FileRule)]
@@ -330,23 +322,9 @@ def run_analysis(root: Path, targets: Iterable[Path],
                 f"ProjectRule")
     findings: list[Finding] = []
     for ctx in project.contexts:
-        cached: list[Finding] | None = None
-        digest = ""
-        if cache is not None:
-            digest = file_digest(ctx.source)
-            cached = cache.lookup(ctx.relpath, digest)
-        if cached is not None:
-            findings.extend(cached)
-            continue
-        produced: list[Finding] = []
         for rule in file_rules:
             if rule.applies_to(ctx, config):
-                produced.extend(rule.check_file(ctx, config))
-        if cache is not None:
-            cache.store(ctx.relpath, digest, produced)
-        findings.extend(produced)
-    if cache is not None:
-        cache.prune(ctx.relpath for ctx in project.contexts)
+                findings.extend(rule.check_file(ctx, config))
     for rule in project_rules:
         scoped = [ctx for ctx in project.contexts
                   if rule.applies_to(ctx, config)]

@@ -5,9 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from repro.analysis.baseline import BaselineResult
 from repro.analysis.engine import Finding
 
 SARIF_VERSION = "2.1.0"
@@ -17,15 +16,12 @@ TOOL_NAME = "reprolint"
 TOOL_URI = "https://github.com/uwnslab/tinysdr"  # the reproduced platform
 
 
-def render_text(result: BaselineResult) -> str:
+def render_text(findings: Sequence[Finding]) -> str:
     """Compiler-style one-line-per-finding report with a summary tail."""
-    lines = [finding.render() for finding in result.new]
-    summary = (f"{len(result.new)} finding(s), "
-               f"{len(result.baselined)} baselined")
-    if result.stale:
-        summary += f", {len(result.stale)} stale baseline entr(y/ies)"
-    if result.new:
-        by_rule = Counter(finding.rule_id for finding in result.new)
+    lines = [finding.render() for finding in findings]
+    summary = f"{len(findings)} finding(s)"
+    if findings:
+        by_rule = Counter(finding.rule_id for finding in findings)
         breakdown = ", ".join(f"{rule}={count}"
                               for rule, count in sorted(by_rule.items()))
         summary += f" [{breakdown}]"
@@ -33,51 +29,37 @@ def render_text(result: BaselineResult) -> str:
     return "\n".join(lines)
 
 
-def render_json(result: BaselineResult) -> str:
-    """JSON document with findings, baselined counts, and stale entries."""
-
-    def encode(finding: Finding) -> dict:
-        return {
-            "rule": finding.rule_id,
-            "path": finding.path,
-            "line": finding.line,
-            "col": finding.col,
-            "message": finding.message,
-            "hint": finding.hint,
-        }
-
+def render_json(findings: Sequence[Finding]) -> str:
+    """JSON document listing every finding."""
     payload = {
-        "findings": [encode(f) for f in result.new],
-        "baselined": [encode(f) for f in result.baselined],
-        "stale_baseline_entries": [
-            {"rule": rule, "path": path, "message": message}
-            for rule, path, message in result.stale
+        "findings": [
+            {
+                "rule": finding.rule_id,
+                "path": finding.path,
+                "line": finding.line,
+                "col": finding.col,
+                "message": finding.message,
+                "hint": finding.hint,
+            }
+            for finding in findings
         ],
-        "summary": {
-            "new": len(result.new),
-            "baselined": len(result.baselined),
-            "stale": len(result.stale),
-        },
     }
     return json.dumps(payload, indent=2)
 
 
 def _sarif_fingerprint(finding: Finding) -> str:
-    """Line-insensitive stable id (mirrors the baseline fingerprint)."""
+    """Line-insensitive stable id from :meth:`Finding.fingerprint`."""
     text = "|".join(finding.fingerprint())
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def render_sarif(result: BaselineResult,
+def render_sarif(findings: Sequence[Finding],
                  rule_classes: Mapping[str, type] | None = None,
                  tool_version: str = "2.0") -> str:
-    """SARIF 2.1.0 document for the *new* (gate-failing) findings.
+    """SARIF 2.1.0 document for the findings (GitHub code scanning).
 
-    Baselined findings are deliberately omitted — SARIF consumers (the
-    GitHub code-scanning upload in CI) should annotate exactly what
-    fails the gate.  ``partialFingerprints`` carries the same
-    line-insensitive identity the baseline uses, so annotations track
-    findings across unrelated line drift.
+    ``partialFingerprints`` carries a line-insensitive identity, so
+    annotations track findings across unrelated line drift.
     """
     rules_meta = []
     for rule_id in sorted(rule_classes or {}):
@@ -90,7 +72,7 @@ def render_sarif(result: BaselineResult,
             "defaultConfiguration": {"level": "error"},
         })
     results = []
-    for finding in result.new:
+    for finding in findings:
         message = finding.message
         if finding.hint:
             message += f" [hint: {finding.hint}]"

@@ -20,8 +20,7 @@ REPRO010  fleet-buffer-discipline  fleet cohort arrays come from the
 REPRO011  determinism-taint     no nondeterministic value reaches a
                                 ledger/SimEvent/plan-cache/buffer sink
                                 (whole-program dataflow)
-REPRO012  parity-signature-drift  twins keep matching signatures; dead
-                                (test-unreachable) twins flagged
+REPRO012  parity-signature-drift  twins keep matching signatures
 REPRO013  shard-safety          fleet-reachable code never touches
                                 function-mutated module-level state
 REPRO014  service-discipline    service/CLI code reaches engines only

@@ -20,6 +20,7 @@ from repro.analysis.engine import (
     ProjectRule,
     register,
 )
+from repro.analysis.semantic.queries import test_identifiers
 
 _SUFFIX = "_reference"
 
@@ -47,27 +48,6 @@ def _definitions(ctx: FileContext) -> list[tuple[ast.AST, str, set[str]]]:
     return results
 
 
-def _identifier_set(ctx: FileContext) -> frozenset[str]:
-    """Every name a test file could use to reach a function.
-
-    Covers direct imports, attribute access (methods, module members)
-    and string references via ``getattr``-style constants.
-    """
-    names: set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                names.add(alias.asname or alias.name.split(".")[-1])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                names.add(node.value)
-    return frozenset(names)
-
-
 @register
 class ParityPairCoverageRule(ProjectRule):
     """Every ``foo``/``foo_reference`` twin must share a test file."""
@@ -79,8 +59,7 @@ class ParityPairCoverageRule(ProjectRule):
 
     def check_project(self, project: Project,
                       config: LintConfig) -> Iterable[Finding]:
-        test_identifiers = [_identifier_set(ctx)
-                            for ctx in project.test_contexts]
+        corpus = [test_identifiers(ctx) for ctx in project.test_contexts]
         for ctx in project.contexts:
             for node, name, siblings in _definitions(ctx):
                 if not name.endswith(_SUFFIX) or name == _SUFFIX:
@@ -99,7 +78,7 @@ class ParityPairCoverageRule(ProjectRule):
                               "rename the reference"))
                     continue
                 covered = any(base in identifiers and name in identifiers
-                              for identifiers in test_identifiers)
+                              for identifiers in corpus)
                 if not covered:
                     yield Finding(
                         rule_id=self.rule_id, path=ctx.relpath,

@@ -1,18 +1,12 @@
-"""REPRO012 — parity-signature drift and dead twins.
+"""REPRO012 — parity-signature drift.
 
 REPRO002 checks that every fast/``*_reference`` pair is co-exercised
 by a test; this rule checks the pair itself stays *usable* as a parity
-check.  Two failure modes:
-
-* **Signature drift** — the twins no longer accept the same arguments
-  (a renamed parameter, a parameter added to one side only), so a
-  parity test cannot call both with one argument list.  The fast twin
-  may append extra *defaulted* trailing parameters (the plan-cache /
-  output-buffer injection idiom); everything else must match.
-* **Dead twin** — a ``*_reference`` implementation that no parity test
-  can reach through the call graph: it is not mentioned by any test
-  file and nothing reachable from the test corpus calls it.  A dead
-  twin is an unchecked invariant masquerading as a checked one.
+check.  The twins must accept the same arguments: a renamed parameter,
+or a parameter added to one side only, means a parity test cannot call
+both with one argument list.  The fast twin may append extra
+*defaulted* trailing parameters (the plan-cache / output-buffer
+injection idiom); everything else must match.
 """
 
 from __future__ import annotations
@@ -21,54 +15,34 @@ from typing import Iterable
 
 from repro.analysis.config import LintConfig
 from repro.analysis.engine import Finding, Project, ProjectRule, register
-from repro.analysis.semantic.queries import (
-    parity_pairs,
-    reachable_from_tests,
-    signature_drift,
-    test_identifiers,
-)
+from repro.analysis.semantic.queries import parity_pairs, signature_drift
 
 
 @register
 class ParitySignatureRule(ProjectRule):
-    """Twins must share a signature and be reachable from a test."""
+    """Twins must keep call-compatible signatures."""
 
     rule_id = "REPRO012"
     name = "parity-signature-drift"
     description = ("fast/*_reference twins must keep matching signatures "
-                   "and every reference twin must be reachable from a "
-                   "parity test (dead twins flagged)")
+                   "so one parity test can drive both")
 
     def check_project(self, project: Project,
                       config: LintConfig) -> Iterable[Finding]:
         model = project.semantic()
         scoped = {ctx.relpath for ctx in project.contexts}
-        mentioned: set[str] = set()
-        for ctx in project.test_contexts:
-            mentioned.update(test_identifiers(ctx))
-        reachable = reachable_from_tests(model, project.test_contexts)
         for pair in parity_pairs(model.table):
             if pair.reference.relpath not in scoped:
                 continue
             drift = signature_drift(pair)
-            node = pair.reference.node
-            if drift is not None:
-                yield Finding(
-                    rule_id=self.rule_id, path=pair.reference.relpath,
-                    line=node.lineno, col=node.col_offset,
-                    message=(f"parity pair '{pair.fast.display}'/"
-                             f"'{pair.reference.display}' has drifted "
-                             f"signatures: {drift}"),
-                    hint=("keep the twins call-compatible so one parity "
-                          "test drives both"))
+            if drift is None:
                 continue
-            if (pair.reference.name not in mentioned
-                    and pair.reference.qualname not in reachable):
-                yield Finding(
-                    rule_id=self.rule_id, path=pair.reference.relpath,
-                    line=node.lineno, col=node.col_offset,
-                    message=(f"dead twin: '{pair.reference.display}' is "
-                             f"not reachable from any test (directly or "
-                             f"through the call graph)"),
-                    hint=("add a parity test exercising it, or delete "
-                          "the stale reference implementation"))
+            node = pair.reference.node
+            yield Finding(
+                rule_id=self.rule_id, path=pair.reference.relpath,
+                line=node.lineno, col=node.col_offset,
+                message=(f"parity pair '{pair.fast.display}'/"
+                         f"'{pair.reference.display}' has drifted "
+                         f"signatures: {drift}"),
+                hint=("keep the twins call-compatible so one parity "
+                      "test drives both"))

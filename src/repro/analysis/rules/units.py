@@ -21,6 +21,9 @@ from repro.analysis import astutil
 from repro.analysis.config import LintConfig
 from repro.analysis.engine import FileContext, FileRule, Finding, register
 
+#: Smallest literal magnitude the rule flags (100 kHz / 100 ks scale).
+THRESHOLD = 100_000.0
+
 _COMMENT_MARKERS = ("units:", "datasheet:", "paper:", "spec:")
 
 _HINT = ("name it as an UPPER_CASE module constant or add a "
@@ -76,11 +79,10 @@ class UnitsDisciplineRule(FileRule):
 
     def check_file(self, ctx: FileContext,
                    config: LintConfig) -> Iterable[Finding]:
-        threshold = config.units_threshold
         constant_lines = _module_constant_lines(ctx.tree)
         for node in astutil.numeric_literals(ctx.tree):
             value = abs(float(node.value))
-            if value < threshold:
+            if value < THRESHOLD:
                 continue
             if _is_power_of_ten(value) or _is_power_of_two_ish(value):
                 continue

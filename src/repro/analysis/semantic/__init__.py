@@ -21,8 +21,7 @@ semantic layer built from the very ASTs the engine already parses:
   effectively interprocedural.
 * :mod:`~repro.analysis.semantic.queries` — the high-level questions
   the project rules ask: tainted-sink findings (REPRO011), parity
-  signature drift and dead twins (REPRO012), shard-unsafe module state
-  (REPRO013).
+  signature drift (REPRO012), shard-unsafe module state (REPRO013).
 
 The model is built once per lint run (see
 :meth:`repro.analysis.engine.Project.semantic`) and shared by every

@@ -3,9 +3,8 @@
 Edges are resolved call expressions plus bare references (a function
 passed as a value — ``pool.map(_shard_worker, tasks)`` — counts as an
 edge, because the callee will run).  Reachability is a plain BFS; the
-semantic rules use it to ask "is this twin reachable from a parity
-test" (REPRO012) and "is this helper reachable from the fleet entry
-point" (REPRO013).
+shard-safety rule uses it to ask "is this helper reachable from the
+fleet entry point" (REPRO013).
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ behind rules REPRO011-013:
 
 * :attr:`SemanticModel.sink_findings` — concrete determinism taint
   arriving at a ledger/cache/buffer sink (REPRO011).
-* :func:`parity_pairs` / :func:`signature_drift` /
-  :func:`reachable_from_tests` — fast/``*_reference`` twin pairing,
-  signature comparison, and test-reachability (REPRO012).
+* :func:`parity_pairs` / :func:`signature_drift` — fast/``*_reference``
+  twin pairing and signature comparison (REPRO012).
+* :func:`test_identifiers` — every name a test file mentions, which
+  REPRO002 uses to decide whether a twin pair is co-exercised.
 * :func:`shard_state_findings` — module-level mutable state accessed
   under the fleet entry points while mutated by function code
   (REPRO013).
@@ -19,7 +20,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from fnmatch import fnmatch
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.astutil import canonical_name, dotted_name
 from repro.analysis.semantic.callgraph import CallGraph, build_call_graph
@@ -145,18 +146,6 @@ def test_identifiers(ctx: "FileContext") -> frozenset[str]:
             if node.value.isidentifier():
                 names.add(node.value)
     return frozenset(names)
-
-
-def reachable_from_tests(model: SemanticModel,
-                         test_contexts: Sequence["FileContext"]
-                         ) -> frozenset[str]:
-    """Qualnames reachable from any name the test corpus mentions."""
-    mentioned: set[str] = set()
-    for ctx in test_contexts:
-        mentioned.update(test_identifiers(ctx))
-    roots = [qualname for qualname, symbol in model.table.functions.items()
-             if symbol.name in mentioned]
-    return model.graph.reachable(roots)
 
 
 # -- REPRO013: shard safety ---------------------------------------------

@@ -1,12 +1,12 @@
-"""Performance subsystem: plan cache and throughput timing.
+"""Performance subsystem: the shared plan cache.
 
 The sample/bit-level substrates the Fig. 6 pipelines run on (chirp
 tables, FFT plans, NCO lookup tables, FIR tap sets) are expensive to
 derive and identical across the many modem instances a testbed sweep
 constructs.  :mod:`repro.perf.cache` memoizes those derived artifacts
-behind a keyed plan cache; :mod:`repro.perf.timing` measures the
-throughput of the vectorized hot paths against their retained scalar
-``*_reference`` implementations.
+behind a keyed plan cache and freezes every array it hands out.
+:mod:`repro.perf.timing`, the throughput harness the hot-path
+benchmarks use, is imported by path and is not re-exported here.
 """
 
 from repro.perf.cache import (
@@ -17,27 +17,12 @@ from repro.perf.cache import (
     plan_cache,
     stats,
 )
-from repro.perf.timing import (
-    ThroughputReport,
-    ThroughputResult,
-    measure_throughput,
-)
 
 __all__ = [
     "CacheStats",
     "PlanCache",
-    "ThroughputReport",
-    "ThroughputResult",
     "clear",
     "get_or_build",
-    "measure_throughput",
     "plan_cache",
     "stats",
 ]
-
-# Opt-in runtime sanitizer: REPRO_SANITIZE=1 wraps PlanCache.get_or_build
-# so any writable array escaping the freezer raises immediately.
-from repro.analysis.sanitize import install_from_env as _install_sanitizer
-
-_install_sanitizer()
-del _install_sanitizer

@@ -117,6 +117,14 @@ TERMINAL_STATES = frozenset({
     JOB_COMPLETED, JOB_REJECTED, JOB_FAILED, JOB_QUARANTINED,
 })
 
+#: The journal record type each terminal state is written as.
+_TERMINAL_RECORDS = {
+    JOB_COMPLETED: RECORD_COMPLETE,
+    JOB_REJECTED: RECORD_REJECT,
+    JOB_FAILED: RECORD_FAIL,
+    JOB_QUARANTINED: RECORD_QUARANTINE,
+}
+
 
 @dataclass
 class Job:
@@ -378,9 +386,7 @@ class CampaignService:
         self.timeline.record(
             SERVICE_REJECT, SERVICE_COMPONENT,
             label=f"{job.label} reject: {reason}")
-        if self._journal is not None:
-            self._journal.append(RECORD_REJECT,
-                                 {"job_id": job.job_id, "reason": reason})
+        self._journal_terminal(job)
         return job
 
     def _shed_job(self, job: Job, tenant: TenantState, reason: str) -> Job:
@@ -392,9 +398,7 @@ class CampaignService:
         self.timeline.record(
             SERVICE_SHED, SERVICE_COMPONENT,
             label=f"{job.label} shed: {reason}")
-        if self._journal is not None:
-            self._journal.append(RECORD_REJECT,
-                                 {"job_id": job.job_id, "reason": reason})
+        self._journal_terminal(job)
         return job
 
     def _reject_dispatched(self, job: Job, tenant: TenantState,
@@ -408,9 +412,7 @@ class CampaignService:
         self.timeline.record(
             SERVICE_REJECT, SERVICE_COMPONENT,
             label=f"{job.label} reject: {reason}")
-        if self._journal is not None:
-            self._journal.append(RECORD_REJECT,
-                                 {"job_id": job.job_id, "reason": reason})
+        self._journal_terminal(job)
         return job
 
     # -- scheduling --------------------------------------------------------
@@ -450,11 +452,7 @@ class CampaignService:
         breaker = self._breaker(job.spec.kind)
         if breaker is not None:
             allowed, transition = breaker.allow(self.timeline.now_s)
-            if transition == "half_open":
-                self.timeline.record(
-                    SERVICE_BREAKER_HALF_OPEN, SERVICE_COMPONENT,
-                    label=(f"{job.label} breaker half-open "
-                           f"kind={job.spec.kind} (probe)"))
+            self._emit_breaker_transition(job, transition, breaker)
             if not allowed:
                 return self._reject_dispatched(
                     job, tenant,
@@ -595,11 +593,7 @@ class CampaignService:
             SERVICE_COMPLETE, SERVICE_COMPONENT,
             label=(f"{job.label} complete "
                    f"{'cached' if job.cache_hit else 'computed'}"))
-        if self._journal is not None:
-            self._journal.append(RECORD_COMPLETE, {
-                "job_id": job.job_id, "cache_hit": job.cache_hit,
-                "result": encode_result(job.result),
-                "progress": list(job.progress)})
+        self._journal_terminal(job)
         return job
 
     def _fail(self, job: Job, tenant: TenantState, exc: ReproError,
@@ -615,9 +609,7 @@ class CampaignService:
         self.timeline.record(
             SERVICE_COMPLETE, SERVICE_COMPONENT,
             label=f"{job.label} failed: {job.detail}")
-        if self._journal is not None:
-            self._journal.append(RECORD_FAIL, {
-                "job_id": job.job_id, "detail": job.detail})
+        self._journal_terminal(job)
         return job
 
     def _quarantine(self, job: Job, tenant: TenantState,
@@ -636,10 +628,23 @@ class CampaignService:
         self.timeline.record(
             SERVICE_QUARANTINE, SERVICE_COMPONENT,
             label=f"{job.label} quarantined: {reason}")
-        if self._journal is not None:
-            self._journal.append(RECORD_QUARANTINE, {
-                "job_id": job.job_id, "detail": job.detail})
+        self._journal_terminal(job)
         return job
+
+    def _journal_terminal(self, job: Job) -> None:
+        """Journal ``job``'s terminal outcome (no-op without a journal)."""
+        if self._journal is None:
+            return
+        payload: dict[str, Any] = {"job_id": job.job_id}
+        if job.state == JOB_COMPLETED:
+            payload.update(cache_hit=job.cache_hit,
+                           result=encode_result(job.result),
+                           progress=list(job.progress))
+        elif job.state == JOB_REJECTED:
+            payload["reason"] = job.detail
+        else:
+            payload["detail"] = job.detail
+        self._journal.append(_TERMINAL_RECORDS[job.state], payload)
 
     def _on_cache_corruption(self, address: str) -> None:
         """Ledger hook for a cache entry that failed re-verification."""
@@ -743,7 +748,7 @@ class CampaignService:
         for job in service.jobs():
             if (job.state in TERMINAL_STATES
                     and job.job_id not in journaled_terminals):
-                service._append_terminal_record(job)
+                service._journal_terminal(job)
         return service
 
     def _replay_record(self, record: JournalRecord) -> None:
@@ -832,23 +837,6 @@ class CampaignService:
             return
         raise JournalError(
             f"journal record {record.seq} has unreplayable type {rtype!r}")
-
-    def _append_terminal_record(self, job: Job) -> None:
-        """Re-journal a terminal outcome whose record the crash ate."""
-        if job.state == JOB_COMPLETED:
-            self._journal.append(RECORD_COMPLETE, {
-                "job_id": job.job_id, "cache_hit": job.cache_hit,
-                "result": encode_result(job.result),
-                "progress": list(job.progress)})
-        elif job.state == JOB_FAILED:
-            self._journal.append(RECORD_FAIL, {
-                "job_id": job.job_id, "detail": job.detail})
-        elif job.state == JOB_QUARANTINED:
-            self._journal.append(RECORD_QUARANTINE, {
-                "job_id": job.job_id, "detail": job.detail})
-        elif job.state == JOB_REJECTED:
-            self._journal.append(RECORD_REJECT, {
-                "job_id": job.job_id, "reason": job.detail})
 
     # -- introspection -----------------------------------------------------
 

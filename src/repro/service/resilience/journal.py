@@ -109,23 +109,26 @@ def _canonical_body(seq: int, rtype: str, payload: dict[str, Any],
             f"JSON-serializable: {exc}") from exc
 
 
-def _record_line(record: JournalRecord) -> bytes:
-    """The exact bytes a record occupies on disk (newline included)."""
-    body = json.loads(_canonical_body(
-        record.seq, record.type, record.payload, record.prev))
-    body["digest"] = record.digest
-    return (json.dumps(body, sort_keys=True,
-                       separators=(",", ":")) + "\n").encode("utf-8")
+def _record_line(body: str, digest: str) -> bytes:
+    """The exact bytes a record occupies on disk (newline included).
+
+    ``"digest"`` sorts before every body key, so splicing it in as the
+    first key of the canonical body gives the sorted-key serialization
+    of the whole record without encoding the payload twice.
+    """
+    return f'{{"digest":"{digest}",{body[1:]}\n'.encode("utf-8")
 
 
 def _make_record(seq: int, rtype: str, payload: dict[str, Any],
-                 prev: str) -> JournalRecord:
+                 prev: str) -> tuple[JournalRecord, bytes]:
+    """A new record and its on-disk line."""
     if rtype not in RECORD_TYPES:
         raise JournalError(f"unknown journal record type {rtype!r}")
     body = _canonical_body(seq, rtype, payload, prev)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return JournalRecord(seq=seq, type=rtype, payload=payload,
-                         prev=prev, digest=digest)
+    record = JournalRecord(seq=seq, type=rtype, payload=payload,
+                           prev=prev, digest=digest)
+    return record, _record_line(body, digest)
 
 
 def _parse_segment(segment: bytes, seq: int, prev: str) -> JournalRecord:
@@ -279,7 +282,9 @@ class JobJournal:
                          else GENESIS_DIGEST)
         journal._handle = open(path, "wb")
         for record in result.records:
-            journal._handle.write(_record_line(record))
+            body = _canonical_body(record.seq, record.type, record.payload,
+                                   record.prev)
+            journal._handle.write(_record_line(body, record.digest))
         journal._handle.flush()
         return journal
 
@@ -299,8 +304,7 @@ class JobJournal:
         """
         if self._handle is None:
             raise JournalError("journal is closed")
-        record = _make_record(self._seq, rtype, payload, self._prev)
-        data = _record_line(record)
+        record, data = _make_record(self._seq, rtype, payload, self._prev)
         plan = self.crash_plan
         if plan is not None and self._seq == plan.after_records:
             keep: int | None = None

@@ -1,4 +1,4 @@
-"""Fixture: REPRO012 true positives."""
+"""Fixture: REPRO012 drift (demod); both pairs are untested (REPRO002)."""
 
 
 def demod(samples, gain):

@@ -7,13 +7,14 @@ import dataclasses
 import pytest
 
 from repro.analysis.determinism import (
+    DETERMINISM_ENV_VAR,
+    SanitizerError,
     _campaign_env,
     _campaign_from_env,
     check_from_env,
     double_run_check,
     fleet_fingerprint,
 )
-from repro.analysis.sanitize import DETERMINISM_ENV_VAR, SanitizerError
 from repro.ota.fleet import (
     FleetBurstLoss,
     FleetCampaignConfig,

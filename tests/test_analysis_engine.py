@@ -1,22 +1,15 @@
-"""Engine-level tests: registry, config, baseline, suppressions, CLI."""
+"""Engine-level tests: registry, config, suppressions, reporters, CLI."""
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis import reporting
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.cli import main
-from repro.analysis.config import LintConfig, apply_toml, load_config
+from repro.analysis.config import LintConfig
 from repro.analysis.engine import (
     FileRule,
     Finding,
@@ -61,47 +54,6 @@ def test_register_rejects_duplicate_and_missing_ids():
 
 # --- configuration ----------------------------------------------------------
 
-def test_apply_toml_overrides():
-    config = apply_toml(LintConfig(), {
-        "select": ["repro001", "REPRO005"],
-        "baseline": "custom_baseline.json",
-        "tests-path": "checks",
-        "exclude": ["src/generated/*"],
-        "units-threshold": 5000,
-        "scopes": {"repro004": ["src/hw/*.py"]},
-        "exempt": {"REPRO005": ["src/units.py"]},
-    })
-    assert config.select == frozenset({"REPRO001", "REPRO005"})
-    assert config.baseline_path == "custom_baseline.json"
-    assert config.tests_path == "checks"
-    assert config.exclude == ("src/generated/*",)
-    assert config.units_threshold == 5000.0
-    assert config.rule_scopes["REPRO004"] == ("src/hw/*.py",)
-    assert config.rule_exempt["REPRO005"] == ("src/units.py",)
-
-
-def test_apply_toml_rejects_unknown_keys_and_bad_types():
-    with pytest.raises(ConfigurationError):
-        apply_toml(LintConfig(), {"selects": ["REPRO001"]})
-    with pytest.raises(ConfigurationError):
-        apply_toml(LintConfig(), {"units-threshold": "high"})
-    with pytest.raises(ConfigurationError):
-        apply_toml(LintConfig(), {"scopes": ["not", "a", "table"]})
-    with pytest.raises(ConfigurationError):
-        apply_toml(LintConfig(), {"exempt": {"REPRO005": "src/units.py"}})
-
-
-def test_load_config_reads_pyproject(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.reprolint]\nignore = ["repro006"]\nunits-threshold = 42.0\n',
-        encoding="utf-8")
-    config = load_config(tmp_path)
-    assert config.ignore == frozenset({"REPRO006"})
-    assert config.units_threshold == 42.0
-    assert not config.rule_enabled("REPRO006")
-    assert config.rule_enabled("REPRO005")
-
-
 def test_select_and_ignore_gate_rules():
     config = LintConfig(select=frozenset({"REPRO001"}))
     assert config.rule_enabled("REPRO001")
@@ -109,70 +61,6 @@ def test_select_and_ignore_gate_rules():
     config = LintConfig(ignore=frozenset({"REPRO001"}))
     assert not config.rule_enabled("REPRO001")
     assert config.rule_enabled("REPRO005")
-
-
-# --- baseline ---------------------------------------------------------------
-
-def _sample_findings():
-    return [
-        Finding("REPRO005", "src/a.py", 10, 4, "magic number 915000000.0"),
-        Finding("REPRO005", "src/a.py", 20, 4, "magic number 915000000.0"),
-        Finding("REPRO007", "src/b.py", 3, 0, "bare 'except:'"),
-    ]
-
-
-def test_baseline_round_trip(tmp_path):
-    path = tmp_path / "baseline.json"
-    findings = _sample_findings()
-    write_baseline(path, findings)
-    counts = load_baseline(path)
-    assert counts[("REPRO005", "src/a.py", "magic number 915000000.0")] == 2
-    assert counts[("REPRO007", "src/b.py", "bare 'except:'")] == 1
-    result = apply_baseline(findings, counts)
-    assert result.new == []
-    assert len(result.baselined) == 3
-    assert result.stale == []
-
-
-def test_baseline_is_line_number_insensitive(tmp_path):
-    path = tmp_path / "baseline.json"
-    write_baseline(path, _sample_findings())
-    drifted = [
-        Finding("REPRO005", "src/a.py", 99, 0, "magic number 915000000.0"),
-        Finding("REPRO005", "src/a.py", 120, 0, "magic number 915000000.0"),
-        Finding("REPRO007", "src/b.py", 7, 0, "bare 'except:'"),
-    ]
-    result = apply_baseline(drifted, load_baseline(path))
-    assert result.new == []
-
-
-def test_baseline_flags_new_and_stale():
-    counts = Counter({("REPRO007", "src/b.py", "bare 'except:'"): 1})
-    fresh = [Finding("REPRO001", "src/c.py", 1, 0, "unseeded default_rng()")]
-    result = apply_baseline(fresh, counts)
-    assert [f.rule_id for f in result.new] == ["REPRO001"]
-    assert result.stale == [("REPRO007", "src/b.py", "bare 'except:'")]
-
-
-def test_baseline_absorbs_up_to_count_only():
-    counts = Counter(
-        {("REPRO005", "src/a.py", "magic number 915000000.0"): 1})
-    result = apply_baseline(_sample_findings()[:2], counts)
-    assert len(result.baselined) == 1
-    assert len(result.new) == 1
-
-
-def test_load_baseline_missing_and_malformed(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == Counter()
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ConfigurationError):
-        load_baseline(bad)
-    wrong = tmp_path / "wrong.json"
-    wrong.write_text(json.dumps({"version": 99, "findings": []}),
-                     encoding="utf-8")
-    with pytest.raises(ConfigurationError):
-        load_baseline(wrong)
 
 
 # --- inline suppressions ----------------------------------------------------
@@ -194,50 +82,53 @@ def test_inline_suppressions(tmp_path):
 
 # --- reporting --------------------------------------------------------------
 
-def _result():
-    findings = _sample_findings()
-    return apply_baseline(
-        findings,
-        Counter({("REPRO007", "src/b.py", "bare 'except:'"): 2}))
+def _sample_findings():
+    return [
+        Finding("REPRO005", "src/a.py", 10, 4, "magic number 915000000.0"),
+        Finding("REPRO005", "src/a.py", 20, 4, "magic number 915000000.0"),
+        Finding("REPRO007", "src/b.py", 3, 0, "bare 'except:'"),
+    ]
 
 
 def test_render_text_lists_findings_and_summary():
-    text = reporting.render_text(_result())
+    text = reporting.render_text(_sample_findings())
     assert "src/a.py:10:4: REPRO005" in text
-    assert "2 finding(s), 1 baselined" in text
-    assert "REPRO005=2" in text
-    assert "stale" in text
+    assert "src/b.py:3:0: REPRO007" in text
+    assert "3 finding(s) [REPRO005=2, REPRO007=1]" in text
+    assert reporting.render_text([]) == "0 finding(s)"
 
 
 def test_render_json_round_trips():
-    payload = json.loads(reporting.render_json(_result()))
-    assert payload["summary"] == {"new": 2, "baselined": 1, "stale": 1}
-    assert payload["findings"][0]["rule"] == "REPRO005"
-    assert payload["stale_baseline_entries"] == [
-        {"rule": "REPRO007", "path": "src/b.py", "message": "bare 'except:'"}]
+    payload = json.loads(reporting.render_json(_sample_findings()))
+    assert [(f["rule"], f["path"], f["line"], f["col"])
+            for f in payload["findings"]] == [
+        ("REPRO005", "src/a.py", 10, 4),
+        ("REPRO005", "src/a.py", 20, 4),
+        ("REPRO007", "src/b.py", 3, 0)]
+    assert payload["findings"][2]["message"] == "bare 'except:'"
 
 
 def test_render_sarif_round_trips():
-    document = json.loads(reporting.render_sarif(_result(), all_rules()))
+    document = json.loads(
+        reporting.render_sarif(_sample_findings(), all_rules()))
     assert document["version"] == "2.1.0"
     assert "sarif-schema-2.1.0" in document["$schema"]
     run = document["runs"][0]
     assert run["tool"]["driver"]["name"] == "reprolint"
     declared = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
     assert declared == set(RULE_IDS)
-    # Only gate-failing (new) findings become results.
-    assert len(run["results"]) == 2
+    assert [r["ruleId"] for r in run["results"]] == [
+        "REPRO005", "REPRO005", "REPRO007"]
     result = run["results"][0]
-    assert result["ruleId"] == "REPRO005"
     assert result["level"] == "error"
     location = result["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"] == "src/a.py"
     assert location["region"]["startLine"] == 10
     assert location["region"]["startColumn"] == 5  # col 4, 1-based
-    fingerprints = {r["partialFingerprints"]["reprolint/v1"]
-                    for r in run["results"]}
+    fingerprints = [r["partialFingerprints"]["reprolint/v1"]
+                    for r in run["results"]]
     # Same (rule, path, message) -> same line-insensitive fingerprint.
-    assert len(fingerprints) == 1
+    assert fingerprints[0] == fingerprints[1] != fingerprints[2]
 
 
 def test_sarif_fingerprint_is_line_insensitive():
@@ -250,64 +141,32 @@ def test_sarif_fingerprint_is_line_insensitive():
             != reporting._sarif_fingerprint(other))
 
 
-# --- baseline hygiene -------------------------------------------------------
-
-def test_prune_missing_drops_deleted_files(tmp_path):
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "kept.py").write_text("x = 1\n", encoding="utf-8")
-    baseline = Counter({
-        ("REPRO005", "src/kept.py", "magic number"): 2,
-        ("REPRO007", "src/deleted.py", "bare 'except:'"): 1,
-        ("REPRO001", "src/also_gone.py", "global rng"): 3,
-    })
-    kept, removed = baseline_mod.prune_missing(baseline, tmp_path)
-    assert kept == Counter({("REPRO005", "src/kept.py", "magic number"): 2})
-    assert removed == [
-        ("REPRO001", "src/also_gone.py", "global rng"),
-        ("REPRO007", "src/deleted.py", "bare 'except:'"),
-    ]
-
-
 # --- CLI --------------------------------------------------------------------
 
 BAD_ROOT = FIXTURES / "bad"
 
 
-def _cli(*extra, root=BAD_ROOT, baseline=None):
-    # --no-cache keeps CLI tests from writing cache files into the
-    # committed fixture tree; the cache has its own tmp-rooted tests.
-    argv = [str(root / "src"), "--root", str(root), "--no-cache"]
-    if baseline is not None:
-        argv += ["--baseline", str(baseline)]
-    return main(argv + list(extra))
+def _cli(*extra, root=BAD_ROOT):
+    return main([str(root / "src"), "--root", str(root), *extra])
 
 
-def test_cli_exits_nonzero_on_findings(tmp_path, capsys):
-    assert _cli(baseline=tmp_path / "b.json") == 1
+def test_cli_exits_nonzero_on_findings(capsys):
+    assert _cli() == 1
     out = capsys.readouterr().out
     assert "REPRO001" in out and "REPRO007" in out
 
 
-def test_cli_write_baseline_then_clean(tmp_path, capsys):
-    baseline = tmp_path / "b.json"
-    assert _cli("--write-baseline", baseline=baseline) == 0
-    assert baseline.is_file()
-    assert _cli(baseline=baseline) == 0
-    assert _cli("--no-baseline", baseline=baseline) == 1
-    capsys.readouterr()
-
-
-def test_cli_select_restricts_rules(tmp_path, capsys):
-    assert _cli("--select", "repro007", baseline=tmp_path / "b.json") == 1
+def test_cli_select_restricts_rules(capsys):
+    assert _cli("--select", "repro007") == 1
     out = capsys.readouterr().out
     assert "REPRO007" in out
     assert "REPRO001" not in out
 
 
-def test_cli_json_format(tmp_path, capsys):
-    assert _cli("--format", "json", baseline=tmp_path / "b.json") == 1
+def test_cli_json_format(capsys):
+    assert _cli("--format", "json") == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["new"] > 0
+    assert payload["findings"]
 
 
 def test_cli_list_rules(capsys):
@@ -318,14 +177,13 @@ def test_cli_list_rules(capsys):
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):
-    broken = tmp_path / "broken.json"
-    broken.write_text("{not json", encoding="utf-8")
-    assert _cli(baseline=broken) == 2
+    missing = tmp_path / "missing.py"
+    assert main([str(missing), "--root", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_sarif_format(tmp_path, capsys):
-    assert _cli("--format", "sarif", baseline=tmp_path / "b.json") == 1
+def test_cli_sarif_format(capsys):
+    assert _cli("--format", "sarif") == 1
     document = json.loads(capsys.readouterr().out)
     assert document["version"] == "2.1.0"
     assert document["runs"][0]["results"]
@@ -337,24 +195,6 @@ def test_cli_exits_2_on_unparseable_file(tmp_path, capsys):
     (src / "broken.py").write_text("def f(:\n", encoding="utf-8")
     assert _cli(root=tmp_path) == 2
     assert "error" in capsys.readouterr().err
-
-
-def test_cli_prunes_baseline_entries_for_deleted_files(tmp_path, capsys):
-    src = tmp_path / "src"
-    src.mkdir()
-    (src / "mod.py").write_text("x = 1\n", encoding="utf-8")
-    baseline = tmp_path / "b.json"
-    baseline.write_text(json.dumps({
-        "version": 1,
-        "findings": [{"rule": "REPRO005", "path": "src/gone.py",
-                      "message": "magic number", "count": 1}],
-    }), encoding="utf-8")
-    assert _cli(root=tmp_path, baseline=baseline) == 0
-    captured = capsys.readouterr()
-    # The deleted-file entry is pruned (and reported), not left to rot
-    # as a permanently-stale grandfather.
-    assert "pruned 1 baseline" in captured.err
-    assert "stale" not in captured.out
 
 
 def test_inline_disable_with_multiple_rule_ids(tmp_path):
@@ -375,5 +215,5 @@ def test_inline_disable_with_multiple_rule_ids(tmp_path):
 
 def test_cli_module_entry_point():
     # python -m repro.analysis resolves to cli.main via __main__.
-    from repro.analysis import __main__  # noqa: F401
-    assert baseline_mod.BASELINE_VERSION == 1
+    from repro.analysis import __main__
+    assert __main__.main is main

@@ -67,9 +67,7 @@ EXPECTED_BAD = {
     ("REPRO011", "src/taint_bad.py", 30),
     ("REPRO011", "src/taint_bad.py", 34),
     ("REPRO011", "src/taint_bad.py", 38),
-    ("REPRO012", "src/pairs.py", 8),
     ("REPRO012", "src/sig_bad.py", 8),
-    ("REPRO012", "src/sig_bad.py", 16),
     ("REPRO013", "src/shard_bad.py", 9),
     ("REPRO013", "src/shard_bad.py", 13),
     ("REPRO014", "src/service_bad.py", 3),

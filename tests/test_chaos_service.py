@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.determinism import (
+    DETERMINISM_ENV_VAR,
     resilience_check_from_env,
     resilient_session_fingerprint,
     resilient_session_service,
@@ -31,7 +32,6 @@ from repro.analysis.determinism import (
     resilient_session_tenants,
     service_digest,
 )
-from repro.analysis.sanitize import DETERMINISM_ENV_VAR
 from repro.errors import SimulatedCrashError
 from repro.faults.service import JournalTornWriteModel
 from repro.service import (

@@ -103,6 +103,60 @@ class TestPlanCache:
         assert "inner" in plans
 
 
+# --- freeze paths: every array reachable from a plan is read-only ----------
+
+@pytest.fixture(name="cache")
+def small_plan_cache():
+    # Named ``cache`` for the tests below; the function name keeps the
+    # module-level ``repro.perf.cache`` import unshadowed.
+    return PlanCache(max_entries=8)
+
+
+def iter_arrays(value):
+    """Yield every numpy array reachable through common containers."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from iter_arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from iter_arrays(item)
+
+
+def test_cache_freezes_bare_arrays(cache):
+    plan = cache.get_or_build("k", lambda: np.arange(4.0))
+    assert not plan.flags.writeable
+    with pytest.raises(ValueError):
+        plan[0] = 99.0
+
+
+def test_cache_freezes_arrays_inside_tuples_and_lists(cache):
+    plan = cache.get_or_build(
+        "k", lambda: (np.arange(3.0), [np.ones(2), np.zeros(2)]))
+    for array in iter_arrays(plan):
+        assert not array.flags.writeable
+
+
+def test_cache_freezes_dict_valued_plans(cache):
+    # Regression: _freeze originally skipped dict values, leaving
+    # structured plans ({"taps": ..., "window": ...}) writable.
+    plan = cache.get_or_build(
+        "k", lambda: {"taps": np.arange(5.0),
+                      "nested": {"window": np.ones(3)}})
+    assert not plan["taps"].flags.writeable
+    assert not plan["nested"]["window"].flags.writeable
+    with pytest.raises(ValueError):
+        plan["taps"][0] = 1.0
+
+
+def test_cached_hit_returns_the_same_frozen_plan(cache):
+    first = cache.get_or_build("k", lambda: np.arange(4.0))
+    second = cache.get_or_build("k", lambda: np.arange(4.0))
+    assert first is second
+    assert not second.flags.writeable
+
+
 class TestPlanCacheIntegration:
     def test_repeated_demodulator_construction_hits_cache(self):
         params = LoRaParams(7, 125e3)

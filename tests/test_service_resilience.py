@@ -84,6 +84,15 @@ def _kinds(timeline):
     return [event.kind for event in timeline]
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=12)
+_JSON_PAYLOADS = st.dictionaries(st.text(), _JSON_VALUES, max_size=5)
+
+
 # --- journal ----------------------------------------------------------------
 
 class TestJobJournal:
@@ -176,6 +185,28 @@ class TestJobJournal:
         result = read_journal(str(path))
         assert result.torn_tail
         assert [r.type for r in result.records] == ["open"]
+
+    @given(payloads=st.lists(_JSON_PAYLOADS, min_size=1, max_size=5),
+           extra=_JSON_PAYLOADS)
+    @settings(max_examples=60, deadline=None)
+    def test_every_accepted_line_is_canonical(self, payloads, extra):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "j.jsonl"
+            journal = JobJournal(str(path))
+            for payload in payloads:
+                journal.append("submit", payload)
+            journal.close()
+            resumed = JobJournal.resume(str(path))
+            resumed.append("submit", extra)
+            resumed.close()
+            lines = [line + "\n" for line in
+                     path.read_bytes().decode("utf-8").split("\n")[:-1]]
+            records = read_journal(str(path)).records
+        assert [r.payload for r in records] == [*payloads, extra]
+        assert len(lines) == len(records)
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True,
+                                      separators=(",", ":")) + "\n"
 
     def test_torn_write_model_tears_within_record(self):
         model = JournalTornWriteModel(seed=5, torn_prob=1.0)
