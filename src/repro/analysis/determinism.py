@@ -13,6 +13,11 @@ out any per-process accumulated state — the two runtime failure modes
 the fleet engine's ``(seed, node_id, draw_index)`` contract promises
 away.
 
+Each child rebuilds the campaign from one JSON environment value: the
+whole :class:`~repro.ota.fleet.config.FleetCampaignConfig` in its
+:func:`~repro.service.resilience.codec.encode_config` form plus the
+shard count, so the children run exactly the campaign they were given.
+
 The check is wired into ``examples/fleet_campaign.py``: exporting
 ``REPRO_DETERMINISM=1`` makes the example re-prove the contract on a
 scaled-down copy of its own campaign before reporting success.
@@ -38,13 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 #: Opt-in flag for the double-run determinism check.
 DETERMINISM_ENV_VAR = "REPRO_DETERMINISM"
 
-#: Environment knobs the subprocess entry point reads.
-ENV_NODES = "REPRO_DET_NODES"
-ENV_IMAGE_BYTES = "REPRO_DET_IMAGE_BYTES"
-ENV_SEED = "REPRO_DET_SEED"
-ENV_VERIFY_P = "REPRO_DET_VERIFY_P"
-ENV_LOSS = "REPRO_DET_LOSS"
-ENV_SHARDS = "REPRO_DET_SHARDS"
+#: The subprocess entry point's one knob: ``{"config", "shards"}`` JSON.
+ENV_CAMPAIGN = "REPRO_DET_CAMPAIGN"
 
 #: (PYTHONHASHSEED, shard count) pairs for the two runs.  Different
 #: hash seeds vary dict/set iteration order; different shard counts
@@ -89,40 +89,17 @@ def fleet_fingerprint(report: "FleetReport") -> str:
     return digest.hexdigest()
 
 
-def _campaign_env(config: "FleetCampaignConfig",
-                  shards: int) -> dict[str, str]:
-    """Serialize the campaign knobs the subprocess rebuilds from."""
-    return {
-        ENV_NODES: str(config.num_nodes),
-        ENV_IMAGE_BYTES: str(config.image_bytes),
-        ENV_SEED: str(config.seed),
-        ENV_VERIFY_P: repr(config.verify_failure_prob),
-        ENV_LOSS: "burst" if config.loss is not None else "none",
-        ENV_SHARDS: str(shards),
-    }
-
-
-def _campaign_from_env(env: Mapping[str, str]) -> "FleetCampaignConfig":
-    from repro.ota.fleet.config import FleetBurstLoss, FleetCampaignConfig
-
-    loss = FleetBurstLoss() if env.get(ENV_LOSS) == "burst" else None
-    return FleetCampaignConfig(
-        num_nodes=int(env[ENV_NODES]),
-        image_bytes=int(env[ENV_IMAGE_BYTES]),
-        seed=int(env[ENV_SEED]),
-        verify_failure_prob=float(env[ENV_VERIFY_P]),
-        loss=loss)
-
-
 def _fingerprint_main() -> None:
     """Subprocess entry: run the campaign from env, print the digest."""
+    from repro.ota.fleet.config import FleetCampaignConfig
     from repro.ota.fleet.shard import run_fleet_campaign_sharded
+    from repro.service.resilience.codec import decode_config
 
-    config = _campaign_from_env(os.environ)
-    shards = int(os.environ.get(ENV_SHARDS, "1"))
+    campaign = json.loads(os.environ[ENV_CAMPAIGN])
+    config = decode_config(FleetCampaignConfig, campaign["config"])
     # The env *is* the configuration channel here: the parent serialized
-    # the campaign knobs through it precisely so this run is replayable.
-    report = run_fleet_campaign_sharded(config, shards=shards)  # reprolint: disable=REPRO011
+    # the campaign through it precisely so this run is replayable.
+    report = run_fleet_campaign_sharded(config, shards=campaign["shards"])  # reprolint: disable=REPRO011
     print(fleet_fingerprint(report))
 
 
@@ -176,12 +153,16 @@ def double_run_check(config: "FleetCampaignConfig",
         SanitizerError: when any run's fingerprint diverges, or a run
             fails outright.
     """
+    from repro.service.resilience.codec import encode_config
+
     if config.num_nodes > max_nodes:
         config = dataclasses.replace(config, num_nodes=max_nodes)
     return _double_run(
         "campaign", "_fingerprint_main",
         [(f"hashseed={hashseed}, shards={shards}",
-          {**_campaign_env(config, shards), "PYTHONHASHSEED": hashseed})
+          {ENV_CAMPAIGN: json.dumps({"config": encode_config(config),
+                                     "shards": shards}),
+           "PYTHONHASHSEED": hashseed})
          for hashseed, shards in runs])
 
 

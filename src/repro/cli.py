@@ -85,7 +85,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
           f"TX {payload['lora_tx_luts']} / "
           f"RX {payload['lora_rx_luts']} LUTs")
     print("  operation timings:")
-    for operation, milliseconds in payload["timings_ms"].items():
+    for operation, milliseconds in payload["timings_ms"]:
         print(f"    {operation:26s} {milliseconds:8.3f} ms")
     return 0
 
@@ -96,7 +96,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
     if payload is None:
         return 1
     print(f"{'state':16s} {'battery power':>14s}")
-    for state, power in payload["states"].items():
+    for state, power in payload["states"]:
         unit = "uW" if power < 1e-3 else "mW"
         value = power * (1e6 if unit == "uW" else 1e3)
         print(f"{state:16s} {value:10.1f} {unit}")
@@ -166,7 +166,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
           f"{payload['num_fragments']} fragments x "
           f"{payload['image_bytes']} B image, "
           f"seed {args.seed}, {payload['shards']} shard(s)")
-    for label, count in payload["outcomes"].items():
+    for label, count in payload["outcomes"]:
         print(f"  {label:12s} {count:>9d}")
     print(f"  {'events':12s} {payload['total_events']:>9d}")
     print(f"  {'energy':12s} {payload['total_energy_j']:>11.1f} J")
@@ -174,7 +174,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         spill = payload["spill"]
         print(f"  spilled {spill['rows_written']} rows to "
               f"{spill['path']} ({spill['max_buffered']} max resident)")
-    abandoned = payload["outcomes"]["abandoned"]
+    abandoned = dict(payload["outcomes"])["abandoned"]
     return 0 if abandoned < payload["nodes"] else 1
 
 

@@ -27,8 +27,9 @@ with a ``service_session_fingerprint`` equal to an uninterrupted run's
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from repro.errors import ConfigurationError, JournalError, ReproError
 from repro.faults.service import ServiceFaultPlan
@@ -40,20 +41,10 @@ from repro.service.queue import JobQueue
 from repro.service.registry import UnknownWorkloadError, WorkloadRegistry
 from repro.service.resilience.breaker import BreakerConfig, CircuitBreaker
 from repro.service.resilience.codec import (
-    decode_breaker,
-    decode_fault_plan,
-    decode_result,
-    decode_shedding,
-    decode_spec,
-    decode_supervisor,
-    decode_tenant,
-    encode_breaker,
-    encode_fault_plan,
+    decode_config,
+    encode_config,
     encode_result,
-    encode_shedding,
     encode_spec,
-    encode_supervisor,
-    encode_tenant,
 )
 from repro.service.resilience.journal import (
     RECORD_ADMIT,
@@ -267,10 +258,10 @@ class CampaignService:
             journal.append(RECORD_OPEN, {
                 "seed": seed,
                 "cache_entries": cache_entries,
-                "supervisor": encode_supervisor(supervisor),
-                "breakers": encode_breaker(breakers),
-                "shedding": encode_shedding(shedding),
-                "faults": encode_fault_plan(faults),
+                "supervisor": encode_config(supervisor),
+                "breakers": encode_config(breakers),
+                "shedding": encode_config(shedding),
+                "faults": encode_config(faults),
             })
         self.add_tenant(TenantConfig(name=DEFAULT_TENANT,
                                      max_pending=1024,
@@ -296,7 +287,7 @@ class CampaignService:
         # re-adds it unconditionally), so only explicit tenants are
         # journaled.
         if self._journal is not None and config.name != DEFAULT_TENANT:
-            self._journal.append(RECORD_TENANT, encode_tenant(config))
+            self._journal.append(RECORD_TENANT, encode_config(config))
         return state
 
     def tenant(self, name: str) -> TenantState:
@@ -457,10 +448,11 @@ class CampaignService:
                 return self._reject_dispatched(
                     job, tenant,
                     f"circuit breaker open for kind {job.spec.kind!r}")
-        return self._execute_supervised(job, tenant, breaker)
+        return self._execute_supervised(job, tenant, breaker, address)
 
     def _execute_supervised(self, job: Job, tenant: TenantState,
-                            breaker: CircuitBreaker | None) -> Job:
+                            breaker: CircuitBreaker | None,
+                            address: str) -> Job:
         """The supervised attempt loop: crash/hang/deadline aware.
 
         Each attempt first polls the per-job fault streams (a crashed
@@ -469,8 +461,9 @@ class CampaignService:
         result — and finally checks the per-job deadline.  Transient
         strikes retry under the supervisor's
         :class:`~repro.ota.mac.RetryPolicy` budget and then quarantine;
-        an engine :class:`~repro.errors.ReproError` fails permanently
-        (the job is deterministic — a rerun fails identically).
+        a :class:`~repro.errors.ReproError` from the engine, or from a
+        payload that is not canonical JSON, fails permanently (the job
+        is deterministic — a rerun fails identically).
         """
         cfg = self._supervisor
         policy = cfg.policy
@@ -478,7 +471,6 @@ class CampaignService:
                   if self._faults is not None else None)
         jitter = job_jitter_rng(policy, job.job_id)
         monitor = HeartbeatMonitor(cfg.heartbeat_timeout_s)
-        address = job.spec.content_address
         strikes = 0
         while True:
             attempt = strikes + 1
@@ -498,27 +490,13 @@ class CampaignService:
                     duration_s=cfg.watchdog_timeout_s)
                 reason = f"workload hung (attempt {attempt})"
             else:
-                replay = self._replay_runs.get(job.job_id)
-                if replay is not None:
-                    payload, cost, progress = replay
-                    for detail in progress:
-                        self.timeline.record(
-                            SERVICE_PROGRESS, SERVICE_COMPONENT,
-                            label=f"{job.label} progress: {detail}",
-                            advance=False)
-                    job.progress = tuple(progress)
-                    self.registry.count_replayed(job.spec.kind)
-                else:
-                    job.progress = ()
-                    try:
-                        payload, cost = self.registry.invoke(
-                            job.spec.kind, job.spec.config_mapping(),
-                            job.spec.seed,
-                            self._progress_emitter(job, monitor))
-                    except ReproError as exc:
-                        monitor.disarm()
-                        return self._fail(job, tenant, exc, breaker)
+                try:
+                    result = self._run_attempt(job, address, monitor)
+                except ReproError as exc:
+                    monitor.disarm()
+                    return self._fail(job, tenant, exc, breaker)
                 monitor.disarm()
+                cost = result.virtual_cost_s
                 if cfg.deadline_s is not None:
                     remaining = (job.started_at_s + cfg.deadline_s
                                  - self.timeline.now_s)
@@ -536,11 +514,8 @@ class CampaignService:
                         SERVICE_EXECUTE, SERVICE_COMPONENT,
                         label=f"{job.label} execute kind={job.spec.kind}",
                         duration_s=cost)
-                    job.result = JobResult(
-                        address=address, kind=job.spec.kind,
-                        seed=job.spec.seed, payload=payload,
-                        virtual_cost_s=cost)
-                    self.cache.put(job.result)
+                    job.result = result
+                    self.cache.put(result)
                     if breaker is not None:
                         self._emit_breaker_transition(
                             job, breaker.record_success(), breaker)
@@ -554,6 +529,33 @@ class CampaignService:
                 label=(f"{job.label} retry {strikes + 1}/"
                        f"{policy.max_attempts} after {reason}"),
                 duration_s=delay)
+
+    def _run_attempt(self, job: Job, address: str,
+                     monitor: HeartbeatMonitor) -> JobResult:
+        """Invoke the workload, or replay its journaled run, as a result.
+
+        Raises:
+            ReproError: when the workload raises, or returns a payload
+                or cost a :class:`JobResult` rejects.
+        """
+        replay = self._replay_runs.get(job.job_id)
+        if replay is None:
+            job.progress = ()
+            payload, cost = self.registry.invoke(
+                job.spec.kind, job.spec.config_mapping(), job.spec.seed,
+                self._progress_emitter(job, monitor))
+        else:
+            payload, cost, progress = replay
+            for detail in progress:
+                self.timeline.record(
+                    SERVICE_PROGRESS, SERVICE_COMPONENT,
+                    label=f"{job.label} progress: {detail}",
+                    advance=False)
+            job.progress = tuple(progress)
+            self.registry.count_replayed(job.spec.kind)
+        return JobResult(address=address, kind=job.spec.kind,
+                         seed=job.spec.seed, payload=payload,
+                         virtual_cost_s=cost)
 
     def _emit_breaker_transition(self, job: Job, transition: str | None,
                                  breaker: CircuitBreaker) -> None:
@@ -713,14 +715,19 @@ class CampaignService:
             if key not in opened:
                 raise JournalError(
                     f"journal open record is missing the {key!r} field")
-        service = cls(
-            registry=registry,
-            cache_entries=opened["cache_entries"],
-            seed=opened["seed"],
-            supervisor=decode_supervisor(opened.get("supervisor")),
-            breakers=decode_breaker(opened.get("breakers")),
-            shedding=decode_shedding(opened.get("shedding")),
-            faults=decode_fault_plan(opened.get("faults")))
+        with _decoding(records[0]):
+            service = cls(
+                registry=registry,
+                cache_entries=opened["cache_entries"],
+                seed=opened["seed"],
+                supervisor=decode_config(SupervisorConfig | None,
+                                         opened.get("supervisor")),
+                breakers=decode_config(BreakerConfig | None,
+                                       opened.get("breakers")),
+                shedding=decode_config(SheddingPolicy | None,
+                                       opened.get("shedding")),
+                faults=decode_config(ServiceFaultPlan | None,
+                                     opened.get("faults")))
         journaled_terminals: set[int] = set()
         for record in records:
             if record.type not in TERMINAL_RECORD_TYPES:
@@ -733,10 +740,11 @@ class CampaignService:
             journaled_terminals.add(job_id)
             if (record.type == RECORD_COMPLETE
                     and not record.payload.get("cache_hit", False)):
-                result = decode_result(record.payload.get("result") or {})
+                result = _journaled_result(record)
                 progress = tuple(record.payload.get("progress") or ())
                 service._replay_runs[job_id] = (
-                    result.payload, result.virtual_cost_s, progress)
+                    result.payload_mapping(), result.virtual_cost_s,
+                    progress)
         for record in records[1:]:
             service._replay_record(record)
         service._replay_runs.clear()
@@ -761,7 +769,9 @@ class CampaignService:
         rtype = record.type
         payload = record.payload
         if rtype == RECORD_TENANT:
-            self.add_tenant(decode_tenant(payload))
+            with _decoding(record):
+                config = decode_config(TenantConfig, payload)
+            self.add_tenant(config)
             return
         if rtype == RECORD_RECOVER:
             return
@@ -771,11 +781,9 @@ class CampaignService:
                 f"journal {rtype} record {record.seq} has no integer "
                 f"job_id")
         if rtype == RECORD_SUBMIT:
-            spec_payload = payload.get("spec")
-            if not isinstance(spec_payload, dict):
-                raise JournalError(
-                    f"journal submit record {record.seq} has no spec")
-            job = self.submit(decode_spec(spec_payload))
+            with _decoding(record):
+                spec = decode_config(JobSpec, payload.get("spec"))
+            job = self.submit(spec)
             if job.job_id != job_id:
                 raise JournalError(
                     f"replay diverged: submit record {record.seq} "
@@ -813,8 +821,7 @@ class CampaignService:
                         or job.cache_hit != payload.get("cache_hit")
                         or job.result is None
                         or job.result.fingerprint()
-                        != decode_result(
-                            payload.get("result") or {}).fingerprint())
+                        != _journaled_result(record).fingerprint())
             if mismatch:
                 raise JournalError(
                     f"replay diverged: complete record {record.seq} "
@@ -884,3 +891,26 @@ class CampaignService:
             cache=self.cache.stats(),
             invocations=self.registry.invocation_counts(),
             tenants=tenants)
+
+
+@contextmanager
+def _decoding(record: JournalRecord) -> Iterator[None]:
+    """Re-raise any error decoding ``record`` as a JournalError naming it.
+
+    A chain-valid journal can still carry values this code version
+    cannot rebuild (another version's format, or hand-edited records);
+    recovery reports that as a journal fault, never as a constructor's
+    own error type.
+    """
+    try:
+        yield
+    except (ReproError, TypeError, ValueError) as exc:
+        raise JournalError(
+            f"journal {record.type} record {record.seq} cannot be "
+            f"decoded: {type(exc).__name__}: {exc}") from exc
+
+
+def _journaled_result(record: JournalRecord) -> JobResult:
+    """The job result a ``complete`` record carries."""
+    with _decoding(record):
+        return decode_config(JobResult, record.payload.get("result"))

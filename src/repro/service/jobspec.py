@@ -8,20 +8,25 @@ contract the lint rules and parity goldens enforce — two specs with
 equal ``(kind, config, seed)`` denote the *same computation*, and the
 service dedupes them through a content-addressed result cache.
 
-The content address is a SHA-256 over a canonical serialization:
-mappings are emitted with sorted keys, sequences positionally, and
-floats as ``float.hex()`` so the address distinguishes values that
-differ in the last ulp (a JSON round-trip through decimal would not).
-Tenant and priority are routing metadata, not identity: two tenants
-submitting the same seeded job share one cache entry.
+The content address is a SHA-256 over :func:`canonical_json`, the same
+``json.dumps`` serialization the job journal hashes: sorted keys, no
+whitespace, non-finite floats rejected.  Python renders floats with
+``repr``, which round-trips every finite double, so values that differ
+in the last ulp get different addresses; mappings render as objects
+and sequences as arrays, so ``[]`` and ``{}`` do too.  A spec holds its
+config, and a result its payload, as that canonical text, which makes
+both immutable by construction.  Tenant and priority are routing
+metadata, not identity: two tenants submitting the same seeded job
+share one cache entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from repro.errors import ConfigurationError
 
@@ -32,79 +37,55 @@ PRIORITY_BATCH = 20
 
 DEFAULT_TENANT = "default"
 
-
-def canonical_form(value: Any) -> Any:
-    """Normalize a JSON-able value into an immutable canonical shape.
-
-    Mappings become key-sorted tuples of ``(key, value)`` pairs,
-    sequences become tuples, scalars pass through.  The result is
-    hashable-free of dicts/lists so a frozen :class:`JobSpec` cannot be
-    mutated through its config after submission.
-
-    Raises:
-        ConfigurationError: for non-string mapping keys or values
-            outside the JSON-able vocabulary (no numpy arrays, no
-            arbitrary objects — specs must be wire-shippable).
-    """
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, Mapping):
-        items = []
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise ConfigurationError(
-                    f"config keys must be strings, got {key!r}")
-            items.append((key, canonical_form(value[key])))
-        return tuple(items)
-    if isinstance(value, (list, tuple)):
-        return tuple(canonical_form(item) for item in value)
-    raise ConfigurationError(
-        f"config values must be JSON-able scalars/sequences/mappings, "
-        f"got {type(value).__name__}: {value!r}")
+_CONTAINERS = (dict, list, tuple)
 
 
 def canonical_json(value: Any) -> str:
-    """Render a canonical form (or raw JSON-able value) as one string.
+    """The canonical JSON text of a JSON-able value.
 
-    Floats are rendered via ``float.hex()`` so the serialization is
-    bit-exact; mappings (already key-sorted tuples of pairs after
-    :func:`canonical_form`) render as JSON objects.  The output is the
-    hashing pre-image for :func:`content_address` and the fingerprint
-    base for the determinism double-run check.
+    Keys are sorted and separators carry no whitespace, so equal values
+    give equal text; tuples render as arrays.  The output is the
+    hashing pre-image for :func:`content_address`, result fingerprints
+    and journal record digests.
+
+    Raises:
+        ConfigurationError: for non-string mapping keys, non-finite
+            floats, or values outside the JSON vocabulary (no numpy
+            arrays, no arbitrary objects — specs must be
+            wire-shippable).
     """
-    form = canonical_form(value)
-    return _render(form)
+    try:
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"value is not canonical JSON: {exc}") from exc
+    if isinstance(value, _CONTAINERS):
+        _reject_non_string_keys(value)
+    return text
 
 
-def _render(form: Any) -> str:
-    if isinstance(form, bool):
-        return "true" if form else "false"
-    if form is None:
-        return "null"
-    if isinstance(form, float):
-        return json.dumps(form.hex())
-    if isinstance(form, int):
-        return str(form)
-    if isinstance(form, str):
-        return json.dumps(form, ensure_ascii=True)
-    if isinstance(form, tuple) and _is_pair_tuple(form):
-        inner = ",".join(f"{json.dumps(k)}:{_render(v)}" for k, v in form)
-        return "{" + inner + "}"
-    if isinstance(form, tuple):
-        return "[" + ",".join(_render(item) for item in form) + "]"
-    raise ConfigurationError(
-        f"cannot render non-canonical value {form!r}")
+def _reject_non_string_keys(container: Any) -> None:
+    """Refuse the int/float/bool/None keys ``json.dumps`` writes as strings."""
+    items = container
+    if isinstance(container, dict):
+        for key in container:
+            if not isinstance(key, str):
+                raise ConfigurationError(
+                    f"JSON object keys must be strings, got {key!r}")
+        items = container.values()
+    for item in items:
+        if isinstance(item, _CONTAINERS):
+            _reject_non_string_keys(item)
 
 
-def _is_pair_tuple(form: tuple) -> bool:
-    """Whether a tuple is a canonicalized mapping (all (str, v) pairs)."""
-    return (len(form) > 0
-            and all(isinstance(item, tuple) and len(item) == 2
-                    and isinstance(item[0], str) for item in form))
+def _canonical_object(value: Any, what: str) -> str:
+    """Canonical text of a job config or result payload (a JSON object)."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(
+            f"job {what} must be a mapping, got "
+            f"{type(value).__name__}: {value!r}")
+    return canonical_json(value)
 
 
 def content_address(kind: str, config: Any, seed: int) -> str:
@@ -121,15 +102,16 @@ class JobSpec:
     Attributes:
         kind: workload kind registered in the
             :class:`~repro.service.registry.WorkloadRegistry`.
-        config: JSON-able workload configuration (canonicalized on
-            construction; empty mapping for parameterless workloads).
+        config: workload configuration, passed as a JSON-able mapping
+            (empty for parameterless workloads) and held as its
+            canonical JSON text.
         seed: root seed of every random stream the workload draws.
         tenant: submitting tenant name (routing metadata, not identity).
         priority: scheduling band; lower dispatches first.
     """
 
     kind: str
-    config: Any = ()
+    config: Any = field(default_factory=dict)
     seed: int = 0
     tenant: str = DEFAULT_TENANT
     priority: int = PRIORITY_NORMAL
@@ -142,39 +124,17 @@ class JobSpec:
                 f"job seed must be >= 0, got {self.seed}")
         if not self.tenant:
             raise ConfigurationError("tenant name must be non-empty")
-        object.__setattr__(self, "config", canonical_form(self.config))
+        object.__setattr__(self, "config",
+                           _canonical_object(self.config, "config"))
 
     @property
     def content_address(self) -> str:
         """The spec's SHA-256 identity (tenant/priority excluded)."""
-        return content_address(self.kind, self.config, self.seed)
+        return content_address(self.kind, self.config_mapping(), self.seed)
 
     def config_mapping(self) -> dict[str, Any]:
-        """The canonical config re-inflated as a plain dict for adapters.
-
-        Nested mappings stay in canonical pair-tuple form only at the
-        top level conversion point; adapters read scalar knobs, so one
-        level of dict view is what they need (nested values are
-        re-inflated recursively).
-        """
-        return _inflate_mapping(self.config)
-
-
-def _inflate_mapping(form: Any) -> dict[str, Any]:
-    if form == ():
-        return {}
-    if not (isinstance(form, tuple) and _is_pair_tuple(form)):
-        raise ConfigurationError(
-            f"job config must be a mapping, got {form!r}")
-    return {key: _inflate(value) for key, value in form}
-
-
-def _inflate(form: Any) -> Any:
-    if isinstance(form, tuple) and _is_pair_tuple(form):
-        return _inflate_mapping(form)
-    if isinstance(form, tuple):
-        return tuple(_inflate(item) for item in form)
-    return form
+        """A fresh dict of the config (sequences come back as lists)."""
+        return json.loads(self.config)
 
 
 @dataclass(frozen=True)
@@ -185,8 +145,9 @@ class JobResult:
         address: the producing spec's content address.
         kind: workload kind that produced the payload.
         seed: root seed the workload ran under.
-        payload: JSON-able result data (canonicalized, so cached results
-            are immutable and bit-stable across re-serves).
+        payload: result data, passed as a JSON-able mapping and held as
+            its canonical JSON text (so cached results are immutable
+            and bit-stable across re-serves).
         virtual_cost_s: deterministic virtual-time execution span the
             workload reported (what the scheduler charged the clock).
     """
@@ -198,19 +159,21 @@ class JobResult:
     virtual_cost_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.virtual_cost_s < 0:
+        if not 0.0 <= self.virtual_cost_s < math.inf:
             raise ConfigurationError(
-                f"virtual cost must be >= 0, got {self.virtual_cost_s!r}")
-        object.__setattr__(self, "payload", canonical_form(self.payload))
+                f"virtual cost must be finite and >= 0, "
+                f"got {self.virtual_cost_s!r}")
+        object.__setattr__(self, "payload",
+                           _canonical_object(self.payload, "payload"))
 
     def payload_mapping(self) -> dict[str, Any]:
-        """The canonical payload re-inflated as a plain dict."""
-        return _inflate_mapping(self.payload)
+        """A fresh dict of the payload (sequences come back as lists)."""
+        return json.loads(self.payload)
 
     def fingerprint(self) -> str:
         """SHA-256 over the result's canonical serialization."""
         preimage = canonical_json(
             {"address": self.address, "kind": self.kind,
-             "seed": self.seed, "payload": self.payload,
+             "seed": self.seed, "payload": self.payload_mapping(),
              "virtual_cost_s": self.virtual_cost_s})
         return hashlib.sha256(preimage.encode("utf-8")).hexdigest()

@@ -2,207 +2,78 @@
 
 The journal must be self-contained: ``CampaignService.recover`` rebuilds
 a session from the file alone (plus a workload registry, which is code,
-not data).  These helpers round-trip every configuration object the
-service was constructed with — bit-exactly for floats, because
+not data).  Specs and results travel as JSON objects with their config
+or payload inline.  Every configuration dataclass goes through one
+generic pair: :func:`encode_config` is ``dataclasses.asdict``, and
+:func:`decode_config` walks the dataclass fields back, recursing into
+dataclass-typed ones.  Floats round-trip bit-exactly, because
 ``json.dumps``/``json.loads`` round-trip every finite double through
-``repr`` — so a replayed spec hashes to the same content address and a
+``repr``, so a replayed spec hashes to the same content address and a
 replayed config reconstructs the same seeded streams.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from typing import Any
 
 from repro.errors import JournalError
-from repro.faults.service import (
-    JournalTornWriteModel,
-    ServiceFaultPlan,
-    WorkerCrashModel,
-    WorkloadHangModel,
-)
 from repro.service.jobspec import JobResult, JobSpec
-from repro.service.resilience.breaker import BreakerConfig
-from repro.service.resilience.shedding import SheddingPolicy
-from repro.service.resilience.supervisor import RetryPolicy, SupervisorConfig
-from repro.service.tenancy import TenantConfig
-
-
-def _require(payload: dict[str, Any], key: str, what: str) -> Any:
-    if key not in payload:
-        raise JournalError(
-            f"journal {what} payload is missing the {key!r} field")
-    return payload[key]
 
 
 def encode_spec(spec: JobSpec) -> dict[str, Any]:
-    """A job spec as a JSON-able mapping (canonical config included)."""
-    return {"kind": spec.kind, "config": spec.config, "seed": spec.seed,
-            "tenant": spec.tenant, "priority": spec.priority}
-
-
-def decode_spec(payload: dict[str, Any]) -> JobSpec:
-    """Rebuild a spec; re-canonicalization restores the pair-tuples."""
-    return JobSpec(kind=_require(payload, "kind", "spec"),
-                   config=_require(payload, "config", "spec"),
-                   seed=_require(payload, "seed", "spec"),
-                   tenant=_require(payload, "tenant", "spec"),
-                   priority=_require(payload, "priority", "spec"))
+    """A job spec as a JSON object (its config inline as an object)."""
+    return {"kind": spec.kind, "config": spec.config_mapping(),
+            "seed": spec.seed, "tenant": spec.tenant,
+            "priority": spec.priority}
 
 
 def encode_result(result: JobResult) -> dict[str, Any]:
-    """A job result as a JSON-able mapping."""
+    """A job result as a JSON object (its payload inline as an object)."""
     return {"address": result.address, "kind": result.kind,
-            "seed": result.seed, "payload": result.payload,
+            "seed": result.seed, "payload": result.payload_mapping(),
             "virtual_cost_s": result.virtual_cost_s}
 
 
-def decode_result(payload: dict[str, Any]) -> JobResult:
-    """Rebuild a result (payload re-canonicalizes on construction)."""
-    return JobResult(address=_require(payload, "address", "result"),
-                     kind=_require(payload, "kind", "result"),
-                     seed=_require(payload, "seed", "result"),
-                     payload=_require(payload, "payload", "result"),
-                     virtual_cost_s=_require(
-                         payload, "virtual_cost_s", "result"))
+def encode_config(config: Any) -> dict[str, Any] | None:
+    """A configuration dataclass as a JSON object; ``None`` stays ``None``."""
+    return None if config is None else dataclasses.asdict(config)
 
 
-def encode_tenant(config: TenantConfig) -> dict[str, Any]:
-    return {"name": config.name, "max_pending": config.max_pending,
-            "bucket_capacity": config.bucket_capacity,
-            "refill_per_s": config.refill_per_s}
+def decode_config(hint: Any, payload: Any) -> Any:
+    """Rebuild a dataclass of type ``hint`` from its JSON object.
 
+    ``hint`` is a dataclass, or a dataclass ``| None``, in which case a
+    ``None`` payload decodes to ``None``.  Fields whose type names a
+    dataclass are decoded recursively; the dataclass constructor
+    validates the values.
 
-def decode_tenant(payload: dict[str, Any]) -> TenantConfig:
-    return TenantConfig(
-        name=_require(payload, "name", "tenant"),
-        max_pending=_require(payload, "max_pending", "tenant"),
-        bucket_capacity=_require(payload, "bucket_capacity", "tenant"),
-        refill_per_s=_require(payload, "refill_per_s", "tenant"))
-
-
-def encode_retry_policy(policy: RetryPolicy) -> dict[str, Any]:
-    return {"max_attempts": policy.max_attempts, "backoff": policy.backoff,
-            "base_delay_s": policy.base_delay_s,
-            "max_delay_s": policy.max_delay_s,
-            "jitter_fraction": policy.jitter_fraction,
-            "session_deadline_s": policy.session_deadline_s,
-            "seed": policy.seed}
-
-
-def decode_retry_policy(payload: dict[str, Any]) -> RetryPolicy:
-    return RetryPolicy(
-        max_attempts=_require(payload, "max_attempts", "policy"),
-        backoff=_require(payload, "backoff", "policy"),
-        base_delay_s=_require(payload, "base_delay_s", "policy"),
-        max_delay_s=_require(payload, "max_delay_s", "policy"),
-        jitter_fraction=_require(payload, "jitter_fraction", "policy"),
-        session_deadline_s=_require(
-            payload, "session_deadline_s", "policy"),
-        seed=_require(payload, "seed", "policy"))
-
-
-def encode_supervisor(config: SupervisorConfig | None
-                      ) -> dict[str, Any] | None:
-    if config is None:
+    Raises:
+        JournalError: when the payload is not a JSON object or lacks a
+            field.
+    """
+    if payload is None and type(None) in typing.get_args(hint):
         return None
-    return {"policy": encode_retry_policy(config.policy),
-            "heartbeat_timeout_s": config.heartbeat_timeout_s,
-            "watchdog_timeout_s": config.watchdog_timeout_s,
-            "deadline_s": config.deadline_s}
+    cls = _dataclass_in(hint)
+    if not isinstance(payload, dict):
+        raise JournalError(
+            f"journal {cls.__name__} payload is not a JSON object")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for field in dataclasses.fields(cls):
+        if field.name not in payload:
+            raise JournalError(
+                f"journal {cls.__name__} payload is missing the "
+                f"{field.name!r} field")
+        value = payload[field.name]
+        if _dataclass_in(hints[field.name]) is not None:
+            value = decode_config(hints[field.name], value)
+        values[field.name] = value
+    return cls(**values)
 
 
-def decode_supervisor(payload: dict[str, Any] | None
-                      ) -> SupervisorConfig | None:
-    if payload is None:
-        return None
-    return SupervisorConfig(
-        policy=decode_retry_policy(
-            _require(payload, "policy", "supervisor")),
-        heartbeat_timeout_s=_require(
-            payload, "heartbeat_timeout_s", "supervisor"),
-        watchdog_timeout_s=_require(
-            payload, "watchdog_timeout_s", "supervisor"),
-        deadline_s=_require(payload, "deadline_s", "supervisor"))
-
-
-def encode_breaker(config: BreakerConfig | None) -> dict[str, Any] | None:
-    if config is None:
-        return None
-    return {"seed": config.seed,
-            "failure_threshold": config.failure_threshold,
-            "open_duration_s": config.open_duration_s,
-            "probe_jitter_fraction": config.probe_jitter_fraction}
-
-
-def decode_breaker(payload: dict[str, Any] | None) -> BreakerConfig | None:
-    if payload is None:
-        return None
-    return BreakerConfig(
-        seed=_require(payload, "seed", "breaker"),
-        failure_threshold=_require(
-            payload, "failure_threshold", "breaker"),
-        open_duration_s=_require(payload, "open_duration_s", "breaker"),
-        probe_jitter_fraction=_require(
-            payload, "probe_jitter_fraction", "breaker"))
-
-
-def encode_shedding(policy: SheddingPolicy | None
-                    ) -> dict[str, Any] | None:
-    if policy is None:
-        return None
-    return {"queue_high_water": policy.queue_high_water,
-            "tenant_high_water": policy.tenant_high_water}
-
-
-def decode_shedding(payload: dict[str, Any] | None
-                    ) -> SheddingPolicy | None:
-    if payload is None:
-        return None
-    return SheddingPolicy(
-        queue_high_water=_require(
-            payload, "queue_high_water", "shedding"),
-        tenant_high_water=_require(
-            payload, "tenant_high_water", "shedding"))
-
-
-def encode_fault_plan(plan: ServiceFaultPlan | None
-                      ) -> dict[str, Any] | None:
-    if plan is None:
-        return None
-    crash = plan.worker_crash
-    hang = plan.workload_hang
-    torn = plan.torn_write
-    return {
-        "seed": plan.seed,
-        "worker_crash": (None if crash is None else
-                         {"seed": crash.seed,
-                          "crash_prob": crash.crash_prob}),
-        "workload_hang": (None if hang is None else
-                          {"seed": hang.seed,
-                           "hang_prob": hang.hang_prob}),
-        "torn_write": (None if torn is None else
-                       {"seed": torn.seed,
-                        "torn_prob": torn.torn_prob}),
-    }
-
-
-def decode_fault_plan(payload: dict[str, Any] | None
-                      ) -> ServiceFaultPlan | None:
-    if payload is None:
-        return None
-    crash = _require(payload, "worker_crash", "fault plan")
-    hang = _require(payload, "workload_hang", "fault plan")
-    torn = _require(payload, "torn_write", "fault plan")
-    return ServiceFaultPlan(
-        seed=_require(payload, "seed", "fault plan"),
-        worker_crash=(None if crash is None else WorkerCrashModel(
-            seed=_require(crash, "seed", "worker crash model"),
-            crash_prob=_require(crash, "crash_prob",
-                                "worker crash model"))),
-        workload_hang=(None if hang is None else WorkloadHangModel(
-            seed=_require(hang, "seed", "workload hang model"),
-            hang_prob=_require(hang, "hang_prob",
-                               "workload hang model"))),
-        torn_write=(None if torn is None else JournalTornWriteModel(
-            seed=_require(torn, "seed", "torn write model"),
-            torn_prob=_require(torn, "torn_prob", "torn write model"))))
+def _dataclass_in(hint: Any) -> type | None:
+    """The dataclass a type hint names, bare or in a union."""
+    return next((arg for arg in (hint, *typing.get_args(hint))
+                 if dataclasses.is_dataclass(arg)), None)

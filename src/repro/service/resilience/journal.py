@@ -14,10 +14,11 @@ normal code paths — every RNG draw, ledger event and admission verdict
 regenerates — substituting only the engine invocation of journaled
 successful runs from the logged results.
 
-Serialization uses plain ``json.dumps(..., sort_keys=True)``: Python's
-``repr``-based float rendering round-trips every finite double
-bit-exactly through ``json.loads``, which is what lets replayed specs
-and results hash to the same content addresses as the originals.
+Serialization is :func:`~repro.service.jobspec.canonical_json`, the
+same ``json.dumps`` call that content addresses and result fingerprints
+hash: Python's ``repr``-based float rendering round-trips every finite
+double bit-exactly through ``json.loads``, which is what lets replayed
+specs and results hash to the same content addresses as the originals.
 
 Torn tails: a crash mid-append can leave a partial final line.
 :func:`read_journal` accepts a *valid* trailing record that merely lost
@@ -34,8 +35,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, BinaryIO
 
-from repro.errors import JournalError, SimulatedCrashError
+from repro.errors import ConfigurationError, JournalError, SimulatedCrashError
 from repro.faults.service import JournalTornWriteModel
+from repro.service.jobspec import canonical_json
 
 RECORD_OPEN = "open"
 RECORD_TENANT = "tenant"
@@ -100,10 +102,9 @@ def _canonical_body(seq: int, rtype: str, payload: dict[str, Any],
                     prev: str) -> str:
     """The digest pre-image: the record body, canonically serialized."""
     try:
-        return json.dumps(
-            {"payload": payload, "prev": prev, "seq": seq, "type": rtype},
-            sort_keys=True, separators=(",", ":"), allow_nan=False)
-    except (TypeError, ValueError) as exc:
+        return canonical_json(
+            {"payload": payload, "prev": prev, "seq": seq, "type": rtype})
+    except ConfigurationError as exc:
         raise JournalError(
             f"journal payload for {rtype!r} record is not "
             f"JSON-serializable: {exc}") from exc

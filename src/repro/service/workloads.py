@@ -250,7 +250,7 @@ def run_fleet(config: Mapping[str, Any], seed: int,
         "image_bytes": image_bytes,
         "num_fragments": int(fleet_config.num_fragments),
         "shards": shards,
-        # Ordered pairs, not a mapping: canonicalization key-sorts
+        # Ordered pairs, not a mapping: canonical JSON key-sorts
         # mappings, and the CLI must print outcomes in engine order.
         "outcomes": [[label, int(count)] for label, count
                      in report.outcome_counts().items()],

@@ -9,8 +9,6 @@ import pytest
 from repro.analysis.determinism import (
     DETERMINISM_ENV_VAR,
     SanitizerError,
-    _campaign_env,
-    _campaign_from_env,
     check_from_env,
     double_run_check,
     fleet_fingerprint,
@@ -38,17 +36,15 @@ def test_fingerprint_is_sensitive_to_the_campaign():
     assert fleet_fingerprint(run_fleet_campaign(reseeded)) != base
 
 
-def test_campaign_env_round_trips_the_config():
-    env = _campaign_env(CONFIG, shards=3)
-    rebuilt = _campaign_from_env(env)
-    assert rebuilt.num_nodes == CONFIG.num_nodes
-    assert rebuilt.image_bytes == CONFIG.image_bytes
-    assert rebuilt.seed == CONFIG.seed
-    assert rebuilt.verify_failure_prob == CONFIG.verify_failure_prob
-    assert isinstance(rebuilt.loss, FleetBurstLoss)
-
-    lossless = dataclasses.replace(CONFIG, loss=None)
-    assert _campaign_from_env(_campaign_env(lossless, shards=1)).loss is None
+def test_double_run_check_runs_the_campaign_it_is_given():
+    # Each config differs from CONFIG only in a field the children must
+    # receive; one run per config keeps the subprocess count small.
+    for config in (dataclasses.replace(CONFIG, payload_bytes=30),
+                   dataclasses.replace(CONFIG, is_fpga_image=False),
+                   dataclasses.replace(
+                       CONFIG, loss=FleetBurstLoss(p_enter_bad=0.3))):
+        in_process = fleet_fingerprint(run_fleet_campaign(config))
+        assert double_run_check(config, runs=(("101", 2),)) == in_process
 
 
 def test_double_run_check_passes_on_a_deterministic_campaign():

@@ -7,7 +7,11 @@ virtual time, the ``service.*`` event stream, and in-process run
 determinism.
 """
 
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.service import (
@@ -28,6 +32,31 @@ from repro.service import (
 from repro.service.api import JOB_COMPLETED, JOB_FAILED, JOB_REJECTED
 from repro.sim import SERVICE_KINDS
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=16)
+
+
+def _same_json(sent, got) -> bool:
+    """Equal in type and bits; a tuple sent reads back as a list."""
+    if isinstance(sent, tuple):
+        sent = list(sent)
+    if type(sent) is not type(got):
+        return False
+    if isinstance(sent, float):
+        return sent.hex() == got.hex()
+    if isinstance(sent, list):
+        return (len(sent) == len(got)
+                and all(map(_same_json, sent, got)))
+    if isinstance(sent, dict):
+        return (sent.keys() == got.keys()
+                and all(_same_json(sent[key], got[key]) for key in sent))
+    return sent == got
+
 
 class TestCanonicalSerialization:
     def test_mapping_keys_sorted(self):
@@ -35,10 +64,10 @@ class TestCanonicalSerialization:
                 == canonical_json({"a": 2, "b": 1}))
 
     def test_floats_render_bit_exact(self):
-        # 0.1 + 0.2 != 0.3 in the last ulp; a decimal round-trip would
-        # conflate them, float.hex() must not.
+        # 0.1 + 0.2 != 0.3 in the last ulp; repr must tell them apart.
         assert canonical_json(0.1 + 0.2) != canonical_json(0.3)
-        assert canonical_json(0.5) == f'"{(0.5).hex()}"'
+        # A float and the string of its hex form are different values.
+        assert canonical_json(0.5) != canonical_json("0x1.0000000000000p-1")
 
     def test_int_and_bool_distinguished(self):
         assert canonical_json(True) != canonical_json(1)
@@ -59,6 +88,34 @@ class TestCanonicalSerialization:
     def test_non_jsonable_values_rejected(self):
         with pytest.raises(ConfigurationError):
             canonical_json({"x": object()})
+
+    @given(value=_JSON_VALUES)
+    @example(value={"k": [["a", 1]]})
+    @example(value={"k": {"a": 1}})
+    @example(value={"k": []})
+    @example(value={"k": {}})
+    @example(value={"a": 0.5})
+    @example(value={"a": "0x1.0000000000000p-1"})
+    @example(value=[1, 1.0, True, -0.0, 0.0, (), {}])
+    @settings(max_examples=200, deadline=None)
+    def test_json_round_trip_is_exact(self, value):
+        # An exact round trip makes the text injective: two values that
+        # differ in type or bits never share a content address.
+        assert _same_json(value, json.loads(canonical_json(value)))
+
+    @pytest.mark.parametrize("first, second", [
+        ({"k": [["a", 1]]}, {"k": {"a": 1}}),
+        ({"k": []}, {"k": {}}),
+        ({"a": 0.5}, {"a": "0x1.0000000000000p-1"}),
+    ])
+    def test_pair_lists_empties_and_hex_strings_do_not_collide(
+            self, first, second):
+        assert canonical_json(first) != canonical_json(second)
+        assert (content_address("fleet", first, 0)
+                != content_address("fleet", second, 0))
+        for config in (first, second):
+            spec = JobSpec(kind="fleet", config=config)
+            assert _same_json(config, spec.config_mapping())
 
 
 class TestContentAddress:
@@ -81,7 +138,8 @@ class TestContentAddress:
                     priority=PRIORITY_BATCH)
         # Both tenants' identical computations share one cache entry.
         assert (a.content_address == b.content_address
-                == content_address("adr", (), 3))
+                == content_address("adr", {}, 3))
+        assert content_address("adr", [], 3) != content_address("adr", {}, 3)
 
 
 class TestJobSpec:
@@ -100,11 +158,16 @@ class TestJobSpec:
         mapping = spec.config_mapping()
         assert mapping["nodes"] == 10
         assert mapping["opts"] == {"a": 1, "b": 2}
-        assert mapping["grid"] == (1.0, 2.0)
+        assert mapping["grid"] == [1.0, 2.0]
 
     def test_config_is_frozen_canonical_form(self):
-        spec = JobSpec(kind="fleet", config={"nodes": 10})
-        assert spec.config == (("nodes", 10),)
+        config = {"nodes": 10}
+        spec = JobSpec(kind="fleet", config=config)
+        assert spec.config == '{"nodes":10}'
+        address = spec.content_address
+        config["nodes"] = 11
+        spec.config_mapping()["nodes"] = 12
+        assert spec.content_address == address
         with pytest.raises(AttributeError):
             spec.kind = "other"
 

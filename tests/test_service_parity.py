@@ -98,7 +98,7 @@ class TestCampaignParity:
         payload = _service_payload(
             "fleet", {"nodes": 96, "image_bytes": 600, "shards": 3})
         assert payload["num_fragments"] == config.num_fragments
-        assert payload["outcomes"] == report.outcome_counts()
+        assert dict(payload["outcomes"]) == report.outcome_counts()
         assert payload["total_events"] == report.total_events
         assert (_hex(payload["total_energy_j"])
                 == _hex(report.total_energy_j))
@@ -152,7 +152,7 @@ class TestTableParity:
         expected = {operation: _hex(ms) for operation, ms
                     in platform_timings().as_table()}
         actual = {operation: _hex(ms) for operation, ms
-                  in payload["timings_ms"].items()}
+                  in payload["timings_ms"]}
         assert actual == expected
 
     @pytest.mark.parametrize("tx_power_dbm", [14.0, 0.0, -10.0])
@@ -175,5 +175,5 @@ class TestTableParity:
         payload = _service_payload(
             "power", {"tx_power_dbm": tx_power_dbm})
         actual = {state: _hex(power)
-                  for state, power in payload["states"].items()}
+                  for state, power in payload["states"]}
         assert actual == expected

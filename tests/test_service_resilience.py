@@ -16,6 +16,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +58,7 @@ from repro.service import (
     ResultCache,
     SheddingPolicy,
     SupervisorConfig,
+    WorkloadRegistry,
     read_journal,
 )
 from repro.service.resilience import (
@@ -65,8 +67,10 @@ from repro.service.resilience import (
     BREAKER_OPEN,
     GENESIS_DIGEST,
     RECORD_COMPLETE,
+    RECORD_FAIL,
     RECORD_OPEN,
     RECORD_RECOVER,
+    RECORD_SUBMIT,
 )
 from repro.sim import (
     FAULT_WORKER_CRASH,
@@ -463,6 +467,40 @@ class TestCacheCorruption:
         assert len(corrupt) == 1
 
 
+# --- payload boundary -------------------------------------------------------
+
+class TestUnserializablePayload:
+    @pytest.mark.parametrize("journaled", [False, True],
+                             ids=["memory", "journal"])
+    @pytest.mark.parametrize("output", [
+        ({"x": np.zeros(2)}, 1.0),
+        ({"x": float("nan")}, 1.0),
+        ({"x": 1.0}, float("nan")),
+    ], ids=["ndarray", "nan-payload", "nan-cost"])
+    def test_payload_fails_the_job_not_the_service(self, tmp_path,
+                                                   output, journaled):
+        registry = WorkloadRegistry()
+        registry.register("bad", lambda config, seed, emit: output)
+        path = tmp_path / "j.jsonl"
+        journal = JobJournal(str(path)) if journaled else None
+        service = CampaignService(
+            registry=registry, journal=journal,
+            breakers=BreakerConfig(seed=0, failure_threshold=1,
+                                   open_duration_s=1e6))
+        job = service.submit_and_run(JobSpec(kind="bad"))
+        assert job.state == JOB_FAILED
+        assert job.detail.startswith("ConfigurationError: ")
+        assert job.result is None
+        assert service.stats().failed == 1
+        assert SERVICE_BREAKER_OPEN in _kinds(service.timeline)
+        if journaled:
+            journal.close()
+            last = read_journal(str(path)).records[-1]
+            assert last.type == RECORD_FAIL
+            assert last.payload == {"job_id": job.job_id,
+                                    "detail": job.detail}
+
+
 # --- crash recovery ---------------------------------------------------------
 
 def _run_golden(seed, path):
@@ -484,6 +522,49 @@ def _crash_at(seed, boundary, path):
         for spec in resilient_session_specs(seed):
             service.submit(spec)
         service.run_until_idle()
+
+
+def _rewrite_journal(source, target, edit):
+    """Copy a journal through ``edit(type, payload)``, re-chaining it."""
+    journal = JobJournal(str(target))
+    for record in read_journal(str(source)).records:
+        payload = json.loads(json.dumps(record.payload))
+        edit(record.type, payload)
+        journal.append(record.type, payload)
+    journal.close()
+
+
+def _pair_lists(value):
+    """A JSON value in the older on-disk form: mappings as key-sorted
+    ``[key, value]`` pair lists."""
+    if isinstance(value, dict):
+        return [[key, _pair_lists(value[key])] for key in sorted(value)]
+    if isinstance(value, list):
+        return [_pair_lists(item) for item in value]
+    return value
+
+
+def _empty_kind(rtype, payload):
+    if rtype == RECORD_SUBMIT and payload["job_id"] == 1:
+        payload["spec"]["kind"] = ""
+
+
+def _crash_prob_out_of_range(rtype, payload):
+    if rtype == RECORD_OPEN:
+        payload["faults"]["worker_crash"]["crash_prob"] = 2.0
+
+
+def _previous_format(rtype, payload):
+    if rtype == RECORD_SUBMIT:
+        payload["spec"]["config"] = _pair_lists(payload["spec"]["config"])
+    elif rtype == RECORD_COMPLETE:
+        result = payload["result"]
+        result["payload"] = _pair_lists(result["payload"])
+
+
+_JOURNAL_EDITS = {"empty_kind": _empty_kind,
+                  "crash_prob_out_of_range": _crash_prob_out_of_range,
+                  "previous_format": _previous_format}
 
 
 def _recover_and_finish(seed, path):
@@ -549,6 +630,19 @@ class TestRecovery:
         journal.close()
         with pytest.raises(JournalError, match="diverged"):
             CampaignService.recover(str(rewritten))
+
+    @pytest.mark.parametrize("edit", [
+        "empty_kind", "crash_prob_out_of_range", "previous_format"])
+    def test_undecodable_record_raises_journal_error(self, tmp_path, edit):
+        golden = tmp_path / "golden.jsonl"
+        _run_golden(0, golden)
+        copied = tmp_path / "copied.jsonl"
+        _rewrite_journal(golden, copied, lambda rtype, payload: None)
+        CampaignService.recover(str(copied))  # the rewrite alone is fine
+        edited = tmp_path / "edited.jsonl"
+        _rewrite_journal(golden, edited, _JOURNAL_EDITS[edit])
+        with pytest.raises(JournalError, match=r"record \d+ cannot be"):
+            CampaignService.recover(str(edited))
 
     def test_exhaustive_boundary_sweep(self, tmp_path):
         """Kill and recover at *every* journal record boundary."""
