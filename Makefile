@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint semantic chaos chaos-service check golden-check service-smoke bench-hotpath bench-fleet bench-check bench-trace-smoke bench-paper
+.PHONY: test lint semantic chaos chaos-service check golden-check service-smoke fleet-smoke bench-hotpath bench-fleet bench-check bench-trace-smoke bench-paper
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -37,10 +37,17 @@ semantic:
 service-smoke:
 	REPRO_DETERMINISM=1 $(PYTHON) examples/campaign_service.py
 
+# Fleet smoke: the 100k-node campaign example with the determinism
+# double-run enabled; it also asserts that the 8-way sharded report is
+# bit-identical and spills to the same SHA-256 as the unsharded one.
+fleet-smoke:
+	REPRO_DETERMINISM=1 $(PYTHON) examples/fleet_campaign.py
+
 # Full gate: static analysis (all rules plus the semantic pass), the
-# service determinism smoke, the service chaos suite, the traced
-# benchmark smoke and the perf-regression check, as CI would run them.
-check: lint semantic golden-check service-smoke chaos-service bench-trace-smoke bench-check
+# service and fleet determinism smokes, the service chaos suite, the
+# traced benchmark smoke and the perf-regression check, as CI would
+# run them.
+check: lint semantic golden-check service-smoke fleet-smoke chaos-service bench-trace-smoke bench-check
 
 # PHY golden-vector drift gate: the committed conformance corpus
 # (tests/fixtures/phy_golden/) must match what the current modulators

@@ -10,11 +10,13 @@ across any number of shards lands on bit-identical results — this
 script proves it by re-running sharded and comparing energy exactly.
 
 The full per-node report then streams to JSONL through the
-bounded-memory writer, so nothing fleet-sized ever sits in RAM twice.
+bounded-memory writer, so nothing fleet-sized ever sits in RAM twice;
+the sharded report's spill must match it byte for byte.
 
 Run:  python examples/fleet_campaign.py  (takes a few seconds)
 """
 
+import hashlib
 import pathlib
 import tempfile
 import time
@@ -72,13 +74,19 @@ timeline = simulate_node_timeline(config, node)
 print(f"worst node #{node}: {report.timeouts[node]} timeouts, "
       f"{len(timeline)} events replayed on demand")
 
-# Stream the report to disk through the bounded-memory writer.
+# Stream the report to disk through the bounded-memory writer; the
+# 8-way sharded report spills to the very same bytes.
 with tempfile.TemporaryDirectory() as tmp:
     path = pathlib.Path(tmp) / "fleet_campaign.jsonl"
     stats = write_fleet_spill(report, path)
     size_kb = path.stat().st_size // 1024
     print(f"spilled {stats['rows_written']:,} rows ({size_kb:,} KiB) with "
           f"only {stats['max_buffered']} rows ever resident")
+    sharded_path = pathlib.Path(tmp) / "fleet_campaign_8_shards.jsonl"
+    write_fleet_spill(sharded, sharded_path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert hashlib.sha256(sharded_path.read_bytes()).hexdigest() == digest
+    print(f"8-way sharded spill is byte-identical (sha256 {digest[:16]})")
 
 # With REPRO_DETERMINISM=1 exported, re-prove the contract the hard
 # way: the same (scaled-down) campaign in two fresh interpreters under

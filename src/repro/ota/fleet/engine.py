@@ -34,6 +34,7 @@ completion (only when ``verify_failure_prob > 0``).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -88,6 +89,8 @@ CODE_ABANDONED = 3
 #: Outcome code -> the hardened path's outcome string.
 OUTCOME_LABELS = (OUTCOME_SUCCEEDED, OUTCOME_RESUMED, OUTCOME_ROLLED_BACK,
                   OUTCOME_ABANDONED)
+#: Outcome code -> its label as the spill writes it (a JSON string).
+_OUTCOME_JSON = tuple(json.dumps(label) for label in OUTCOME_LABELS)
 
 GOLDEN_BANK = 0
 UPDATE_BANK = 1
@@ -99,6 +102,100 @@ _STATE_FIELDS = (
 )
 
 
+def _step_round(config: FleetCampaignConfig,
+                cohort: dict[str, np.ndarray]) -> None:
+    """Advance every live row of ``cohort`` by one ARQ round, in place.
+
+    Each per-round draw runs over all rows, live or not, and its result
+    is ANDed with the mask of rows that really draw.  A row's RNG
+    counter moves only under that mask, so a node's ``k``-th draw
+    always hashes counter ``k``, exactly as in :func:`_simulate_node`.
+    The once-per-node verify draw gathers just the completing rows.
+    """
+    keys, counters = cohort["keys"], cohort["counters"]
+    alive, frag = cohort["alive"], cohort["fragments"]
+    round_no = cohort["round_no"]
+    loss = config.loss
+
+    # (1) burst-loss chain transition + forced-loss draw.  Finished rows
+    # draw too; nothing reads their chain state or counters again.  The
+    # two-way selects are spelled as `(c & a) | (~c & b)`: on random
+    # masks that is several times faster than np.where(c, a, b).
+    if loss is not None:
+        counters += 1
+        t = uniforms(keys, counters)
+        was_bad = cohort["ge_bad"]
+        bad = cohort["ge_bad"] = ((was_bad & (t >= loss.p_exit_bad))
+                                  | (~was_bad & (t < loss.p_enter_bad)))
+        counters += 1
+        drop = uniforms(keys, counters)
+        forced = ((bad & (drop < loss.loss_bad))
+                  | (~bad & (drop < loss.loss_good)))
+        forced &= alive
+        cohort["forced_losses"] += forced
+        clear = alive & ~forced
+    else:
+        clear = alive
+
+    # (2) the AP transmits this round's fragment to every live node: an
+    # RX dwell whether or not the packet decodes.
+    is_tail = frag == config.num_fragments - 1
+    is_tail &= alive
+    cohort["data_rx_tail"] += is_tail
+    cohort["rounds"] += alive
+
+    # (3) data-packet outcome (forced losses short-circuit the draw).
+    counters += clear
+    draw = uniforms(keys, counters)
+    data_ok = ((is_tail & (draw < cohort["p_tail"]))
+               | (~is_tail & (draw < cohort["p_full"])))
+    data_ok &= clear
+
+    # (4) the node ACKs every decoded fragment; the AP may miss it.
+    counters += data_ok
+    delivered = uniforms(keys, counters) < cohort["p_ack"]
+    delivered &= data_ok
+    cohort["acks_tx"] += data_ok
+    frag += delivered
+    round_no += 1
+    round_no *= ~delivered
+
+    # Image complete (the tail fragment got through): verify, then
+    # commit or roll back.
+    outcome = cohort["outcome_codes"]
+    done = np.flatnonzero(is_tail & delivered)
+    if done.size:
+        if config.verify_failure_prob > 0.0:
+            counters[done] += 1
+            draw = uniforms(keys[done], counters[done])
+            rolled = draw < config.verify_failure_prob
+        else:
+            rolled = buffers.flags_bool(done.size)
+        outcome[done] = np.where(
+            rolled, CODE_ROLLED_BACK,
+            np.where(cohort["resumes"][done] > 0, CODE_RESUMED,
+                     CODE_SUCCEEDED))
+        cohort["flash_bank"][done] = np.where(rolled, GOLDEN_BANK,
+                                              UPDATE_BANK)
+        alive[done] = False
+
+    # Round budget exhausted: retry the session or abandon the node.
+    failed = round_no >= config.max_rounds_per_fragment
+    failed &= alive
+    sub = np.flatnonzero(failed)
+    if sub.size:
+        attempts = cohort["attempts"]
+        cohort["session_failures"][sub] += 1
+        retryable = attempts[sub] < config.max_session_attempts
+        retry = sub[retryable]
+        attempts[retry] += 1
+        cohort["resumes"][retry] += frag[retry] > 0
+        round_no[retry] = 0
+        abandoned = sub[~retryable]
+        outcome[abandoned] = CODE_ABANDONED
+        alive[abandoned] = False
+
+
 def _simulate_range(config: FleetCampaignConfig, lo: int, hi: int,
                     plan: FleetLinkPlan | None = None
                     ) -> dict[str, np.ndarray]:
@@ -108,126 +205,48 @@ def _simulate_range(config: FleetCampaignConfig, lo: int, hi: int,
     ``lo + i``); :func:`finalize_fleet` turns them into a report.  The
     link plan is always the *full-fleet* plan sliced here, so results
     do not depend on the range boundaries.
+
+    The cohort starts as the output arrays themselves and steps in
+    place under its ``alive`` mask.  Only once half its rows have
+    finished is it compacted: every row is scattered back to its node's
+    slot through the ``pos`` position map, then the finished rows are
+    dropped.  So no second full-size copy of the cohort is ever held.
     """
     if plan is None:
         plan = prepare_links(config)
     n = hi - lo
     ids = buffers.node_ids(lo, hi)
-    keys = node_keys(config.seed, ids)
-    counters = buffers.counters_u64(n)
+    state = {name: buffers.counters_i64(n) for name in (
+        "fragments", "data_rx_tail", "rounds", "acks_tx", "forced_losses",
+        "session_failures", "resumes")}
+    state["attempts"] = buffers.full_i64(n, 1)
+    state["outcome_codes"] = buffers.codes_i8(n, -1)
+    state["flash_bank"] = buffers.codes_i8(n, GOLDEN_BANK)
+    cohort = dict(
+        state, pos=buffers.node_ids(0, n), keys=node_keys(config.seed, ids),
+        counters=buffers.counters_u64(n),
+        p_full=np.asarray(plan.p_data_full[lo:hi]),
+        p_tail=np.asarray(plan.p_data_tail[lo:hi]),
+        p_ack=np.asarray(plan.p_ack[lo:hi]),
+        round_no=buffers.counters_i64(n), ge_bad=buffers.flags_bool(n),
+        alive=buffers.flags_bool(n, True))
 
-    p_full = np.asarray(plan.p_data_full[lo:hi])
-    p_tail = np.asarray(plan.p_data_tail[lo:hi])
-    p_ack = np.asarray(plan.p_ack[lo:hi])
+    live = n
+    while live:
+        _step_round(config, cohort)
+        live = np.count_nonzero(cohort["alive"])
+        if 2 * live <= cohort["pos"].size:
+            pos, keep = cohort["pos"], cohort["alive"]
+            for name, column in state.items():
+                column[pos] = cohort[name]
+            cohort = {name: rows[keep] for name, rows in cohort.items()}
 
-    frag = buffers.counters_i64(n)
-    round_no = buffers.counters_i64(n)
-    attempts = buffers.full_i64(n, 1)
-    d_full = buffers.counters_i64(n)
-    d_tail = buffers.counters_i64(n)
-    timeouts = buffers.counters_i64(n)
-    acks = buffers.counters_i64(n)
-    forced_losses = buffers.counters_i64(n)
-    failures = buffers.counters_i64(n)
-    resumes = buffers.counters_i64(n)
-    outcome = buffers.codes_i8(n, -1)
-    bank = buffers.codes_i8(n, GOLDEN_BANK)
-    active = buffers.flags_bool(n, True)
-    ge_bad = buffers.flags_bool(n)
-
-    num_fragments = config.num_fragments
-    loss = config.loss
-    while True:
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-
-        # (1) burst-loss chain transition + forced-loss draw.
-        if loss is not None:
-            counters[idx] += 1
-            t = uniforms(keys[idx], counters[idx])
-            new_bad = np.where(ge_bad[idx], ~(t < loss.p_exit_bad),
-                               t < loss.p_enter_bad)
-            ge_bad[idx] = new_bad
-            counters[idx] += 1
-            drop = uniforms(keys[idx], counters[idx])
-            forced = drop < np.where(new_bad, loss.loss_bad, loss.loss_good)
-        else:
-            forced = buffers.flags_bool(idx.size)
-        forced_losses[idx] += forced
-
-        # (2) the AP transmits this round's fragment to every active
-        # node: an RX dwell whether or not the packet decodes.
-        is_tail = frag[idx] == num_fragments - 1
-        d_full[idx] += ~is_tail
-        d_tail[idx] += is_tail
-
-        # (3) data-packet outcome (forced losses short-circuit the draw).
-        data_ok = buffers.flags_bool(idx.size)
-        clear = ~forced
-        sub = idx[clear]
-        if sub.size:
-            counters[sub] += 1
-            draw = uniforms(keys[sub], counters[sub])
-            data_ok[clear] = draw < np.where(is_tail[clear], p_tail[sub],
-                                             p_full[sub])
-
-        # (4) the node ACKs every decoded fragment; the AP may miss it.
-        ack_ok = buffers.flags_bool(idx.size)
-        sub = idx[data_ok]
-        if sub.size:
-            counters[sub] += 1
-            draw = uniforms(keys[sub], counters[sub])
-            ack_ok[data_ok] = draw < p_ack[sub]
-            acks[sub] += 1
-
-        delivered = data_ok & ack_ok
-        sub = idx[delivered]
-        frag[sub] += 1
-        round_no[sub] = 0
-        sub = idx[~delivered]
-        timeouts[sub] += 1
-        round_no[sub] += 1
-
-        # Image complete: verify, then commit or roll back.
-        done = frag[idx] == num_fragments
-        sub = idx[done]
-        if sub.size:
-            if config.verify_failure_prob > 0.0:
-                counters[sub] += 1
-                draw = uniforms(keys[sub], counters[sub])
-                rolled = draw < config.verify_failure_prob
-            else:
-                rolled = buffers.flags_bool(sub.size)
-            outcome[sub] = np.where(
-                rolled, CODE_ROLLED_BACK,
-                np.where(resumes[sub] > 0, CODE_RESUMED,
-                         CODE_SUCCEEDED)).astype(np.int8)
-            bank[sub] = np.where(rolled, GOLDEN_BANK,
-                                 UPDATE_BANK).astype(np.int8)
-            active[sub] = False
-
-        # Round budget exhausted: retry the session or abandon the node.
-        failed = round_no[idx] >= config.max_rounds_per_fragment
-        sub = idx[failed]
-        if sub.size:
-            failures[sub] += 1
-            retryable = attempts[sub] < config.max_session_attempts
-            retry = sub[retryable]
-            attempts[retry] += 1
-            resumes[retry] += frag[retry] > 0
-            round_no[retry] = 0
-            abandoned = sub[~retryable]
-            outcome[abandoned] = CODE_ABANDONED
-            active[abandoned] = False
-
-    return {
-        "node_ids": ids, "fragments": frag, "attempts": attempts,
-        "data_rx_full": d_full, "data_rx_tail": d_tail,
-        "timeouts": timeouts, "acks_tx": acks,
-        "forced_losses": forced_losses, "session_failures": failures,
-        "resumes": resumes, "outcome_codes": outcome, "flash_bank": bank,
-    }
+    # Every round is one data RX and ends in a delivery or a timeout.
+    rounds = state.pop("rounds")
+    state["data_rx_full"] = rounds - state["data_rx_tail"]
+    state["timeouts"] = rounds - state["fragments"]
+    state["node_ids"] = ids
+    return {name: state[name] for name in _STATE_FIELDS}
 
 
 def _simulate_node(config: FleetCampaignConfig, plan: FleetLinkPlan,
@@ -592,11 +611,29 @@ def write_fleet_spill(report: FleetReport, path,
     """Spill a fleet report to JSONL with a bounded in-memory buffer.
 
     Layout: one campaign header row, one row per node, then the rollup
-    rows.  Returns the writer's spill statistics (``rows_written``,
-    ``max_buffered``) so callers can assert the resident buffer stayed
-    bounded.
+    rows; every line is exactly ``json.dumps`` of its row.  Node rows
+    are rendered column-wise, ``buffer_rows`` at a time (ints bare,
+    floats by ``repr``, as ``json.dumps`` writes them).  Returns the
+    writer's spill statistics (``rows_written``, ``max_buffered``) so
+    callers can assert the resident buffer stayed bounded.
+
+    Raises:
+        ConfigurationError: when the report holds a NaN or infinite
+            float, which JSON cannot encode; no file is created.
     """
-    outcomes = report.outcomes()
+    rollup_rows = report.rollup.to_rows()
+    totals = [report.total_energy_j]
+    totals += [row[name] for row in rollup_rows
+               for name in ("time_s", "energy_j")]
+    if not (np.isfinite(report.duration_s).all()
+            and np.isfinite(report.energy_j).all()
+            and np.isfinite(totals).all()):
+        raise ConfigurationError(
+            "fleet report holds NaN or infinite values; JSON cannot "
+            "encode them")
+    columns = (report.node_ids, report.outcome_codes, report.fragments,
+               report.attempts, report.timeouts, report.flash_bank,
+               report.duration_s, report.energy_j, report.events_per_node)
     with StreamingLedgerWriter(path, buffer_rows=buffer_rows) as writer:
         writer.write_row({
             "record": "fleet-campaign",
@@ -607,19 +644,17 @@ def write_fleet_spill(report: FleetReport, path,
             "total_energy_j": report.total_energy_j,
             "outcomes": report.outcome_counts(),
         })
-        for i in range(report.num_nodes):
-            writer.write_row({
-                "record": "node",
-                "node": int(report.node_ids[i]),
-                "outcome": outcomes[i],
-                "fragments": int(report.fragments[i]),
-                "attempts": int(report.attempts[i]),
-                "timeouts": int(report.timeouts[i]),
-                "flash_bank": int(report.flash_bank[i]),
-                "duration_s": float(report.duration_s[i]),
-                "energy_j": float(report.energy_j[i]),
-                "events": int(report.events_per_node[i]),
-            })
-        writer.write_rows(report.rollup.to_rows())
+        for start in range(0, report.num_nodes, buffer_rows):
+            batch = [column[start:start + buffer_rows].tolist()
+                     for column in columns]
+            writer.write_lines([
+                f'{{"record": "node", "node": {node}, '
+                f'"outcome": {_OUTCOME_JSON[code]}, "fragments": {frag}, '
+                f'"attempts": {attempts}, "timeouts": {timeouts}, '
+                f'"flash_bank": {bank}, "duration_s": {duration!r}, '
+                f'"energy_j": {energy!r}, "events": {events}}}'
+                for node, code, frag, attempts, timeouts, bank, duration,
+                energy, events in zip(*batch)])
+        writer.write_rows(rollup_rows)
     return {"rows_written": writer.rows_written,
             "max_buffered": writer.max_buffered}

@@ -46,13 +46,19 @@ _SHIFT_31 = np.uint64(31)
 _SHIFT_11 = np.uint64(11)
 
 
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer applied to ``z`` in place; returns ``z``."""
+    z ^= z >> _SHIFT_30
+    z *= _MULT1_U64
+    z ^= z >> _SHIFT_27
+    z *= _MULT2_U64
+    z ^= z >> _SHIFT_31
+    return z
+
+
 def mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer over a ``uint64`` array (wraps silently)."""
-    z = z ^ (z >> _SHIFT_30)
-    z = z * _MULT1_U64
-    z = z ^ (z >> _SHIFT_27)
-    z = z * _MULT2_U64
-    return z ^ (z >> _SHIFT_31)
+    return _mix64_inplace(z.copy())
 
 
 def mix64_reference(z: int) -> int:
@@ -73,7 +79,7 @@ def node_keys(seed: int, ids: np.ndarray) -> np.ndarray:
     """
     base = np.uint64(seed & MASK64)
     z = base + (ids.astype(np.uint64) + _ONE_U64) * _GOLDEN_U64
-    return mix64(z)
+    return _mix64_inplace(z)
 
 
 def node_keys_reference(seed: int, ids: "list[int] | np.ndarray") -> list[int]:
@@ -89,8 +95,13 @@ def uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     ``counters`` holds 1-based draw indices (callers increment before
     drawing); equal indices across calls return equal values.
     """
-    z = mix64(keys + counters * _GOLDEN_U64)
-    return (z >> _SHIFT_11).astype(np.float64) * TO_UNIT_53
+    z = counters * _GOLDEN_U64
+    z += keys
+    _mix64_inplace(z)
+    z >>= _SHIFT_11
+    draws = z.astype(np.float64)
+    draws *= TO_UNIT_53
+    return draws
 
 
 def uniforms_reference(keys: "list[int] | np.ndarray",

@@ -12,8 +12,9 @@ the two fleet-scale alternatives:
   aggregate without ever materializing the union ledger.
 * :class:`StreamingLedgerWriter` — an incremental JSON-Lines writer
   with a bounded in-memory row buffer.  Producers append one row at a
-  time; the buffer drains to disk every ``buffer_rows`` rows, so the
-  resident cost of spilling a million-row ledger is a few kilobytes.
+  time, or a batch of pre-serialized lines; the buffer drains to disk
+  every ``buffer_rows`` rows, so the resident cost of spilling a
+  million-row ledger is a few kilobytes.
   :func:`read_jsonl_records` is the matching generator-based reader.
 
 The spill format follows :mod:`repro.sim.trace`: one JSON object per
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NoReturn
 
 from repro.errors import ConfigurationError
 from repro.sim.timeline import Timeline
@@ -225,18 +226,36 @@ class StreamingLedgerWriter:
         Raises:
             ConfigurationError: when the writer is already closed.
         """
-        if self._closed:
-            raise ConfigurationError("writer is closed")
-        self._buffer.append(json.dumps(record))
-        if len(self._buffer) > self.max_buffered:
-            self.max_buffered = len(self._buffer)
-        if len(self._buffer) >= self.buffer_rows:
-            self.flush()
+        self.write_lines([json.dumps(record)])
 
     def write_rows(self, records: Iterable[dict[str, Any]]) -> None:
         """Write many rows through the same bounded buffer."""
         for record in records:
             self.write_row(record)
+
+    def write_lines(self, lines: list[str]) -> None:
+        """Buffer a batch of already-serialized rows (no newlines).
+
+        Rows already buffered drain first when the batch would not fit,
+        so at most ``buffer_rows`` rows are ever resident.
+
+        Raises:
+            ConfigurationError: when the writer is already closed, or
+                the batch is longer than ``buffer_rows``.
+        """
+        if self._closed:
+            raise ConfigurationError("writer is closed")
+        if len(lines) > self.buffer_rows:
+            raise ConfigurationError(
+                f"a batch of {len(lines)} lines exceeds buffer_rows="
+                f"{self.buffer_rows}")
+        if len(self._buffer) + len(lines) > self.buffer_rows:
+            self.flush()
+        self._buffer.extend(lines)
+        if len(self._buffer) > self.max_buffered:
+            self.max_buffered = len(self._buffer)
+        if len(self._buffer) >= self.buffer_rows:
+            self.flush()
 
     def flush(self) -> None:
         """Drain the buffer to disk."""
@@ -261,18 +280,24 @@ class StreamingLedgerWriter:
         self.close()
 
 
+def _reject_non_finite(token: str) -> NoReturn:
+    raise ConfigurationError(
+        f"non-finite number {token} is not valid JSON (RFC 8259)")
+
+
 def read_jsonl_records(path: str | Path) -> Iterator[dict[str, Any]]:
     """Yield spill rows one at a time (never loads the whole file).
 
     Raises:
-        ConfigurationError: for a row that is not a JSON object.
+        ConfigurationError: for a row that is not a JSON object, or one
+            holding ``NaN``, ``Infinity`` or ``-Infinity``.
     """
     with Path(path).open("r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
+            row = json.loads(line, parse_constant=_reject_non_finite)
             if not isinstance(row, dict):
                 raise ConfigurationError(
                     f"expected a JSON object per line, got {row!r}")

@@ -10,8 +10,14 @@ timeline reconstruction.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.ota.fleet import (
@@ -21,11 +27,14 @@ from repro.ota.fleet import (
     prepare_links,
     run_fleet_campaign,
     run_fleet_campaign_reference,
+    run_fleet_campaign_sharded,
     simulate_node_timeline,
     write_fleet_spill,
 )
+from repro.ota.fleet.engine import _simulate_range, _simulate_range_reference
 from repro.radio.sx1276 import packet_error_probability
 from repro.sim import TimelineRollup, read_jsonl_records
+from repro.sim.stream import DEFAULT_BUFFER_ROWS
 
 PER_NODE_ARRAYS = (
     "node_ids", "outcome_codes", "fragments", "attempts", "data_rx_full",
@@ -49,12 +58,28 @@ HARSH = FleetCampaignConfig(
 MCU_IMAGE = FleetCampaignConfig(num_nodes=12, image_bytes=700, seed=9,
                                 is_fpga_image=False,
                                 loss=FleetBurstLoss())
+# Compaction edges of the stepper: most of the cohort abandoning in its
+# first round, a draw sequence with no loss or verify draws, and a
+# one-node fleet.
+ABANDON_FAST = FleetCampaignConfig(
+    num_nodes=40, image_bytes=120, seed=13, max_rounds_per_fragment=1,
+    max_session_attempts=1,
+    loss=FleetBurstLoss(p_enter_bad=0.7, p_exit_bad=0.5,
+                        loss_bad=1.0, loss_good=0.0))
+LOSSLESS = FleetCampaignConfig(
+    num_nodes=32, image_bytes=1200, seed=17, max_rounds_per_fragment=2,
+    max_radius_m=2500.0, loss=None, verify_failure_prob=0.0)
+ONE_NODE = FleetCampaignConfig(num_nodes=1, image_bytes=600, seed=21,
+                               loss=FleetBurstLoss(),
+                               verify_failure_prob=0.5)
 
-ALL_CONFIGS = (CLEAN, LOSSY, HARSH, MCU_IMAGE)
+ALL_CONFIGS = (CLEAN, LOSSY, HARSH, MCU_IMAGE, ABANDON_FAST, LOSSLESS,
+               ONE_NODE)
+CONFIG_IDS = ["clean", "lossy", "harsh", "mcu", "abandon-fast", "lossless",
+              "one-node"]
 
 
-@pytest.mark.parametrize("config", ALL_CONFIGS,
-                         ids=["clean", "lossy", "harsh", "mcu"])
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
 def test_vectorized_engine_matches_reference_bitwise(config):
     fast = run_fleet_campaign(config)
     reference = run_fleet_campaign_reference(config)
@@ -85,8 +110,7 @@ def test_pinned_campaign_golden():
     assert float(report.total_energy_j).hex() == golden["energy_hex"]
 
 
-@pytest.mark.parametrize("config", ALL_CONFIGS,
-                         ids=["clean", "lossy", "harsh", "mcu"])
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
 def test_node_timeline_reconstruction_is_event_exact(config):
     report = run_fleet_campaign(config)
     plan = prepare_links(config)
@@ -178,3 +202,143 @@ def test_config_validation_rejects_bad_values():
         FleetBurstLoss(p_enter_bad=-0.1)
     with pytest.raises(ConfigurationError):
         simulate_node_timeline(CLEAN, CLEAN.num_nodes)
+
+
+def test_edge_configs_reach_the_compaction_edges():
+    report = run_fleet_campaign(ABANDON_FAST)
+    rounds = report.data_rx_full + report.data_rx_tail
+    abandoned = np.asarray(report.outcomes()) == "abandoned"
+    first_round_abandons = (rounds == 1) & abandoned
+    assert 2 * int(np.sum(first_round_abandons)) > ABANDON_FAST.num_nodes
+    assert 0 < report.outcome_counts()["succeeded"]
+    lossless = run_fleet_campaign(LOSSLESS)
+    assert int(np.sum(lossless.forced_losses)) == 0
+    assert lossless.outcome_counts()["rolled_back"] == 0
+    assert 0 < lossless.outcome_counts()["abandoned"] < LOSSLESS.num_nodes
+
+
+# Three fragments and a four-round budget: nodes often finish on their
+# tail fragment while most of the cohort is still stepping, so a
+# finished row that a mask lets through would be counted.
+LOSSY_40 = FleetCampaignConfig(
+    num_nodes=40, image_bytes=180, seed=0, max_rounds_per_fragment=4,
+    max_session_attempts=2,
+    loss=FleetBurstLoss(p_enter_bad=0.35, p_exit_bad=0.15,
+                        loss_bad=0.97, loss_good=0.02),
+    verify_failure_prob=0.1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32),
+       bounds=st.tuples(st.integers(min_value=0, max_value=40),
+                        st.integers(min_value=0, max_value=40)))
+@example(seed=21, bounds=(7, 40))
+def test_range_stepper_matches_reference_on_any_slice(seed, bounds):
+    # With lo > 0 a node's row, its slot in the outputs and its id all
+    # differ, so an offset bug in the position map cannot hide.
+    lo, hi = sorted(bounds)
+    config = dataclasses.replace(LOSSY_40, seed=seed)
+    plan = prepare_links(config)
+    fast = _simulate_range(config, lo, hi, plan)
+    reference = _simulate_range_reference(config, lo, hi, plan)
+    assert fast.keys() == reference.keys()
+    for name, expected in reference.items():
+        assert fast[name].dtype == expected.dtype, name
+        assert np.array_equal(fast[name], expected), name
+
+
+# -- spill format ----------------------------------------------------------
+
+
+def _spill_rows(report) -> list[dict]:
+    """The rows a spill encodes, in file order, built as plain dicts.
+
+    This is the oracle: each spill line must be ``json.dumps`` of one.
+    """
+    outcomes = report.outcomes()
+    header = {
+        "record": "fleet-campaign",
+        "num_nodes": report.num_nodes,
+        "image_bytes": report.config.image_bytes,
+        "seed": report.config.seed,
+        "total_events": report.total_events,
+        "total_energy_j": report.total_energy_j,
+        "outcomes": report.outcome_counts(),
+    }
+    nodes = [{
+        "record": "node",
+        "node": int(report.node_ids[i]),
+        "outcome": outcomes[i],
+        "fragments": int(report.fragments[i]),
+        "attempts": int(report.attempts[i]),
+        "timeouts": int(report.timeouts[i]),
+        "flash_bank": int(report.flash_bank[i]),
+        "duration_s": float(report.duration_s[i]),
+        "energy_j": float(report.energy_j[i]),
+        "events": int(report.events_per_node[i]),
+    } for i in range(report.num_nodes)]
+    return [header, *nodes, *report.rollup.to_rows()]
+
+
+def _assert_spill_is_json_dumps(report, path, buffer_rows) -> None:
+    stats = write_fleet_spill(report, path, buffer_rows=buffer_rows)
+    lines = [json.dumps(row) for row in _spill_rows(report)]
+    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+    assert stats["rows_written"] == len(lines)
+    assert stats["max_buffered"] <= buffer_rows
+
+
+@pytest.mark.parametrize("buffer_rows", [1, 7, DEFAULT_BUFFER_ROWS])
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
+def test_spill_lines_are_json_dumps_of_each_row(tmp_path, config,
+                                                buffer_rows):
+    _assert_spill_is_json_dumps(run_fleet_campaign(config),
+                                tmp_path / "fleet.jsonl", buffer_rows)
+
+
+def test_spill_writes_floats_exactly_as_json_dumps(tmp_path):
+    # Integral, tiny, huge and shortest-repr floats: a %g or fixed
+    # precision format would write some of them differently.
+    report = run_fleet_campaign(CLEAN)
+    tricky = np.resize([1.0, 0.1, 1e-07, 1e16, 2.5e-320, 123456789.125,
+                        -0.0, 1 / 3], report.num_nodes)
+    report = dataclasses.replace(report, duration_s=tricky,
+                                 energy_j=tricky[::-1].copy())
+    _assert_spill_is_json_dumps(report, tmp_path / "fleet.jsonl", 5)
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
+def test_sharded_spill_is_byte_identical(tmp_path, config):
+    whole, sharded = tmp_path / "whole.jsonl", tmp_path / "sharded.jsonl"
+    write_fleet_spill(run_fleet_campaign(config), whole)
+    write_fleet_spill(run_fleet_campaign_sharded(config, shards=3), sharded)
+    assert whole.read_bytes() == sharded.read_bytes()
+
+
+FOUR_NODES = FleetCampaignConfig(num_nodes=4, image_bytes=900, seed=4)
+
+
+@pytest.mark.parametrize("name, values", [
+    ("energy_j", [math.nan, math.inf, 1.0, 2.0]),
+    ("energy_j", [1.0, -math.inf, 1.0, 2.0]),
+    ("duration_s", [1.0, 2.0, math.nan, 4.0]),
+])
+def test_spill_rejects_non_finite_values_before_writing(tmp_path, name,
+                                                        values):
+    report = dataclasses.replace(run_fleet_campaign(FOUR_NODES),
+                                 **{name: np.array(values)})
+    path = tmp_path / "fleet.jsonl"
+    with pytest.raises(ConfigurationError):
+        write_fleet_spill(report, path)
+    assert not path.exists()
+
+
+def test_spill_rejects_a_non_finite_rollup_cell(tmp_path):
+    report = run_fleet_campaign(FOUR_NODES)
+    rollup = TimelineRollup()
+    rollup.merge(report.rollup)
+    rollup.add("fault.loss", "node_radio", energy_j=math.inf)
+    path = tmp_path / "fleet.jsonl"
+    with pytest.raises(ConfigurationError):
+        write_fleet_spill(dataclasses.replace(report, rollup=rollup), path)
+    assert not path.exists()

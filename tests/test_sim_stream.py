@@ -10,6 +10,8 @@ ledger equivalence, row round-trips), the bounded-memory
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -131,6 +133,52 @@ def test_reader_rejects_non_object_rows(tmp_path):
     path.write_text('{"record": "ok"}\n[1, 2, 3]\n')
     with pytest.raises(ConfigurationError):
         list(read_jsonl_records(path))
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_reader_rejects_non_finite_numbers(tmp_path, token):
+    # RFC 8259 has no NaN or Infinity; Python's json module accepts them
+    # unless told otherwise.
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"record": "ok", "energy_j": 1.0}\n'
+                    f'{{"record": "node", "energy_j": {token}}}\n')
+    rows = read_jsonl_records(path)
+    assert next(rows)["energy_j"] == 1.0
+    with pytest.raises(ConfigurationError):
+        next(rows)
+
+
+def test_write_lines_keeps_the_bound_and_the_order(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    buffer_rows = 8
+    written = 0
+    with StreamingLedgerWriter(path, buffer_rows=buffer_rows) as writer:
+        for size in (1, buffer_rows - 1, buffer_rows, buffer_rows, 1,
+                     buffer_rows - 1):
+            writer.write_row({"record": "row", "n": written})
+            written += 1
+            writer.write_lines([json.dumps({"record": "line", "n": n})
+                                for n in range(written, written + size)])
+            written += size
+            assert writer.max_buffered <= buffer_rows
+    lines = path.read_text().splitlines()
+    assert writer.rows_written == len(lines) == written
+    assert writer.max_buffered == buffer_rows
+    assert [row["n"] for row in read_jsonl_records(path)] \
+        == list(range(written))
+
+
+def test_write_lines_rejects_oversized_batches_and_use_after_close(
+        tmp_path):
+    writer = StreamingLedgerWriter(tmp_path / "x.jsonl", buffer_rows=4)
+    with pytest.raises(ConfigurationError):
+        writer.write_lines(['{"record": "a"}'] * 5)
+    writer.write_lines(['{"record": "a"}'] * 4)
+    assert writer.max_buffered == 4
+    writer.close()
+    with pytest.raises(ConfigurationError):
+        writer.write_lines(['{"record": "b"}'])
+    assert writer.rows_written == 4
 
 
 # -- k-way timeline merge --------------------------------------------------
