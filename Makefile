@@ -21,7 +21,7 @@ chaos:
 chaos-service:
 	REPRO_DETERMINISM=1 $(PYTHON) -m pytest -q tests/test_chaos_service.py
 
-# reprolint: the domain-aware static analyzer over src/ (all sixteen
+# reprolint: the domain-aware static analyzer over src/ (all fifteen
 # rules; scopes and exemptions are built into repro.analysis.config).
 lint:
 	$(PYTHON) -m repro.analysis src
@@ -44,10 +44,10 @@ fleet-smoke:
 	REPRO_DETERMINISM=1 $(PYTHON) examples/fleet_campaign.py
 
 # Full gate: static analysis (all rules plus the semantic pass), the
-# service and fleet determinism smokes, the service chaos suite, the
-# traced benchmark smoke and the perf-regression check, as CI would
-# run them.
-check: lint semantic golden-check service-smoke fleet-smoke chaos-service bench-trace-smoke bench-check
+# service and fleet determinism smokes, the OTA and service chaos
+# suites, the traced benchmark smoke and the perf-regression check, as
+# CI would run them.
+check: lint semantic golden-check service-smoke fleet-smoke chaos chaos-service bench-trace-smoke bench-check
 
 # PHY golden-vector drift gate: the committed conformance corpus
 # (tests/fixtures/phy_golden/) must match what the current modulators

@@ -10,14 +10,16 @@ import numpy as np
 from _report import format_table, publish
 
 from repro.fpga import generate_bitstream
+from repro.ota import AccessPoint
 from repro.ota.broadcast import simulate_broadcast_campaign
-from repro.testbed import campus_deployment, run_campaign
+from repro.testbed import campus_deployment
 
 
 def run_ablation(rng):
     deployment = campus_deployment(max_radius_m=900.0)
     image = generate_bitstream(0.03, seed=43)
-    sequential = run_campaign(deployment, image, "sequential", rng)
+    sequential = AccessPoint(deployment, image,
+                             max_attempts_per_node=1).run_campaign(rng)
     broadcast = simulate_broadcast_campaign(deployment, image, rng)
     return sequential, broadcast
 
@@ -33,7 +35,7 @@ def test_ablation_broadcast_vs_sequential(benchmark, rng):
         ["per-node energy", f"{seq_energy * 1e3:.0f} mJ",
          f"{broadcast.per_node_energy_j * 1e3:.0f} mJ"],
         ["data packets on air",
-         f"{sum(r.report.transfer.packets_sent for r in sequential.results if r.report)}",
+         f"{sum(s.report.transfer.packets_sent for s in sequential.sessions if s.report)}",
          f"{broadcast.broadcast_packets}"],
         ["nodes completed", "20/20",
          f"{broadcast.completed_nodes}/{broadcast.node_count}"],

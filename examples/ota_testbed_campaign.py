@@ -12,7 +12,8 @@ Run:  python examples/ota_testbed_campaign.py  (takes ~10 s)
 import numpy as np
 
 from repro.fpga import generate_bitstream
-from repro.testbed import campus_deployment, run_campaign
+from repro.ota import AccessPoint
+from repro.testbed import campus_deployment
 
 rng = np.random.default_rng(42)
 
@@ -21,21 +22,26 @@ image = generate_bitstream(utilization=0.03, seed=43)  # the BLE design
 print(f"pushing a {len(image) / 1024:.0f} kB bitstream to "
       f"{len(deployment.nodes)} nodes over SF8/BW500/CR6...\n")
 
-campaign = run_campaign(deployment, image, "ble_fpga", rng)
+# One session per node, as in the paper's Fig. 14 runs (no retries).
+campaign = AccessPoint(deployment, image,
+                       max_attempts_per_node=1).run_campaign(rng)
 
 print(f"{'node':>4s} {'dist':>7s} {'RSSI':>7s} {'time':>7s} "
       f"{'retx':>5s} {'energy':>8s}")
-for result in sorted(campaign.results, key=lambda r: r.duration_s):
-    if result.report is None:
-        print(f"{result.node_id:4d} {result.distance_m:5.0f} m "
-              f"{result.downlink_rssi_dbm:5.0f}  FAILED")
+rows = sorted(zip(campaign.sessions, deployment.nodes),
+              key=lambda row: row[0].report.total_time_s
+              if row[0].succeeded else float("inf"))
+for session, node in rows:
+    if not session.succeeded:
+        print(f"{session.node_id:4d} {node.distance_m:5.0f} m "
+              f"{session.downlink_rssi_dbm:5.0f}  FAILED")
         continue
-    transfer = result.report.transfer
-    print(f"{result.node_id:4d} {result.distance_m:5.0f} m "
-          f"{result.downlink_rssi_dbm:5.0f} "
-          f"{result.duration_s:5.0f} s "
-          f"{transfer.retransmissions:5d} "
-          f"{result.report.node_energy_j * 1e3:6.0f} mJ")
+    report = session.report
+    print(f"{session.node_id:4d} {node.distance_m:5.0f} m "
+          f"{session.downlink_rssi_dbm:5.0f} "
+          f"{report.total_time_s:5.0f} s "
+          f"{report.transfer.retransmissions:5d} "
+          f"{report.node_energy_j * 1e3:6.0f} mJ")
 
 durations, probabilities = campaign.cdf()
 print(f"\nmean {campaign.mean_duration_s():.0f} s "

@@ -7,7 +7,7 @@ as a Python library: the LoRa and BLE PHYs at the sample level, the
 AT86RF215 radio and LVDS interface models, the ECP5 FPGA resource and
 configuration models, the MSP432 MCU, the seven-domain power management
 unit, the miniLZO-based OTA programming stack, a LoRaWAN MAC, and a
-campus testbed simulator.
+campus testbed with its OTA programming campaigns.
 
 Quick start::
 

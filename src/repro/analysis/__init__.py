@@ -10,8 +10,8 @@ machine-checks them:
 * :mod:`repro.analysis.engine` — AST rule engine with a registry,
   per-finding rule IDs / locations / fix-it hints and inline
   ``# reprolint: disable=...`` suppressions.
-* :mod:`repro.analysis.rules` — the sixteen domain rules
-  (REPRO001..REPRO016).
+* :mod:`repro.analysis.rules` — the fifteen domain rules
+  (REPRO001..REPRO016; REPRO010 was retired).
 * :mod:`repro.analysis.semantic` — the whole-program model behind the
   semantic rules REPRO011..REPRO013.
 * :mod:`repro.analysis.determinism` — the ``REPRO_DETERMINISM=1``

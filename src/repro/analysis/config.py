@@ -26,12 +26,6 @@ DEFAULT_ACCOUNTING_EXEMPT = (
     "*/repro/analysis/*",
 )
 
-#: The one sanctioned allocation site the fleet buffer rule (REPRO010)
-#: must not flag: the buffer helpers themselves.
-DEFAULT_FLEET_BUFFER_EXEMPT = (
-    "*/repro/ota/fleet/buffers.py",
-)
-
 #: The one sanctioned engine-calling module the service-discipline rule
 #: (REPRO014) polices everyone else into using: the workload adapters.
 DEFAULT_SERVICE_EXEMPT = (
@@ -70,6 +64,5 @@ def default_config() -> LintConfig:
         rule_exempt={
             "REPRO005": DEFAULT_UNITS_EXEMPT,
             "REPRO008": DEFAULT_ACCOUNTING_EXEMPT,
-            "REPRO010": DEFAULT_FLEET_BUFFER_EXEMPT,
             "REPRO014": DEFAULT_SERVICE_EXEMPT,
         })

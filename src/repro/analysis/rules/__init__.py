@@ -15,11 +15,9 @@ REPRO006  constant-provenance   component constants cite datasheet/paper
 REPRO007  no-swallowed-errors   no bare/blanket silent exception handlers
 REPRO008  accounting-discipline time/energy accumulate on the sim timeline
 REPRO009  fault-discipline      fault models constructed with explicit seeds
-REPRO010  fleet-buffer-discipline  fleet cohort arrays come from the
-                                buffer helpers, never ad-hoc allocation
 REPRO011  determinism-taint     no nondeterministic value reaches a
-                                ledger/SimEvent/plan-cache/buffer sink
-                                (whole-program dataflow)
+                                ledger/SimEvent/plan-cache/fleet-report
+                                sink (whole-program dataflow)
 REPRO012  parity-signature-drift  twins keep matching signatures
 REPRO013  shard-safety          fleet-reachable code never touches
                                 function-mutated module-level state
@@ -45,7 +43,6 @@ from repro.analysis.rules import (  # noqa: F401  (registration side effects)
     control,
     dtype,
     faultrng,
-    fleet,
     parity,
     provenance,
     recovery,

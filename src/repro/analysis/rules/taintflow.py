@@ -5,7 +5,7 @@ nondeterministic values — wall clocks, ``os.urandom``, process-global
 RNG state, set iteration order, environment reads — through
 assignments, returns and calls.  Any such value arriving at a
 reproducibility sink (a timeline ``record``, a ``SimEvent`` payload, a
-plan-cache key, a fleet cohort buffer) silently breaks the repo's
+plan-cache key, a ``FleetReport``) silently breaks the repo's
 bit-exactness contract: two runs of the "same" experiment stop
 producing the same ledger.  This rule surfaces every concrete
 source-to-sink flow, including flows that cross module boundaries
@@ -22,13 +22,13 @@ from repro.analysis.engine import Finding, Project, ProjectRule, register
 
 @register
 class DeterminismTaintRule(ProjectRule):
-    """No nondeterministic value may reach a ledger/cache/buffer sink."""
+    """No nondeterministic value may reach a ledger/cache/report sink."""
 
     rule_id = "REPRO011"
     name = "determinism-taint"
     description = ("no nondeterministic value (clocks, os.urandom, "
                    "process-global RNG, set order, environment) may reach "
-                   "a timeline/SimEvent/plan-cache/fleet-buffer sink")
+                   "a timeline/SimEvent/plan-cache/fleet-report sink")
 
     def check_project(self, project: Project,
                       config: LintConfig) -> Iterable[Finding]:

@@ -14,7 +14,7 @@ semantic layer built from the very ASTs the engine already parses:
   pass tracking "determinism taint" from sources (``time.time``,
   ``os.urandom``, unseeded ``random.*``/``np.random.*``, set iteration
   order, ``id()``, environment reads) into sinks (timeline records,
-  ``SimEvent`` payloads, plan-cache keys, fleet cohort buffers).
+  ``SimEvent`` payloads, plan-cache keys, fleet reports).
 * :mod:`~repro.analysis.semantic.summaries` — per-function call
   summaries (which parameters flow to the return value or into a sink)
   iterated to a fixpoint, which is what makes the taint pass

@@ -5,7 +5,7 @@ graph + summaries + sink hits) and exposes the three derived analyses
 behind rules REPRO011-013:
 
 * :attr:`SemanticModel.sink_findings` — concrete determinism taint
-  arriving at a ledger/cache/buffer sink (REPRO011).
+  arriving at a ledger/cache/report sink (REPRO011).
 * :func:`parity_pairs` / :func:`signature_drift` — fast/``*_reference``
   twin pairing and signature comparison (REPRO012).
 * :func:`test_identifiers` — every name a test file mentions, which

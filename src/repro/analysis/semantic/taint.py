@@ -25,7 +25,7 @@ of :class:`Taint` atoms.  Three taint kinds exist:
 
 Sinks are where nondeterminism becomes a reproducibility bug: timeline
 ``record(...)`` calls, ``SimEvent`` payloads, ``get_or_build`` plan
-cache keys, and the fleet cohort buffer allocators.  A sink fed only
+cache keys, and the fleet engine's ``FleetReport`` arrays.  A sink fed only
 ``param`` taint charges the parameter in the summary; concrete taint
 reaching a sink is an immediate :class:`SinkHit` — the raw material of
 rule REPRO011.
@@ -153,13 +153,16 @@ SINK_METHODS: dict[str, tuple[str, tuple[int, ...] | None,
     "get_or_build": ("plan-cache key", (0,), frozenset({"key"})),
 }
 
-#: Constructors/callables that are sinks by canonical name.
-SINK_CALLS: dict[str, str] = {
-    "SimEvent": "SimEvent payload",
+#: Constructors that are sinks, by simple name: the sink label and the
+#: canonical names a call may resolve to (the bare name is a use inside
+#: the defining module, or one the import table cannot resolve).
+SINK_CALLS: dict[str, tuple[str, frozenset[str]]] = {
+    "SimEvent": ("SimEvent payload", frozenset({
+        "SimEvent", "repro.sim.events.SimEvent", "repro.sim.SimEvent"})),
+    "FleetReport": ("fleet report", frozenset({
+        "FleetReport", "repro.ota.fleet.engine.FleetReport",
+        "repro.ota.fleet.FleetReport"})),
 }
-
-#: Canonical prefix marking the fleet cohort buffer allocators.
-FLEET_BUFFER_PREFIX = "repro.ota.fleet.buffers."
 
 
 @dataclass(frozen=True)
@@ -403,13 +406,10 @@ class _FunctionTaint(ast.NodeVisitor):
                     checked = checked | taint
             if checked:
                 self._record_sink(call, label, checked)
-        if (simple in SINK_CALLS and arg_taint
-                and canonical in (simple, f"repro.sim.events.{simple}",
-                                  f"repro.sim.{simple}")):
-            self._record_sink(call, SINK_CALLS[simple], arg_taint)
-        if (canonical is not None and arg_taint
-                and canonical.startswith(FLEET_BUFFER_PREFIX)):
-            self._record_sink(call, "fleet cohort buffer", arg_taint)
+        if simple in SINK_CALLS and arg_taint:
+            label, names = SINK_CALLS[simple]
+            if canonical in names:
+                self._record_sink(call, label, arg_taint)
 
     def _taint_of_call(self, call: ast.Call) -> TaintSet:
         canonical = canonical_name(call.func, self.mod.aliases)

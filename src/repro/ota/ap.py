@@ -15,6 +15,7 @@ to run inline), so campaign timelines are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from repro.ota.mac import OtaLink, ProgrammingRequest, RetryPolicy
 from repro.ota.updater import OtaUpdater, UpdateReport
 from repro.power import profiles
 from repro.sim import OTA_REQUEST, OTA_RETRY_WAIT, OTA_SESSION, Timeline
-from repro.testbed.deployment import Deployment
+from repro.testbed.deployment import Deployment, NodePlacement
 
 AP_RADIO = "ap_radio"
 """Timeline component name for the access point's LoRa radio."""
@@ -63,6 +64,11 @@ placeholder standing in for the minimal listen-for-updates image."""
 GOLDEN_IMAGE_ID = 0
 """Trailer id of the factory image (campaign images start at 1)."""
 
+ATTEMPT_ERRORS = (OtaError, WatchdogTimeoutError, FlashError,
+                  FaultInjectionError)
+"""What a failed attempt raises: the classic session only ``OtaError``,
+the hardened one also the injected hang, flash and fault failures."""
+
 
 @dataclass
 class NodeSession:
@@ -72,9 +78,10 @@ class NodeSession:
         node_id: testbed identifier.
         wake_time_s: when the node was told to wake for its update.
         attempts: sessions tried (first + retries).
-        report: the successful session's report, if any.
-        outcome: hardened-campaign classification (one of the
-            ``OUTCOME_*`` constants; empty on the classic fast path).
+        report: the last installed session's report, if any.
+        outcome: terminal classification, one of the ``OUTCOME_*``
+            constants (set once the campaign is done with the node).
+        downlink_rssi_dbm: realized downlink RSSI of the last attempt.
         resumes: transfers continued from a flash checkpoint.
         rollbacks: boots that fell back to the golden image.
         watchdog_resets: hangs the watchdog cleared.
@@ -86,6 +93,7 @@ class NodeSession:
     attempts: int = 0
     report: UpdateReport | None = None
     outcome: str = ""
+    downlink_rssi_dbm: float | None = None
     resumes: int = 0
     rollbacks: int = 0
     watchdog_resets: int = 0
@@ -94,9 +102,7 @@ class NodeSession:
     @property
     def succeeded(self) -> bool:
         """Whether the node is running the new image."""
-        if self.report is None:
-            return False
-        return self.outcome in ("", OUTCOME_SUCCEEDED, OUTCOME_RESUMED)
+        return self.outcome in (OUTCOME_SUCCEEDED, OUTCOME_RESUMED)
 
 
 @dataclass(frozen=True)
@@ -129,26 +135,43 @@ class CampaignTimeline:
         return sum(1 for s in self.sessions if s.succeeded)
 
     def outcome_counts(self) -> dict[str, int]:
-        """Terminal classification per node (hardened campaigns).
-
-        Classic-path sessions (no ``outcome`` set) are mapped onto the
-        same buckets: report present -> succeeded, absent -> abandoned.
-        """
+        """Terminal classification per node."""
         counts: dict[str, int] = {}
         for session in self.sessions:
-            key = session.outcome or (
-                OUTCOME_SUCCEEDED if session.report is not None
-                else OUTCOME_ABANDONED)
-            counts[key] = counts.get(key, 0) + 1
+            counts[session.outcome] = counts.get(session.outcome, 0) + 1
         return counts
 
     @property
     def abandoned(self) -> tuple[NodeSession, ...]:
         """Nodes the campaign gave up on (reported, never raised)."""
         return tuple(s for s in self.sessions
-                     if (s.outcome or ("" if s.report is not None
-                                       else OUTCOME_ABANDONED))
-                     == OUTCOME_ABANDONED)
+                     if s.outcome == OUTCOME_ABANDONED)
+
+    def durations_s(self) -> np.ndarray:
+        """Programming time of every programmed node, in session order."""
+        return np.asarray([s.report.total_time_s for s in self.sessions
+                           if s.succeeded], dtype=np.float64)
+
+    def mean_duration_s(self) -> float:
+        """Average programming time over the programmed nodes.
+
+        Raises:
+            OtaError: if no node was programmed.
+        """
+        durations = self.durations_s()
+        if durations.size == 0:
+            raise OtaError("no node was programmed successfully")
+        return float(np.mean(durations))
+
+    def cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """Empirical CDF points ``(sorted durations, probabilities)``.
+
+        Probabilities are over every node, so the curve tops out at the
+        programmed fraction (paper Fig. 14).
+        """
+        durations = np.sort(self.durations_s())
+        probabilities = np.arange(1, durations.size + 1) / len(self.sessions)
+        return durations, probabilities
 
     def total_node_energy_j(self) -> float:
         """Campaign-wide node-side energy, in session order."""
@@ -222,15 +245,17 @@ class AccessPoint:
         merged in at the attempt's start), ``ota.retry`` waits for
         failed attempts, and an ``ota.session`` span per success.  The
         returned :class:`CampaignTimeline` scalars are replayed views
-        over that ledger.
+        over that ledger.  Every node ends in a terminal ``outcome``
+        class - succeeded, resumed, rolled back, or abandoned - and a
+        failed node is reported, never raised.
 
-        Passing ``faults`` and/or ``policy`` switches to the hardened
-        per-node pipeline (:class:`~repro.ota.hardened.\
-HardenedOtaSession`): nodes get dual-bank flash with a golden image,
-        resumable transfers and watchdog protection, and instead of a
-        campaign abort every node ends in a terminal ``outcome`` class -
-        succeeded, resumed, rolled back, or abandoned.  With both left
-        ``None`` the classic path runs bit-identically to before.
+        Each attempt draws the node's downlink and then uplink RSSI from
+        ``rng``, then runs one session.  By default that is the classic
+        :class:`~repro.ota.updater.OtaUpdater` (the paper's single-bank
+        install, Fig. 14).  Passing ``faults`` and/or ``policy`` runs
+        :class:`~repro.ota.hardened.HardenedOtaSession` instead: nodes
+        get dual-bank flash with a golden image, resumable transfers
+        and watchdog protection.
         """
         request = self.build_request(self.schedule(150.0))
         link = OtaLink()
@@ -241,56 +266,12 @@ HardenedOtaSession`): nodes get dual-bank flash with a golden image,
             label=f"announce {len(request.device_ids)} nodes",
             duration_s=link.airtime_s(request.wire_bytes),
             power_w=profiles.BACKBONE_TX_14DBM_W)
-
-        if faults is not None or policy is not None:
-            sessions = self._run_hardened_sessions(
-                rng, timeline, is_fpga_image, faults, policy)
-            return CampaignTimeline(
-                sessions=tuple(sessions),
-                request_time_s=timeline.time_s(kinds={OTA_REQUEST},
-                                               since=since),
-                total_time_s=timeline.time_s(since=since,
-                                             advancing_only=True),
-                retries=timeline.count(kinds={OTA_RETRY_WAIT}, since=since),
-                timeline=timeline)
-
-        sessions: list[NodeSession] = []
-        for node in self.deployment.nodes:
-            session = NodeSession(node_id=node.node_id,
-                                  wake_time_s=timeline.now_s)
-            for attempt in range(self.max_attempts):
-                session.attempts += 1
-                node_link = OtaLink(
-                    downlink_rssi_dbm=self.deployment.downlink_rssi_dbm(
-                        node, rng),
-                    uplink_rssi_dbm=self.deployment.uplink_rssi_dbm(
-                        node, rng))
-                updater = OtaUpdater()
-                attempt_start_s = timeline.now_s
-                attempt_timeline = Timeline()
-                try:
-                    report = updater.update(self.image, node_link, rng,
-                                            is_fpga_image=is_fpga_image,
-                                            timeline=attempt_timeline)
-                except OtaError:
-                    # Wait for the node's next listen window, retry.
-                    timeline.merge(attempt_timeline,
-                                   offset_s=attempt_start_s)
-                    timeline.record(
-                        OTA_RETRY_WAIT, AP_RADIO,
-                        label=f"node {node.node_id} attempt {attempt}",
-                        duration_s=LISTEN_PERIOD_S)
-                    continue
-                timeline.merge(attempt_timeline, offset_s=attempt_start_s)
-                timeline.record(
-                    OTA_SESSION, AP_RADIO,
-                    label=f"node {node.node_id}",
-                    duration_s=report.total_time_s)
-                session.report = report
-                break
-            sessions.append(session)
+        sessions = tuple(
+            self._program_node(node, rng, timeline, is_fpga_image, faults,
+                               policy)
+            for node in self.deployment.nodes)
         return CampaignTimeline(
-            sessions=tuple(sessions),
+            sessions=sessions,
             request_time_s=timeline.time_s(kinds={OTA_REQUEST},
                                            since=since),
             total_time_s=timeline.time_s(since=since, advancing_only=True),
@@ -315,86 +296,95 @@ HardenedOtaSession`): nodes get dual-bank flash with a golden image,
         banks.install_golden(GOLDEN_IMAGE, GOLDEN_IMAGE_ID)
         return banks
 
-    def _run_hardened_sessions(self, rng: np.random.Generator,
-                               timeline: Timeline, is_fpga_image: bool,
-                               faults: FaultPlan | None,
-                               policy: RetryPolicy | None
-                               ) -> list[NodeSession]:
-        """Program every node fault-tolerantly; classify, never abort.
+    def _session_runner(self, node_id: int, is_fpga_image: bool,
+                        faults: FaultPlan | None,
+                        policy: RetryPolicy | None
+                        ) -> Callable[..., UpdateReport]:
+        """How each of one node's attempts runs a session.
 
-        Per-node state (flash banks, the fault injector's chains)
-        persists across that node's attempts, so a retry genuinely
-        resumes from staged data and flash checkpoints rather than
-        starting a fresh simulated node.
+        The returned callable takes ``(link, rng, sub-timeline, campaign
+        start time)`` and returns the attempt's report or raises one of
+        :data:`ATTEMPT_ERRORS`.
+
+        The hardened node's state (flash banks, the fault injector's
+        chains) is built once here and persists across its attempts, so
+        a retry genuinely resumes from staged data and flash checkpoints
+        rather than starting a fresh simulated node.
         """
-        sessions: list[NodeSession] = []
-        for node in self.deployment.nodes:
-            injector = (faults.bind(node.node_id)
-                        if faults is not None else None)
-            banks = self._provision_banks(injector)
-            session = NodeSession(node_id=node.node_id,
-                                  wake_time_s=timeline.now_s)
-            for attempt in range(self.max_attempts):
-                session.attempts += 1
-                node_link = OtaLink(
-                    downlink_rssi_dbm=self.deployment.downlink_rssi_dbm(
-                        node, rng),
-                    uplink_rssi_dbm=self.deployment.uplink_rssi_dbm(
-                        node, rng))
-                ota = HardenedOtaSession(
-                    self.image, node_link, banks,
-                    is_fpga_image=is_fpga_image,
-                    policy=policy, faults=injector)
-                attempt_start_s = timeline.now_s
-                attempt_timeline = Timeline()
-                try:
-                    report = ota.run(rng, timeline=attempt_timeline,
-                                     campaign_offset_s=attempt_start_s)
-                except RollbackError as exc:
-                    # Both banks corrupt: unrecoverable over the air.
-                    timeline.merge(attempt_timeline,
-                                   offset_s=attempt_start_s)
-                    session.errors.append(str(exc))
-                    session.outcome = OUTCOME_ABANDONED
-                    break
-                except (OtaError, WatchdogTimeoutError, FlashError,
-                        FaultInjectionError) as exc:
-                    timeline.merge(attempt_timeline,
-                                   offset_s=attempt_start_s)
-                    session.errors.append(str(exc))
-                    if isinstance(exc, WatchdogTimeoutError):
-                        session.watchdog_resets += 1
-                    timeline.record(
-                        OTA_RETRY_WAIT, AP_RADIO,
-                        label=f"node {node.node_id} attempt {attempt}",
-                        duration_s=LISTEN_PERIOD_S)
-                    continue
+        if faults is None and policy is None:
+            return lambda link, rng, timeline, start_s: OtaUpdater().update(
+                self.image, link, rng, is_fpga_image=is_fpga_image,
+                timeline=timeline)
+        injector = faults.bind(node_id) if faults is not None else None
+        banks = self._provision_banks(injector)
+        return lambda link, rng, timeline, start_s: HardenedOtaSession(
+            self.image, link, banks, is_fpga_image=is_fpga_image,
+            policy=policy, faults=injector).run(
+                rng, timeline=timeline, campaign_offset_s=start_s)
+
+    def _program_node(self, node: NodePlacement, rng: np.random.Generator,
+                      timeline: Timeline, is_fpga_image: bool,
+                      faults: FaultPlan | None,
+                      policy: RetryPolicy | None) -> NodeSession:
+        """Try one node up to ``max_attempts`` times; classify the result."""
+        run_attempt = self._session_runner(node.node_id, is_fpga_image,
+                                           faults, policy)
+        session = NodeSession(node_id=node.node_id,
+                              wake_time_s=timeline.now_s)
+        for attempt in range(self.max_attempts):
+            session.attempts += 1
+            session.downlink_rssi_dbm = self.deployment.downlink_rssi_dbm(
+                node, rng)
+            node_link = OtaLink(
+                downlink_rssi_dbm=session.downlink_rssi_dbm,
+                uplink_rssi_dbm=self.deployment.uplink_rssi_dbm(node, rng))
+            attempt_start_s = timeline.now_s
+            attempt_timeline = Timeline()
+            try:
+                report = run_attempt(node_link, rng, attempt_timeline,
+                                     attempt_start_s)
+            except RollbackError as exc:
+                # Both banks corrupt: unrecoverable over the air.
                 timeline.merge(attempt_timeline, offset_s=attempt_start_s)
-                session.resumes += report.resumes
-                session.watchdog_resets += report.watchdog_resets
-                session.report = report
-                if report.rolled_back:
-                    session.rollbacks += 1
-                    session.outcome = OUTCOME_ROLLED_BACK
-                    timeline.record(
-                        OTA_RETRY_WAIT, AP_RADIO,
-                        label=f"node {node.node_id} attempt {attempt} "
-                              "rolled back",
-                        duration_s=LISTEN_PERIOD_S)
-                    continue
-                timeline.record(
-                    OTA_SESSION, AP_RADIO,
-                    label=f"node {node.node_id}",
-                    duration_s=report.total_time_s)
-                session.outcome = (OUTCOME_RESUMED if session.resumes > 0
-                                   else OUTCOME_SUCCEEDED)
-                break
-            if not session.outcome:
-                # Every attempt failed without even a rollback to show:
-                # report it (never raise - the campaign must finish).
+                session.errors.append(str(exc))
                 session.outcome = OUTCOME_ABANDONED
-                session.errors.append(str(TransferAbandonedError(
-                    f"node {node.node_id} gave up after "
-                    f"{self.max_attempts} attempts")))
-            sessions.append(session)
-        return sessions
+                break
+            except ATTEMPT_ERRORS as exc:
+                # Wait for the node's next listen window, retry.
+                timeline.merge(attempt_timeline, offset_s=attempt_start_s)
+                session.errors.append(str(exc))
+                if isinstance(exc, WatchdogTimeoutError):
+                    session.watchdog_resets += 1
+                timeline.record(
+                    OTA_RETRY_WAIT, AP_RADIO,
+                    label=f"node {node.node_id} attempt {attempt}",
+                    duration_s=LISTEN_PERIOD_S)
+                continue
+            timeline.merge(attempt_timeline, offset_s=attempt_start_s)
+            session.resumes += report.resumes
+            session.watchdog_resets += report.watchdog_resets
+            session.report = report
+            if report.rolled_back:
+                session.rollbacks += 1
+                session.outcome = OUTCOME_ROLLED_BACK
+                timeline.record(
+                    OTA_RETRY_WAIT, AP_RADIO,
+                    label=f"node {node.node_id} attempt {attempt} "
+                          "rolled back",
+                    duration_s=LISTEN_PERIOD_S)
+                continue
+            timeline.record(
+                OTA_SESSION, AP_RADIO,
+                label=f"node {node.node_id}",
+                duration_s=report.total_time_s)
+            session.outcome = (OUTCOME_RESUMED if session.resumes > 0
+                               else OUTCOME_SUCCEEDED)
+            break
+        if not session.outcome:
+            # Every attempt failed without even a rollback to show:
+            # report it (never raise - the campaign must finish).
+            session.outcome = OUTCOME_ABANDONED
+            session.errors.append(str(TransferAbandonedError(
+                f"node {node.node_id} gave up after "
+                f"{self.max_attempts} attempts")))
+        return session

@@ -70,7 +70,7 @@ class Mx25R6435F:
                 f"capacity must be a multiple of the {SECTOR_BYTES}-byte "
                 f"sector size, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
-        self._data = bytearray(b"\xff" * capacity_bytes)
+        self._data = bytearray(b"\xff") * capacity_bytes
         self._bytes_read = 0
         self._bytes_programmed = 0
         self._page_programs = 0

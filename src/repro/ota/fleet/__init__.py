@@ -5,8 +5,6 @@ testbed; an over-the-air *testbed platform* has to reason about fleets
 far past what the per-event simulation in :mod:`repro.ota.ap` can
 step.  This package is the fleet-scale hot path:
 
-* :mod:`~repro.ota.fleet.buffers` — the one sanctioned allocation site
-  for struct-of-arrays cohort state (reprolint REPRO010 enforces it).
 * :mod:`~repro.ota.fleet.rng` — counter-based per-node random streams,
   the property that makes shard count irrelevant to results.
 * :mod:`~repro.ota.fleet.config` — the frozen campaign description.

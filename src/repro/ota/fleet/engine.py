@@ -4,8 +4,8 @@ The legacy campaign path (:class:`repro.ota.ap.AccessPoint`) simulates
 one node at a time and appends one :class:`~repro.sim.SimEvent` per
 protocol action — faithful, but O(events) Python work.  This engine
 advances the *whole fleet* one ARQ round per step on struct-of-arrays
-cohort buffers (:mod:`repro.ota.fleet.buffers`), replacing per-event
-ledger appends with per-node integer counters that are expanded into a
+cohort buffers, replacing per-event ledger appends with per-node
+integer counters that are expanded into a
 :class:`~repro.sim.TimelineRollup` at the end.  Same protocol shape as
 the hardened session loop — stop-and-wait ARQ with per-fragment round
 budgets, bounded session attempts with checkpoint/resume, CRC verify
@@ -43,7 +43,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.fpga.config import NODE_FPGA, programming_time_s
 from repro.mcu.msp432 import NODE_MCU
-from repro.ota.fleet import buffers
 from repro.ota.fleet.config import FleetCampaignConfig
 from repro.ota.fleet.link import FleetLinkPlan, prepare_links
 from repro.ota.fleet.rng import node_keys, node_keys_reference, uniforms, \
@@ -100,6 +99,16 @@ _STATE_FIELDS = (
     "timeouts", "acks_tx", "forced_losses", "session_failures", "resumes",
     "outcome_codes", "flash_bank",
 )
+
+
+def _new_state(n: int,
+               counter_names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Fresh per-node state: ``int64`` zero counters plus the ``int8``
+    outcome (unset) and flash-bank (golden) codes."""
+    state = {name: np.zeros(n, dtype=np.int64) for name in counter_names}
+    state["outcome_codes"] = np.full(n, -1, dtype=np.int8)
+    state["flash_bank"] = np.full(n, GOLDEN_BANK, dtype=np.int8)
+    return state
 
 
 def _step_round(config: FleetCampaignConfig,
@@ -170,7 +179,7 @@ def _step_round(config: FleetCampaignConfig,
             draw = uniforms(keys[done], counters[done])
             rolled = draw < config.verify_failure_prob
         else:
-            rolled = buffers.flags_bool(done.size)
+            rolled = np.zeros(done.size, dtype=np.bool_)
         outcome[done] = np.where(
             rolled, CODE_ROLLED_BACK,
             np.where(cohort["resumes"][done] > 0, CODE_RESUMED,
@@ -215,21 +224,21 @@ def _simulate_range(config: FleetCampaignConfig, lo: int, hi: int,
     if plan is None:
         plan = prepare_links(config)
     n = hi - lo
-    ids = buffers.node_ids(lo, hi)
-    state = {name: buffers.counters_i64(n) for name in (
+    ids = np.arange(lo, hi, dtype=np.int64)
+    state = _new_state(n, (
         "fragments", "data_rx_tail", "rounds", "acks_tx", "forced_losses",
-        "session_failures", "resumes")}
-    state["attempts"] = buffers.full_i64(n, 1)
-    state["outcome_codes"] = buffers.codes_i8(n, -1)
-    state["flash_bank"] = buffers.codes_i8(n, GOLDEN_BANK)
+        "session_failures", "resumes"))
+    state["attempts"] = np.ones(n, dtype=np.int64)
     cohort = dict(
-        state, pos=buffers.node_ids(0, n), keys=node_keys(config.seed, ids),
-        counters=buffers.counters_u64(n),
+        state, pos=np.arange(n, dtype=np.int64),
+        keys=node_keys(config.seed, ids),
+        counters=np.zeros(n, dtype=np.uint64),
         p_full=np.asarray(plan.p_data_full[lo:hi]),
         p_tail=np.asarray(plan.p_data_tail[lo:hi]),
         p_ack=np.asarray(plan.p_ack[lo:hi]),
-        round_no=buffers.counters_i64(n), ge_bad=buffers.flags_bool(n),
-        alive=buffers.flags_bool(n, True))
+        round_no=np.zeros(n, dtype=np.int64),
+        ge_bad=np.zeros(n, dtype=np.bool_),
+        alive=np.ones(n, dtype=np.bool_))
 
     live = n
     while live:
@@ -396,11 +405,10 @@ def _simulate_range_reference(config: FleetCampaignConfig, lo: int, hi: int,
     if plan is None:
         plan = prepare_links(config)
     n = hi - lo
-    state = {name: buffers.counters_i64(n) for name in _STATE_FIELDS
-             if name not in ("node_ids", "outcome_codes", "flash_bank")}
-    state["node_ids"] = buffers.node_ids(lo, hi)
-    state["outcome_codes"] = buffers.codes_i8(n, -1)
-    state["flash_bank"] = buffers.codes_i8(n, GOLDEN_BANK)
+    state = _new_state(n, tuple(
+        name for name in _STATE_FIELDS
+        if name not in ("node_ids", "outcome_codes", "flash_bank")))
+    state["node_ids"] = np.arange(lo, hi, dtype=np.int64)
     for i in range(n):
         node = _simulate_node(config, plan, lo + i)
         for name, value in node.items():

@@ -27,8 +27,6 @@ parity goldens are untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import (
@@ -41,7 +39,7 @@ from repro.fpga.config import NODE_FPGA, FpgaConfigurator
 from repro.mcu.msp432 import NODE_MCU, Msp432
 from repro.mcu.scheduler import EventScheduler
 from repro.mcu.watchdog import Watchdog
-from repro.ota.bank import FirmwareBanks, BootResult
+from repro.ota.bank import FirmwareBanks
 from repro.ota.blocks import (
     BLOCK_BYTES,
     parse_wire_image,
@@ -93,31 +91,6 @@ OUTCOME_SUCCEEDED = "succeeded"
 OUTCOME_RESUMED = "resumed"
 OUTCOME_ROLLED_BACK = "rolled_back"
 OUTCOME_ABANDONED = "abandoned"
-
-
-@dataclass(frozen=True)
-class HardenedUpdateReport(UpdateReport):
-    """An :class:`UpdateReport` plus the robustness bookkeeping.
-
-    Attributes:
-        boot: what the node ended up running.
-        resumes: transfers continued from a flash checkpoint.
-        watchdog_resets: hangs the watchdog cleared this session.
-    """
-
-    boot: BootResult | None = None
-    resumes: int = 0
-    watchdog_resets: int = 0
-
-    @property
-    def applied(self) -> bool:
-        """Whether the node is actually running the new image."""
-        return self.boot is not None and self.boot.bank != "golden"
-
-    @property
-    def rolled_back(self) -> bool:
-        """Whether verification failed and the node fell back to golden."""
-        return self.boot is not None and self.boot.rolled_back
 
 
 class HardenedOtaSession:
@@ -275,7 +248,7 @@ class HardenedOtaSession:
 
     def run(self, rng: np.random.Generator,
             timeline: Timeline | None = None,
-            campaign_offset_s: float = 0.0) -> HardenedUpdateReport:
+            campaign_offset_s: float = 0.0) -> UpdateReport:
         """Run one full hardened session.
 
         Args:
@@ -304,7 +277,7 @@ class HardenedOtaSession:
             self.banks.timeline = previous_bank_timeline
 
     def _run(self, rng: np.random.Generator, timeline: Timeline,
-             since: int, session_start_s: float) -> HardenedUpdateReport:
+             since: int, session_start_s: float) -> UpdateReport:
         banks = self.banks
         stats_before = banks.flash.stats()
         blocks = split_and_compress(self.image, self.block_bytes)
@@ -350,7 +323,7 @@ class HardenedOtaSession:
             advance=False, t_start_s=session_start_s)
         transfer = transfer_report_from_timeline(timeline, since,
                                                  failed=False, messages=[])
-        return HardenedUpdateReport(
+        return UpdateReport(
             transfer=transfer,
             compressed_bytes=total_compressed_bytes(blocks),
             raw_bytes=len(self.image),

@@ -11,8 +11,9 @@ resume.
 This module defines the wire messages, the per-packet link simulation
 (packet error rates from the SX1276 model at the measured RSSI), and the
 two state machines.  The byte layouts are explicit so tests can verify
-round-trips; the campaign simulator in :mod:`repro.testbed` drives many
-of these sessions to reproduce the Fig. 14 CDF.
+round-trips; :class:`repro.ota.ap.AccessPoint` drives one session per
+node over a :mod:`repro.testbed` deployment to reproduce the Fig. 14
+CDF.
 """
 
 from __future__ import annotations

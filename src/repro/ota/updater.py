@@ -19,6 +19,7 @@ import numpy as np
 from repro.errors import OtaError
 from repro.fpga.config import NODE_FPGA, FpgaConfigurator
 from repro.mcu.msp432 import NODE_MCU, Msp432
+from repro.ota.bank import BootResult
 from repro.ota.blocks import (
     BLOCK_BYTES,
     reassemble,
@@ -60,6 +61,9 @@ class UpdateReport:
     All time and energy fields are views derived from the session's
     :class:`~repro.sim.Timeline` ledger (see
     :func:`node_energy_from_timeline`), not hand-kept accumulators.
+    The robustness fields default to what :class:`OtaUpdater` does: a
+    single-bank install with nothing resumed; a
+    :class:`~repro.ota.hardened.HardenedOtaSession` fills them in.
 
     Attributes:
         transfer: the MAC-level transfer report.
@@ -70,6 +74,10 @@ class UpdateReport:
         total_time_s: wall-clock session duration.
         node_energy_j: node-side energy (backbone radio + MCU + flash).
         timeline: the ledger the session was recorded on.
+        boot: what a dual-bank node ended up running (``None`` for a
+            single-bank install).
+        resumes: transfers continued from a flash checkpoint.
+        watchdog_resets: hangs the watchdog cleared this session.
     """
 
     transfer: TransferReport
@@ -81,6 +89,19 @@ class UpdateReport:
     node_energy_j: float
     timeline: Timeline | None = field(default=None, repr=False,
                                       compare=False)
+    boot: BootResult | None = None
+    resumes: int = 0
+    watchdog_resets: int = 0
+
+    @property
+    def applied(self) -> bool:
+        """Whether the node is actually running the new image."""
+        return self.boot is None or self.boot.bank != "golden"
+
+    @property
+    def rolled_back(self) -> bool:
+        """Whether verification failed and the node fell back to golden."""
+        return self.boot is not None and self.boot.rolled_back
 
 
 def node_energy_from_timeline(timeline: Timeline, since: int = 0,

@@ -5,7 +5,8 @@ kind.  The registry is the REPRO014 service-discipline boundary: code
 in :mod:`repro.service` and the CLI must reach engines *through*
 ``WorkloadRegistry.invoke`` (whose adapters live in
 :mod:`repro.service.workloads`, the single exempted module), never by
-calling :func:`repro.testbed.run_campaign` and friends directly.
+calling :meth:`repro.ota.AccessPoint.run_campaign` and friends
+directly.
 
 Invocations are counted per kind, which is how the tests assert the
 result cache's zero-recompute property: resubmitting an identical

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from typing import Any, BinaryIO
 
@@ -268,25 +269,36 @@ class JobJournal:
                crash_plan: CrashPlan | None = None) -> "JobJournal":
         """Continue an existing journal's chain after a crash.
 
-        Re-reads and chain-verifies the file, rewrites it without any
-        torn tail, and positions the journal to append the next record.
+        Re-reads and chain-verifies the file, cuts off any torn tail in
+        place, newline-terminates a last record that lost only its
+        newline, and positions the journal to append the next record.
+        Durable records are never rewritten, so a failure here leaves
+        every one of them on disk.
 
         Raises:
             JournalError: when the existing journal is corrupt.
+            OSError: when the file cannot be reopened or repaired.
         """
         result = read_journal(path)
+        handle = open(path, "r+b")
+        try:
+            raw = handle.read()
+            if result.torn_tail:
+                handle.truncate(raw.rfind(b"\n") + 1)
+                handle.seek(0, os.SEEK_END)
+            elif raw and not raw.endswith(b"\n"):
+                handle.write(b"\n")
+            handle.flush()
+        except OSError:
+            handle.close()
+            raise
         journal = cls.__new__(cls)
         journal.path = path
         journal.crash_plan = crash_plan
         journal._seq = len(result.records)
         journal._prev = (result.records[-1].digest if result.records
                          else GENESIS_DIGEST)
-        journal._handle = open(path, "wb")
-        for record in result.records:
-            body = _canonical_body(record.seq, record.type, record.payload,
-                                   record.prev)
-            journal._handle.write(_record_line(body, record.digest))
-        journal._handle.flush()
+        journal._handle = handle
         return journal
 
     @property

@@ -182,7 +182,8 @@ def run_testbed_campaign(config: Mapping[str, Any], seed: int,
                          ) -> tuple[dict[str, Any], float]:
     """Campus OTA programming campaign (the legacy ``repro campaign``)."""
     from repro.fpga import generate_bitstream
-    from repro.testbed import campus_deployment, run_campaign
+    from repro.ota import AccessPoint
+    from repro.testbed import campus_deployment
 
     reader = _Config("campaign", config)
     image_label = reader.take("image", "ble")
@@ -198,7 +199,8 @@ def run_testbed_campaign(config: Mapping[str, Any], seed: int,
     utilization = CAMPAIGN_IMAGE_UTILIZATION[image_label]
     image = generate_bitstream(utilization, seed=CAMPAIGN_BITSTREAM_SEED)
     emit(f"programming {nodes} nodes with the {image_label} image")
-    campaign = run_campaign(deployment, image, image_label, rng)
+    campaign = AccessPoint(deployment, image,
+                           max_attempts_per_node=1).run_campaign(rng)
     durations = campaign.durations_s()
     emit(f"programmed {durations.size}/{nodes} nodes")
     payload = {

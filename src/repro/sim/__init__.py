@@ -19,9 +19,6 @@ integrals are computed on:
   bounded-memory :class:`~repro.sim.stream.StreamingLedgerWriter`
   JSONL spill, so a 100k-node campaign's ledger never has to
   materialize in RAM.
-* :func:`~repro.sim.timeline.merge_timelines` — ``heapq``-based k-way
-  merge of many per-node ledgers into one chronological trace (with
-  its re-sorting ``merge_timelines_reference`` parity twin).
 
 The protocol, MCU, FPGA, power and testbed layers all emit events into
 a ``Timeline`` instead of keeping private ``clock +=`` accumulators;
@@ -86,11 +83,7 @@ from repro.sim.stream import (
     TimelineRollup,
     read_jsonl_records,
 )
-from repro.sim.timeline import (
-    Timeline,
-    merge_timelines,
-    merge_timelines_reference,
-)
+from repro.sim.timeline import Timeline
 from repro.sim.trace import (
     from_jsonl,
     to_chrome_trace,
@@ -154,8 +147,6 @@ __all__ = [
     "Timeline",
     "TimelineRollup",
     "from_jsonl",
-    "merge_timelines",
-    "merge_timelines_reference",
     "read_jsonl_records",
     "to_chrome_trace",
     "to_jsonl",

@@ -16,14 +16,10 @@ bit-identical to the sequential ``+=`` accumulators they replaced (see
 
 from __future__ import annotations
 
-import heapq
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.errors import ConfigurationError
 from repro.sim.events import SimEvent
-
-Subscriber = Callable[[SimEvent], None]
 
 
 class Timeline:
@@ -37,7 +33,6 @@ class Timeline:
     def __init__(self) -> None:
         self.now_s = 0.0
         self._events: list[SimEvent] = []
-        self._subscribers: list[Subscriber] = []
 
     # -- ledger ------------------------------------------------------------
 
@@ -103,27 +98,6 @@ class Timeline:
 
     def _append(self, event: SimEvent) -> None:
         self._events.append(event)
-        for subscriber in self._subscribers:
-            subscriber(event)
-
-    # -- subscriptions -----------------------------------------------------
-
-    def subscribe(self, callback: Subscriber) -> Subscriber:
-        """Register a callback invoked with every appended event."""
-        self._subscribers.append(callback)
-        return callback
-
-    def unsubscribe(self, callback: Subscriber) -> None:
-        """Remove a previously registered callback.
-
-        Raises:
-            ConfigurationError: when the callback is not subscribed.
-        """
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            raise ConfigurationError(
-                "callback is not subscribed to this timeline") from None
 
     # -- introspection -----------------------------------------------------
 
@@ -212,81 +186,3 @@ class Timeline:
         return (f"<Timeline now={self.now_s:.6f}s "
                 f"events={len(self._events)}>")
 
-
-def _shifted_ledgers(timelines: Sequence[Timeline],
-                     offsets_s: Sequence[float] | None
-                     ) -> tuple[list[list[SimEvent]], float]:
-    """Shift each input ledger, sorted by start time; plus the merged now.
-
-    Per-node ledgers are near-chronological already (the clock is
-    monotonic), but non-advancing events recorded with an explicit
-    earlier ``t_start_s`` — concurrent flash activity, spliced
-    sub-sessions — can sit out of order, so each input gets a stable
-    per-ledger sort (O(n) on already-ordered input) before the k-way
-    merge assumes sortedness.
-    """
-    if offsets_s is None:
-        offsets_s = [0.0] * len(timelines)
-    if len(offsets_s) != len(timelines):
-        raise ConfigurationError(
-            f"got {len(timelines)} timelines but {len(offsets_s)} offsets")
-    key = attrgetter("t_start_s")
-    ledgers = [sorted((event.shifted(offset) for event in timeline),
-                      key=key)
-               for timeline, offset in zip(timelines, offsets_s)]
-    now_s = max((timeline.now_s + offset
-                 for timeline, offset in zip(timelines, offsets_s)),
-                default=0.0)
-    return ledgers, now_s
-
-
-def merge_timelines(timelines: Sequence[Timeline],
-                    offsets_s: Sequence[float] | None = None) -> Timeline:
-    """Merge many per-node ledgers into one chronological timeline.
-
-    Uses a ``heapq.merge`` k-way merge over the already-ordered input
-    ledgers — O(N log k) comparisons for N total events over k inputs,
-    versus the O(N log N) of concatenating and re-sorting.  ``heapq``'s
-    merge is stable across iterables (ties go to the earlier input), so
-    the result is bit-identical to the re-sorting
-    :func:`merge_timelines_reference` twin (see
-    ``tests/test_sim_stream.py``).
-
-    Merged events never advance the output clock (they are re-emitted
-    via :meth:`SimEvent.shifted`); the merged ``now_s`` is the latest
-    input clock plus its offset.
-
-    Args:
-        timelines: the input ledgers, e.g. one per fleet node.
-        offsets_s: optional per-input time shift (defaults to zero).
-
-    Raises:
-        ConfigurationError: when offsets and timelines disagree in
-            length.
-    """
-    ledgers, now_s = _shifted_ledgers(timelines, offsets_s)
-    merged = Timeline()
-    for event in heapq.merge(*ledgers, key=attrgetter("t_start_s")):
-        merged._append(event)
-    merged.advance_to(now_s)
-    return merged
-
-
-def merge_timelines_reference(timelines: Sequence[Timeline],
-                              offsets_s: Sequence[float] | None = None
-                              ) -> Timeline:
-    """Concatenate-and-stable-sort twin of :func:`merge_timelines`.
-
-    Kept as the plain-Python specification of the merge order: events
-    in global start-time order, ties broken by input order then by
-    within-input append order (exactly what one stable sort over the
-    concatenation yields).
-    """
-    ledgers, now_s = _shifted_ledgers(timelines, offsets_s)
-    events = [event for ledger in ledgers for event in ledger]
-    events.sort(key=attrgetter("t_start_s"))
-    merged = Timeline()
-    for event in events:
-        merged._append(event)
-    merged.advance_to(now_s)
-    return merged

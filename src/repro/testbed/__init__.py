@@ -1,4 +1,8 @@
-"""Campus testbed: deployments and OTA programming campaigns."""
+"""Campus testbed: node deployments, mobility and multi-hop relaying.
+
+OTA programming campaigns over a deployment run on
+:class:`repro.ota.AccessPoint`.
+"""
 
 from repro.testbed.deployment import (
     Deployment,
@@ -12,22 +16,14 @@ from repro.testbed.mobility import (
     Waypoint,
     simulate_mobile_transfer,
 )
-from repro.testbed.simulator import (
-    CampaignResult,
-    NodeResult,
-    run_campaign,
-)
 
 __all__ = [
-    "CampaignResult",
     "MobilePath",
     "MobileTransferResult",
     "Waypoint",
     "simulate_mobile_transfer",
     "Deployment",
     "NodePlacement",
-    "NodeResult",
     "TESTBED_SIZE",
     "campus_deployment",
-    "run_campaign",
 ]

@@ -3,7 +3,7 @@
 import os
 import time
 
-from repro.ota.fleet import buffers
+from repro.ota.fleet import FleetReport
 
 
 def log_latency(timeline):
@@ -34,5 +34,5 @@ def emit(events):
     events.append(SimEvent(kind="tick", payload=time.time_ns()))
 
 
-def fill_cohort(num_nodes):
-    return buffers.full_i64(num_nodes, time.time_ns())
+def stamp_report(config, rollup):
+    return FleetReport(config, node_ids=time.time_ns(), rollup=rollup)

@@ -1,5 +1,7 @@
 """Fixture: REPRO011 true negatives."""
 
+from repro.ota.fleet import FleetReport
+
 DWELL_S = 0.5
 
 
@@ -22,3 +24,7 @@ def classify(timeline, kind):
 def count_active(timeline, kinds, events):
     dwell = sum(1 for event in events if event.kind in kinds)
     timeline.record("dwell", duration_s=dwell)
+
+
+def build_report(config, arrays, rollup):
+    return FleetReport(config, rollup=rollup, **arrays)

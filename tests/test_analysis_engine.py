@@ -23,13 +23,13 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures" / "reprolint"
 
 RULE_IDS = ("REPRO001", "REPRO002", "REPRO003", "REPRO004",
             "REPRO005", "REPRO006", "REPRO007", "REPRO008",
-            "REPRO009", "REPRO010", "REPRO011", "REPRO012",
-            "REPRO013", "REPRO014", "REPRO015", "REPRO016")
+            "REPRO009", "REPRO011", "REPRO012", "REPRO013",
+            "REPRO014", "REPRO015", "REPRO016")
 
 
 # --- registry ---------------------------------------------------------------
 
-def test_registry_holds_the_sixteen_domain_rules():
+def test_registry_holds_the_fifteen_domain_rules():
     rules = all_rules()
     assert tuple(sorted(rules)) == RULE_IDS
     for rule_id, cls in rules.items():

@@ -1,4 +1,4 @@
-"""Golden-fixture tests for the sixteen reprolint rules.
+"""Golden-fixture tests for the fifteen reprolint rules.
 
 The fixtures under ``tests/fixtures/reprolint/`` form two miniature
 projects: ``bad`` contains one file per rule engineered to trip it at
@@ -23,7 +23,6 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures" / "reprolint"
 FIXTURE_CONFIG = LintConfig(
     rule_scopes={"REPRO004": ("*dtype_*.py",),
                  "REPRO006": ("*prov_*.py",),
-                 "REPRO010": ("*fleet_*.py",),
                  "REPRO014": ("*service_*.py",),
                  "REPRO016": ("*recovery_*.py",)})
 
@@ -54,11 +53,6 @@ EXPECTED_BAD = {
     ("REPRO009", "src/faults_bad.py", 8),
     ("REPRO009", "src/faults_bad.py", 9),
     ("REPRO009", "src/faults_bad.py", 10),
-    ("REPRO010", "src/fleet_bad.py", 7),
-    ("REPRO010", "src/fleet_bad.py", 8),
-    ("REPRO010", "src/fleet_bad.py", 9),
-    ("REPRO010", "src/fleet_bad.py", 10),
-    ("REPRO010", "src/fleet_bad.py", 17),
     ("REPRO002", "src/sig_bad.py", 8),
     ("REPRO002", "src/sig_bad.py", 16),
     ("REPRO011", "src/taint_bad.py", 11),
@@ -121,14 +115,13 @@ def test_findings_carry_hints_and_messages():
 
 
 def test_scope_override_limits_module_scoped_rules():
-    # Without the fixture scope overrides, the dtype, provenance and
-    # fleet-buffer rules keep their repo-layout default scopes and see
-    # nothing here.
+    # Without the fixture scope overrides, the dtype, provenance,
+    # service and recovery rules keep their repo-layout default scopes
+    # and see nothing here.
     findings = _run("bad", LintConfig())
     rules = {f.rule_id for f in findings}
     assert "REPRO004" not in rules
     assert "REPRO006" not in rules
-    assert "REPRO010" not in rules
     assert "REPRO014" not in rules
     assert "REPRO016" not in rules
     assert {"REPRO001", "REPRO002", "REPRO003",

@@ -1,4 +1,4 @@
-"""Tests for the platform catalogs, BOM cost model and testbed simulator."""
+"""Tests for the platform catalogs, BOM cost model and testbed campaigns."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,8 @@ from repro.platforms import (
     supports_protocol,
     total_cost_usd,
 )
-from repro.testbed import TESTBED_SIZE, campus_deployment, run_campaign
+from repro.ota import AccessPoint
+from repro.testbed import TESTBED_SIZE, campus_deployment
 
 
 class TestCatalog:
@@ -127,10 +128,11 @@ class TestCampaign:
         deployment = campus_deployment()
         rng = np.random.default_rng(11)
         image = generate_bitstream(0.03, seed=43)  # BLE-sized: faster
-        return run_campaign(deployment, image, "ble_fpga", rng)
+        return AccessPoint(deployment, image,
+                           max_attempts_per_node=1).run_campaign(rng)
 
     def test_all_or_most_nodes_programmed(self, campaign):
-        assert sum(r.succeeded for r in campaign.results) >= 18
+        assert sum(s.succeeded for s in campaign.sessions) >= 18
 
     def test_mean_duration_near_paper_ble_figure(self, campaign):
         # Paper: BLE FPGA programs in ~59 s on average.
@@ -144,9 +146,9 @@ class TestCampaign:
 
     def test_far_nodes_not_faster(self, campaign):
         # The slowest node should be at a weaker RSSI than the fastest.
-        ok = [r for r in campaign.results if r.succeeded]
-        fastest = min(ok, key=lambda r: r.duration_s)
-        slowest = max(ok, key=lambda r: r.duration_s)
+        ok = [s for s in campaign.sessions if s.succeeded]
+        fastest = min(ok, key=lambda s: s.report.total_time_s)
+        slowest = max(ok, key=lambda s: s.report.total_time_s)
         assert slowest.downlink_rssi_dbm <= fastest.downlink_rssi_dbm
 
     def test_energy_accounted(self, campaign):

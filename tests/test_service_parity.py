@@ -67,12 +67,14 @@ class TestSweepParity:
 class TestCampaignParity:
     def test_campus_campaign_bit_identical(self):
         from repro.fpga import generate_bitstream
-        from repro.testbed import campus_deployment, run_campaign
+        from repro.ota import AccessPoint
+        from repro.testbed import campus_deployment
 
         rng = job_rng(SEED)
         deployment = campus_deployment(num_nodes=4)
         image = generate_bitstream(0.03, seed=42)
-        campaign = run_campaign(deployment, image, "ble", rng)
+        campaign = AccessPoint(deployment, image,
+                               max_attempts_per_node=1).run_campaign(rng)
         durations = campaign.durations_s()
 
         payload = _service_payload("campaign",

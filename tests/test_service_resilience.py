@@ -12,13 +12,15 @@ golden run's.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.determinism import (
@@ -72,6 +74,7 @@ from repro.service.resilience import (
     RECORD_RECOVER,
     RECORD_SUBMIT,
 )
+from repro.service.resilience import journal as journal_module
 from repro.sim import (
     FAULT_WORKER_CRASH,
     FAULT_WORKLOAD_HANG,
@@ -567,6 +570,34 @@ _JOURNAL_EDITS = {"empty_kind": _empty_kind,
                   "previous_format": _previous_format}
 
 
+@functools.lru_cache(maxsize=None)
+def _golden_journal(seed):
+    """The uninterrupted session's journal bytes and record digests."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "golden.jsonl"
+        _run_golden(seed, path)
+        digests = tuple(r.digest for r in read_journal(str(path)).records)
+        return path.read_bytes(), digests
+
+
+class _FailingWrites:
+    """A file handle whose every write fails, as on a full disk."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        raise OSError("injected journal write failure")
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def _open_with_failing_writes(path, mode="r", *args, **kwargs):
+    handle = open(path, mode, *args, **kwargs)
+    return handle if mode == "rb" else _FailingWrites(handle)
+
+
 def _recover_and_finish(seed, path):
     """Recover, re-add lost tenants, resubmit lost specs, drain."""
     service = CampaignService.recover(str(path))
@@ -605,6 +636,51 @@ class TestRecovery:
         assert service_digest(mid) == golden
         again = _recover_and_finish(1, path)
         assert service_digest(again) == golden
+
+    @pytest.mark.parametrize("tail", ["newline_lost", "torn"])
+    def test_resume_write_failure_keeps_every_durable_record(
+            self, tmp_path, monkeypatch, tail):
+        raw, _ = _golden_journal(0)
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(raw)
+        expected = read_journal(str(path)).records
+        path.write_bytes(raw[:-1] if tail == "newline_lost"
+                         else raw + b'{"digest":"0')
+        monkeypatch.setattr(journal_module, "open",
+                            _open_with_failing_writes, raising=False)
+        with contextlib.suppress(OSError):
+            JobJournal.resume(str(path)).close()
+        monkeypatch.undo()
+        assert read_journal(str(path)).records == expected
+
+    # Offsets wrap modulo the file size, so -1 is the final newline; the
+    # first (open) record is the journal's first ~700 bytes.
+    @given(mutation=st.sampled_from(["flip", "truncate"]),
+           offset=st.integers(min_value=0, max_value=1 << 20),
+           bit=st.integers(min_value=0, max_value=7))
+    @example(mutation="flip", offset=-1, bit=0)
+    @example(mutation="truncate", offset=100, bit=0)
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_journal_recovers_a_verified_prefix_or_raises(
+            self, mutation, offset, bit):
+        raw, digests = _golden_journal(0)
+        position = offset % len(raw)
+        if mutation == "flip":
+            damaged = bytearray(raw)
+            damaged[position] ^= 1 << bit
+        else:
+            damaged = raw[:position]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "damaged.jsonl"
+            path.write_bytes(bytes(damaged))
+            try:
+                CampaignService.recover(str(path))
+            except JournalError:
+                return
+            records = read_journal(str(path)).records
+        kept = next(r.seq for r in records if r.type == RECORD_RECOVER)
+        assert records[kept].payload["resumed_at_seq"] == kept
+        assert [r.digest for r in records[:kept]] == list(digests[:kept])
 
     def test_crash_before_open_record_is_unrecoverable(self, tmp_path):
         path = tmp_path / "j.jsonl"

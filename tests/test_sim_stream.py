@@ -1,11 +1,9 @@
-"""Streaming timeline machinery: rollups, spill writer, k-way merge.
+"""Streaming timeline machinery: rollups and the spill writer.
 
-Covers the three fleet-scale primitives in :mod:`repro.sim`:
+Covers the two fleet-scale primitives in :mod:`repro.sim`:
 hierarchical :class:`TimelineRollup` aggregates (associative merges,
-ledger equivalence, row round-trips), the bounded-memory
-:class:`StreamingLedgerWriter` JSONL spill, and the ``heapq``-based
-``merge_timelines`` against its concatenate-and-sort
-``merge_timelines_reference`` parity twin.
+ledger equivalence, row round-trips) and the bounded-memory
+:class:`StreamingLedgerWriter` JSONL spill.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ from repro.sim import (
     StreamingLedgerWriter,
     Timeline,
     TimelineRollup,
-    merge_timelines,
-    merge_timelines_reference,
     read_jsonl_records,
 )
 
@@ -180,45 +176,3 @@ def test_write_lines_rejects_oversized_batches_and_use_after_close(
         writer.write_lines(['{"record": "b"}'])
     assert writer.rows_written == 4
 
-
-# -- k-way timeline merge --------------------------------------------------
-
-
-def test_merge_timelines_matches_reference_parity():
-    timelines = [_sample_timeline(events=n) for n in (4, 2, 6)]
-    offsets = [0.0, 10.0, 0.5]
-    fast = merge_timelines(timelines, offsets)
-    reference = merge_timelines_reference(timelines, offsets)
-    assert fast.events == reference.events
-    assert fast.now_s == reference.now_s
-    starts = [event.t_start_s for event in fast]
-    assert starts == sorted(starts)
-
-
-def test_merge_handles_out_of_order_concurrent_events():
-    # A non-advancing event recorded with an explicit earlier start (the
-    # concurrent-flash idiom) sits out of order inside its own ledger;
-    # the merge must still come out globally sorted and parity-exact.
-    timeline = _sample_timeline(events=3)
-    timeline.record(FLASH_BUSY, "flash", duration_s=0.4,
-                    energy_override_j=0.002, advance=False, t_start_s=0.0)
-    other = _sample_timeline(events=2)
-    fast = merge_timelines([timeline, other])
-    reference = merge_timelines_reference([timeline, other])
-    assert fast.events == reference.events
-    starts = [event.t_start_s for event in fast]
-    assert starts == sorted(starts)
-
-
-def test_merge_preserves_event_count_and_clock():
-    timelines = [_sample_timeline(events=n) for n in (1, 3, 5)]
-    merged = merge_timelines(timelines)
-    assert len(merged) == sum(len(t) for t in timelines)
-    assert merged.now_s == max(t.now_s for t in timelines)
-    assert all(not event.advanced for event in merged)
-
-
-def test_merge_rejects_mismatched_offsets():
-    with pytest.raises(ConfigurationError):
-        merge_timelines([_sample_timeline()], offsets_s=[0.0, 1.0])
-    assert len(merge_timelines([])) == 0

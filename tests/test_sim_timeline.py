@@ -104,20 +104,6 @@ class TestTimelineClock:
         assert [event.t_start_s for event in campaign] == [100.0, 101.0]
         assert all(not event.advanced for event in campaign)
 
-    def test_subscribers_see_every_append(self):
-        timeline = Timeline()
-        seen: list[str] = []
-        callback = timeline.subscribe(lambda event: seen.append(event.kind))
-        timeline.record(PACKET_RX, "radio", duration_s=1.0)
-        timeline.record(PACKET_TX, "radio", duration_s=0.1)
-        timeline.unsubscribe(callback)
-        timeline.record(SLEEP, "mcu", duration_s=1.0)
-        assert seen == [PACKET_RX, PACKET_TX]
-
-    def test_unsubscribe_unknown_callback_raises(self):
-        with pytest.raises(ConfigurationError):
-            Timeline().unsubscribe(lambda event: None)
-
 
 class TestTimelineViews:
     @pytest.fixture()
