@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint semantic chaos chaos-service check golden-check service-smoke fleet-smoke bench-hotpath bench-fleet bench-check bench-trace-smoke bench-paper
+.PHONY: test lint semantic chaos chaos-service check golden-check service-smoke fleet-smoke bench-hotpath bench-fleet bench-check bench-trace-smoke bench-paper paper-check
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -44,10 +44,10 @@ fleet-smoke:
 	REPRO_DETERMINISM=1 $(PYTHON) examples/fleet_campaign.py
 
 # Full gate: static analysis (all rules plus the semantic pass), the
-# service and fleet determinism smokes, the OTA and service chaos
-# suites, the traced benchmark smoke and the perf-regression check, as
-# CI would run them.
-check: lint semantic golden-check service-smoke fleet-smoke chaos chaos-service bench-trace-smoke bench-check
+# golden-vector and paper-table drift gates, the service and fleet
+# determinism smokes, the OTA and service chaos suites, the traced
+# benchmark smoke and the perf-regression check, as CI would run them.
+check: lint semantic golden-check paper-check service-smoke fleet-smoke chaos chaos-service bench-trace-smoke bench-check
 
 # PHY golden-vector drift gate: the committed conformance corpus
 # (tests/fixtures/phy_golden/) must match what the current modulators
@@ -89,3 +89,9 @@ bench-trace-smoke:
 # The paper's tables/figures (pytest-benchmark suite).
 bench-paper:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Paper-table drift gate: regenerate every table under
+# benchmarks/results/ and fail when one differs from the committed
+# copy.  Commit the regenerated tables after an intentional change.
+paper-check: bench-paper
+	git diff --exit-code -- benchmarks/results/

@@ -62,12 +62,8 @@ def _ser(generator: QuantizedChirpGenerator, rng) -> float:
     budget = LinkBudget(bandwidth_hz=PARAMS.sample_rate_hz,
                         noise_figure_db=6.0)
     stream = receive([ReceivedSignal(waveform, RSSI_DBM)], budget, rng)
-    demod = SymbolDemodulator(PARAMS)
-    errors = sum(
-        int(demod.demodulate_upchirp(stream[i * 256:(i + 1) * 256])[0]
-            != s)
-        for i, s in enumerate(symbols))
-    return errors / SYMBOLS
+    detected = SymbolDemodulator(PARAMS).demodulate_stream(stream, SYMBOLS)
+    return int(np.sum(detected != symbols)) / SYMBOLS
 
 
 def run_ablation(rng):

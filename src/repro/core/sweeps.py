@@ -79,13 +79,8 @@ def lora_symbol_error_rate(params: LoRaParams, rssi_dbm: float,
     if residual_cfo:
         waveform = _apply_residual_cfo(waveform, params, rng)
     stream = receive([ReceivedSignal(waveform, rssi_dbm)], budget, rng)
-    demod = SymbolDemodulator(params)
-    errors = 0
-    sym = params.samples_per_symbol
-    for index, expected in enumerate(symbols):
-        detected, _ = demod.demodulate_upchirp(
-            stream[index * sym:(index + 1) * sym])
-        errors += int(detected != expected)
+    detected = SymbolDemodulator(params).demodulate_stream(stream, num_symbols)
+    errors = int(np.sum(detected != symbols))
     return SweepPoint(rssi_dbm=rssi_dbm, error_rate=errors / num_symbols,
                       trials=num_symbols)
 

@@ -105,8 +105,8 @@ class ConcurrentReceiver:
                 many whole symbols as the stream holds for each branch.
 
         Raises:
-            DemodulationError: if a branch is asked for more symbols than
-                the stream contains.
+            DemodulationError: if a branch is asked for a negative count
+                or more symbols than the stream contains.
         """
         samples = np.asarray(samples, dtype=np.complex128)
         if num_symbols is None:
@@ -120,17 +120,12 @@ class ConcurrentReceiver:
         for demod, params, count in zip(self.branches, self.branch_params,
                                         num_symbols):
             sym = params.samples_per_symbol
-            if count * sym > samples.size:
+            if count < 0 or count * sym > samples.size:
                 raise DemodulationError(
                     f"stream of {samples.size} samples cannot hold {count} "
                     f"symbols of {params.describe()}")
-            values = np.empty(count, dtype=np.int64)
-            magnitudes = np.empty(count, dtype=np.float64)
-            for i in range(count):
-                window = samples[i * sym:(i + 1) * sym]
-                bin_index, magnitude = demod.demodulate_upchirp(window)
-                values[i] = bin_index
-                magnitudes[i] = magnitude
+            values, magnitudes = demod.demodulate_upchirp_block(
+                samples[:count * sym].reshape(count, sym))
             results.append(BranchResult(params=params, symbols=values,
                                         magnitudes=magnitudes))
         return results

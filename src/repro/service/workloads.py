@@ -118,8 +118,24 @@ def run_power(config: Mapping[str, Any], seed: int,
 
 def _sweep_rssi_grid(start: float, stop: float,
                      step: float) -> np.ndarray:
-    """The legacy CLI's descending RSSI grid (inclusive of ``stop``)."""
-    return np.arange(start, stop - 0.5, -step)
+    """The legacy CLI's descending RSSI grid (inclusive of ``stop``).
+
+    Raises:
+        ConfigurationError: for a non-positive ``step_db``, or a grid
+            that has no points or that NumPy cannot build.
+    """
+    if not step > 0:
+        raise ConfigurationError(f"step_db must be positive, got {step!r}")
+    try:
+        grid = np.arange(start, stop - 0.5, -step)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(
+            f"cannot build the RSSI grid from start_dbm {start!r} to "
+            f"stop_dbm {stop!r}: {exc}") from exc
+    if not grid.size:
+        raise ConfigurationError(
+            f"start_dbm {start!r} is below stop_dbm {stop!r}: no points")
+    return grid
 
 
 def run_sweep_lora(config: Mapping[str, Any], seed: int,
@@ -136,11 +152,14 @@ def run_sweep_lora(config: Mapping[str, Any], seed: int,
     step = float(reader.take("step_db", 3.0))
     symbols = int(reader.take("symbols", 150))
     reader.finish()
+    if symbols < 1:
+        raise ConfigurationError(f"symbols must be at least 1, got {symbols}")
+    grid = _sweep_rssi_grid(start, stop, step)
 
     rng = job_rng(seed)
     params = LoRaParams(spreading_factor, bandwidth_khz * 1e3)
     points = []
-    for rssi in _sweep_rssi_grid(start, stop, step):
+    for rssi in grid:
         point = lora_symbol_error_rate(params, float(rssi), symbols, rng)
         points.append({"rssi_dbm": float(point.rssi_dbm),
                        "error_rate": float(point.error_rate),
@@ -163,10 +182,13 @@ def run_sweep_ble(config: Mapping[str, Any], seed: int,
     step = float(reader.take("step_db", 3.0))
     packets = int(reader.take("packets", 8))
     reader.finish()
+    if packets < 1:
+        raise ConfigurationError(f"packets must be at least 1, got {packets}")
+    grid = _sweep_rssi_grid(start, stop, step)
 
     rng = job_rng(seed)
     points = []
-    for rssi in _sweep_rssi_grid(start, stop, step):
+    for rssi in grid:
         point = ble_beacon_error_rate(float(rssi), packets, rng)
         points.append({"rssi_dbm": float(point.rssi_dbm),
                        "error_rate": float(point.error_rate),

@@ -13,9 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel.impairments import apply_cfo
+from repro.channel.link import LinkBudget, ReceivedSignal, receive
+from repro.core.sweeps import (
+    DEFAULT_NOISE_FIGURE_DB,
+    _apply_residual_cfo,
+    lora_symbol_error_rate,
+)
 from repro.errors import ConfigurationError, FramingError
 from repro.dsp.fft import Radix2Fft
-from repro.phy.lora import LoRaParams
+from repro.phy.lora import ConcurrentReceiver, LoRaParams
 from repro.phy.lora.chirp import (
     QuantizedChirpGenerator,
     chirp_train,
@@ -323,3 +329,94 @@ class TestDemodStreamParity:
             demod.demodulate_stream(stream, 2)
         with pytest.raises(DemodulationError):
             demod.demodulate_stream_reference(stream, 2)
+
+
+def _ser_per_window(params, rssi_dbm, num_symbols, rng):
+    """Oracle for ``lora_symbol_error_rate``: one window per call."""
+    budget = LinkBudget(bandwidth_hz=params.sample_rate_hz,
+                        noise_figure_db=DEFAULT_NOISE_FIGURE_DB)
+    symbols = rng.integers(0, params.chips_per_symbol, num_symbols)
+    waveform = _apply_residual_cfo(
+        chirp_train(params, symbols, quantized=True), params, rng)
+    stream = receive([ReceivedSignal(waveform, rssi_dbm)], budget, rng)
+    demod = SymbolDemodulator(params)
+    sym = params.samples_per_symbol
+    errors = 0
+    for index, expected in enumerate(symbols):
+        detected, _ = demod.demodulate_upchirp(
+            stream[index * sym:(index + 1) * sym])
+        errors += int(detected != expected)
+    return errors / num_symbols
+
+
+def _concurrent_per_window(receiver, samples, num_symbols):
+    """Oracle for ``ConcurrentReceiver.demodulate``: one window per call."""
+    results = []
+    for demod, params, count in zip(receiver.branches,
+                                    receiver.branch_params, num_symbols):
+        sym = params.samples_per_symbol
+        values = np.empty(count, dtype=np.int64)
+        magnitudes = np.empty(count, dtype=np.float64)
+        for i in range(count):
+            values[i], magnitudes[i] = demod.demodulate_upchirp(
+                samples[i * sym:(i + 1) * sym])
+        results.append((values, magnitudes))
+    return results
+
+
+class TestBatchedSweepParity:
+    @pytest.mark.parametrize("oversampling", [1, 2])
+    @pytest.mark.parametrize("bandwidth_hz", [125e3, 250e3, 500e3])
+    @pytest.mark.parametrize("sf", range(7, 13))
+    def test_ser_matches_per_window_loop(self, sf, bandwidth_hz,
+                                         oversampling):
+        # RSSIs straddle each configuration's waterfall, so symbol
+        # errors occur and every decision near the noise is compared.
+        params = LoRaParams(sf, bandwidth_hz, oversampling=oversampling)
+        seed = sf * 1000 + int(bandwidth_hz / 1e3) + oversampling
+        batched_rng = np.random.default_rng(seed)
+        loop_rng = np.random.default_rng(seed)
+        waterfall = -126.0 + 2.5 * (8 - sf) + 10 * np.log10(
+            bandwidth_hz / 125e3)
+        num_symbols = max(16, 256 >> (sf - 7))
+        rates = []
+        for rssi in (waterfall + 2.0, waterfall - 2.0, waterfall - 6.0):
+            point = lora_symbol_error_rate(params, rssi, num_symbols,
+                                           batched_rng)
+            expected = _ser_per_window(params, rssi, num_symbols, loop_rng)
+            assert point.error_rate.hex() == expected.hex()
+            assert point.trials == num_symbols
+            assert (batched_rng.bit_generator.state
+                    == loop_rng.bit_generator.state)
+            rates.append(expected)
+        assert any(0.0 < rate < 1.0 for rate in rates)
+
+    @pytest.mark.parametrize("config_a,config_b", [
+        (LoRaParams(8, 125e3), LoRaParams(8, 250e3)),
+        (LoRaParams(7, 125e3), LoRaParams(9, 125e3)),
+        (LoRaParams(9, 250e3), LoRaParams(10, 500e3)),
+        (LoRaParams(12, 500e3), LoRaParams(7, 125e3)),
+    ])
+    def test_concurrent_receiver_matches_per_window_loop(
+            self, config_a, config_b, rng):
+        receiver = ConcurrentReceiver([config_a, config_b])
+        branch_a, branch_b = receiver.branch_params
+        n_a = 12
+        # A ragged tail: the stream is longer than either branch's
+        # whole symbols.
+        size = n_a * branch_a.samples_per_symbol + 77
+        n_b = size // branch_b.samples_per_symbol
+        waves = [chirp_train(params, rng.integers(
+                     0, params.chips_per_symbol, count))
+                 for params, count in ((branch_a, n_a), (branch_b, n_b))]
+        budget = LinkBudget(bandwidth_hz=receiver.sample_rate_hz)
+        stream = receive([ReceivedSignal(waves[0], -118.0),
+                          ReceivedSignal(waves[1], -116.0)], budget, rng,
+                         num_samples=size)
+        for counts in ([n_a, n_b], [n_a, 0], [0, n_b], [n_a - 5, n_b // 3]):
+            results = receiver.demodulate(stream, counts)
+            expected = _concurrent_per_window(receiver, stream, counts)
+            for result, (values, magnitudes) in zip(results, expected):
+                assert result.symbols.dtype == np.int64
+                assert np.array_equal(result.symbols, values)
+                assert result.magnitudes.tobytes() == magnitudes.tobytes()

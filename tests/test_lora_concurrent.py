@@ -101,6 +101,13 @@ class TestConcurrentDemodulation:
         with pytest.raises(DemodulationError):
             receiver.demodulate(np.zeros(256, dtype=complex), [10, 10])
 
+    def test_negative_symbol_count_rejected(self):
+        # A negative count must not slice from the stream's end and
+        # demodulate whatever whole symbols remain.
+        receiver = ConcurrentReceiver([BW125, BW250])
+        with pytest.raises(DemodulationError):
+            receiver.demodulate(np.zeros(4096, dtype=complex), [-1, 2])
+
 
 class TestSweepHelper:
     def test_sweep_points_report_trials(self, rng):

@@ -18,6 +18,7 @@ from repro.service import (
     PRIORITY_BATCH,
     PRIORITY_HIGH,
     CampaignService,
+    JobJournal,
     JobQueue,
     JobResult,
     JobSpec,
@@ -28,6 +29,7 @@ from repro.service import (
     WorkloadRegistry,
     canonical_json,
     content_address,
+    read_journal,
 )
 from repro.service.api import JOB_COMPLETED, JOB_FAILED, JOB_REJECTED
 from repro.sim import SERVICE_KINDS
@@ -458,3 +460,46 @@ class TestServiceDeterminism:
                 == service_session_fingerprint(5))
         assert (service_session_fingerprint(5)
                 != service_session_fingerprint(6))
+
+
+# Sweep configs no engine can run, each with the key its failure names.
+_BAD_SWEEP_CONFIGS = [
+    ("sweep-lora", {"symbols": -1}, "symbols"),
+    ("sweep-lora", {"symbols": 0}, "symbols"),
+    ("sweep-lora", {"step_db": 0.0}, "step_db"),
+    ("sweep-lora", {"step_db": -3.0}, "step_db"),
+    ("sweep-lora", {"start_dbm": 1e308, "stop_dbm": -1e308}, "start_dbm"),
+    ("sweep-lora", {"start_dbm": 1e15, "stop_dbm": 0.0, "step_db": 1.0},
+     "start_dbm"),
+    ("sweep-lora", {"start_dbm": -134.0, "stop_dbm": -110.0}, "start_dbm"),
+    ("sweep-ble", {"packets": 0}, "packets"),
+    ("sweep-ble", {"packets": -1}, "packets"),
+    ("sweep-ble", {"step_db": 0.0}, "step_db"),
+    ("sweep-ble", {"start_dbm": -98.0, "stop_dbm": -80.0}, "start_dbm"),
+]
+
+
+class TestSweepConfigValidation:
+    @pytest.mark.parametrize("kind,config,key", _BAD_SWEEP_CONFIGS)
+    def test_bad_config_fails_the_job_with_a_fail_record(
+            self, tmp_path, kind, config, key):
+        path = tmp_path / "journal.jsonl"
+        journal = JobJournal(str(path))
+        service = CampaignService(journal=journal)
+        job = service.submit_and_run(JobSpec(kind=kind, config=config))
+        journal.close()
+        assert job.state == JOB_FAILED
+        assert job.detail.startswith("ConfigurationError: ")
+        assert key in job.detail
+        assert service.stats().failed == 1
+        last = read_journal(str(path)).records[-1]
+        assert last.type == "fail"
+
+    def test_cli_zero_step_exits_with_one_line_reason(self, capsys):
+        from repro.cli import main
+
+        assert main(["sweep-lora", "--step", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == (
+            "repro: job failed: ConfigurationError: "
+            "step_db must be positive, got 0.0")

@@ -48,6 +48,22 @@ class TestSweepParity:
             assert _hex(point["error_rate"]) == _hex(expected.error_rate)
             assert point["trials"] == expected.trials
 
+    def test_lora_sweep_values_pinned(self):
+        # The parity test above compares the service with the function
+        # it calls; these values pin what that function computes.
+        job = CampaignService().submit_and_run(JobSpec(
+            kind="sweep-lora", seed=7,
+            config={"spreading_factor": 8, "symbols": 300,
+                    "start_dbm": -124.0, "stop_dbm": -133.0,
+                    "step_db": 3.0}))
+        assert job.state == "completed", job.detail
+        points = job.result.payload_mapping()["points"]
+        assert [point["rssi_dbm"] for point in points] == [
+            -124.0, -127.0, -130.0, -133.0]
+        assert [point["error_rate"] for point in points] == [
+            0.0, 0.0, 0.21333333333333335, 0.49]
+        assert job.result.fingerprint().startswith("af727861609f9aee")
+
     def test_ble_sweep_bit_identical(self):
         from repro.core.sweeps import ble_beacon_error_rate
 
