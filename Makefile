@@ -19,7 +19,7 @@ chaos:
 # recovered; every seed must end all-terminal with the recovered
 # session's digest bit-identical to the uninterrupted golden run's.
 chaos-service:
-	REPRO_DETERMINISM=1 $(PYTHON) -m pytest -q tests/test_chaos_service.py
+	$(PYTHON) -m pytest -q tests/test_chaos_service.py
 
 # reprolint: the domain-aware static analyzer over src/ (all fifteen
 # rules; scopes and exemptions are built into repro.analysis.config).

@@ -91,9 +91,9 @@ print(f"virtual clock at {stats.virtual_now_s:.3f} s "
 # hard way: a scripted multi-tenant session in two fresh interpreters
 # under different PYTHONHASHSEED values must fingerprint bit-identically
 # across every job result, ledger row and counter.
-from repro.analysis.determinism import service_check_from_env  # noqa: E402
+from repro.analysis.determinism import session_check_from_env  # noqa: E402
 
-fingerprint = service_check_from_env(seed=2020)
+fingerprint = session_check_from_env("service", seed=2020)
 if fingerprint is not None:
     print(f"\ndeterminism double-run: fingerprints matched "
           f"({fingerprint[:16]})")

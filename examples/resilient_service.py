@@ -27,11 +27,11 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis.determinism import (
-    resilience_check_from_env,
     resilient_session_service,
     resilient_session_specs,
     resilient_session_tenants,
     service_digest,
+    session_check_from_env,
 )
 from repro.errors import SimulatedCrashError
 from repro.faults.service import JournalTornWriteModel
@@ -111,7 +111,7 @@ print(f"\nrecovered digest: {digest[:16]}... == golden (bit-identical)")
 # supervised retries, breakers, shedding and all — fingerprints
 # bit-identically across two fresh interpreters with different
 # PYTHONHASHSEED values.
-fingerprint = resilience_check_from_env(seed=SEED)
+fingerprint = session_check_from_env("resilient", seed=SEED)
 if fingerprint is not None:
     print(f"determinism double-run: fingerprints matched "
           f"({fingerprint[:16]})")

@@ -2,25 +2,25 @@
 
 The static taint pass (REPRO011) and shard-safety rule (REPRO013) catch
 nondeterminism the AST can see; this module catches the rest by
-construction.  It runs the same fleet campaign **twice in separate
-interpreters** under different ``PYTHONHASHSEED`` values and different
-shard counts, fingerprints everything each run produced (every per-node
-result array plus the hierarchical rollup), and raises
-:class:`SanitizerError` unless the hashes are
-bit-identical.  A hash-seed difference flushes out any surviving
-dict/set iteration-order dependence; a shard-count difference flushes
-out any per-process accumulated state — the two runtime failure modes
-the fleet engine's ``(seed, node_id, draw_index)`` contract promises
-away.
+construction.  It runs the same workload **twice in separate
+interpreters** under different ``PYTHONHASHSEED`` values, fingerprints
+everything each run produced, and raises :class:`SanitizerError` unless
+the hashes are bit-identical.  A hash-seed difference flushes out any
+surviving dict/set iteration-order dependence.  A fleet campaign's two
+runs (:func:`double_run_check`) also differ in shard count, flushing
+out per-process accumulated state — the two runtime failure modes the
+fleet engine's ``(seed, node_id, draw_index)`` contract promises away.
+The scripted service sessions (:func:`session_double_run_check`) vary
+the hash seed only.
 
-Each child rebuilds the campaign from one JSON environment value: the
-whole :class:`~repro.ota.fleet.config.FleetCampaignConfig` in its
-:func:`~repro.service.resilience.codec.encode_config` form plus the
-shard count, so the children run exactly the campaign they were given.
-
-The check is wired into ``examples/fleet_campaign.py``: exporting
-``REPRO_DETERMINISM=1`` makes the example re-prove the contract on a
-scaled-down copy of its own campaign before reporting success.
+Every child runs :func:`_fingerprint_main`, configured by one JSON
+environment value, :data:`ENV_RUN` = ``{"check", "arg"}``: a fleet
+child gets the whole :class:`~repro.ota.fleet.config.FleetCampaignConfig`
+in its :func:`~repro.service.resilience.codec.encode_config` form plus
+its shard count, so it runs exactly the campaign it was given; a
+session child gets its seed.  ``examples/fleet_campaign.py``,
+``examples/campaign_service.py`` and ``examples/resilient_service.py``
+re-prove the contract when ``REPRO_DETERMINISM=1`` is exported.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.ota.fleet.config import FleetCampaignConfig
@@ -43,15 +43,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 #: Opt-in flag for the double-run determinism check.
 DETERMINISM_ENV_VAR = "REPRO_DETERMINISM"
 
-#: The subprocess entry point's one knob: ``{"config", "shards"}`` JSON.
-ENV_CAMPAIGN = "REPRO_DET_CAMPAIGN"
+#: The subprocess entry point's one knob: ``{"check", "arg"}`` JSON.
+ENV_RUN = "REPRO_DET_RUN"
 
-#: (PYTHONHASHSEED, shard count) pairs for the two runs.  Different
-#: hash seeds vary dict/set iteration order; different shard counts
-#: vary the node partition.  Bit-exactness must survive both.
+#: (PYTHONHASHSEED, shard count) pairs for the two fleet runs.
+#: Different hash seeds vary dict/set iteration order; different shard
+#: counts vary the node partition.  Bit-exactness must survive both.
 DEFAULT_RUNS: tuple[tuple[str, int], ...] = (("101", 1), ("202", 3))
 
-#: Node-count cap for the double run — enough nodes to exercise every
+#: PYTHONHASHSEED values for the two session runs.  A session has no
+#: shard axis; hash-seed variation alone flushes out iteration-order
+#: dependence in admission, scheduling, caching and event journaling.
+SESSION_RUNS: tuple[str, ...] = ("101", "202")
+
+#: Node-count cap for the fleet double run — enough nodes to exercise every
 #: outcome path while keeping the check a sub-second affair per run.
 DEFAULT_MAX_NODES = 2048
 
@@ -89,28 +94,33 @@ def fleet_fingerprint(report: "FleetReport") -> str:
     return digest.hexdigest()
 
 
-def _fingerprint_main() -> None:
-    """Subprocess entry: run the campaign from env, print the digest."""
+def _sharded_fleet_fingerprint(arg: Mapping) -> str:
+    """A fleet child's run: the encoded campaign at its shard count."""
     from repro.ota.fleet.config import FleetCampaignConfig
     from repro.ota.fleet.shard import run_fleet_campaign_sharded
     from repro.service.resilience.codec import decode_config
 
-    campaign = json.loads(os.environ[ENV_CAMPAIGN])
-    config = decode_config(FleetCampaignConfig, campaign["config"])
+    config = decode_config(FleetCampaignConfig, arg["config"])
+    return fleet_fingerprint(
+        run_fleet_campaign_sharded(config, shards=arg["shards"]))
+
+
+def _fingerprint_main() -> None:
+    """Subprocess entry: run the check named in the env, print its digest."""
+    run = json.loads(os.environ[ENV_RUN])
     # The env *is* the configuration channel here: the parent serialized
-    # the campaign through it precisely so this run is replayable.
-    report = run_fleet_campaign_sharded(config, shards=campaign["shards"])  # reprolint: disable=REPRO011
-    print(fleet_fingerprint(report))
+    # the run through it precisely so this run is replayable.
+    print(_FINGERPRINTS[run["check"]](run["arg"]))
 
 
-def _double_run(what: str, entry: str,
-                runs: Sequence[tuple[str, Mapping[str, str]]]) -> str:
-    """Run ``entry`` once per ``(label, env)`` in a fresh interpreter and diff.
+def _double_run(what: str, check: str,
+                runs: Sequence[tuple[str, object, str]]) -> str:
+    """Run ``check`` in a fresh interpreter per run and diff the digests.
 
-    ``entry`` names a function of this module that prints one
-    fingerprint; each run's environment is the parent's plus ``env``
-    (which sets ``PYTHONHASHSEED`` and the entry's knobs).  Returns the
-    common fingerprint.
+    ``runs`` holds one ``(label, arg, hashseed)`` per child; each child's
+    environment is the parent's plus :data:`ENV_RUN`
+    (naming ``check`` and its ``arg``) and ``PYTHONHASHSEED``.  Returns
+    the common fingerprint.
 
     Raises:
         SanitizerError: when any run's fingerprint diverges, or a run
@@ -120,13 +130,15 @@ def _double_run(what: str, entry: str,
 
     src_dir = str(Path(repro.__file__).resolve().parent.parent)
     fingerprints: list[tuple[str, str]] = []
-    for label, overrides in runs:
+    for label, arg, hashseed in runs:
         env = dict(os.environ)
-        env.update(overrides)
+        env[ENV_RUN] = json.dumps({"check": check, "arg": arg})
+        env["PYTHONHASHSEED"] = hashseed
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-c",
-             f"from repro.analysis.determinism import {entry}; {entry}()"],
+             "from repro.analysis.determinism import _fingerprint_main; "
+             "_fingerprint_main()"],
             env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise SanitizerError(
@@ -158,11 +170,9 @@ def double_run_check(config: "FleetCampaignConfig",
     if config.num_nodes > max_nodes:
         config = dataclasses.replace(config, num_nodes=max_nodes)
     return _double_run(
-        "campaign", "_fingerprint_main",
+        "fleet campaign", "fleet",
         [(f"hashseed={hashseed}, shards={shards}",
-          {ENV_CAMPAIGN: json.dumps({"config": encode_config(config),
-                                     "shards": shards}),
-           "PYTHONHASHSEED": hashseed})
+          {"config": encode_config(config), "shards": shards}, hashseed)
          for hashseed, shards in runs])
 
 
@@ -177,15 +187,7 @@ def check_from_env(config: "FleetCampaignConfig",
     return double_run_check(config)
 
 
-# -- campaign-service double run ------------------------------------------
-
-ENV_SERVICE_SEED = "REPRO_DET_SERVICE_SEED"
-
-#: PYTHONHASHSEED values for the two service runs.  The service has no
-#: shard axis; hash-seed variation alone flushes out iteration-order
-#: dependence in admission, scheduling, caching and event journaling.
-SERVICE_RUNS: tuple[str, ...] = ("101", "202")
-
+# -- scripted service sessions ----------------------------------------------
 
 def service_session_fingerprint(seed: int) -> str:
     """Run a scripted multi-tenant service session and digest it all.
@@ -267,49 +269,6 @@ def service_digest(service) -> str:
     return digest.hexdigest()
 
 
-def _service_fingerprint_main() -> None:
-    """Subprocess entry: run the scripted session, print the digest."""
-    # The env *is* the configuration channel here: the parent serialized
-    # the session seed through it precisely so this run is replayable.
-    seed = int(os.environ[ENV_SERVICE_SEED])
-    print(service_session_fingerprint(seed))  # reprolint: disable=REPRO011
-
-
-def service_double_run_check(
-        seed: int = 0,
-        hashseeds: Sequence[str] = SERVICE_RUNS) -> str:
-    """Run the service session once per hash seed and diff the digests.
-
-    Returns the common fingerprint.
-
-    Raises:
-        SanitizerError: when any run's fingerprint diverges, or a run
-            fails outright.
-    """
-    return _double_run(
-        "campaign service", "_service_fingerprint_main",
-        [(f"hashseed={hashseed}",
-          {ENV_SERVICE_SEED: str(seed), "PYTHONHASHSEED": hashseed})
-         for hashseed in hashseeds])
-
-
-def service_check_from_env(
-        seed: int = 0,
-        environ: Mapping[str, str] | None = None) -> str | None:
-    """Run :func:`service_double_run_check` when ``REPRO_DETERMINISM=1``.
-
-    Returns the fingerprint when the check ran, ``None`` otherwise.
-    """
-    if not determinism_enabled(environ):
-        return None
-    return service_double_run_check(seed)
-
-
-# -- resilient-service double run ------------------------------------------
-
-ENV_RESILIENCE_SEED = "REPRO_DET_RESILIENCE_SEED"
-
-
 def resilient_session_tenants(seed: int):
     """The extra tenants the scripted resilient session registers.
 
@@ -366,10 +325,12 @@ def resilient_session_specs(seed: int):
     """The scripted resilient session's submissions, keyed by seed.
 
     Exercises every terminal state: cheap completions across two
-    tenants, an exact duplicate (a cache hit), a twice-submitted
-    always-failing spec (two strikes trip the ``sweep-lora`` breaker,
-    so a third identical submission is rejected at dispatch with the
-    breaker open), and enough submissions to make shedding reachable.
+    tenants, an exact duplicate (a cache hit), an always-failing spec
+    whose two admitted copies fail and trip the ``sweep-lora`` breaker,
+    and enough submissions that the last three (the failing spec's
+    third copy among them) arrive at the queue's high-water mark and
+    are shed.  Worker crashes and workload hangs add retries and, at
+    some seeds, quarantines.
     """
     from repro.service import PRIORITY_HIGH, JobSpec
 
@@ -404,39 +365,43 @@ def resilient_session_fingerprint(seed: int) -> str:
     return service_digest(service)
 
 
-def _resilient_fingerprint_main() -> None:
-    """Subprocess entry: run the resilient session, print the digest."""
-    # The env *is* the configuration channel here: the parent serialized
-    # the session seed through it precisely so this run is replayable.
-    seed = int(os.environ[ENV_RESILIENCE_SEED])
-    print(resilient_session_fingerprint(seed))  # reprolint: disable=REPRO011
+#: The scripted sessions :func:`session_double_run_check` can diff.
+_SESSIONS = {"service": service_session_fingerprint,
+             "resilient": resilient_session_fingerprint}
+
+#: What a double-run child can fingerprint, by its ``check`` name.
+_FINGERPRINTS = {"fleet": _sharded_fleet_fingerprint, **_SESSIONS}
 
 
-def resilience_double_run_check(
-        seed: int = 0,
-        hashseeds: Sequence[str] = SERVICE_RUNS) -> str:
-    """Run the resilient session once per hash seed and diff digests.
+def session_double_run_check(
+        name: str, seed: int = 0,
+        hashseeds: Sequence[str] = SESSION_RUNS) -> str:
+    """Run the scripted session ``name`` once per hash seed and diff.
 
-    Returns the common fingerprint.
+    ``name`` is ``"service"`` (:func:`service_session_fingerprint`) or
+    ``"resilient"`` (:func:`resilient_session_fingerprint`).  Returns
+    the common fingerprint.
 
     Raises:
+        ConfigurationError: for an unknown session name.
         SanitizerError: when any run's fingerprint diverges, or a run
             fails outright.
     """
+    if name not in _SESSIONS:
+        raise ConfigurationError(
+            f"unknown session {name!r}; known: {', '.join(_SESSIONS)}")
     return _double_run(
-        "resilient service", "_resilient_fingerprint_main",
-        [(f"hashseed={hashseed}",
-          {ENV_RESILIENCE_SEED: str(seed), "PYTHONHASHSEED": hashseed})
-         for hashseed in hashseeds])
+        f"{name} session", name,
+        [(f"hashseed={hashseed}", seed, hashseed) for hashseed in hashseeds])
 
 
-def resilience_check_from_env(
-        seed: int = 0,
+def session_check_from_env(
+        name: str, seed: int = 0,
         environ: Mapping[str, str] | None = None) -> str | None:
-    """Run :func:`resilience_double_run_check` under ``REPRO_DETERMINISM=1``.
+    """Run :func:`session_double_run_check` when ``REPRO_DETERMINISM=1``.
 
     Returns the fingerprint when the check ran, ``None`` otherwise.
     """
     if not determinism_enabled(environ):
         return None
-    return resilience_double_run_check(seed)
+    return session_double_run_check(name, seed)

@@ -18,6 +18,7 @@ CDF.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -109,13 +110,16 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"backoff must be 'fixed' or 'exponential', "
                 f"got {self.backoff!r}")
-        if self.base_delay_s <= 0:
+        # Chained comparisons are false for NaN, so the delay and
+        # deadline checks also refuse every non-finite value.
+        if not 0 < self.base_delay_s < math.inf:
             raise ConfigurationError(
-                f"base_delay_s must be positive, got {self.base_delay_s!r}")
-        if self.max_delay_s < self.base_delay_s:
+                f"base_delay_s must be positive and finite, "
+                f"got {self.base_delay_s!r}")
+        if not self.base_delay_s <= self.max_delay_s < math.inf:
             raise ConfigurationError(
-                "max_delay_s must be >= base_delay_s, got "
-                f"{self.max_delay_s!r} < {self.base_delay_s!r}")
+                f"max_delay_s must be finite and >= base_delay_s "
+                f"({self.base_delay_s!r}), got {self.max_delay_s!r}")
         if not 0.0 <= self.jitter_fraction < 1.0:
             raise ConfigurationError(
                 f"jitter_fraction must be in [0, 1), "
@@ -125,9 +129,9 @@ class RetryPolicy:
                 "jittered backoff needs an explicit seed so delays stay "
                 "deterministic")
         if self.session_deadline_s is not None \
-                and self.session_deadline_s <= 0:
+                and not 0 < self.session_deadline_s < math.inf:
             raise ConfigurationError(
-                "session_deadline_s must be positive, got "
+                "session_deadline_s must be positive and finite, got "
                 f"{self.session_deadline_s!r}")
 
     def jitter_rng(self) -> np.random.Generator | None:
@@ -212,18 +216,6 @@ class DataPacket:
     def wire_bytes(self) -> int:
         """Serialized size: seq (4) + CRC (4) + payload."""
         return 8 + len(self.payload)
-
-
-@dataclass(frozen=True)
-class Ack:
-    """Node -> AP: fragment received and written to flash."""
-
-    sequence: int
-
-    @property
-    def wire_bytes(self) -> int:
-        """Serialized size."""
-        return ACK_BYTES
 
 
 @dataclass(frozen=True)

@@ -546,13 +546,3 @@ class LoRaDemodulator:
             self.params, crc=self.codec.crc,
             use_fir=self._fir_taps is not None)
         return receiver.push(samples) + receiver.flush()
-
-    def receive_aligned_symbols(self, samples: np.ndarray,
-                                num_symbols: int) -> np.ndarray:
-        """Demodulate an already-aligned upchirp symbol stream.
-
-        This is how the paper measures chirp symbol error rate (Fig. 11):
-        known random symbols, known alignment, count detection errors.
-        """
-        filtered = self.frontend(samples)
-        return self.symbol_demod.demodulate_stream(filtered, num_symbols)

@@ -67,12 +67,6 @@ class LoRaFrame:
                 f"{self.preamble_symbols}")
 
     @property
-    def total_symbols(self) -> float:
-        """Total symbol count including preamble, sync and SFD."""
-        return (self.preamble_symbols + 2 + SFD_SYMBOLS
-                + len(self.payload_symbols))
-
-    @property
     def total_samples(self) -> int:
         """Total baseband samples occupied by the frame."""
         sym = self.params.samples_per_symbol

@@ -51,7 +51,6 @@ from repro.service.resilience import (
     BreakerConfig,
     CircuitBreaker,
     CrashPlan,
-    HeartbeatMonitor,
     JobJournal,
     SheddingPolicy,
     SupervisorConfig,
@@ -84,7 +83,6 @@ __all__ = [
     "CampaignService",
     "CircuitBreaker",
     "CrashPlan",
-    "HeartbeatMonitor",
     "Job",
     "JobJournal",
     "JobQueue",

@@ -64,7 +64,6 @@ from repro.service.resilience.journal import (
 )
 from repro.service.resilience.shedding import SheddingPolicy
 from repro.service.resilience.supervisor import (
-    HeartbeatMonitor,
     SupervisorConfig,
     job_jitter_rng,
 )
@@ -108,13 +107,21 @@ TERMINAL_STATES = frozenset({
     JOB_COMPLETED, JOB_REJECTED, JOB_FAILED, JOB_QUARANTINED,
 })
 
-#: The journal record type each terminal state is written as.
+#: The journal record type each terminal state is written as, and the
+#: payload key carrying the job's detail (``None``: a completion carries
+#: its result instead).
 _TERMINAL_RECORDS = {
-    JOB_COMPLETED: RECORD_COMPLETE,
-    JOB_REJECTED: RECORD_REJECT,
-    JOB_FAILED: RECORD_FAIL,
-    JOB_QUARANTINED: RECORD_QUARANTINE,
+    JOB_COMPLETED: (RECORD_COMPLETE, None),
+    JOB_REJECTED: (RECORD_REJECT, "reason"),
+    JOB_FAILED: (RECORD_FAIL, "detail"),
+    JOB_QUARANTINED: (RECORD_QUARANTINE, "detail"),
 }
+
+#: Replay audit of the detail-carrying terminal records: the state the
+#: record implies and the payload key the job's detail must equal.
+_DETAIL_AUDITS = {rtype: (state, key)
+                  for state, (rtype, key) in _TERMINAL_RECORDS.items()
+                  if key is not None}
 
 
 @dataclass
@@ -237,13 +244,10 @@ class CampaignService:
         self.cache = ResultCache(max_entries=cache_entries,
                                  on_corruption=self._on_cache_corruption)
         self._queue = JobQueue()
-        self._seed = seed
-        self._cache_entries = cache_entries
         self._rng = job_rng(seed)
         self._jobs: dict[int, Job] = {}
         self._next_job_id = 1
         self._failed = 0
-        self._quarantined = 0
         self._shed = 0
         self._supervisor = (supervisor if supervisor is not None
                             else SupervisorConfig())
@@ -303,10 +307,6 @@ class CampaignService:
                 f"unknown tenant {name!r}; known: "
                 f"{', '.join(sorted(self._tenants))}") from None
 
-    def tenant_names(self) -> tuple[str, ...]:
-        """Registered tenant names, sorted for stable display."""
-        return tuple(sorted(self._tenants))
-
     # -- submission --------------------------------------------------------
 
     def submit(self, spec: JobSpec) -> Job:
@@ -348,7 +348,7 @@ class CampaignService:
             reason = self._shedding.should_shed(
                 len(self._queue), tenant.pending)
             if reason is not None:
-                return self._shed_job(job, tenant, reason)
+                return self._reject(job, tenant, reason, shed=True)
         if not tenant.has_quota():
             return self._reject(
                 job, tenant,
@@ -361,7 +361,6 @@ class CampaignService:
                 f"(bucket empty)")
         tenant.pending += 1
         tenant.counters.admitted += 1
-        job.state = JOB_QUEUED
         self._queue.push(job)
         self.timeline.record(
             SERVICE_ADMIT, SERVICE_COMPONENT,
@@ -370,41 +369,20 @@ class CampaignService:
             self._journal.append(RECORD_ADMIT, {"job_id": job.job_id})
         return job
 
-    def _reject(self, job: Job, tenant: TenantState, reason: str) -> Job:
-        job.state = JOB_REJECTED
-        job.detail = reason
-        tenant.counters.rejected += 1
-        self.timeline.record(
-            SERVICE_REJECT, SERVICE_COMPONENT,
-            label=f"{job.label} reject: {reason}")
-        self._journal_terminal(job)
-        return job
+    def _reject(self, job: Job, tenant: TenantState, reason: str,
+                shed: bool = False) -> Job:
+        """Refuse a job at admission or, with an open breaker, at dispatch.
 
-    def _shed_job(self, job: Job, tenant: TenantState, reason: str) -> Job:
-        """Refuse a submission at an overload high-water mark."""
-        job.state = JOB_REJECTED
-        job.detail = reason
+        ``shed`` marks an admission refusal at an overload high-water
+        mark (a ``service.shed`` row instead of ``service.reject``).
+        """
         tenant.counters.rejected += 1
-        self._shed += 1
-        self.timeline.record(
-            SERVICE_SHED, SERVICE_COMPONENT,
-            label=f"{job.label} shed: {reason}")
-        self._journal_terminal(job)
-        return job
-
-    def _reject_dispatched(self, job: Job, tenant: TenantState,
-                           reason: str) -> Job:
-        """Refuse an already-admitted job at dispatch (open breaker)."""
-        job.state = JOB_REJECTED
-        job.detail = reason
-        job.completed_at_s = self.timeline.now_s
-        tenant.pending -= 1
-        tenant.counters.rejected += 1
-        self.timeline.record(
-            SERVICE_REJECT, SERVICE_COMPONENT,
-            label=f"{job.label} reject: {reason}")
-        self._journal_terminal(job)
-        return job
+        if shed:
+            self._shed += 1
+            return self._finish(job, tenant, JOB_REJECTED, SERVICE_SHED,
+                                f"shed: {reason}", reason)
+        return self._finish(job, tenant, JOB_REJECTED, SERVICE_REJECT,
+                            f"reject: {reason}", reason)
 
     # -- scheduling --------------------------------------------------------
 
@@ -445,7 +423,7 @@ class CampaignService:
             allowed, transition = breaker.allow(self.timeline.now_s)
             self._emit_breaker_transition(job, transition, breaker)
             if not allowed:
-                return self._reject_dispatched(
+                return self._reject(
                     job, tenant,
                     f"circuit breaker open for kind {job.spec.kind!r}")
         return self._execute_supervised(job, tenant, breaker, address)
@@ -470,19 +448,15 @@ class CampaignService:
         faults = (self._faults.bind(job.job_id, job.label, self.timeline)
                   if self._faults is not None else None)
         jitter = job_jitter_rng(policy, job.job_id)
-        monitor = HeartbeatMonitor(cfg.heartbeat_timeout_s)
         strikes = 0
         while True:
             attempt = strikes + 1
             job.attempts = attempt
-            monitor.arm(self.timeline.now_s)
             reason: str | None = None
             if faults is not None and faults.worker_crashes_now(
-                    attempt, monitor.timeout_s):
-                monitor.declare_dead()
+                    attempt, cfg.heartbeat_timeout_s):
                 reason = f"worker crashed (attempt {attempt})"
             elif faults is not None and faults.workload_hangs_now(attempt):
-                monitor.kick(self.timeline.now_s)
                 self.timeline.record(
                     WATCHDOG_RESET, SERVICE_COMPONENT,
                     label=(f"{job.label} watchdog reset after "
@@ -491,11 +465,9 @@ class CampaignService:
                 reason = f"workload hung (attempt {attempt})"
             else:
                 try:
-                    result = self._run_attempt(job, address, monitor)
+                    result = self._run_attempt(job, address)
                 except ReproError as exc:
-                    monitor.disarm()
                     return self._fail(job, tenant, exc, breaker)
-                monitor.disarm()
                 cost = result.virtual_cost_s
                 if cfg.deadline_s is not None:
                     remaining = (job.started_at_s + cfg.deadline_s
@@ -530,8 +502,7 @@ class CampaignService:
                        f"{policy.max_attempts} after {reason}"),
                 duration_s=delay)
 
-    def _run_attempt(self, job: Job, address: str,
-                     monitor: HeartbeatMonitor) -> JobResult:
+    def _run_attempt(self, job: Job, address: str) -> JobResult:
         """Invoke the workload, or replay its journaled run, as a result.
 
         Raises:
@@ -543,7 +514,7 @@ class CampaignService:
             job.progress = ()
             payload, cost = self.registry.invoke(
                 job.spec.kind, job.spec.config_mapping(), job.spec.seed,
-                self._progress_emitter(job, monitor))
+                self._progress_emitter(job))
         else:
             payload, cost, progress = replay
             for detail in progress:
@@ -574,62 +545,64 @@ class CampaignService:
                 label=(f"{job.label} breaker half-open "
                        f"kind={breaker.kind} (probe)"))
 
-    def _progress_emitter(self, job: Job, monitor: HeartbeatMonitor):
+    def _progress_emitter(self, job: Job):
         def emit(detail: str) -> None:
             self.timeline.record(
                 SERVICE_PROGRESS, SERVICE_COMPONENT,
                 label=f"{job.label} progress: {detail}",
                 advance=False)
             job.progress = job.progress + (detail,)
-            monitor.kick(self.timeline.now_s)
         return emit
 
     def _complete(self, job: Job, tenant: TenantState) -> Job:
-        job.state = JOB_COMPLETED
-        job.completed_at_s = self.timeline.now_s
-        tenant.pending -= 1
         tenant.counters.completed += 1
         if job.cache_hit:
             tenant.counters.cache_hits += 1
-        self.timeline.record(
-            SERVICE_COMPLETE, SERVICE_COMPONENT,
-            label=(f"{job.label} complete "
-                   f"{'cached' if job.cache_hit else 'computed'}"))
-        self._journal_terminal(job)
-        return job
+        return self._finish(
+            job, tenant, JOB_COMPLETED, SERVICE_COMPLETE,
+            f"complete {'cached' if job.cache_hit else 'computed'}")
 
     def _fail(self, job: Job, tenant: TenantState, exc: ReproError,
-              breaker: CircuitBreaker | None = None) -> Job:
-        job.state = JOB_FAILED
-        job.detail = f"{type(exc).__name__}: {exc}"
-        job.completed_at_s = self.timeline.now_s
-        tenant.pending -= 1
+              breaker: CircuitBreaker | None) -> Job:
+        """Terminal state for a job whose engine raised (permanent)."""
         self._failed += 1
-        if breaker is not None:
-            self._emit_breaker_transition(
-                job, breaker.record_failure(self.timeline.now_s), breaker)
-        self.timeline.record(
-            SERVICE_COMPLETE, SERVICE_COMPONENT,
-            label=f"{job.label} failed: {job.detail}")
-        self._journal_terminal(job)
-        return job
+        self._record_breaker_failure(job, breaker)
+        detail = f"{type(exc).__name__}: {exc}"
+        return self._finish(job, tenant, JOB_FAILED, SERVICE_COMPLETE,
+                            f"failed: {detail}", detail)
 
     def _quarantine(self, job: Job, tenant: TenantState,
                     breaker: CircuitBreaker | None, reason: str) -> Job:
         """Terminal state for a poison job that struck out."""
-        job.state = JOB_QUARANTINED
-        job.detail = (f"quarantined after {job.attempts} strikes; "
-                      f"last strike: {reason}")
-        job.completed_at_s = self.timeline.now_s
-        tenant.pending -= 1
         tenant.counters.quarantined += 1
-        self._quarantined += 1
+        self._record_breaker_failure(job, breaker)
+        return self._finish(
+            job, tenant, JOB_QUARANTINED, SERVICE_QUARANTINE,
+            f"quarantined: {reason}",
+            f"quarantined after {job.attempts} strikes; "
+            f"last strike: {reason}")
+
+    def _record_breaker_failure(self, job: Job,
+                                breaker: CircuitBreaker | None) -> None:
         if breaker is not None:
             self._emit_breaker_transition(
                 job, breaker.record_failure(self.timeline.now_s), breaker)
-        self.timeline.record(
-            SERVICE_QUARANTINE, SERVICE_COMPONENT,
-            label=f"{job.label} quarantined: {reason}")
+
+    def _finish(self, job: Job, tenant: TenantState, state: str, kind: str,
+                label: str, detail: str = "") -> Job:
+        """The one terminal transition every finished job goes through.
+
+        Sets the job's state and detail; a dispatched job also frees its
+        tenant's pending slot and is stamped ``completed_at_s``.  Then
+        the ``kind`` ledger row, then the journal record.
+        """
+        job.state = state
+        job.detail = detail
+        if job.started_at_s is not None:
+            tenant.pending -= 1
+            job.completed_at_s = self.timeline.now_s
+        self.timeline.record(kind, SERVICE_COMPONENT,
+                             label=f"{job.label} {label}")
         self._journal_terminal(job)
         return job
 
@@ -637,16 +610,15 @@ class CampaignService:
         """Journal ``job``'s terminal outcome (no-op without a journal)."""
         if self._journal is None:
             return
+        rtype, detail_key = _TERMINAL_RECORDS[job.state]
         payload: dict[str, Any] = {"job_id": job.job_id}
-        if job.state == JOB_COMPLETED:
+        if detail_key is None:
             payload.update(cache_hit=job.cache_hit,
                            result=encode_result(job.result),
                            progress=list(job.progress))
-        elif job.state == JOB_REJECTED:
-            payload["reason"] = job.detail
         else:
-            payload["detail"] = job.detail
-        self._journal.append(_TERMINAL_RECORDS[job.state], payload)
+            payload[detail_key] = job.detail
+        self._journal.append(rtype, payload)
 
     def _on_cache_corruption(self, address: str) -> None:
         """Ledger hook for a cache entry that failed re-verification."""
@@ -808,13 +780,13 @@ class CampaignService:
                     f"replay diverged: admit record {record.seq} but "
                     f"job {job_id} is {job.state!r}")
             return
-        if rtype == RECORD_REJECT:
-            if job.state != JOB_REJECTED \
-                    or job.detail != payload.get("reason"):
+        if rtype in _DETAIL_AUDITS:
+            state, key = _DETAIL_AUDITS[rtype]
+            if job.state != state or job.detail != payload.get(key):
                 raise JournalError(
-                    f"replay diverged: reject record {record.seq} but "
+                    f"replay diverged: {rtype} record {record.seq} but "
                     f"job {job_id} is {job.state!r} "
-                    f"({job.detail!r} != {payload.get('reason')!r})")
+                    f"({job.detail!r} != {payload.get(key)!r})")
             return
         if rtype == RECORD_COMPLETE:
             mismatch = (job.state != JOB_COMPLETED
@@ -827,20 +799,6 @@ class CampaignService:
                     f"replay diverged: complete record {record.seq} "
                     f"does not match job {job_id} "
                     f"(state {job.state!r}, cache_hit {job.cache_hit})")
-            return
-        if rtype == RECORD_FAIL:
-            if job.state != JOB_FAILED \
-                    or job.detail != payload.get("detail"):
-                raise JournalError(
-                    f"replay diverged: fail record {record.seq} but "
-                    f"job {job_id} is {job.state!r}")
-            return
-        if rtype == RECORD_QUARANTINE:
-            if job.state != JOB_QUARANTINED \
-                    or job.detail != payload.get("detail"):
-                raise JournalError(
-                    f"replay diverged: quarantine record {record.seq} "
-                    f"but job {job_id} is {job.state!r}")
             return
         raise JournalError(
             f"journal record {record.seq} has unreplayable type {rtype!r}")

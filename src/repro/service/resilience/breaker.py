@@ -15,6 +15,7 @@ bit-exactly during journal recovery.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +66,9 @@ class BreakerConfig:
             raise ConfigurationError(
                 f"failure_threshold must be >= 1, "
                 f"got {self.failure_threshold}")
-        if self.open_duration_s <= 0:
+        if not 0 < self.open_duration_s < math.inf:
             raise ConfigurationError(
-                f"open_duration_s must be positive, "
+                f"open_duration_s must be positive and finite, "
                 f"got {self.open_duration_s!r}")
         if not 0.0 <= self.probe_jitter_fraction < 1.0:
             raise ConfigurationError(
@@ -88,7 +89,6 @@ class CircuitBreaker:
         self.kind = kind
         self.state = BREAKER_CLOSED
         self.failures = 0
-        self.opened = 0
         self.reopen_at_s: float | None = None
         self._rng = np.random.default_rng(
             [config.seed, _STREAM_BREAKER, _kind_index(kind)])
@@ -135,6 +135,5 @@ class CircuitBreaker:
             self.reopen_at_s = (
                 now_s + self.config.open_duration_s * (1.0 + spread))
             self.failures = 0
-            self.opened += 1
             return "open"
         return None

@@ -301,11 +301,6 @@ class JobJournal:
         journal._handle = handle
         return journal
 
-    @property
-    def records_written(self) -> int:
-        """Records appended so far (the next record's sequence number)."""
-        return self._seq
-
     def append(self, rtype: str, payload: dict[str, Any]) -> JournalRecord:
         """Append one record, honouring the crash plan.
 

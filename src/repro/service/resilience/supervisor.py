@@ -2,12 +2,13 @@
 
 The supervisor wraps every engine execution the service dispatches:
 
-* a per-job **heartbeat monitor** — the :class:`repro.mcu.watchdog`
-  kick-or-expire idiom on the service's virtual clock — turns an
-  injected worker crash into a bounded detection dwell instead of a
-  lost session;
-* a per-job **watchdog deadline** catches workloads that wedge without
-  exiting (heartbeats keep flowing, progress does not);
+* a **heartbeat timeout** turns an injected worker crash into a bounded
+  detection dwell (``heartbeat_timeout_s`` of virtual time between the
+  crash and the worker being declared dead) instead of a lost session;
+* a **watchdog reset** catches workloads that wedge without exiting
+  (heartbeats keep flowing, progress does not) after
+  ``watchdog_timeout_s``, and an optional per-job deadline kills an
+  attempt whose cost would overrun it;
 * a **bounded retry budget** — the OTA :class:`RetryPolicy` reused at
   the service layer, with a deterministic per-job jitter stream — backs
   transient strikes off without synchronized retry storms;
@@ -22,6 +23,7 @@ immediately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,17 +66,20 @@ class SupervisorConfig:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.heartbeat_timeout_s <= 0:
+        # Chained comparisons are false for NaN, so these also refuse
+        # the non-finite values that would poison the virtual clock.
+        if not 0 < self.heartbeat_timeout_s < math.inf:
             raise ConfigurationError(
-                f"heartbeat_timeout_s must be positive, "
+                f"heartbeat_timeout_s must be positive and finite, "
                 f"got {self.heartbeat_timeout_s!r}")
-        if self.watchdog_timeout_s <= 0:
+        if not 0 < self.watchdog_timeout_s < math.inf:
             raise ConfigurationError(
-                f"watchdog_timeout_s must be positive, "
+                f"watchdog_timeout_s must be positive and finite, "
                 f"got {self.watchdog_timeout_s!r}")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None \
+                and not 0 < self.deadline_s < math.inf:
             raise ConfigurationError(
-                f"deadline_s must be positive or None, "
+                f"deadline_s must be positive and finite, or None, "
                 f"got {self.deadline_s!r}")
 
 
@@ -90,54 +95,3 @@ def job_jitter_rng(policy: RetryPolicy,
         return None
     return np.random.default_rng(
         [policy.seed, _STREAM_SUPERVISOR, job_id])
-
-
-class HeartbeatMonitor:
-    """Kick-or-expire heartbeat tracking on the virtual clock.
-
-    The :class:`repro.mcu.watchdog.Watchdog` idiom without the event
-    scheduler: the supervisor arms the monitor at dispatch, the worker
-    kicks it at every progress milestone, and a worker that goes silent
-    is declared dead ``timeout_s`` after its last kick.  ``resets``
-    counts declared deaths, mirroring ``Watchdog.resets``.
-    """
-
-    def __init__(self, timeout_s: float) -> None:
-        if timeout_s <= 0:
-            raise ConfigurationError(
-                f"heartbeat timeout must be positive, got {timeout_s!r}")
-        self.timeout_s = timeout_s
-        self.armed = False
-        self.expired = False
-        self.resets = 0
-        self._last_kick_s = 0.0
-
-    def arm(self, now_s: float) -> None:
-        """Start watching; the first deadline is one timeout from now."""
-        self.armed = True
-        self.expired = False
-        self._last_kick_s = now_s
-
-    def kick(self, now_s: float) -> None:
-        """A heartbeat arrived: push the deadline past ``now_s``."""
-        self._last_kick_s = now_s
-
-    @property
-    def deadline_s(self) -> float:
-        """Absolute virtual time the worker is declared dead."""
-        return self._last_kick_s + self.timeout_s
-
-    def declare_dead(self) -> float:
-        """Record a missed-heartbeat death; returns the detection dwell.
-
-        The dwell is the full timeout: the supervisor only notices a
-        silent worker when the deadline lapses.
-        """
-        self.armed = False
-        self.expired = True
-        self.resets += 1
-        return self.timeout_s
-
-    def disarm(self) -> None:
-        """Stop watching (the attempt finished)."""
-        self.armed = False

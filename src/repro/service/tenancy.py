@@ -16,6 +16,7 @@ submission sequence always admits and rejects the same jobs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -43,13 +44,16 @@ class TenantConfig:
         if self.max_pending < 1:
             raise ConfigurationError(
                 f"max_pending must be >= 1, got {self.max_pending}")
-        if self.bucket_capacity < 1.0:
+        # Chained comparisons are false for NaN, so these also refuse
+        # non-finite values (a NaN bucket rejects every submission).
+        if not 1.0 <= self.bucket_capacity < math.inf:
             raise ConfigurationError(
-                f"bucket capacity must be >= 1, "
+                f"bucket_capacity must be >= 1 and finite, "
                 f"got {self.bucket_capacity!r}")
-        if self.refill_per_s <= 0.0:
+        if not 0.0 < self.refill_per_s < math.inf:
             raise ConfigurationError(
-                f"refill rate must be positive, got {self.refill_per_s!r}")
+                f"refill_per_s must be positive and finite, "
+                f"got {self.refill_per_s!r}")
 
 
 class TokenBucket:

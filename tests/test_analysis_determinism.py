@@ -12,7 +12,10 @@ from repro.analysis.determinism import (
     check_from_env,
     double_run_check,
     fleet_fingerprint,
+    service_session_fingerprint,
+    session_double_run_check,
 )
+from repro.errors import ConfigurationError
 from repro.ota.fleet import (
     FleetBurstLoss,
     FleetCampaignConfig,
@@ -71,3 +74,11 @@ def test_check_from_env_is_gated_on_the_env_var():
     assert check_from_env(CONFIG, environ={}) is None
     fingerprint = check_from_env(CONFIG, environ={DETERMINISM_ENV_VAR: "1"})
     assert fingerprint == fleet_fingerprint(run_fleet_campaign(CONFIG))
+
+
+def test_session_double_run_check_runs_the_named_session():
+    assert (session_double_run_check("service", seed=5)
+            == service_session_fingerprint(5))
+    # The fleet check takes a campaign, not a session seed.
+    with pytest.raises(ConfigurationError, match="unknown session"):
+        session_double_run_check("fleet", seed=5)

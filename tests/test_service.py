@@ -342,6 +342,9 @@ class TestCampaignService:
         assert first.state != JOB_REJECTED
         assert second.state == JOB_REJECTED
         assert "quota" in second.detail
+        # An admission rejection never held a slot or ran.
+        assert service.tenant("lab").pending == 1
+        assert second.completed_at_s is None
         # Completion frees the slot.
         service.run_until_idle()
         third = service.submit(_quick_spec(seed=3, tenant="lab"))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -54,12 +55,12 @@ from repro.service import (
     CampaignService,
     CircuitBreaker,
     CrashPlan,
-    HeartbeatMonitor,
     JobJournal,
     JobSpec,
     ResultCache,
     SheddingPolicy,
     SupervisorConfig,
+    TenantConfig,
     WorkloadRegistry,
     read_journal,
 )
@@ -310,17 +311,6 @@ class TestShedding:
 # --- supervisor -------------------------------------------------------------
 
 class TestSupervisor:
-    def test_heartbeat_monitor_kick_or_expire(self):
-        monitor = HeartbeatMonitor(5.0)
-        monitor.arm(0.0)
-        assert monitor.deadline_s == 5.0
-        monitor.kick(3.0)
-        assert monitor.deadline_s == 8.0
-        assert monitor.declare_dead() == 5.0
-        assert monitor.expired and monitor.resets == 1
-        with pytest.raises(ConfigurationError):
-            HeartbeatMonitor(0.0)
-
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             SupervisorConfig(heartbeat_timeout_s=0.0)
@@ -392,6 +382,34 @@ class TestSupervisor:
         assert SERVICE_RETRY not in _kinds(service.timeline)
 
 
+# Service policy fields that must be finite: a NaN or inf in any of
+# them would poison the virtual clock or every admission verdict.
+_NON_FINITE_FIELDS = [
+    (SupervisorConfig, "heartbeat_timeout_s", math.nan),
+    (SupervisorConfig, "heartbeat_timeout_s", math.inf),
+    (SupervisorConfig, "watchdog_timeout_s", math.nan),
+    (SupervisorConfig, "deadline_s", math.nan),
+    (RetryPolicy, "base_delay_s", math.nan),
+    (RetryPolicy, "max_delay_s", math.nan),
+    (RetryPolicy, "session_deadline_s", math.nan),
+    (BreakerConfig, "open_duration_s", math.nan),
+    (TenantConfig, "refill_per_s", math.nan),
+    (TenantConfig, "refill_per_s", math.inf),
+    (TenantConfig, "bucket_capacity", math.nan),
+]
+
+_REQUIRED_FIELDS = {BreakerConfig: {"seed": 0}, TenantConfig: {"name": "t"}}
+
+
+@pytest.mark.parametrize(
+    "config, field, value", _NON_FINITE_FIELDS,
+    ids=[f"{config.__name__}-{field}-{value}"
+         for config, field, value in _NON_FINITE_FIELDS])
+def test_policy_configs_reject_non_finite_values(config, field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        config(**_REQUIRED_FIELDS.get(config, {}), **{field: value})
+
+
 # --- breaker + shedding integration ----------------------------------------
 
 class TestDegradationIntegration:
@@ -408,6 +426,9 @@ class TestDegradationIntegration:
             JobSpec(kind="sweep-lora", config=bad, seed=2))
         assert blocked.state == JOB_REJECTED
         assert "circuit breaker open" in blocked.detail
+        # A rejection at dispatch frees the slot its admission took.
+        assert service.tenant("default").pending == 0
+        assert blocked.completed_at_s is not None
         assert SERVICE_BREAKER_OPEN in _kinds(service.timeline)
         assert service.registry.invocations("sweep-lora") == 2
         other = service.submit_and_run(JobSpec(kind="info", config={},
