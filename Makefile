@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint semantic chaos chaos-service check golden-check service-smoke fleet-smoke bench-hotpath bench-fleet bench-check bench-trace-smoke bench-paper paper-check
+.PHONY: test lint chaos chaos-service check golden-check service-smoke fleet-smoke bench-hotpath bench-fleet bench-check bench-trace-smoke bench-paper paper-check
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -21,15 +21,10 @@ chaos:
 chaos-service:
 	$(PYTHON) -m pytest -q tests/test_chaos_service.py
 
-# reprolint: the domain-aware static analyzer over src/ (all fifteen
-# rules; scopes and exemptions are built into repro.analysis.config).
+# reprolint: the domain-aware per-file static analyzer over src/ (all
+# eight rules; scopes and exemptions are built into repro.analysis.config).
 lint:
 	$(PYTHON) -m repro.analysis src
-
-# Just the whole-program semantic rules: determinism taint,
-# parity-signature drift, shard safety.
-semantic:
-	$(PYTHON) -m repro.analysis src --select REPRO011,REPRO012,REPRO013
 
 # Campaign-service smoke: run the end-to-end service example with the
 # determinism double-run enabled (REPRO_DETERMINISM=1), re-proving the
@@ -43,11 +38,11 @@ service-smoke:
 fleet-smoke:
 	REPRO_DETERMINISM=1 $(PYTHON) examples/fleet_campaign.py
 
-# Full gate: static analysis (all rules plus the semantic pass), the
-# golden-vector and paper-table drift gates, the service and fleet
-# determinism smokes, the OTA and service chaos suites, the traced
-# benchmark smoke and the perf-regression check, as CI would run them.
-check: lint semantic golden-check paper-check service-smoke fleet-smoke chaos chaos-service bench-trace-smoke bench-check
+# Full gate: static analysis, the golden-vector and paper-table drift
+# gates, the service and fleet determinism smokes, the OTA and service
+# chaos suites, the traced benchmark smoke and the perf-regression
+# check, as CI would run them.
+check: lint golden-check paper-check service-smoke fleet-smoke chaos chaos-service bench-trace-smoke bench-check
 
 # PHY golden-vector drift gate: the committed conformance corpus
 # (tests/fixtures/phy_golden/) must match what the current modulators

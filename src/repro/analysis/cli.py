@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
-from repro.analysis import reporting
 from repro.analysis.config import default_config
-from repro.analysis.engine import all_rules, run_analysis
+from repro.analysis.engine import Finding, all_rules, run_analysis
 from repro.errors import ReproError
 
 
@@ -39,8 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="files or directories to lint (default: src)")
     parser.add_argument("--root", type=Path, default=None,
                         help="project root (default: nearest pyproject.toml)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", help="report format")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule IDs to run exclusively")
     parser.add_argument("--ignore", default=None,
@@ -48,6 +47,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list-rules", action="store_true",
                         help="print the registered rules and exit")
     return parser
+
+
+def render_text(findings: Sequence[Finding]) -> str:
+    """Compiler-style one-line-per-finding report with a summary tail."""
+    lines = [finding.render() for finding in findings]
+    summary = f"{len(findings)} finding(s)"
+    if findings:
+        by_rule = Counter(finding.rule_id for finding in findings)
+        breakdown = ", ".join(f"{rule}={count}"
+                              for rule, count in sorted(by_rule.items()))
+        summary += f" [{breakdown}]"
+    lines.append(summary)
+    return "\n".join(lines)
 
 
 def _split_ids(text: str) -> frozenset[str]:
@@ -74,10 +86,5 @@ def main(argv: list[str] | None = None) -> int:
     except (ReproError, SyntaxError, OSError) as exc:
         print(f"reprolint: error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(reporting.render_json(findings))
-    elif args.format == "sarif":
-        print(reporting.render_sarif(findings, all_rules()))
-    else:
-        print(reporting.render_text(findings))
+    print(render_text(findings))
     return 1 if findings else 0

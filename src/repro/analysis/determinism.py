@@ -1,17 +1,19 @@
-"""``REPRO_DETERMINISM=1``: double-run determinism diffing.
+"""Double-run determinism diffing (``REPRO_DETERMINISM=1``, tier-1).
 
-The static taint pass (REPRO011) and shard-safety rule (REPRO013) catch
-nondeterminism the AST can see; this module catches the rest by
-construction.  It runs the same workload **twice in separate
+Nondeterminism in a ledger, a plan-cache key or a fleet report does
+not show up in one run; it shows up as two runs of the same experiment
+disagreeing.  This module runs the same workload **twice in separate
 interpreters** under different ``PYTHONHASHSEED`` values, fingerprints
-everything each run produced, and raises :class:`SanitizerError` unless
-the hashes are bit-identical.  A hash-seed difference flushes out any
-surviving dict/set iteration-order dependence.  A fleet campaign's two
-runs (:func:`double_run_check`) also differ in shard count, flushing
-out per-process accumulated state — the two runtime failure modes the
-fleet engine's ``(seed, node_id, draw_index)`` contract promises away.
-The scripted service sessions (:func:`session_double_run_check`) vary
-the hash seed only.
+everything each run produced, and raises :class:`SanitizerError`
+unless the hashes are bit-identical.  A hash-seed difference flushes
+out surviving dict/set iteration-order dependence; separate processes
+flush out wall-clock and process-identity reads.  A fleet campaign's
+two runs (:func:`double_run_check`) also differ in shard count,
+flushing out per-process accumulated state — the two runtime failure
+modes the fleet engine's ``(seed, node_id, draw_index)`` contract
+promises away.  The scripted sessions (:func:`session_double_run_check`:
+the service, the resilient service, and every ledger writer in
+:func:`ledger_fingerprint`) vary the hash seed only.
 
 Every child runs :func:`_fingerprint_main`, configured by one JSON
 environment value, :data:`ENV_RUN` = ``{"check", "arg"}``: a fleet
@@ -20,7 +22,8 @@ in its :func:`~repro.service.resilience.codec.encode_config` form plus
 its shard count, so it runs exactly the campaign it was given; a
 session child gets its seed.  ``examples/fleet_campaign.py``,
 ``examples/campaign_service.py`` and ``examples/resilient_service.py``
-re-prove the contract when ``REPRO_DETERMINISM=1`` is exported.
+re-prove the contract when ``REPRO_DETERMINISM=1`` is exported;
+``tests/test_analysis_determinism.py`` runs every check in tier-1.
 """
 
 from __future__ import annotations
@@ -365,9 +368,95 @@ def resilient_session_fingerprint(seed: int) -> str:
     return service_digest(service)
 
 
+def ledger_fingerprint(seed: int) -> str:
+    """Digest of every ledger a fixed scenario set writes, keyed by seed.
+
+    The scenarios reach every module that records onto a
+    :class:`~repro.sim.Timeline`: a classic and a hardened (fully
+    faulted) three-node AP campaign, a broadcast campaign, one fleet
+    node's reconstructed ledger, a tinySDR node's LoRa transmit and
+    sleep (radio, MCU, FPGA and energy-meter ledgers) and the resilient
+    service session.  Each ledger is hashed as its
+    :func:`~repro.sim.trace.to_jsonl` text, so every field of every row
+    counts — component and power included, which
+    :func:`service_digest` leaves out.
+    """
+    import numpy as np
+
+    from repro.core.tinysdr import TinySdr
+    from repro.faults import (
+        ApOutageModel,
+        BrownoutModel,
+        CorruptionModel,
+        FaultPlan,
+        FlashFaultModel,
+        GilbertElliott,
+        HangModel,
+    )
+    from repro.ota.ap import AccessPoint
+    from repro.ota.broadcast import simulate_broadcast_campaign
+    from repro.ota.fleet import FleetBurstLoss, FleetCampaignConfig
+    from repro.ota.fleet.engine import simulate_node_timeline
+    from repro.ota.mac import RetryPolicy
+    from repro.phy.lora import LoRaParams
+    from repro.sim import Timeline
+    from repro.sim.trace import to_jsonl
+    from repro.testbed import campus_deployment
+
+    deployment = campus_deployment(num_nodes=3, max_radius_m=400.0,
+                                   seed=seed)
+    image = np.random.default_rng(seed).integers(
+        0, 256, 2048, dtype=np.uint8).tobytes()
+    classic = AccessPoint(deployment, image, max_attempts_per_node=1
+                          ).run_campaign(np.random.default_rng(seed))
+    faults = FaultPlan(
+        seed=seed,
+        burst_loss=GilbertElliott(seed=seed, p_enter_bad=0.08,
+                                  p_exit_bad=0.35, loss_bad=0.8),
+        corruption=CorruptionModel(seed=seed, per_packet_prob=0.02),
+        flash=FlashFaultModel(seed=seed, page_failure_prob=0.01,
+                              stuck_bit_prob=0.01),
+        brownout=BrownoutModel(seed=seed, prob_per_fragment=0.01,
+                               reboot_time_s=2.0),
+        ap_outage=ApOutageModel(seed=seed, mean_interval_s=600.0,
+                                mean_duration_s=20.0),
+        hang=HangModel(seed=seed, hang_prob=0.3))
+    policy = RetryPolicy(backoff="exponential", base_delay_s=0.25,
+                         max_delay_s=4.0, jitter_fraction=0.1, seed=seed)
+    hardened = AccessPoint(deployment, image, max_attempts_per_node=3
+                           ).run_campaign(np.random.default_rng(seed),
+                                          faults=faults, policy=policy)
+    broadcast = Timeline()
+    simulate_broadcast_campaign(deployment, image,
+                                np.random.default_rng(seed),
+                                timeline=broadcast)
+    fleet_node = simulate_node_timeline(
+        FleetCampaignConfig(num_nodes=4, image_bytes=600, seed=seed,
+                            loss=FleetBurstLoss()), 1)
+    node = TinySdr(node_id=1)
+    node.load_firmware("lora_modem")
+    node.configure_lora(LoRaParams(spreading_factor=7, bandwidth_hz=125e3))
+    node.transmit_lora(b"ledger")
+    node.sleep()
+    node.record_sleep(1.0)
+    service = resilient_session_service(seed)
+    for spec in resilient_session_specs(seed):
+        service.submit(spec)
+    service.run_until_idle()
+    ledgers = (classic.timeline, hardened.timeline, broadcast, fleet_node,
+               node.radio.timeline, node.mcu.timeline,
+               node.configurator.timeline, node.meter.timeline,
+               service.timeline)
+    digest = hashlib.sha256()
+    for ledger in ledgers:
+        digest.update(to_jsonl(ledger).encode())
+    return digest.hexdigest()
+
+
 #: The scripted sessions :func:`session_double_run_check` can diff.
 _SESSIONS = {"service": service_session_fingerprint,
-             "resilient": resilient_session_fingerprint}
+             "resilient": resilient_session_fingerprint,
+             "ledgers": ledger_fingerprint}
 
 #: What a double-run child can fingerprint, by its ``check`` name.
 _FINGERPRINTS = {"fleet": _sharded_fleet_fingerprint, **_SESSIONS}
@@ -378,9 +467,10 @@ def session_double_run_check(
         hashseeds: Sequence[str] = SESSION_RUNS) -> str:
     """Run the scripted session ``name`` once per hash seed and diff.
 
-    ``name`` is ``"service"`` (:func:`service_session_fingerprint`) or
-    ``"resilient"`` (:func:`resilient_session_fingerprint`).  Returns
-    the common fingerprint.
+    ``name`` is ``"service"`` (:func:`service_session_fingerprint`),
+    ``"resilient"`` (:func:`resilient_session_fingerprint`) or
+    ``"ledgers"`` (:func:`ledger_fingerprint`).  Returns the common
+    fingerprint.
 
     Raises:
         ConfigurationError: for an unknown session name.

@@ -2,23 +2,19 @@
 
 The engine is deliberately small: it parses every target file once into
 an :mod:`ast` tree, wraps each in a :class:`FileContext` carrying the
-source text and suppression comments, and hands the contexts to a
-registry of domain rules.  Rules come in two flavours:
-
-* :class:`FileRule` — examines one file at a time (RNG discipline,
-  dtype contracts, magic numbers...).
-* :class:`ProjectRule` — examines the whole tree at once, including the
-  test corpus (parity-pair coverage needs to cross-reference ``tests/``).
+source text and suppression comments, and hands each context to a
+registry of per-file domain rules (:class:`FileRule`: RNG discipline,
+dtype contracts, magic numbers...).
 
 Findings carry a stable rule ID, a location, and a fix-it hint that the
-reporters (:mod:`repro.analysis.reporting`) render.
+CLI (:mod:`repro.analysis.cli`) renders.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -27,9 +23,6 @@ from repro.analysis.config import LintConfig
 from repro.errors import ConfigurationError
 
 _SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)")
-
-#: Root-relative directory of the test corpus project rules cross-reference.
-TESTS_DIR = "tests"
 
 
 @dataclass(frozen=True)
@@ -51,10 +44,6 @@ class Finding:
     col: int
     message: str
     hint: str = ""
-
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-number-insensitive identity (SARIF partial fingerprint)."""
-        return (self.rule_id, self.path, self.message)
 
     def render(self) -> str:
         """One-line ``path:line:col: ID message`` rendering."""
@@ -147,44 +136,13 @@ class FileContext:
         return text[index + 1:].strip() if index >= 0 else ""
 
 
-@dataclass
-class Project:
-    """Everything a :class:`ProjectRule` may inspect.
+class FileRule:
+    """Base class for all reprolint rules; each inspects one file at a time.
 
-    Attributes:
-        root: project root directory (where ``pyproject.toml`` lives).
-        contexts: the lint targets.
-        test_contexts: the parsed test corpus (never linted directly by
-            file rules, but cross-referenced by coverage-style rules).
-        semantic_cell: shared lazy holder of the whole-program semantic
-            model, so every semantic rule in one run reuses one model
-            (built from the *full* target set, not one rule's scope).
-        semantic_origin: the unscoped parent project the model is built
-            from when this instance is a per-rule scoped view.
-    """
-
-    root: Path
-    contexts: list[FileContext] = field(default_factory=list)
-    test_contexts: list[FileContext] = field(default_factory=list)
-    semantic_cell: list = field(default_factory=list, repr=False)
-    semantic_origin: "Project | None" = field(default=None, repr=False)
-
-    def semantic(self):
-        """The cached :class:`~repro.analysis.semantic.SemanticModel`."""
-        if not self.semantic_cell:
-            from repro.analysis.semantic import build_model
-            self.semantic_cell.append(
-                build_model(self.semantic_origin or self))
-        return self.semantic_cell[0]
-
-
-class Rule:
-    """Base class for all reprolint rules.
-
-    Subclasses define class attributes ``rule_id`` / ``name`` /
-    ``description`` and optionally ``default_scope`` (fnmatch patterns a
-    file's relpath must match for the rule to run; ``None`` means every
-    Python file).
+    Subclasses implement :meth:`check_file` and define class attributes
+    ``rule_id`` / ``name`` / ``description`` and optionally
+    ``default_scope`` (fnmatch patterns a file's relpath must match for
+    the rule to run; ``None`` means every Python file).
     """
 
     rule_id: str = ""
@@ -209,27 +167,15 @@ class Rule:
             return True
         return any(fnmatch(ctx.relpath, pattern) for pattern in patterns)
 
-
-class FileRule(Rule):
-    """A rule that inspects one file at a time."""
-
     def check_file(self, ctx: FileContext,
                    config: LintConfig) -> Iterable[Finding]:
         raise NotImplementedError
 
 
-class ProjectRule(Rule):
-    """A rule that inspects the whole project at once."""
-
-    def check_project(self, project: Project,
-                      config: LintConfig) -> Iterable[Finding]:
-        raise NotImplementedError
+_REGISTRY: dict[str, type[FileRule]] = {}
 
 
-_REGISTRY: dict[str, type[Rule]] = {}
-
-
-def register(rule_class: type[Rule]) -> type[Rule]:
+def register(rule_class: type[FileRule]) -> type[FileRule]:
     """Class decorator adding a rule to the global registry.
 
     Raises:
@@ -245,7 +191,7 @@ def register(rule_class: type[Rule]) -> type[Rule]:
     return rule_class
 
 
-def all_rules() -> dict[str, type[Rule]]:
+def all_rules() -> dict[str, type[FileRule]]:
     """The registered rules, keyed by rule ID (imports the rule pack)."""
     # The rules subpackage registers itself on import; importing it here
     # keeps `engine` free of import cycles while making the registry
@@ -262,13 +208,13 @@ def _iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
             yield path
 
 
-def load_project(root: Path, targets: Iterable[Path]) -> Project:
-    """Parse the lint targets and the test corpus into a :class:`Project`.
+def load_contexts(root: Path, targets: Iterable[Path]) -> list[FileContext]:
+    """Parse every lint target once, each file at most once.
 
     A target that fails to parse raises :class:`SyntaxError` (the CLI
-    exits 2); an unparseable test file is skipped.
+    exits 2).
     """
-    project = Project(root=root)
+    contexts: list[FileContext] = []
     seen: set[Path] = set()
     for path in _iter_python_files(targets):
         resolved = path.resolve()
@@ -277,21 +223,8 @@ def load_project(root: Path, targets: Iterable[Path]) -> Project:
         seen.add(resolved)
         relpath = _relative_to_root(resolved, root)
         source = resolved.read_text(encoding="utf-8")
-        project.contexts.append(FileContext(resolved, relpath, source))
-    tests_dir = root / TESTS_DIR
-    if tests_dir.is_dir():
-        for path in _iter_python_files([tests_dir]):
-            resolved = path.resolve()
-            if resolved in seen:
-                continue
-            relpath = _relative_to_root(resolved, root)
-            source = resolved.read_text(encoding="utf-8")
-            try:
-                project.test_contexts.append(
-                    FileContext(resolved, relpath, source))
-            except SyntaxError:
-                continue
-    return project
+        contexts.append(FileContext(resolved, relpath, source))
+    return contexts
 
 
 def _relative_to_root(path: Path, root: Path) -> str:
@@ -308,34 +241,13 @@ def run_analysis(root: Path, targets: Iterable[Path],
     Findings silenced by an inline ``# reprolint: disable=`` comment
     are dropped.
     """
-    project = load_project(root, targets)
     rules = [cls() for rule_id, cls in sorted(all_rules().items())
              if config.rule_enabled(rule_id)]
-    file_rules = [rule for rule in rules if isinstance(rule, FileRule)]
-    project_rules = [rule for rule in rules
-                     if isinstance(rule, ProjectRule)]
-    for rule in rules:
-        if not isinstance(rule, (FileRule, ProjectRule)):
-            # pragma: no cover - registry only holds the two kinds
-            raise ConfigurationError(
-                f"rule {rule.rule_id} is neither a FileRule nor a "
-                f"ProjectRule")
-    findings: list[Finding] = []
-    for ctx in project.contexts:
-        for rule in file_rules:
+    kept: list[Finding] = []
+    for ctx in load_contexts(root, targets):
+        for rule in rules:
             if rule.applies_to(ctx, config):
-                findings.extend(rule.check_file(ctx, config))
-    for rule in project_rules:
-        scoped = [ctx for ctx in project.contexts
-                  if rule.applies_to(ctx, config)]
-        sub = Project(root=project.root, contexts=scoped,
-                      test_contexts=project.test_contexts,
-                      semantic_cell=project.semantic_cell,
-                      semantic_origin=project)
-        findings.extend(rule.check_project(sub, config))
-    by_path = {ctx.relpath: ctx for ctx in project.contexts}
-    kept = [finding for finding in findings
-            if not (finding.path in by_path
-                    and by_path[finding.path].is_suppressed(finding))]
+                kept.extend(finding for finding in rule.check_file(ctx, config)
+                            if not ctx.is_suppressed(finding))
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return kept

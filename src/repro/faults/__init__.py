@@ -17,7 +17,8 @@ The package splits cleanly into *what can go wrong* and *doing it*:
   injectors.
 
 Reproducibility contract: every model takes an explicit keyword-only
-``seed`` (lint rule REPRO009), fault streams are independent
+``seed`` with no default (``tests/test_faults.py`` checks every
+constructor), fault streams are independent
 ``default_rng([seed, stream, node_id])`` generators, and a plan with the
 same seed injects bit-identical fault sequences regardless of node
 iteration order.  With ``faults=None`` the pipeline makes no fault draws

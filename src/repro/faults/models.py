@@ -13,8 +13,8 @@ Reproducibility contract: every model carries an explicit keyword-only
 node id through independent :func:`numpy.random.default_rng` streams, so
 fault sequences are (a) bit-reproducible from configuration alone and
 (b) independent of both the session RNG and the order nodes are
-simulated in.  The REPRO009 lint rule enforces the explicit-seed part
-statically.
+simulated in.  The seed has no default, so a call site that omits it
+raises ``TypeError``.
 """
 
 from __future__ import annotations

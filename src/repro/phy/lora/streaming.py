@@ -23,9 +23,10 @@ suites:
    that share its batch (each FFT row is transformed on its own), so a
    window's magnitudes are the same however the capture was chunked.
 
-**Streaming-state discipline** (lint rule REPRO015): every buffer this
-class keeps is trimmed to a bounded window each :meth:`push`; memory use
-is independent of capture length.  A truncated final symbol is never
+**Streaming-state discipline**: every buffer this class keeps is
+trimmed to a bounded window each :meth:`push`, so memory use is
+independent of capture length, and :meth:`reset` re-initializes all of
+it (a property test compares a reset instance with a fresh one).  A truncated final symbol is never
 demodulated — partial windows wait in the buffer for more samples and
 are discarded by :meth:`flush`, so they cannot shift earlier decisions.
 """
@@ -160,7 +161,7 @@ class StreamingDemodulator:
             self._buffer = np.concatenate([self._buffer, filtered])
 
     def _trim(self) -> None:
-        """Drop samples no state can reference again (REPRO015)."""
+        """Drop samples no state can reference again."""
         keep_from = self.synchronizer.keep_from if self._sync is None \
             else self._payload_pos()
         # keep_from may point beyond the buffered data (an SFD detected

@@ -75,6 +75,7 @@ integral (flash erase/program mixes) store an explicit
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -156,6 +157,11 @@ SERVICE_KINDS = frozenset({
 })
 
 
+def _reject(field: str, value: float) -> None:
+    raise ConfigurationError(
+        f"event {field} must be finite and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimEvent:
     """One ledger row: a typed state interval on the simulation timeline.
@@ -185,15 +191,17 @@ class SimEvent:
     advanced: bool = True
 
     def __post_init__(self) -> None:
-        if self.t_start_s < 0:
-            raise ConfigurationError(
-                f"event start must be >= 0, got {self.t_start_s!r}")
-        if self.duration_s < 0:
-            raise ConfigurationError(
-                f"duration must be >= 0, got {self.duration_s!r}")
-        if self.power_w is not None and self.power_w < 0:
-            raise ConfigurationError(
-                f"power must be >= 0, got {self.power_w!r}")
+        # ``0 <= x < inf`` is False for NaN, so one chain rejects
+        # negative, infinite and NaN values alike.
+        if not 0.0 <= self.t_start_s < math.inf:
+            _reject("t_start_s", self.t_start_s)
+        if not 0.0 <= self.duration_s < math.inf:
+            _reject("duration_s", self.duration_s)
+        if self.power_w is not None and not 0.0 <= self.power_w < math.inf:
+            _reject("power_w", self.power_w)
+        if (self.energy_override_j is not None
+                and not 0.0 <= self.energy_override_j < math.inf):
+            _reject("energy_override_j", self.energy_override_j)
         if not self.kind:
             raise ConfigurationError("event kind must be non-empty")
         if not self.component:

@@ -16,6 +16,7 @@ bit-identical to the sequential ``+=`` accumulators they replaced (see
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 from repro.errors import ConfigurationError
@@ -57,8 +58,9 @@ class Timeline:
                 defaults to ``now_s``.
 
         Raises:
-            ConfigurationError: for negative durations/powers, or an
-                advancing event with an explicit start time.
+            ConfigurationError: for a negative, infinite or NaN start,
+                duration, power or energy, or an advancing event with an
+                explicit start time.
         """
         if t_start_s is not None and advance:
             raise ConfigurationError(
@@ -78,11 +80,13 @@ class Timeline:
         """Jump the clock forward to an absolute time (no ledger entry).
 
         Raises:
-            ConfigurationError: when ``time_s`` is in the past.
+            ConfigurationError: when ``time_s`` is in the past, infinite
+                or NaN.
         """
-        if time_s < self.now_s:
+        if not self.now_s <= time_s < math.inf:
             raise ConfigurationError(
-                f"cannot advance to {time_s!r} before now {self.now_s!r}")
+                f"advance_to time_s must be finite and >= now "
+                f"{self.now_s!r}, got {time_s!r}")
         self.now_s = time_s
 
     def merge(self, other: "Timeline", offset_s: float = 0.0) -> None:

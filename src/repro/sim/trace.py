@@ -65,8 +65,9 @@ def from_jsonl(text: str) -> Timeline:
     """Reconstruct a timeline from its JSONL serialization.
 
     Raises:
-        ConfigurationError: for a missing/invalid header or malformed
-            event rows.
+        ConfigurationError: for a missing/invalid header, malformed
+            event rows, or fewer or more rows than the header's count
+            (a truncated trace).
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -75,6 +76,10 @@ def from_jsonl(text: str) -> Timeline:
     if header.get("record") != _HEADER_RECORD:
         raise ConfigurationError(
             f"expected a timeline header, got {header.get('record')!r}")
+    if header.get("events") != len(lines) - 1:
+        raise ConfigurationError(
+            f"timeline header counts {header.get('events')!r} events, "
+            f"found {len(lines) - 1} rows")
     timeline = Timeline()
     for line in lines[1:]:
         row = json.loads(line)

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.determinism import (
     DETERMINISM_ENV_VAR,
     SanitizerError,
     check_from_env,
     double_run_check,
     fleet_fingerprint,
+    ledger_fingerprint,
     service_session_fingerprint,
     session_double_run_check,
 )
@@ -21,6 +25,7 @@ from repro.ota.fleet import (
     FleetCampaignConfig,
     run_fleet_campaign,
 )
+from repro.sim import Timeline
 
 CONFIG = FleetCampaignConfig(
     num_nodes=96, image_bytes=600, seed=7,
@@ -82,3 +87,32 @@ def test_session_double_run_check_runs_the_named_session():
     # The fleet check takes a campaign, not a session seed.
     with pytest.raises(ConfigurationError, match="unknown session"):
         session_double_run_check("fleet", seed=5)
+
+
+def _ledger_writers() -> set[str]:
+    """Every ``repro`` module (the linter aside) that calls ``.record(``."""
+    package = Path(repro.__file__).resolve().parent
+    return {
+        ".".join(("repro",) + path.relative_to(package).with_suffix("").parts)
+        for path in package.rglob("*.py")
+        if path.relative_to(package).parts[0] != "analysis"
+        and ".record(" in path.read_text(encoding="utf-8")}
+
+
+def test_ledger_double_run_reaches_every_ledger_writer(monkeypatch):
+    on_stack: set[str] = set()
+    record = Timeline.record
+
+    def spy(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None:
+            on_stack.add(frame.f_globals.get("__name__", ""))
+            frame = frame.f_back
+        return record(self, *args, **kwargs)
+
+    monkeypatch.setattr(Timeline, "record", spy)
+    in_process = ledger_fingerprint(0)
+    monkeypatch.undo()
+    assert _ledger_writers() - on_stack == set()
+    # Two interpreters under different hash seeds write the same bytes.
+    assert session_double_run_check("ledgers", seed=0) == in_process

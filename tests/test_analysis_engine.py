@@ -1,14 +1,12 @@
-"""Engine-level tests: registry, config, suppressions, reporters, CLI."""
+"""Engine-level tests: registry, config, suppressions, reporter, CLI."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import reporting
-from repro.analysis.cli import main
+from repro.analysis.cli import main, render_text
 from repro.analysis.config import LintConfig
 from repro.analysis.engine import (
     FileRule,
@@ -21,15 +19,13 @@ from repro.errors import ConfigurationError
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "reprolint"
 
-RULE_IDS = ("REPRO001", "REPRO002", "REPRO003", "REPRO004",
-            "REPRO005", "REPRO006", "REPRO007", "REPRO008",
-            "REPRO009", "REPRO011", "REPRO012", "REPRO013",
-            "REPRO014", "REPRO015", "REPRO016")
+RULE_IDS = ("REPRO001", "REPRO004", "REPRO005", "REPRO006",
+            "REPRO007", "REPRO008", "REPRO014", "REPRO016")
 
 
 # --- registry ---------------------------------------------------------------
 
-def test_registry_holds_the_fifteen_domain_rules():
+def test_registry_holds_the_eight_domain_rules():
     rules = all_rules()
     assert tuple(sorted(rules)) == RULE_IDS
     for rule_id, cls in rules.items():
@@ -91,54 +87,11 @@ def _sample_findings():
 
 
 def test_render_text_lists_findings_and_summary():
-    text = reporting.render_text(_sample_findings())
+    text = render_text(_sample_findings())
     assert "src/a.py:10:4: REPRO005" in text
     assert "src/b.py:3:0: REPRO007" in text
     assert "3 finding(s) [REPRO005=2, REPRO007=1]" in text
-    assert reporting.render_text([]) == "0 finding(s)"
-
-
-def test_render_json_round_trips():
-    payload = json.loads(reporting.render_json(_sample_findings()))
-    assert [(f["rule"], f["path"], f["line"], f["col"])
-            for f in payload["findings"]] == [
-        ("REPRO005", "src/a.py", 10, 4),
-        ("REPRO005", "src/a.py", 20, 4),
-        ("REPRO007", "src/b.py", 3, 0)]
-    assert payload["findings"][2]["message"] == "bare 'except:'"
-
-
-def test_render_sarif_round_trips():
-    document = json.loads(
-        reporting.render_sarif(_sample_findings(), all_rules()))
-    assert document["version"] == "2.1.0"
-    assert "sarif-schema-2.1.0" in document["$schema"]
-    run = document["runs"][0]
-    assert run["tool"]["driver"]["name"] == "reprolint"
-    declared = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert declared == set(RULE_IDS)
-    assert [r["ruleId"] for r in run["results"]] == [
-        "REPRO005", "REPRO005", "REPRO007"]
-    result = run["results"][0]
-    assert result["level"] == "error"
-    location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == "src/a.py"
-    assert location["region"]["startLine"] == 10
-    assert location["region"]["startColumn"] == 5  # col 4, 1-based
-    fingerprints = [r["partialFingerprints"]["reprolint/v1"]
-                    for r in run["results"]]
-    # Same (rule, path, message) -> same line-insensitive fingerprint.
-    assert fingerprints[0] == fingerprints[1] != fingerprints[2]
-
-
-def test_sarif_fingerprint_is_line_insensitive():
-    low = Finding("REPRO005", "src/a.py", 10, 4, "magic number")
-    drifted = Finding("REPRO005", "src/a.py", 99, 0, "magic number")
-    other = Finding("REPRO005", "src/a.py", 10, 4, "other message")
-    assert (reporting._sarif_fingerprint(low)
-            == reporting._sarif_fingerprint(drifted))
-    assert (reporting._sarif_fingerprint(low)
-            != reporting._sarif_fingerprint(other))
+    assert render_text([]) == "0 finding(s)"
 
 
 # --- CLI --------------------------------------------------------------------
@@ -163,30 +116,16 @@ def test_cli_select_restricts_rules(capsys):
     assert "REPRO001" not in out
 
 
-def test_cli_json_format(capsys):
-    assert _cli("--format", "json") == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["findings"]
-
-
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in RULE_IDS:
-        assert rule_id in out
+    assert tuple(line.split()[0] for line in out.splitlines()) == RULE_IDS
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing.py"
     assert main([str(missing), "--root", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
-
-
-def test_cli_sarif_format(capsys):
-    assert _cli("--format", "sarif") == 1
-    document = json.loads(capsys.readouterr().out)
-    assert document["version"] == "2.1.0"
-    assert document["runs"][0]["results"]
 
 
 def test_cli_exits_2_on_unparseable_file(tmp_path, capsys):

@@ -186,7 +186,7 @@ def test_faults_off_changes_nothing():
     assert hardened.outcome_counts() == {OUTCOME_SUCCEEDED: 2}
     with pytest.raises(TypeError):
         # The plan seed is required - chaos is never accidentally
-        # unseeded (REPRO009 enforces the same statically).
+        # unseeded (tests/test_faults.py checks every constructor).
         FaultPlan()  # noqa  (deliberate: must not construct)
 
 

@@ -1,10 +1,10 @@
-"""Pinned determinism fingerprints of the service and the fleet engine.
+"""Pinned determinism fingerprints of the service, ledgers and fleet.
 
 The chaos and parity suites compare the code only with itself, so a
 reordered ledger row or journal record would pass them all.  These pins
-hold the session digests, one journal's exact bytes and the fleet
-fingerprint to fixed values: a refactor that claims identity must keep
-every one of them.
+hold the session digests, one journal's exact bytes, the bytes of every
+ledger the ledger double run hashes, and the fleet fingerprint to fixed
+values: a refactor that claims identity must keep every one of them.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis.determinism import (
     fleet_fingerprint,
+    ledger_fingerprint,
     resilient_session_fingerprint,
     resilient_session_service,
     resilient_session_specs,
@@ -54,6 +55,13 @@ def test_resilient_session_journal_bytes_are_pinned(tmp_path):
     assert len(raw) == 9472
     assert hashlib.sha256(raw).hexdigest() == (
         "ce71f03c80169d8bd4485f9531ed409524fadb0b6483d1be6826e21e9c3f0500")
+
+
+def test_ledger_fingerprint_is_pinned():
+    # The JSONL bytes of the OTA (classic, hardened, broadcast, fleet
+    # node), tinySDR node and resilient-service ledgers, seed 0.
+    assert ledger_fingerprint(0) == (
+        "44b8a010f5406e80ba4934941244a9188910b92d57d0597336f64fe16af86964")
 
 
 def test_fleet_smoke_fingerprint_is_pinned():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+import repro.faults
 from repro.errors import FaultInjectionError
 from repro.faults import (
     ApOutageModel,
@@ -48,6 +51,18 @@ class TestModelValidation:
 
 
 class TestSeededStreams:
+    @pytest.mark.parametrize("name", [
+        "FaultPlan", "GilbertElliott", "CorruptionModel", "FlashFaultModel",
+        "BrownoutModel", "ApOutageModel", "HangModel", "WorkerCrashModel",
+        "WorkloadHangModel", "JournalTornWriteModel", "ServiceFaultPlan"])
+    def test_constructor_requires_a_keyword_seed(self, name):
+        # A chaos run replays from its configuration alone, so a call
+        # site that forgets the seed must fail, not fall back to one.
+        seed = inspect.signature(
+            getattr(repro.faults, name)).parameters["seed"]
+        assert seed.kind is inspect.Parameter.KEYWORD_ONLY
+        assert seed.default is inspect.Parameter.empty
+
     def test_spawn_rng_streams_are_independent(self):
         a = spawn_rng(7, 1, 3).random(8).tolist()
         b = spawn_rng(7, 2, 3).random(8).tolist()

@@ -127,6 +127,21 @@ class TestAlignedFir:
         streamed = np.concatenate(pieces + [fir.flush()])
         assert np.array_equal(streamed, filter_block(taps, samples))
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), prefix=st.integers(1, 40),
+           count=st.integers(0, 60))
+    def test_reset_after_unflushed_prefix_equals_fresh(self, seed, prefix,
+                                                       count):
+        rng = np.random.default_rng(seed)
+        taps = design_lowpass(14, 1000.0, 8000.0)
+        reused = _AlignedStreamingFir(taps)
+        reused.process(rng.normal(size=prefix) + 1j * rng.normal(size=prefix))
+        reused.reset()
+        samples = rng.normal(size=count) + 1j * rng.normal(size=count)
+        outputs = [np.concatenate([fir.process(samples), fir.flush()])
+                   for fir in (reused, _AlignedStreamingFir(taps))]
+        assert np.array_equal(*outputs)
+
 
 class TestLinearWork:
     """Receive work grows with the capture, not with the chunk size."""
@@ -257,6 +272,24 @@ class TestStreamingLifecycle:
         second = stream_in_chunks(demod, capture, [777, 9000])
         assert first == second
         assert first[0].decoded.payload == payload
+
+    @pytest.mark.parametrize("params", PARAMS_CASES,
+                             ids=["sf7_os1", "sf8_os2"])
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), prefix=st.integers(1, 6000))
+    def test_reset_after_unflushed_prefix_equals_fresh(self, params, seed,
+                                                       prefix):
+        # Whatever a half-received capture left in the FIR, the sample
+        # buffer or the synchronizer, reset() must forget all of it.
+        rng = np.random.default_rng(seed)
+        capture = make_capture(params, [b"reset"], seed)
+        splits = rng.integers(0, capture.size + 1, 3)
+        reused = StreamingDemodulator(params)
+        reused.push(rng.normal(size=prefix) + 1j * rng.normal(size=prefix))
+        reused.reset()
+        assert (stream_in_chunks(reused, capture, splits)
+                == stream_in_chunks(StreamingDemodulator(params), capture,
+                                    splits))
 
 
 class TestBoundedMemory:

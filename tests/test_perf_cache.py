@@ -162,7 +162,12 @@ class TestPlanCacheIntegration:
         params = LoRaParams(7, 125e3)
         SymbolDemodulator(params)
         misses_after_first = cache.stats().misses
-        SymbolDemodulator(params)
+        # An equal but distinct params object must hit: plan keys are
+        # values, never object identities.  `params` stays alive, so
+        # the twin cannot reuse its id().
+        twin = LoRaParams(7, 125e3)
+        assert twin == params and twin is not params
+        SymbolDemodulator(twin)
         stats = cache.stats()
         assert stats.hits > 0
         assert stats.misses == misses_after_first

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -93,6 +94,28 @@ class TestTimelineClock:
         with pytest.raises(ConfigurationError):
             timeline.advance_to(3.0)
 
+    @pytest.mark.parametrize("field, call", [
+        ("duration_s", lambda t: t.record(SLEEP, "mcu",
+                                          duration_s=math.nan)),
+        ("duration_s", lambda t: t.record(SLEEP, "mcu",
+                                          duration_s=math.inf)),
+        ("power_w", lambda t: t.record(SLEEP, "mcu", power_w=math.nan)),
+        ("energy_override_j", lambda t: t.record(
+            SLEEP, "mcu", energy_override_j=math.nan)),
+        ("energy_override_j", lambda t: t.record(
+            SLEEP, "mcu", energy_override_j=-1.0)),
+        ("t_start_s", lambda t: t.record(SLEEP, "mcu", t_start_s=math.nan,
+                                         advance=False)),
+        ("time_s", lambda t: t.advance_to(math.nan)),
+        ("time_s", lambda t: t.advance_to(math.inf)),
+    ], ids=["duration-nan", "duration-inf", "power-nan", "energy-nan",
+            "energy-negative", "start-nan", "advance-nan", "advance-inf"])
+    def test_non_finite_or_negative_values_rejected(self, field, call):
+        timeline = Timeline()
+        with pytest.raises(ConfigurationError, match=field):
+            call(timeline)
+        assert timeline.now_s == 0.0 and len(timeline) == 0
+
     def test_merge_splices_shifted_non_advancing_copies(self):
         session = Timeline()
         session.record(PACKET_RX, "radio", duration_s=1.0)
@@ -181,6 +204,17 @@ class TestTraceRoundTrip:
             from_jsonl("")
         with pytest.raises(ConfigurationError):
             from_jsonl(json.dumps({"record": "nope"}))
+
+    def test_from_jsonl_rejects_a_truncated_trace(self, timeline):
+        rows = to_jsonl(timeline).splitlines()
+        with pytest.raises(ConfigurationError, match="3 events, found 2"):
+            from_jsonl("\n".join(rows[:-1]))
+
+    def test_from_jsonl_rejects_a_nan_row(self, timeline):
+        text = to_jsonl(timeline).replace('"duration_s": 0.125',
+                                          '"duration_s": NaN')
+        with pytest.raises(ConfigurationError, match="duration_s"):
+            from_jsonl(text)
 
     def test_chrome_trace_structure(self, timeline, tmp_path):
         document = to_chrome_trace(timeline)
