@@ -16,8 +16,6 @@ stats show the admission decisions, the cache hit and the per-kind
 engine invocation counts.
 
 Run:  python examples/campaign_service.py   (about a second)
-With REPRO_DETERMINISM=1 exported it additionally re-proves the service
-is run-deterministic across fresh interpreters.
 """
 
 from repro.service import (
@@ -86,14 +84,3 @@ print(f"\nservice stats: {stats.submitted} submitted, "
 print(f"engine invocations: {stats.invocations}")
 print(f"virtual clock at {stats.virtual_now_s:.3f} s "
       f"({len(service.timeline)} ledger events, zero wall-clock reads)")
-
-# With REPRO_DETERMINISM=1 exported, re-prove the service contract the
-# hard way: a scripted multi-tenant session in two fresh interpreters
-# under different PYTHONHASHSEED values must fingerprint bit-identically
-# across every job result, ledger row and counter.
-from repro.analysis.determinism import session_check_from_env  # noqa: E402
-
-fingerprint = session_check_from_env("service", seed=2020)
-if fingerprint is not None:
-    print(f"\ndeterminism double-run: fingerprints matched "
-          f"({fingerprint[:16]})")

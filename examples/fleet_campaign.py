@@ -87,14 +87,3 @@ with tempfile.TemporaryDirectory() as tmp:
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert hashlib.sha256(sharded_path.read_bytes()).hexdigest() == digest
     print(f"8-way sharded spill is byte-identical (sha256 {digest[:16]})")
-
-# With REPRO_DETERMINISM=1 exported, re-prove the contract the hard
-# way: the same (scaled-down) campaign in two fresh interpreters under
-# different PYTHONHASHSEED values and shard counts must fingerprint
-# bit-identically across every result array and the rollup.
-from repro.analysis.determinism import check_from_env  # noqa: E402
-
-fingerprint = check_from_env(config)
-if fingerprint is not None:
-    print(f"\ndeterminism double-run: fingerprints matched "
-          f"({fingerprint[:16]})")

@@ -19,8 +19,6 @@ fingerprints **bit-identically** to an uninterrupted golden run — the
 crash is invisible in the ledger.
 
 Run:  python examples/resilient_service.py   (about a second)
-With REPRO_DETERMINISM=1 exported it additionally re-proves the
-resilient session is run-deterministic across fresh interpreters.
 """
 
 import tempfile
@@ -31,7 +29,6 @@ from repro.analysis.determinism import (
     resilient_session_specs,
     resilient_session_tenants,
     service_digest,
-    session_check_from_env,
 )
 from repro.errors import SimulatedCrashError
 from repro.faults.service import JournalTornWriteModel
@@ -106,12 +103,3 @@ for job in recovered.jobs():
 digest = service_digest(recovered)
 assert digest == golden, "recovery broke fingerprint parity"
 print(f"\nrecovered digest: {digest[:16]}... == golden (bit-identical)")
-
-# With REPRO_DETERMINISM=1 exported, re-prove the resilient session —
-# supervised retries, breakers, shedding and all — fingerprints
-# bit-identically across two fresh interpreters with different
-# PYTHONHASHSEED values.
-fingerprint = session_check_from_env("resilient", seed=SEED)
-if fingerprint is not None:
-    print(f"determinism double-run: fingerprints matched "
-          f"({fingerprint[:16]})")

@@ -1,29 +1,22 @@
-"""Double-run determinism diffing (``REPRO_DETERMINISM=1``, tier-1).
+"""Pinned determinism digests, computed in fresh interpreters.
 
-Nondeterminism in a ledger, a plan-cache key or a fleet report does
-not show up in one run; it shows up as two runs of the same experiment
-disagreeing.  This module runs the same workload **twice in separate
-interpreters** under different ``PYTHONHASHSEED`` values, fingerprints
-everything each run produced, and raises :class:`SanitizerError`
-unless the hashes are bit-identical.  A hash-seed difference flushes
-out surviving dict/set iteration-order dependence; separate processes
-flush out wall-clock and process-identity reads.  A fleet campaign's
-two runs (:func:`double_run_check`) also differ in shard count,
-flushing out per-process accumulated state — the two runtime failure
-modes the fleet engine's ``(seed, node_id, draw_index)`` contract
-promises away.  The scripted sessions (:func:`session_double_run_check`:
-the service, the resilient service, and every ledger writer in
-:func:`ledger_fingerprint`) vary the hash seed only.
+Nondeterminism in a ledger, a journal or a fleet report does not show
+up in one run: it shows up as a run under another ``PYTHONHASHSEED``,
+shard count or process disagreeing with the committed result.  This
+module holds the scripted scenarios behind every pinned digest (the
+campaign service, the resilient service, its journal bytes, every
+ledger writer and the fleet engine) and :func:`pinned_digests`, which
+computes all of them once per hash seed in :data:`HASH_SEEDS`, each in
+a fresh interpreter.  ``tests/test_determinism_pins.py`` compares every
+digest under every hash seed with its committed value, so a set or dict
+whose iteration order leaks into an output, a wall-clock or
+process-identity read, or per-process state fails there whatever hash
+seed the test process itself runs under.  The fleet campaign runs at
+every shard count in :data:`FLEET_SHARDS` as well, which its
+``(seed, node_id, draw_index)`` contract promises away.
 
-Every child runs :func:`_fingerprint_main`, configured by one JSON
-environment value, :data:`ENV_RUN` = ``{"check", "arg"}``: a fleet
-child gets the whole :class:`~repro.ota.fleet.config.FleetCampaignConfig`
-in its :func:`~repro.service.resilience.codec.encode_config` form plus
-its shard count, so it runs exactly the campaign it was given; a
-session child gets its seed.  ``examples/fleet_campaign.py``,
-``examples/campaign_service.py`` and ``examples/resilient_service.py``
-re-prove the contract when ``REPRO_DETERMINISM=1`` is exported;
-``tests/test_analysis_determinism.py`` runs every check in tier-1.
+The chaos suite and the examples reuse the scenario functions: the
+resilient session is the crash-recovery parity oracle.
 """
 
 from __future__ import annotations
@@ -34,44 +27,27 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.ota.fleet.config import FleetCampaignConfig
     from repro.ota.fleet.engine import FleetReport
 
-#: Opt-in flag for the double-run determinism check.
-DETERMINISM_ENV_VAR = "REPRO_DETERMINISM"
+#: PYTHONHASHSEED values every pinned digest is computed under: the
+#: first four.  A set iterates in an order each hash seed picks afresh,
+#: so a two-way order leak keeps the pinned order under all four with
+#: odds of about one in sixteen, and a longer set's far less often.
+HASH_SEEDS: tuple[str, ...] = tuple(str(seed) for seed in range(4))
 
-#: The subprocess entry point's one knob: ``{"check", "arg"}`` JSON.
-ENV_RUN = "REPRO_DET_RUN"
+#: Shard counts the pinned fleet campaign runs at in every interpreter.
+FLEET_SHARDS: tuple[int, ...] = (1, 3)
 
-#: (PYTHONHASHSEED, shard count) pairs for the two fleet runs.
-#: Different hash seeds vary dict/set iteration order; different shard
-#: counts vary the node partition.  Bit-exactness must survive both.
-DEFAULT_RUNS: tuple[tuple[str, int], ...] = (("101", 1), ("202", 3))
-
-#: PYTHONHASHSEED values for the two session runs.  A session has no
-#: shard axis; hash-seed variation alone flushes out iteration-order
-#: dependence in admission, scheduling, caching and event journaling.
-SESSION_RUNS: tuple[str, ...] = ("101", "202")
-
-#: Node-count cap for the fleet double run — enough nodes to exercise every
-#: outcome path while keeping the check a sub-second affair per run.
-DEFAULT_MAX_NODES = 2048
-
-
-class SanitizerError(ReproError):
-    """A runtime invariant check failed (a double run diverged)."""
-
-
-def determinism_enabled(environ: dict[str, str] | None = None) -> bool:
-    """Whether ``REPRO_DETERMINISM=1`` asks for double-run diffing."""
-    env = os.environ if environ is None else environ
-    return env.get(DETERMINISM_ENV_VAR, "") == "1"
+#: Seconds an interpreter may take before the run is abandoned (one
+#: takes about 2 s of CPU).
+CHILD_TIMEOUT_S = 300
 
 
 def fleet_fingerprint(report: "FleetReport") -> str:
@@ -97,97 +73,16 @@ def fleet_fingerprint(report: "FleetReport") -> str:
     return digest.hexdigest()
 
 
-def _sharded_fleet_fingerprint(arg: Mapping) -> str:
-    """A fleet child's run: the encoded campaign at its shard count."""
-    from repro.ota.fleet.config import FleetCampaignConfig
+def pinned_fleet_fingerprint(shards: int) -> str:
+    """Fingerprint of the fleet example's campaign at 2,048 nodes."""
+    from repro.ota.fleet import FleetBurstLoss, FleetCampaignConfig
     from repro.ota.fleet.shard import run_fleet_campaign_sharded
-    from repro.service.resilience.codec import decode_config
 
-    config = decode_config(FleetCampaignConfig, arg["config"])
+    config = FleetCampaignConfig(
+        num_nodes=2048, image_bytes=1800, seed=2020,
+        loss=FleetBurstLoss(), verify_failure_prob=0.01)
     return fleet_fingerprint(
-        run_fleet_campaign_sharded(config, shards=arg["shards"]))
-
-
-def _fingerprint_main() -> None:
-    """Subprocess entry: run the check named in the env, print its digest."""
-    run = json.loads(os.environ[ENV_RUN])
-    # The env *is* the configuration channel here: the parent serialized
-    # the run through it precisely so this run is replayable.
-    print(_FINGERPRINTS[run["check"]](run["arg"]))
-
-
-def _double_run(what: str, check: str,
-                runs: Sequence[tuple[str, object, str]]) -> str:
-    """Run ``check`` in a fresh interpreter per run and diff the digests.
-
-    ``runs`` holds one ``(label, arg, hashseed)`` per child; each child's
-    environment is the parent's plus :data:`ENV_RUN`
-    (naming ``check`` and its ``arg``) and ``PYTHONHASHSEED``.  Returns
-    the common fingerprint.
-
-    Raises:
-        SanitizerError: when any run's fingerprint diverges, or a run
-            fails outright.
-    """
-    import repro
-
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    fingerprints: list[tuple[str, str]] = []
-    for label, arg, hashseed in runs:
-        env = dict(os.environ)
-        env[ENV_RUN] = json.dumps({"check": check, "arg": arg})
-        env["PYTHONHASHSEED"] = hashseed
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.analysis.determinism import _fingerprint_main; "
-             "_fingerprint_main()"],
-            env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SanitizerError(
-                f"{what} determinism run ({label}) failed: "
-                f"{proc.stderr.strip()[-500:]}")
-        fingerprints.append((label, proc.stdout.strip()))
-    if len({fp for _, fp in fingerprints}) != 1:
-        detail = ", ".join(f"{label} -> {fp[:16]}"
-                           for label, fp in fingerprints)
-        raise SanitizerError(
-            f"{what} is not run-deterministic: {detail}; some value "
-            f"depends on hash-seed iteration order or per-process state")
-    return fingerprints[0][1]
-
-
-def double_run_check(config: "FleetCampaignConfig",
-                     runs: Sequence[tuple[str, int]] = DEFAULT_RUNS,
-                     max_nodes: int = DEFAULT_MAX_NODES) -> str:
-    """Run the campaign once per ``(hashseed, shards)`` pair and diff.
-
-    Returns the common fingerprint.
-
-    Raises:
-        SanitizerError: when any run's fingerprint diverges, or a run
-            fails outright.
-    """
-    from repro.service.resilience.codec import encode_config
-
-    if config.num_nodes > max_nodes:
-        config = dataclasses.replace(config, num_nodes=max_nodes)
-    return _double_run(
-        "fleet campaign", "fleet",
-        [(f"hashseed={hashseed}, shards={shards}",
-          {"config": encode_config(config), "shards": shards}, hashseed)
-         for hashseed, shards in runs])
-
-
-def check_from_env(config: "FleetCampaignConfig",
-                   environ: Mapping[str, str] | None = None) -> str | None:
-    """Run :func:`double_run_check` when ``REPRO_DETERMINISM=1``.
-
-    Returns the fingerprint when the check ran, ``None`` otherwise.
-    """
-    if not determinism_enabled(environ):
-        return None
-    return double_run_check(config)
+        run_fleet_campaign_sharded(config, shards=shards))
 
 
 # -- scripted service sessions ----------------------------------------------
@@ -453,45 +348,70 @@ def ledger_fingerprint(seed: int) -> str:
     return digest.hexdigest()
 
 
-#: The scripted sessions :func:`session_double_run_check` can diff.
-_SESSIONS = {"service": service_session_fingerprint,
-             "resilient": resilient_session_fingerprint,
-             "ledgers": ledger_fingerprint}
+def resilient_journal_digest(seed: int) -> str:
+    """``"<bytes> <sha256>"`` of the resilient session's journal file."""
+    from repro.service import JobJournal
 
-#: What a double-run child can fingerprint, by its ``check`` name.
-_FINGERPRINTS = {"fleet": _sharded_fleet_fingerprint, **_SESSIONS}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "session.jsonl"
+        journal = JobJournal(str(path))
+        service = resilient_session_service(seed, journal=journal)
+        for spec in resilient_session_specs(seed):
+            service.submit(spec)
+        service.run_until_idle()
+        journal.close()
+        raw = path.read_bytes()
+    return f"{len(raw)} {hashlib.sha256(raw).hexdigest()}"
 
 
-def session_double_run_check(
-        name: str, seed: int = 0,
-        hashseeds: Sequence[str] = SESSION_RUNS) -> str:
-    """Run the scripted session ``name`` once per hash seed and diff.
+def pinned_scenarios() -> dict[str, str]:
+    """Every pinned digest, computed in this interpreter, by name."""
+    digests = {"service-2020": service_session_fingerprint(2020)}
+    for seed in (0, 1, 7):
+        digests[f"resilient-{seed}"] = resilient_session_fingerprint(seed)
+    digests["journal-0"] = resilient_journal_digest(0)
+    digests["ledgers-0"] = ledger_fingerprint(0)
+    for shards in FLEET_SHARDS:
+        digests[f"fleet-shards-{shards}"] = pinned_fleet_fingerprint(shards)
+    return digests
 
-    ``name`` is ``"service"`` (:func:`service_session_fingerprint`),
-    ``"resilient"`` (:func:`resilient_session_fingerprint`) or
-    ``"ledgers"`` (:func:`ledger_fingerprint`).  Returns the common
-    fingerprint.
+
+def pinned_digests(
+        hashseeds: Sequence[str] = HASH_SEEDS) -> dict[str, dict[str, str]]:
+    """:func:`pinned_scenarios` in one fresh interpreter per hash seed.
+
+    The interpreters run concurrently.  Returns hash seed -> digests.
 
     Raises:
-        ConfigurationError: for an unknown session name.
-        SanitizerError: when any run's fingerprint diverges, or a run
-            fails outright.
+        ReproError: when an interpreter fails.
+        subprocess.TimeoutExpired: when one outlives
+            :data:`CHILD_TIMEOUT_S`.
     """
-    if name not in _SESSIONS:
-        raise ConfigurationError(
-            f"unknown session {name!r}; known: {', '.join(_SESSIONS)}")
-    return _double_run(
-        f"{name} session", name,
-        [(f"hashseed={hashseed}", seed, hashseed) for hashseed in hashseeds])
+    import repro
 
-
-def session_check_from_env(
-        name: str, seed: int = 0,
-        environ: Mapping[str, str] | None = None) -> str | None:
-    """Run :func:`session_double_run_check` when ``REPRO_DETERMINISM=1``.
-
-    Returns the fingerprint when the check ran, ``None`` otherwise.
-    """
-    if not determinism_enabled(environ):
-        return None
-    return session_double_run_check(name, seed)
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    children = {}
+    for hashseed in hashseeds:
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        children[hashseed] = subprocess.Popen(
+            [sys.executable, "-c",
+             "import json; from repro.analysis.determinism import "
+             "pinned_scenarios; print(json.dumps(pinned_scenarios()))"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+    digests = {}
+    try:
+        for hashseed, child in children.items():
+            stdout, stderr = child.communicate(timeout=CHILD_TIMEOUT_S)
+            if child.returncode != 0:
+                raise ReproError(
+                    f"pinned run under PYTHONHASHSEED={hashseed} failed: "
+                    f"{stderr.strip()[-500:]}")
+            digests[hashseed] = json.loads(stdout)
+    finally:
+        for child in children.values():
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+    return digests

@@ -17,8 +17,9 @@ Install the package and run ``python -m repro.cli <command>``.
 Every subcommand is a *thin client* of the campaign service: it builds
 a typed :class:`~repro.service.JobSpec`, submits it to a
 :class:`~repro.service.CampaignService`, and renders the resulting
-payload.  No engine is imported here — that is the REPRO014
-service-discipline boundary — so anything the CLI can do, a queued
+payload.  No engine is imported here — every engine call goes through
+the service's workload registry, whose invocation counters the pinned
+service digests hash — so anything the CLI can do, a queued
 multi-tenant job can do identically (and dedupes through the
 content-addressed result cache when seeded the same way).
 """

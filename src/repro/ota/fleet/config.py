@@ -13,6 +13,7 @@ worker processes unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -141,21 +142,26 @@ class FleetCampaignConfig:
             raise ConfigurationError(
                 "max_session_attempts must be >= 1, got "
                 f"{self.max_session_attempts}")
-        if self.retry_timeout_s <= 0.0:
+        for name in ("bandwidth_hz", "frequency_hz", "retry_timeout_s",
+                     "pathloss_exponent"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, "
+                    f"got {getattr(self, name)!r}")
+        for name in ("listen_period_s", "shadowing_sigma_db"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be >= 0 and finite, "
+                    f"got {getattr(self, name)!r}")
+        if not 30.0 < self.max_radius_m < math.inf:
             raise ConfigurationError(
-                f"retry_timeout_s must be positive, "
-                f"got {self.retry_timeout_s!r}")
-        if self.listen_period_s < 0.0:
-            raise ConfigurationError(
-                f"listen_period_s must be >= 0, got {self.listen_period_s!r}")
-        if self.max_radius_m <= 30.0:
-            raise ConfigurationError(
-                f"radius must exceed the 30 m keep-out, "
-                f"got {self.max_radius_m!r}")
-        if self.shadowing_sigma_db < 0.0:
-            raise ConfigurationError(
-                f"shadowing sigma must be >= 0, "
-                f"got {self.shadowing_sigma_db!r}")
+                f"max_radius_m must exceed the 30 m keep-out and be "
+                f"finite, got {self.max_radius_m!r}")
+        for name in ("ap_tx_power_dbm", "node_tx_power_dbm",
+                     "ap_antenna_gain_dbi"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         _check_probability("verify_failure_prob", self.verify_failure_prob)
 
     @property

@@ -18,6 +18,7 @@ headers require SF >= 7 (SF6 is implicit-header only, as on the SX1276).
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +46,13 @@ MAX_PAYLOAD_BYTES = 255
 
 
 def crc16_ccitt(data: bytes, initial: int = 0x0000) -> int:
-    """CRC-16/CCITT (polynomial 0x1021) over ``data``."""
-    crc = initial
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
+    """CRC-16/CCITT (polynomial 0x1021, MSB first, no final XOR) over
+    ``data`` from the 16-bit register value ``initial``.
+
+    With the default ``initial`` this is CRC-16/XMODEM, which the
+    standard library computes as ``binascii.crc_hqx``.
+    """
+    return binascii.crc_hqx(data, initial)
 
 
 def _bytes_to_nibbles(data: bytes) -> list[int]:

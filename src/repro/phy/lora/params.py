@@ -10,6 +10,7 @@ of the base upchirp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -68,9 +69,10 @@ class LoRaParams:
             raise ConfigurationError(
                 f"spreading factor must be {MIN_SPREADING_FACTOR}.."
                 f"{MAX_SPREADING_FACTOR}, got {self.spreading_factor}")
-        if self.bandwidth_hz <= 0.0:
+        if not 0.0 < self.bandwidth_hz < math.inf:
             raise ConfigurationError(
-                f"bandwidth must be positive, got {self.bandwidth_hz!r}")
+                f"bandwidth_hz must be positive and finite, "
+                f"got {self.bandwidth_hz!r}")
         if not 5 <= self.coding_rate_denominator <= 8:
             raise ConfigurationError(
                 "coding rate denominator must be 5..8, got "

@@ -11,7 +11,8 @@ front door:
 * :mod:`repro.service.tenancy` — per-tenant quotas and token buckets;
 * :mod:`repro.service.queue` — the deterministic priority queue;
 * :mod:`repro.service.registry` / :mod:`repro.service.workloads` —
-  the REPRO014 boundary and the engine adapters behind it;
+  the one door to the engines and the adapters behind it (the pinned
+  service digests count every engine invocation through it);
 * :mod:`repro.service.api` — :class:`CampaignService`, the virtual-time
   scheduler tying it all together on a :class:`repro.sim.Timeline`;
 * :mod:`repro.service.resilience` — crash recovery (the write-ahead

@@ -4,8 +4,8 @@ A binary heap ordered by ``(priority, submission sequence)``: lower
 priority values dispatch first, and jobs of equal priority dispatch in
 exact admission order.  The tiebreaker makes heap order total, so pop
 order is a pure function of the push sequence — no identity hashing,
-no insertion-order hash-map effects, nothing the determinism double-run
-could catch varying across interpreters.
+no insertion-order hash-map effects, nothing the pinned determinism
+run could catch varying across hash seeds.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """The workload registry: the one sanctioned door to the engines.
 
 Every computation the service can run is an adapter registered here by
-kind.  The registry is the REPRO014 service-discipline boundary: code
-in :mod:`repro.service` and the CLI must reach engines *through*
-``WorkloadRegistry.invoke`` (whose adapters live in
-:mod:`repro.service.workloads`, the single exempted module), never by
-calling :meth:`repro.ota.AccessPoint.run_campaign` and friends
-directly.
+kind.  Code in :mod:`repro.service` and the CLI reaches engines
+*through* ``WorkloadRegistry.invoke`` (whose adapters live in
+:mod:`repro.service.workloads`), never by calling
+:meth:`repro.ota.AccessPoint.run_campaign` and friends directly.  The
+pinned service and resilient-session digests
+(``tests/test_determinism_pins.py``) hold that boundary: they hash the
+per-kind invocation counters and every job's result, so an engine
+called around the registry moves them.
 
 Invocations are counted per kind, which is how the tests assert the
 result cache's zero-recompute property: resubmitting an identical

@@ -209,11 +209,11 @@ def read_journal(path: str) -> JournalReadResult:
     if tail:
         try:
             record = _parse_segment(tail, len(records), prev)
-        except JournalError:  # reprolint: disable=REPRO016
+        except JournalError:
             # An invalid un-terminated tail is the expected artifact of
-            # a crash mid-append, not corruption: drop it.  (Recovery
-            # discipline note: this handler deliberately swallows the
-            # error - the dropped record "never durably happened".)
+            # a crash mid-append, not corruption: drop it.  The handler
+            # deliberately swallows the error: the dropped record
+            # "never durably happened".
             torn_tail = True
         else:
             records.append(record)

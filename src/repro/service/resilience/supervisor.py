@@ -31,7 +31,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 # The MAC retry policy is scheduling machinery, not an engine entry
 # point: reusing it keeps one backoff vocabulary across layers.
-from repro.ota.mac import RetryPolicy  # reprolint: disable=REPRO014
+from repro.ota.mac import RetryPolicy
 
 # Sub-stream tag for per-job supervision jitter (the OTA jitter stream
 # uses 0x0177; this one must stay distinct under a shared seed).

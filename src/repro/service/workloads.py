@@ -18,8 +18,9 @@ Two invariants matter here:
   counts), never of wall time, so the service's virtual clock is
   replayable.
 
-This module is the single REPRO014 exemption: engines may be called
-directly here and nowhere else under ``repro/service/`` or the CLI.
+Engines are called directly here and nowhere else under
+``repro/service/`` or the CLI; the pinned service digests, which hash
+the registry's invocation counters, catch a call around it.
 """
 
 from __future__ import annotations
@@ -56,9 +57,27 @@ class _Config:
         self._config = dict(config)
         self._seen: set[str] = set()
 
-    def take(self, name: str, default: Any) -> Any:
+    def take(self, name: str, default: Any,
+             convert: Callable[[Any], Any] | None = None) -> Any:
+        """The value of ``name`` passed through ``convert``.
+
+        A missing key (or a null where ``default`` is None) reads as
+        ``default`` as is.
+
+        Raises:
+            ConfigurationError: naming the workload, the key and the
+                value when ``convert`` rejects the value.
+        """
         self._seen.add(name)
-        return self._config.get(name, default)
+        value = self._config.get(name, default)
+        if convert is None or value is default:
+            return value
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"workload {self._kind!r}: config key {name!r} must be "
+                f"{convert.__name__}, got {value!r}") from exc
 
     def finish(self) -> None:
         unknown = set(self._config) - self._seen
@@ -76,7 +95,7 @@ def run_info(config: Mapping[str, Any], seed: int,
     from repro.platforms import total_cost_usd
 
     reader = _Config("info", config)
-    spreading_factor = reader.take("spreading_factor", 8)
+    spreading_factor = reader.take("spreading_factor", 8, int)
     reader.finish()
     emit("platform tables")
     payload = {
@@ -98,7 +117,7 @@ def run_power(config: Mapping[str, Any], seed: int,
     from repro.power import PlatformState, PowerManagementUnit
 
     reader = _Config("power", config)
-    tx_power_dbm = float(reader.take("tx_power_dbm", 14.0))
+    tx_power_dbm = reader.take("tx_power_dbm", 14.0, float)
     reader.finish()
     pmu = PowerManagementUnit()
     rows = [(PlatformState.SLEEP, {}),
@@ -145,12 +164,12 @@ def run_sweep_lora(config: Mapping[str, Any], seed: int,
     from repro.phy.lora import LoRaParams
 
     reader = _Config("sweep-lora", config)
-    spreading_factor = int(reader.take("spreading_factor", 8))
-    bandwidth_khz = float(reader.take("bandwidth_khz", 125.0))
-    start = float(reader.take("start_dbm", -110.0))
-    stop = float(reader.take("stop_dbm", -134.0))
-    step = float(reader.take("step_db", 3.0))
-    symbols = int(reader.take("symbols", 150))
+    spreading_factor = reader.take("spreading_factor", 8, int)
+    bandwidth_khz = reader.take("bandwidth_khz", 125.0, float)
+    start = reader.take("start_dbm", -110.0, float)
+    stop = reader.take("stop_dbm", -134.0, float)
+    step = reader.take("step_db", 3.0, float)
+    symbols = reader.take("symbols", 150, int)
     reader.finish()
     if symbols < 1:
         raise ConfigurationError(f"symbols must be at least 1, got {symbols}")
@@ -177,10 +196,10 @@ def run_sweep_ble(config: Mapping[str, Any], seed: int,
     from repro.core.sweeps import ble_beacon_error_rate
 
     reader = _Config("sweep-ble", config)
-    start = float(reader.take("start_dbm", -80.0))
-    stop = float(reader.take("stop_dbm", -98.0))
-    step = float(reader.take("step_db", 3.0))
-    packets = int(reader.take("packets", 8))
+    start = reader.take("start_dbm", -80.0, float)
+    stop = reader.take("stop_dbm", -98.0, float)
+    step = reader.take("step_db", 3.0, float)
+    packets = reader.take("packets", 8, int)
     reader.finish()
     if packets < 1:
         raise ConfigurationError(f"packets must be at least 1, got {packets}")
@@ -208,8 +227,8 @@ def run_testbed_campaign(config: Mapping[str, Any], seed: int,
     from repro.testbed import campus_deployment
 
     reader = _Config("campaign", config)
-    image_label = reader.take("image", "ble")
-    nodes = int(reader.take("nodes", 20))
+    image_label = reader.take("image", "ble", str)
+    nodes = reader.take("nodes", 20, int)
     reader.finish()
     if image_label not in CAMPAIGN_IMAGE_UTILIZATION:
         raise ConfigurationError(
@@ -251,13 +270,13 @@ def run_fleet(config: Mapping[str, Any], seed: int,
     )
 
     reader = _Config("fleet", config)
-    nodes = int(reader.take("nodes", 100_000))
-    image_bytes = int(reader.take("image_bytes", 1800))
-    shards = int(reader.take("shards", 1))
-    processes = reader.take("processes", None)
-    loss = bool(reader.take("loss", False))
-    verify_failure_prob = float(reader.take("verify_failure_prob", 0.0))
-    spill_path = reader.take("spill", None)
+    nodes = reader.take("nodes", 100_000, int)
+    image_bytes = reader.take("image_bytes", 1800, int)
+    shards = reader.take("shards", 1, int)
+    processes = reader.take("processes", None, int)
+    loss = reader.take("loss", False, bool)
+    verify_failure_prob = reader.take("verify_failure_prob", 0.0, float)
+    spill_path = reader.take("spill", None, str)
     reader.finish()
 
     fleet_config = FleetCampaignConfig(
@@ -268,7 +287,7 @@ def run_fleet(config: Mapping[str, Any], seed: int,
          f"fragments across {shards} shard(s)")
     report = run_fleet_campaign_sharded(
         fleet_config, shards=shards,
-        processes=None if processes is None else int(processes))
+        processes=processes)
     payload = {
         "nodes": nodes,
         "image_bytes": image_bytes,

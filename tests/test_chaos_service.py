@@ -14,8 +14,7 @@ workload-hang mix) and exercises three runs:
 
 Whatever the fault plan throws at the service, every seed must end with
 all jobs in a terminal state and the recovered session's digest equal to
-the golden run's.  ``make chaos-service`` runs this file; its one
-double run passes ``REPRO_DETERMINISM=1`` through ``environ=`` itself.
+the golden run's.  ``make chaos-service`` runs this file.
 """
 
 from __future__ import annotations
@@ -24,13 +23,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.determinism import (
-    DETERMINISM_ENV_VAR,
     resilient_session_fingerprint,
     resilient_session_service,
     resilient_session_specs,
     resilient_session_tenants,
     service_digest,
-    session_check_from_env,
 )
 from repro.errors import SimulatedCrashError
 from repro.faults.service import JournalTornWriteModel
@@ -114,10 +111,3 @@ def test_fingerprints_differ_across_seeds():
     fingerprints = {resilient_session_fingerprint(seed)
                     for seed in CHAOS_SEEDS[:8]}
     assert len(fingerprints) == 8
-
-
-def test_double_run_check_from_env():
-    assert session_check_from_env("resilient", seed=0, environ={}) is None
-    fingerprint = session_check_from_env(
-        "resilient", seed=0, environ={DETERMINISM_ENV_VAR: "1"})
-    assert fingerprint == resilient_session_fingerprint(0)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service import WorkloadRegistry
 
 
 class TestParser:
@@ -115,6 +116,25 @@ class TestEverySubcommand:
     def test_small_invocation_exits_zero(self, command, capsys):
         assert main([command] + SMALL_INVOCATIONS[command]) == 0
         assert capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_command_runs_one_registry_job_of_its_kind(
+            self, command, capsys, monkeypatch):
+        # The CLI is a thin client: its engine work runs through the
+        # service's workload registry, whose invocation counters the
+        # pinned service digests hash.  An engine called around the
+        # registry never reaches this spy.
+        kinds = []
+        invoke = WorkloadRegistry.invoke
+
+        def spy(self, kind, *args, **kwargs):
+            kinds.append(kind)
+            return invoke(self, kind, *args, **kwargs)
+
+        monkeypatch.setattr(WorkloadRegistry, "invoke", spy)
+        assert main([command] + SMALL_INVOCATIONS[command]) == 0
+        capsys.readouterr()
+        assert kinds == [command]
 
     def test_failed_job_exits_one(self, capsys):
         # An out-of-range radio power makes the workload raise; the thin

@@ -1,37 +1,52 @@
-"""Pinned determinism fingerprints of the service, ledgers and fleet.
+"""Pinned determinism digests of the service, ledgers and fleet.
 
 The chaos and parity suites compare the code only with itself, so a
 reordered ledger row or journal record would pass them all.  These pins
 hold the session digests, one journal's exact bytes, the bytes of every
-ledger the ledger double run hashes, and the fleet fingerprint to fixed
+ledger the ledger scenarios write, and the fleet fingerprint to fixed
 values: a refactor that claims identity must keep every one of them.
+
+Every digest is computed once per hash seed in
+:data:`~repro.analysis.determinism.HASH_SEEDS`, each in a fresh
+interpreter (the fleet at every shard count in ``FLEET_SHARDS`` too),
+and each must equal its pin under all of them.  A set or dict whose
+iteration order reaches an output therefore fails here on every run,
+whatever hash seed pytest itself was given.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 
 from repro.analysis.determinism import (
-    fleet_fingerprint,
-    ledger_fingerprint,
-    resilient_session_fingerprint,
-    resilient_session_service,
-    resilient_session_specs,
-    service_session_fingerprint,
+    FLEET_SHARDS,
+    HASH_SEEDS,
+    pinned_digests,
 )
-from repro.ota.fleet import (
-    FleetBurstLoss,
-    FleetCampaignConfig,
-    run_fleet_campaign,
-)
-from repro.service import JobJournal
+from repro.errors import ReproError
 
 
-def test_scripted_service_session_fingerprint_is_pinned():
-    assert service_session_fingerprint(2020) == (
-        "346d76747fc1261e9c5ae2c365b2d040ae02bad47028b8c0a459fd6d1c9c9f20")
+@pytest.fixture(scope="module")
+def digests():
+    return pinned_digests()
+
+
+def _assert_pinned(digests, name: str, pin: str) -> None:
+    drifted = {hashseed: run[name][:16] for hashseed, run in digests.items()
+               if run[name] != pin}
+    assert not drifted, (
+        f"{name} left its pin {pin[:16]} under PYTHONHASHSEED "
+        f"(hash seed -> digest) {drifted}")
+
+
+def test_every_hash_seed_ran(digests):
+    assert tuple(digests) == HASH_SEEDS
+
+
+def test_scripted_service_session_fingerprint_is_pinned(digests):
+    _assert_pinned(digests, "service-2020",
+                   "346d76747fc1261e9c5ae2c365b2d040"
+                   "ae02bad47028b8c0a459fd6d1c9c9f20")
 
 
 @pytest.mark.parametrize("seed, expected", [
@@ -39,35 +54,33 @@ def test_scripted_service_session_fingerprint_is_pinned():
     (1, "8a2b6926ab1eb28953d1992487606834e1ff008f332e3567a6b7d55487a34cee"),
     (7, "1c87ca4719ae298f7e294930bc6d63f6d8c30f0cf19f7633073279d112a822c5"),
 ])
-def test_resilient_session_fingerprint_is_pinned(seed, expected):
-    assert resilient_session_fingerprint(seed) == expected
+def test_resilient_session_fingerprint_is_pinned(digests, seed, expected):
+    _assert_pinned(digests, f"resilient-{seed}", expected)
 
 
-def test_resilient_session_journal_bytes_are_pinned(tmp_path):
-    path = tmp_path / "session.jsonl"
-    journal = JobJournal(str(path))
-    service = resilient_session_service(0, journal=journal)
-    for spec in resilient_session_specs(0):
-        service.submit(spec)
-    service.run_until_idle()
-    journal.close()
-    raw = path.read_bytes()
-    assert len(raw) == 9472
-    assert hashlib.sha256(raw).hexdigest() == (
-        "ce71f03c80169d8bd4485f9531ed409524fadb0b6483d1be6826e21e9c3f0500")
+def test_resilient_session_journal_bytes_are_pinned(digests):
+    # "<file size in bytes> <sha256>" of the seed-0 session's journal.
+    _assert_pinned(digests, "journal-0",
+                   "9472 ce71f03c80169d8bd4485f9531ed4095"
+                   "24fadb0b6483d1be6826e21e9c3f0500")
 
 
-def test_ledger_fingerprint_is_pinned():
+def test_ledger_fingerprint_is_pinned(digests):
     # The JSONL bytes of the OTA (classic, hardened, broadcast, fleet
     # node), tinySDR node and resilient-service ledgers, seed 0.
-    assert ledger_fingerprint(0) == (
-        "44b8a010f5406e80ba4934941244a9188910b92d57d0597336f64fe16af86964")
+    _assert_pinned(digests, "ledgers-0",
+                   "44b8a010f5406e80ba4934941244a918"
+                   "8910b92d57d0597336f64fe16af86964")
 
 
-def test_fleet_smoke_fingerprint_is_pinned():
-    # The fleet-smoke example's campaign at the double run's node cap.
-    config = FleetCampaignConfig(
-        num_nodes=2048, image_bytes=1800, seed=2020,
-        loss=FleetBurstLoss(), verify_failure_prob=0.01)
-    assert fleet_fingerprint(run_fleet_campaign(config)) == (
-        "0e844f54e7f002f7b8277edde48f966ab5062c6fe8001b09badc2fab0b4f0013")
+def test_fleet_smoke_fingerprint_is_pinned(digests):
+    # The fleet example's campaign at 2,048 nodes, at every shard count.
+    for shards in FLEET_SHARDS:
+        _assert_pinned(digests, f"fleet-shards-{shards}",
+                       "0e844f54e7f002f7b8277edde48f966a"
+                       "b5062c6fe8001b09badc2fab0b4f0013")
+
+
+def test_pinned_run_raises_when_a_child_fails():
+    with pytest.raises(ReproError, match="PYTHONHASHSEED=not-a-seed"):
+        pinned_digests(hashseeds=("not-a-seed",))

@@ -204,6 +204,21 @@ def test_config_validation_rejects_bad_values():
         simulate_node_timeline(CLEAN, CLEAN.num_nodes)
 
 
+_FLOAT_FIELDS = ("bandwidth_hz", "retry_timeout_s", "listen_period_s",
+                 "max_radius_m", "pathloss_exponent", "shadowing_sigma_db",
+                 "frequency_hz", "ap_tx_power_dbm", "node_tx_power_dbm",
+                 "ap_antenna_gain_dbi")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+def test_config_rejects_a_non_finite_float_naming_the_field(field, value):
+    # A NaN link budget used to abandon every node with finite energy,
+    # and an infinite bandwidth raised a bare ZeroDivisionError.
+    with pytest.raises(ConfigurationError, match=field):
+        FleetCampaignConfig(num_nodes=8, image_bytes=300, **{field: value})
+
+
 def test_edge_configs_reach_the_compaction_edges():
     report = run_fleet_campaign(ABANDON_FAST)
     rounds = report.data_rx_full + report.data_rx_tail

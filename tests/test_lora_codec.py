@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import CodingError
 from repro.phy.lora.codec import LoRaCodec, crc16_ccitt
@@ -18,6 +20,15 @@ class TestCrc16:
 
     def test_detects_single_byte_change(self):
         assert crc16_ccitt(b"hello") != crc16_ccitt(b"hellp")
+
+    @given(st.binary(max_size=300), st.integers(0, 0xFFFF))
+    def test_matches_the_bitwise_register_model(self, data, initial):
+        crc = initial
+        for byte in data:
+            crc ^= byte << 8
+            for _ in range(8):
+                crc = ((crc << 1) ^ (0x1021 if crc & 0x8000 else 0)) & 0xFFFF
+        assert crc16_ccitt(data, initial) == crc
 
 
 class TestCodecRoundtrip:

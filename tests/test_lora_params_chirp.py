@@ -52,6 +52,11 @@ class TestLoRaParams:
         with pytest.raises(ConfigurationError):
             LoRaParams(8, 125e3, sync_word=0x100)
 
+    @pytest.mark.parametrize("bandwidth_hz", [float("nan"), float("inf")])
+    def test_rejects_non_finite_bandwidth(self, bandwidth_hz):
+        with pytest.raises(ConfigurationError, match="bandwidth_hz"):
+            LoRaParams(8, bandwidth_hz)
+
     def test_payload_bits_with_ldro(self):
         assert LoRaParams(10, 125e3).payload_bits_per_symbol == 10
         assert LoRaParams(10, 125e3,

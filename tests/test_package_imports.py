@@ -1,10 +1,11 @@
-"""The product imports on any supported Python and without its linter.
+"""The product imports on any supported Python, without repro.analysis.
 
 ``tomllib`` is stdlib only from Python 3.11, while ``pyproject.toml``
 declares ``requires-python >= 3.10``.  A fresh interpreter in which
 ``tomllib`` cannot be imported stands in for 3.10: every public entry
-package must still import, and none of them may pull in the
-``repro.analysis`` linter.
+package must still import, and none of them may pull in
+``repro.analysis`` (the pinned determinism scenarios, which only the
+tests and examples load).
 """
 
 from __future__ import annotations

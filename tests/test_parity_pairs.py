@@ -3,8 +3,8 @@
 The repo's bit-exactness convention: a vectorized hot path ``foo``
 keeps its original scalar implementation as ``foo_reference``, and a
 parity test drives both with one argument list.  This walks every
-``repro`` module (the linter package aside) and checks each public
-``foo_reference`` function or method against that convention.
+``repro`` module and checks each public ``foo_reference`` function or
+method against that convention.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ SUFFIX = "_reference"
 def _module_names():
     for path in sorted(PACKAGE.rglob("*.py")):
         parts = path.relative_to(PACKAGE).with_suffix("").parts
-        if parts[0] == "analysis":
-            continue
         if parts[-1] == "__init__":
             parts = parts[:-1]
         yield ".".join(("repro",) + parts)

@@ -3,8 +3,7 @@
 Covers the canonical serialization and content addressing, the result
 cache's zero-recompute dedupe (asserted through registry invocation
 counters), tenancy quotas and token buckets, priority scheduling on
-virtual time, the ``service.*`` event stream, and in-process run
-determinism.
+virtual time and the ``service.*`` event stream.
 """
 
 import json
@@ -455,16 +454,6 @@ class TestCampaignService:
             service.add_tenant(TenantConfig(name="default"))
 
 
-class TestServiceDeterminism:
-    def test_scripted_session_fingerprint_is_stable_in_process(self):
-        from repro.analysis.determinism import service_session_fingerprint
-
-        assert (service_session_fingerprint(5)
-                == service_session_fingerprint(5))
-        assert (service_session_fingerprint(5)
-                != service_session_fingerprint(6))
-
-
 # Sweep configs no engine can run, each with the key its failure names.
 _BAD_SWEEP_CONFIGS = [
     ("sweep-lora", {"symbols": -1}, "symbols"),
@@ -506,3 +495,36 @@ class TestSweepConfigValidation:
         assert err.splitlines()[0] == (
             "repro: job failed: ConfigurationError: "
             "step_db must be positive, got 0.0")
+
+
+# Config values of the wrong type, each with the key its failure names.
+_MISTYPED_CONFIGS = [
+    ("fleet", {"nodes": "abc"}, "nodes"),
+    ("fleet", {"nodes": [1, 2]}, "nodes"),
+    ("fleet", {"processes": "abc"}, "processes"),
+    ("sweep-lora", {"spreading_factor": "x"}, "spreading_factor"),
+    ("sweep-lora", {"symbols": None}, "symbols"),
+    ("sweep-ble", {"packets": "many"}, "packets"),
+    ("campaign", {"nodes": "x"}, "nodes"),
+    ("power", {"tx_power_dbm": "hot"}, "tx_power_dbm"),
+    ("info", {"spreading_factor": "x"}, "spreading_factor"),
+]
+
+
+@pytest.mark.parametrize("kind,config,key", _MISTYPED_CONFIGS)
+def test_mistyped_config_fails_the_job_and_the_session_recovers(
+        tmp_path, kind, config, key):
+    from repro.analysis.determinism import service_digest
+
+    path = tmp_path / "journal.jsonl"
+    journal = JobJournal(str(path))
+    service = CampaignService(journal=journal)
+    job = service.submit_and_run(JobSpec(kind=kind, config=config, seed=1))
+    journal.close()
+    assert job.state == JOB_FAILED
+    assert job.detail.startswith(
+        f"ConfigurationError: workload {kind!r}: config key {key!r}")
+    assert service.tenant("default").pending == 0
+    recovered = CampaignService.recover(str(path))
+    assert [job.state for job in recovered.jobs()] == [JOB_FAILED]
+    assert service_digest(recovered) == service_digest(service)
