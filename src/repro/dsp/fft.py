@@ -158,7 +158,8 @@ def ifft(spectrum: np.ndarray) -> np.ndarray:
 def fft_butterfly_count(length: int) -> int:
     """Number of butterfly operations in an ``length``-point radix-2 FFT.
 
-    Used by the FPGA resource model to scale LUT estimates with SF.
+    ``(length / 2) * log2(length)``: a size-for-size cost figure.  The
+    FPGA resource model does not read it.
     """
     if not is_power_of_two(length):
         raise ConfigurationError(f"FFT length must be a power of two, got {length}")

@@ -2,9 +2,10 @@
 
 The package splits cleanly into *what can go wrong* and *doing it*:
 
-* :mod:`repro.faults.models` — frozen, seeded configuration dataclasses
-  for each fault class (Gilbert-Elliott burst loss, bit corruption,
-  flash page faults, brownouts, AP outages, MCU hangs).
+* :mod:`repro.faults.models` — :class:`FaultModel`, the frozen, seeded
+  base every fault model subclasses, and the node-level models
+  (Gilbert-Elliott burst loss, bit corruption, flash page faults,
+  brownouts, AP outages, MCU hangs).
 * :mod:`repro.faults.plan` — :class:`FaultPlan` bundles models for a
   campaign; :meth:`FaultPlan.bind` yields a per-node :class:`NodeFaults`
   injector whose hooks the hardened OTA pipeline polls, emitting a
@@ -14,14 +15,15 @@ The package splits cleanly into *what can go wrong* and *doing it*:
 * :mod:`repro.faults.service` — service-layer chaos for the campaign
   service: worker crashes, workload hangs, and torn journal writes,
   bundled by :class:`ServiceFaultPlan` into per-job :class:`JobFaults`
-  injectors.
+  injectors.  ``NodeFaults`` and ``JobFaults`` share one injector base.
 
 Reproducibility contract: every model takes an explicit keyword-only
 ``seed`` with no default (``tests/test_faults.py`` checks every
-constructor), fault streams are independent
-``default_rng([seed, stream, node_id])`` generators, and a plan with the
-same seed injects bit-identical fault sequences regardless of node
-iteration order.  With ``faults=None`` the pipeline makes no fault draws
+subclass of :class:`FaultModel`), fault streams are independent
+:func:`repro.seeding.stream_rng` sub-streams, both plans bind a subject
+through :func:`repro.seeding.fold_seed`, and a plan with the same seed
+injects bit-identical fault sequences regardless of node iteration
+order.  With ``faults=None`` the pipeline makes no fault draws
 at all, so default-path results stay bit-identical to the unhardened
 code (the ``tests/test_sim_parity.py`` contract).
 """
@@ -31,10 +33,10 @@ from repro.faults.models import (
     BrownoutModel,
     BurstLossProcess,
     CorruptionModel,
+    FaultModel,
     FlashFaultModel,
     GilbertElliott,
     HangModel,
-    spawn_rng,
 )
 from repro.faults.plan import FaultPlan, NodeFaults
 from repro.faults.service import (
@@ -54,6 +56,7 @@ __all__ = [
     "BrownoutModel",
     "BurstLossProcess",
     "CorruptionModel",
+    "FaultModel",
     "FaultPlan",
     "FaultyFlash",
     "FlashFaultModel",
@@ -65,5 +68,4 @@ __all__ = [
     "ServiceFaultPlan",
     "WorkerCrashModel",
     "WorkloadHangModel",
-    "spawn_rng",
 ]

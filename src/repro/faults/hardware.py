@@ -41,12 +41,6 @@ class FaultyFlash(Mx25R6435F):
         """Set False to model factory programming (golden provisioning
         on the bench, before the node ships with its flaky array)."""
 
-    def _emit(self, label: str) -> None:
-        faults = self.faults
-        faults.injected[FAULT_FLASH] = faults.injected.get(FAULT_FLASH, 0) + 1
-        if faults.timeline is not None:
-            faults.timeline.record(FAULT_FLASH, "flash", label=label)
-
     def program(self, address: int, data: bytes) -> None:
         """Program per page, injecting failed operations and stuck bits.
 
@@ -68,7 +62,9 @@ class FaultyFlash(Mx25R6435F):
                 self._check_range(chunk_addr, len(chunk))
                 self._bytes_programmed += len(chunk)
                 self._page_programs += 1
-                self._emit(f"page program failed at {chunk_addr:#x}")
+                self.faults._emit(FAULT_FLASH,
+                                  f"page program failed at {chunk_addr:#x}",
+                                  component="flash")
             else:
                 super().program(chunk_addr, chunk)
                 bit = self.faults.flash_stuck_bit(len(chunk))
@@ -76,7 +72,8 @@ class FaultyFlash(Mx25R6435F):
                     byte_off, mask = bit // 8, 1 << (bit % 8)
                     if not chunk[byte_off] & mask:
                         self._data[chunk_addr + byte_off] |= mask
-                        self._emit(
+                        self.faults._emit(
+                            FAULT_FLASH,
                             f"stuck bit at {chunk_addr + byte_off:#x}"
-                            f" mask {mask:#04x}")
+                            f" mask {mask:#04x}", component="flash")
             cursor += len(chunk)

@@ -8,70 +8,90 @@ NOR-flash page-program failures and stuck bits, node brownouts that
 reboot a node mid-transfer, AP outage windows, and MCU hangs that only a
 watchdog can clear.
 
-Reproducibility contract: every model carries an explicit keyword-only
-``seed``; all randomness in a fault path derives from that seed plus the
-node id through independent :func:`numpy.random.default_rng` streams, so
-fault sequences are (a) bit-reproducible from configuration alone and
-(b) independent of both the session RNG and the order nodes are
-simulated in.  The seed has no default, so a call site that omits it
-raises ``TypeError``.
+Every model, here and in :mod:`repro.faults.service`, subclasses
+:class:`FaultModel`.  Reproducibility contract: every model carries an
+explicit keyword-only ``seed``; all randomness in a fault path derives
+from that seed plus the node id through the model's own
+:func:`repro.seeding.stream_rng` sub-stream, so fault sequences are (a)
+bit-reproducible from configuration alone and (b) independent of both
+the session RNG and the order nodes are simulated in.  The seed has no
+default, so a call site that omits it raises ``TypeError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from repro.errors import FaultInjectionError
-
-# Distinct sub-stream tags so each model draws from its own generator
-# even when the plan-level seed and node id coincide.
-_STREAM_LOSS = 1
-_STREAM_CORRUPT = 2
-_STREAM_FLASH = 3
-_STREAM_BROWNOUT = 4
-_STREAM_OUTAGE = 5
-_STREAM_HANG = 6
-
-
-def spawn_rng(seed: int, stream: int, node_id: int) -> np.random.Generator:
-    """An independent generator for one (model, node) fault stream."""
-    return np.random.default_rng([seed, stream, node_id])
-
-
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise FaultInjectionError(
-            f"{name} must be a probability in [0, 1], got {value!r}")
+from repro.seeding import stream_rng
 
 
 @dataclass(frozen=True, kw_only=True)
-class GilbertElliott:
+class FaultModel:
+    """The frozen base of every seeded fault model.
+
+    A subclass names its sub-stream in ``stream`` (a key of
+    :data:`repro.seeding.STREAM_TAGS`), its probability fields in
+    ``probabilities`` and its positive, finite fields in ``positives``;
+    the base validates both on construction and derives the model's
+    per-subject draw streams.
+
+    Attributes:
+        seed: randomness root of every subclass (keyword-only, required).
+    """
+
+    stream: ClassVar[str]
+    probabilities: ClassVar[tuple[str, ...]] = ()
+    positives: ClassVar[tuple[str, ...]] = ()
+
+    seed: int
+
+    def __post_init__(self) -> None:
+        # Chained comparisons are false for NaN, so both checks also
+        # refuse every non-finite value (an infinite or NaN span would
+        # never end the outage-window draw loop).
+        for name in self.probabilities:
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise FaultInjectionError(
+                    f"{name} must be a probability in [0, 1], got {value!r}")
+        for name in self.positives:
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise FaultInjectionError(
+                    f"{name} must be positive and finite, got {value!r}")
+
+    def start(self, subject_id: int) -> np.random.Generator:
+        """The model's draw stream for one node, job or journal record."""
+        return stream_rng(self.seed, self.stream, subject_id)
+
+
+@dataclass(frozen=True, kw_only=True)
+class GilbertElliott(FaultModel):
     """Burst packet loss: a two-state good/bad Markov chain per packet.
 
     Attributes:
-        seed: randomness root for the chain (keyword-only, required).
         p_enter_bad: per-packet probability of a good->bad transition.
         p_exit_bad: per-packet probability of a bad->good transition.
         loss_good: loss probability while in the good state.
         loss_bad: loss probability while in the bad state.
     """
 
-    seed: int
+    stream = "fault.burst_loss"
+    probabilities = ("p_enter_bad", "p_exit_bad", "loss_good", "loss_bad")
+
     p_enter_bad: float = 0.05
     p_exit_bad: float = 0.25
     loss_good: float = 0.0
     loss_bad: float = 0.9
 
-    def __post_init__(self) -> None:
-        for name in ("p_enter_bad", "p_exit_bad", "loss_good", "loss_bad"):
-            _check_probability(name, getattr(self, name))
-
     def start(self, node_id: int) -> "BurstLossProcess":
         """A fresh per-node chain, seeded independently of other nodes."""
-        return BurstLossProcess(
-            self, spawn_rng(self.seed, _STREAM_LOSS, node_id))
+        return BurstLossProcess(self, super().start(node_id))
 
 
 class BurstLossProcess:
@@ -96,7 +116,7 @@ class BurstLossProcess:
 
 
 @dataclass(frozen=True, kw_only=True)
-class CorruptionModel:
+class CorruptionModel(FaultModel):
     """Bit corruption that survives the radio but not the MAC CRC check.
 
     A corrupted packet is *delivered* by the link yet fails the node's
@@ -104,27 +124,20 @@ class CorruptionModel:
     cost of loss with a distinct trace signature.
 
     Attributes:
-        seed: randomness root (keyword-only, required).
         per_packet_prob: probability a delivered data packet is corrupt.
     """
 
-    seed: int
+    stream = "fault.corruption"
+    probabilities = ("per_packet_prob",)
+
     per_packet_prob: float = 0.02
-
-    def __post_init__(self) -> None:
-        _check_probability("per_packet_prob", self.per_packet_prob)
-
-    def start(self, node_id: int) -> np.random.Generator:
-        """The per-node corruption draw stream."""
-        return spawn_rng(self.seed, _STREAM_CORRUPT, node_id)
 
 
 @dataclass(frozen=True, kw_only=True)
-class FlashFaultModel:
+class FlashFaultModel(FaultModel):
     """NOR-flash misbehaviour: failed page programs and stuck bits.
 
     Attributes:
-        seed: randomness root (keyword-only, required).
         page_failure_prob: probability one page-program operation fails
             outright (the page keeps its pre-program contents).
         stuck_bit_prob: probability one page-program leaves a single bit
@@ -132,47 +145,33 @@ class FlashFaultModel:
             cell fails to clear).
     """
 
-    seed: int
+    stream = "fault.flash"
+    probabilities = ("page_failure_prob", "stuck_bit_prob")
+
     page_failure_prob: float = 0.0
     stuck_bit_prob: float = 0.0
 
-    def __post_init__(self) -> None:
-        _check_probability("page_failure_prob", self.page_failure_prob)
-        _check_probability("stuck_bit_prob", self.stuck_bit_prob)
-
-    def start(self, node_id: int) -> np.random.Generator:
-        """The per-node flash-fault draw stream."""
-        return spawn_rng(self.seed, _STREAM_FLASH, node_id)
-
 
 @dataclass(frozen=True, kw_only=True)
-class BrownoutModel:
+class BrownoutModel(FaultModel):
     """Node brownout/reboot mid-transfer (battery sag, supply glitch).
 
     Attributes:
-        seed: randomness root (keyword-only, required).
         prob_per_fragment: probability the node browns out right after
             acknowledging a fragment.
         reboot_time_s: how long the node is down before it resumes.
     """
 
-    seed: int
+    stream = "fault.brownout"
+    probabilities = ("prob_per_fragment",)
+    positives = ("reboot_time_s",)
+
     prob_per_fragment: float = 0.001
     reboot_time_s: float = 2.0
 
-    def __post_init__(self) -> None:
-        _check_probability("prob_per_fragment", self.prob_per_fragment)
-        if self.reboot_time_s <= 0:
-            raise FaultInjectionError(
-                f"reboot_time_s must be positive, got {self.reboot_time_s!r}")
-
-    def start(self, node_id: int) -> np.random.Generator:
-        """The per-node brownout draw stream."""
-        return spawn_rng(self.seed, _STREAM_BROWNOUT, node_id)
-
 
 @dataclass(frozen=True, kw_only=True)
-class ApOutageModel:
+class ApOutageModel(FaultModel):
     """AP downtime windows (power cuts, backhaul loss) on the campaign clock.
 
     Windows are generated once per plan from the model seed - they are a
@@ -180,26 +179,21 @@ class ApOutageModel:
     exponential up-times and outage durations over a horizon.
 
     Attributes:
-        seed: randomness root (keyword-only, required).
         mean_interval_s: mean up-time between outages.
         mean_duration_s: mean outage length.
         horizon_s: campaign span covered by generated windows.
     """
 
-    seed: int
+    stream = "fault.ap_outage"
+    positives = ("mean_interval_s", "mean_duration_s", "horizon_s")
+
     mean_interval_s: float = 600.0
     mean_duration_s: float = 30.0
     horizon_s: float = 7200.0
 
-    def __post_init__(self) -> None:
-        for name in ("mean_interval_s", "mean_duration_s", "horizon_s"):
-            if getattr(self, name) <= 0:
-                raise FaultInjectionError(
-                    f"{name} must be positive, got {getattr(self, name)!r}")
-
     def windows(self) -> tuple[tuple[float, float], ...]:
         """The deterministic outage windows, as (start, end) pairs."""
-        rng = spawn_rng(self.seed, _STREAM_OUTAGE, 0)
+        rng = self.start(0)
         cursor = 0.0
         spans: list[tuple[float, float]] = []
         while True:
@@ -213,20 +207,14 @@ class ApOutageModel:
 
 
 @dataclass(frozen=True, kw_only=True)
-class HangModel:
+class HangModel(FaultModel):
     """MCU hangs during decompression/install, cleared by the watchdog.
 
     Attributes:
-        seed: randomness root (keyword-only, required).
         hang_prob: probability the install phase of one session hangs.
     """
 
-    seed: int
+    stream = "fault.hang"
+    probabilities = ("hang_prob",)
+
     hang_prob: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_probability("hang_prob", self.hang_prob)
-
-    def start(self, node_id: int) -> np.random.Generator:
-        """The per-node hang draw stream."""
-        return spawn_rng(self.seed, _STREAM_HANG, node_id)

@@ -13,6 +13,7 @@ the ``ota.*`` events that show how the pipeline coped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from repro.faults.models import (
     GilbertElliott,
     HangModel,
 )
+from repro.seeding import fold_seed
 from repro.sim import (
     FAULT_BROWNOUT,
     FAULT_CORRUPT,
@@ -59,11 +61,6 @@ class FaultPlan:
     ap_outage: ApOutageModel | None = None
     hang: HangModel | None = None
 
-    def _fold(self, node_id: int) -> int:
-        """Mix the plan seed with a node id into one stream index."""
-        return int(np.random.SeedSequence([self.seed, node_id])
-                   .generate_state(1)[0])
-
     def bind(self, node_id: int,
              timeline: Timeline | None = None) -> "NodeFaults":
         """The stateful per-node injector for ``node_id``.
@@ -72,26 +69,55 @@ class FaultPlan:
         model seed, node id)`` only, so binding nodes in any order - or
         rebinding the same node - reproduces identical fault sequences.
         """
-        folded = self._fold(node_id)
-        return NodeFaults(self, node_id=folded, timeline=timeline)
+        return NodeFaults(self, node_id=fold_seed(self.seed, node_id),
+                          timeline=timeline)
 
 
-class NodeFaults:
+class FaultInjector:
+    """What every bound injector shares: fire counts and fault events.
+
+    ``injected`` counts fires per ``fault.*`` kind for assertions;
+    :meth:`_emit` bumps it and records the event on :attr:`timeline`
+    (when one is attached), and :meth:`_fires` is the one
+    draw-and-emit Bernoulli hook the per-model polls go through.
+    """
+
+    def __init__(self, plan: Any, timeline: Timeline | None) -> None:
+        self.plan = plan
+        self.timeline = timeline
+        self.injected: dict[str, int] = {}
+
+    def _emit(self, kind: str, label: str, duration_s: float = 0.0,
+              power_w: float | None = None,
+              component: str = "faults") -> None:
+        self.injected[kind] = self.injected.get(kind, 0) + 1
+        if self.timeline is not None:
+            self.timeline.record(kind, component, label=label,
+                                 duration_s=duration_s, power_w=power_w)
+
+    def _fires(self, rng: np.random.Generator, prob: float, kind: str,
+               label: str, duration_s: float = 0.0) -> bool:
+        """One draw from ``rng``; below ``prob`` it emits ``kind``."""
+        if not rng.random() < prob:
+            return False
+        self._emit(kind, label, duration_s=duration_s)
+        return True
+
+
+class NodeFaults(FaultInjector):
     """One node's fault processes, bound to a timeline for tracing.
 
     The hardened OTA pipeline polls the ``*_now``/``*_lost`` hooks; each
     hook draws from its own seeded stream and, when a fault fires,
     records the matching ``fault.*`` event on :attr:`timeline` (when one
-    is attached).  ``injected`` counts fires per kind for assertions.
+    is attached).
     """
 
     def __init__(self, plan: FaultPlan, node_id: int,
                  timeline: Timeline | None = None) -> None:
-        self.plan = plan
+        super().__init__(plan, timeline)
         self.node_id = node_id
-        self.timeline = timeline
         self.time_offset_s = 0.0
-        self.injected: dict[str, int] = {}
         self._loss: BurstLossProcess | None = (
             plan.burst_loss.start(node_id) if plan.burst_loss else None)
         self._corrupt_rng = (plan.corruption.start(node_id)
@@ -115,13 +141,6 @@ class NodeFaults:
         """
         self.timeline = timeline
         self.time_offset_s = offset_s
-
-    def _emit(self, kind: str, label: str, duration_s: float = 0.0,
-              power_w: float | None = None) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + 1
-        if self.timeline is not None:
-            self.timeline.record(kind, "faults", label=label,
-                                 duration_s=duration_s, power_w=power_w)
 
     def campaign_now_s(self) -> float:
         """Current campaign-absolute time per the bound timeline."""
@@ -149,12 +168,10 @@ class NodeFaults:
 
     def packet_corrupted(self, label: str) -> bool:
         """Whether a delivered data packet arrives with corrupt bits."""
-        if self._corrupt_rng is None:
-            return False
-        if self._corrupt_rng.random() < self.plan.corruption.per_packet_prob:
-            self._emit(FAULT_CORRUPT, f"{label} corrupted in flight")
-            return True
-        return False
+        model = self.plan.corruption
+        return model is not None and self._fires(
+            self._corrupt_rng, model.per_packet_prob, FAULT_CORRUPT,
+            f"{label} corrupted in flight")
 
     def brownout_now(self) -> bool:
         """Whether the node browns out after the fragment it just ACKed.
@@ -162,25 +179,19 @@ class NodeFaults:
         A firing records the reboot dwell on the timeline (the node is
         down for the model's ``reboot_time_s``).
         """
-        if self._brownout_rng is None:
-            return False
         model = self.plan.brownout
-        if self._brownout_rng.random() < model.prob_per_fragment:
-            self._emit(FAULT_BROWNOUT,
-                       f"node {self.node_id} brownout, "
-                       f"{model.reboot_time_s:g} s reboot",
-                       duration_s=model.reboot_time_s)
-            return True
-        return False
+        return model is not None and self._fires(
+            self._brownout_rng, model.prob_per_fragment, FAULT_BROWNOUT,
+            f"node {self.node_id} brownout, "
+            f"{model.reboot_time_s:g} s reboot",
+            duration_s=model.reboot_time_s)
 
     def hangs_now(self) -> bool:
         """Whether the install phase of this session hangs the MCU."""
-        if self._hang_rng is None:
-            return False
-        if self._hang_rng.random() < self.plan.hang.hang_prob:
-            self._emit(FAULT_HANG, f"node {self.node_id} MCU hang")
-            return True
-        return False
+        model = self.plan.hang
+        return model is not None and self._fires(
+            self._hang_rng, model.hang_prob, FAULT_HANG,
+            f"node {self.node_id} MCU hang")
 
     def flash_page_failed(self) -> bool:
         """Whether one page-program operation fails outright."""

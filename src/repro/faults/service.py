@@ -4,85 +4,65 @@ The campaign service (:mod:`repro.service`) fails differently from a
 node in the field: its workers crash mid-job, its workloads hang and
 starve the queue, and the job journal it depends on for crash recovery
 can itself be torn by the crash (a partially flushed last record).
-These models follow the same reproducibility contract as the OTA fault
-models in :mod:`repro.faults.models`: explicit keyword-only seeds,
-order-independent per-job ``default_rng([seed, stream, job_id])``
-streams via :func:`repro.faults.models.spawn_rng`, and a
-:class:`ServiceFaultPlan` whose :meth:`~ServiceFaultPlan.bind` yields a
-per-job :class:`JobFaults` injector emitting ``fault.*`` SimEvents on
-the service timeline.
+These models subclass the same :class:`~repro.faults.models.FaultModel`
+base as the OTA fault models - explicit keyword-only seeds and
+order-independent per-job sub-streams - and :meth:`ServiceFaultPlan.bind`
+yields a per-job :class:`JobFaults`, a
+:class:`~repro.faults.plan.FaultInjector` emitting ``fault.*`` SimEvents
+on the service timeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import FaultInjectionError
-from repro.faults.models import _check_probability, spawn_rng
+from repro.faults.models import FaultModel
+from repro.faults.plan import FaultInjector
+from repro.seeding import fold_seed
 from repro.sim import (
     FAULT_WORKER_CRASH,
     FAULT_WORKLOAD_HANG,
     Timeline,
 )
 
-# Continue the sub-stream tag sequence from repro.faults.models so no
-# service stream can collide with a node-level fault stream under a
-# shared seed.
-_STREAM_WORKER_CRASH = 7
-_STREAM_WORKLOAD_HANG = 8
-_STREAM_TORN_WRITE = 9
-
 
 @dataclass(frozen=True, kw_only=True)
-class WorkerCrashModel:
+class WorkerCrashModel(FaultModel):
     """A service worker dies mid-attempt (OOM kill, segfault, eviction).
 
     The supervisor notices via missed heartbeats and re-dispatches the
     job under its retry budget.
 
     Attributes:
-        seed: randomness root (keyword-only, required).
         crash_prob: probability one execution attempt crashes the worker.
     """
 
-    seed: int
+    stream = "fault.worker_crash"
+    probabilities = ("crash_prob",)
+
     crash_prob: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_probability("crash_prob", self.crash_prob)
-
-    def start(self, job_id: int) -> np.random.Generator:
-        """The per-job crash draw stream."""
-        return spawn_rng(self.seed, _STREAM_WORKER_CRASH, job_id)
 
 
 @dataclass(frozen=True, kw_only=True)
-class WorkloadHangModel:
+class WorkloadHangModel(FaultModel):
     """A workload wedges without exiting (deadlock, spin, stuck I/O).
 
     The worker process stays alive - heartbeats keep flowing - so only
     the per-job watchdog deadline catches it.
 
     Attributes:
-        seed: randomness root (keyword-only, required).
         hang_prob: probability one execution attempt hangs.
     """
 
-    seed: int
+    stream = "fault.workload_hang"
+    probabilities = ("hang_prob",)
+
     hang_prob: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_probability("hang_prob", self.hang_prob)
-
-    def start(self, job_id: int) -> np.random.Generator:
-        """The per-job hang draw stream."""
-        return spawn_rng(self.seed, _STREAM_WORKLOAD_HANG, job_id)
 
 
 @dataclass(frozen=True, kw_only=True)
-class JournalTornWriteModel:
+class JournalTornWriteModel(FaultModel):
     """A crash tears the last journal record mid-flush.
 
     When the chaos harness kills the service at a journal append
@@ -91,15 +71,13 @@ class JournalTornWriteModel:
     drop), or - the ``keep == 0`` draw - not at all.
 
     Attributes:
-        seed: randomness root (keyword-only, required).
         torn_prob: probability the crashed append leaves a torn tail.
     """
 
-    seed: int
-    torn_prob: float = 0.5
+    stream = "fault.torn_write"
+    probabilities = ("torn_prob",)
 
-    def __post_init__(self) -> None:
-        _check_probability("torn_prob", self.torn_prob)
+    torn_prob: float = 0.5
 
     def tear(self, seq: int, total_bytes: int) -> int | None:
         """How many bytes of record ``seq`` survive, or None for all.
@@ -113,7 +91,7 @@ class JournalTornWriteModel:
         if total_bytes <= 0:
             raise FaultInjectionError(
                 f"total_bytes must be positive, got {total_bytes!r}")
-        rng = spawn_rng(self.seed, _STREAM_TORN_WRITE, seq)
+        rng = self.start(seq)
         if rng.random() >= self.torn_prob:
             return None
         return int(rng.integers(0, total_bytes))
@@ -136,11 +114,6 @@ class ServiceFaultPlan:
     workload_hang: WorkloadHangModel | None = None
     torn_write: JournalTornWriteModel | None = None
 
-    def _fold(self, job_id: int) -> int:
-        """Mix the plan seed with a job id into one stream index."""
-        return int(np.random.SeedSequence([self.seed, job_id])
-                   .generate_state(1)[0])
-
     def bind(self, job_id: int, label: str,
              timeline: Timeline | None = None) -> "JobFaults":
         """The stateful per-job injector for ``job_id``.
@@ -149,36 +122,27 @@ class ServiceFaultPlan:
         id)`` only, so binding jobs in any order - or rebinding the same
         job during journal replay - reproduces identical fault draws.
         """
-        folded = self._fold(job_id)
-        return JobFaults(self, job_id=folded, label=label, timeline=timeline)
+        return JobFaults(self, job_id=fold_seed(self.seed, job_id),
+                         label=label, timeline=timeline)
 
 
-class JobFaults:
+class JobFaults(FaultInjector):
     """One job's fault processes, bound to the service timeline.
 
     The supervised execution loop polls the ``*_now`` hooks once per
     attempt; each hook draws from its own seeded stream and, when a
-    fault fires, records the matching ``fault.*`` event.  ``injected``
-    counts fires per kind for assertions.
+    fault fires, records the matching ``fault.*`` event.
     """
 
     def __init__(self, plan: ServiceFaultPlan, job_id: int, label: str,
                  timeline: Timeline | None = None) -> None:
-        self.plan = plan
+        super().__init__(plan, timeline)
         self.job_id = job_id
         self.label = label
-        self.timeline = timeline
-        self.injected: dict[str, int] = {}
         self._crash_rng = (plan.worker_crash.start(job_id)
                            if plan.worker_crash else None)
         self._hang_rng = (plan.workload_hang.start(job_id)
                           if plan.workload_hang else None)
-
-    def _emit(self, kind: str, label: str, duration_s: float = 0.0) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + 1
-        if self.timeline is not None:
-            self.timeline.record(kind, "faults", label=label,
-                                 duration_s=duration_s)
 
     def worker_crashes_now(self, attempt: int, dwell_s: float) -> bool:
         """Whether this attempt's worker dies before finishing.
@@ -187,14 +151,11 @@ class JobFaults:
         ``dwell_s`` on the timeline - the span between the crash and
         the supervisor declaring the worker dead.
         """
-        if self._crash_rng is None:
-            return False
-        if self._crash_rng.random() < self.plan.worker_crash.crash_prob:
-            self._emit(FAULT_WORKER_CRASH,
-                       f"{self.label} worker crash (attempt {attempt})",
-                       duration_s=dwell_s)
-            return True
-        return False
+        model = self.plan.worker_crash
+        return model is not None and self._fires(
+            self._crash_rng, model.crash_prob, FAULT_WORKER_CRASH,
+            f"{self.label} worker crash (attempt {attempt})",
+            duration_s=dwell_s)
 
     def workload_hangs_now(self, attempt: int) -> bool:
         """Whether this attempt's workload wedges without exiting.
@@ -202,10 +163,7 @@ class JobFaults:
         A zero-duration marker: the watchdog reset the service emits
         carries the detection dwell.
         """
-        if self._hang_rng is None:
-            return False
-        if self._hang_rng.random() < self.plan.workload_hang.hang_prob:
-            self._emit(FAULT_WORKLOAD_HANG,
-                       f"{self.label} workload hang (attempt {attempt})")
-            return True
-        return False
+        model = self.plan.workload_hang
+        return model is not None and self._fires(
+            self._hang_rng, model.hang_prob, FAULT_WORKLOAD_HANG,
+            f"{self.label} workload hang (attempt {attempt})")

@@ -362,7 +362,6 @@ class AccessPoint:
                 continue
             timeline.merge(attempt_timeline, offset_s=attempt_start_s)
             session.resumes += report.resumes
-            session.watchdog_resets += report.watchdog_resets
             session.report = report
             if report.rolled_back:
                 session.rollbacks += 1

@@ -7,11 +7,12 @@ entire fleet's packet-success probabilities once as flat arrays — the
 uniform draws against them.
 
 Shard invariance: the plan is always computed for the *full* fleet from
-``SeedSequence([seed, stream])`` draws in a fixed order, then sliced per
-shard, so a node's link is identical no matter which shard simulates
-it.  Both the vectorized engine and the scalar reference twin consume
-the same plan; the parity boundary is the campaign stepping and
-accounting, not the link-budget arithmetic.
+the ``fleet.placement`` sub-stream (:func:`repro.seeding.stream_rng`)
+drawn in a fixed order, then sliced per shard, so a node's link is
+identical no matter which shard simulates it.  Both the vectorized
+engine and the scalar reference twin consume the same plan; the parity
+boundary is the campaign stepping and accounting, not the link-budget
+arithmetic.
 
 The PER model is the analytic SX1276 waterfall of
 :func:`repro.radio.sx1276.packet_error_probability`, vectorized over
@@ -32,10 +33,8 @@ from repro.ota.fleet.config import FleetCampaignConfig
 from repro.ota.mac import ACK_BYTES, CONTROL_BYTES, OTA_PREAMBLE_SYMBOLS
 from repro.phy.lora.params import LoRaParams
 from repro.radio.sx1276 import NOISE_FIGURE_DB
+from repro.seeding import stream_rng
 from repro.units import free_space_path_loss_db, noise_floor_dbm
-
-PLACEMENT_STREAM = 0x1E57
-"""SeedSequence lane for deployment geometry and shadowing draws."""
 
 FRAGMENT_HEADER_BYTES = 8
 """Data-fragment wire overhead: sequence (4) + CRC (4), as DataPacket."""
@@ -123,8 +122,7 @@ def prepare_links(config: FleetCampaignConfig) -> FleetLinkPlan:
     keep-out — vectorized over the whole fleet, with one lognormal
     shadowing draw per node per direction.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence([config.seed, PLACEMENT_STREAM]))
+    rng = stream_rng(config.seed, "fleet.placement")
     n = config.num_nodes
     radii = MIN_RADIUS_M + (config.max_radius_m - MIN_RADIUS_M) \
         * np.sqrt(rng.random(n))

@@ -41,7 +41,6 @@ from repro.mcu.scheduler import EventScheduler
 from repro.mcu.watchdog import Watchdog
 from repro.ota.bank import FirmwareBanks
 from repro.ota.blocks import (
-    BLOCK_BYTES,
     parse_wire_image,
     reassemble,
     split_and_compress,
@@ -82,9 +81,13 @@ STAGING_PROGRAM_ATTEMPTS = 6
 """Program/verify rounds per staged fragment before declaring the
 staging area bad and failing the session."""
 
-DEFAULT_WATCHDOG_TIMEOUT_S = 5.0
-"""Generous next to the 450 ms worst-case decompression: a deadline this
-far past any legitimate dwell only ever catches real hangs."""
+WATCHDOG_TIMEOUT_S = 5.0
+"""Hang-detection deadline around install.  Generous next to the 450 ms
+worst-case decompression: a deadline this far past any legitimate dwell
+only ever catches real hangs."""
+
+IMAGE_ID = 1
+"""Firmware identifier a session stages under (scopes its checkpoints)."""
 
 # Terminal per-node outcome classes for campaign reporting.
 OUTCOME_SUCCEEDED = "succeeded"
@@ -101,37 +104,25 @@ class HardenedOtaSession:
         link: backbone link conditions.
         banks: the node's dual-bank flash (persists across attempts, so
             staged data and checkpoints survive a failed session).
-        image_id: campaign firmware identifier (scopes checkpoints).
         is_fpga_image: FPGA images end with a quad-SPI reconfigure.
         policy: retransmission discipline (default: the historical
             fixed-timeout behaviour).
         faults: the node's fault injector, or ``None`` for a clean run.
-        payload_bytes: fragment payload size.
-        block_bytes: compression block size.
-        watchdog_timeout_s: hang-detection deadline around install.
     """
 
     def __init__(self, image: bytes, link: OtaLink, banks: FirmwareBanks,
-                 image_id: int = 1, is_fpga_image: bool = True,
+                 is_fpga_image: bool = True,
                  policy: RetryPolicy | None = None,
-                 faults: NodeFaults | None = None,
-                 payload_bytes: int = DATA_PAYLOAD_BYTES,
-                 block_bytes: int = BLOCK_BYTES,
-                 watchdog_timeout_s: float = DEFAULT_WATCHDOG_TIMEOUT_S,
-                 mcu: Msp432 | None = None) -> None:
+                 faults: NodeFaults | None = None) -> None:
         if not image:
             raise OtaError("cannot deliver an empty image")
         self.image = image
         self.link = link
         self.banks = banks
-        self.image_id = image_id
         self.is_fpga_image = is_fpga_image
         self.policy = policy
         self.faults = faults
-        self.payload_bytes = payload_bytes
-        self.block_bytes = block_bytes
-        self.watchdog_timeout_s = watchdog_timeout_s
-        self.mcu = mcu if mcu is not None else Msp432()
+        self.mcu = Msp432()
         self.configurator = FpgaConfigurator()
 
     # -- phases ------------------------------------------------------------
@@ -149,7 +140,7 @@ class HardenedOtaSession:
         banks = self.banks
         staging = banks.layout.staging_offset
         resumes = 0
-        next_seq = banks.resume_point(self.image_id)
+        next_seq = banks.resume_point(IMAGE_ID)
         if next_seq == 0:
             total_bytes = sum(len(f.payload) for f in fragments)
             banks.flash.erase_range(staging, total_bytes)
@@ -165,7 +156,7 @@ class HardenedOtaSession:
             # so a resume point never covers bytes the flash dropped.
             # Re-programming the same data is legal NOR (it only clears
             # bits), so a failed or stuck page gets fresh tries.
-            address = staging + fragment.sequence * self.payload_bytes
+            address = staging + fragment.sequence * DATA_PAYLOAD_BYTES
             for _ in range(STAGING_PROGRAM_ATTEMPTS):
                 banks.flash.program(address, fragment.payload)
                 if banks.flash.read(address, len(fragment.payload)) \
@@ -175,7 +166,7 @@ class HardenedOtaSession:
                 raise OtaError(
                     f"fragment {fragment.sequence} failed staging "
                     f"verification {STAGING_PROGRAM_ATTEMPTS} times")
-            banks.checkpoint(self.image_id, fragment.sequence + 1)
+            banks.checkpoint(IMAGE_ID, fragment.sequence + 1)
 
         while next_seq < len(fragments):
             try:
@@ -186,7 +177,7 @@ class HardenedOtaSession:
                     on_delivered=stage_and_checkpoint)
             except BrownoutInterrupt:
                 # RAM is gone; the flash log is the only truth left.
-                next_seq = banks.resume_point(self.image_id)
+                next_seq = banks.resume_point(IMAGE_ID)
                 timeline.record(OTA_RESUME, NODE_RADIO,
                                 label=f"resume from seq={next_seq} "
                                       "after brownout")
@@ -198,10 +189,10 @@ class HardenedOtaSession:
             break
         return resumes
 
-    def _install(self, wire_bytes: int, timeline: Timeline) -> tuple[str, int]:
+    def _install(self, wire_bytes: int, timeline: Timeline) -> str:
         """Read back the staged image, decompress, verify and install.
 
-        Returns the target bank and the watchdog reset count.
+        Returns the target bank.
 
         Raises:
             WatchdogTimeoutError: an injected hang tripped the watchdog.
@@ -211,7 +202,7 @@ class HardenedOtaSession:
         """
         banks = self.banks
         scheduler = EventScheduler(timeline)
-        watchdog = Watchdog(scheduler, self.watchdog_timeout_s,
+        watchdog = Watchdog(scheduler, WATCHDOG_TIMEOUT_S,
                             name="node install watchdog")
         watchdog.start()
         if self.faults is not None and self.faults.hangs_now():
@@ -220,7 +211,7 @@ class HardenedOtaSession:
             watchdog.stop()
             raise WatchdogTimeoutError(
                 f"install hang; watchdog reset after "
-                f"{self.watchdog_timeout_s:g} s")
+                f"{WATCHDOG_TIMEOUT_S:g} s")
         staged = banks.flash.read(banks.layout.staging_offset, wire_bytes)
         try:
             blocks = parse_wire_image(staged)
@@ -240,9 +231,9 @@ class HardenedOtaSession:
             label=f"{len(blocks)} blocks, {len(recovered)} bytes",
             duration_s=len(recovered) * 8 / DECOMPRESS_BANDWIDTH_BPS,
             power_w=profiles.MCU_ACTIVE_W)
-        target = banks.install(recovered, self.image_id)
+        target = banks.install(recovered, IMAGE_ID)
         watchdog.stop()
-        return target, watchdog.resets
+        return target
 
     # -- the session -------------------------------------------------------
 
@@ -280,12 +271,12 @@ class HardenedOtaSession:
              since: int, session_start_s: float) -> UpdateReport:
         banks = self.banks
         stats_before = banks.flash.stats()
-        blocks = split_and_compress(self.image, self.block_bytes)
+        blocks = split_and_compress(self.image)
         wire_image = b"".join(block.header() + block.payload
                               for block in blocks)
-        fragments = fragment_image(wire_image, self.payload_bytes)
+        fragments = fragment_image(wire_image)
 
-        request = ProgrammingRequest((1,), (0.0,), image_id=self.image_id)
+        request = ProgrammingRequest((1,), (0.0,), image_id=IMAGE_ID)
         timeline.record(
             CONTROL_RX, NODE_RADIO, label="programming request",
             duration_s=self.link.airtime_s(request.wire_bytes),
@@ -303,7 +294,7 @@ class HardenedOtaSession:
             duration_s=self.link.airtime_s(end.wire_bytes),
             power_w=profiles.BACKBONE_RX_W)
 
-        target, watchdog_resets = self._install(len(wire_image), timeline)
+        target = self._install(len(wire_image), timeline)
         if self.is_fpga_image:
             installed = banks.flash.read(
                 banks.layout.bank_offset(target), len(self.image))
@@ -335,5 +326,4 @@ class HardenedOtaSession:
             node_energy_j=node_energy_from_timeline(timeline, since=since),
             timeline=timeline,
             boot=boot,
-            resumes=resumes,
-            watchdog_resets=watchdog_resets)
+            resumes=resumes)

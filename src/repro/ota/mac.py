@@ -29,6 +29,7 @@ from repro.errors import BrownoutInterrupt, ConfigurationError, ProtocolError
 from repro.phy.lora.params import LoRaParams
 from repro.power import profiles
 from repro.radio.sx1276 import packet_error_probability
+from repro.seeding import jittered, stream_rng
 from repro.sim import (
     CONTROL_RX,
     CONTROL_TX,
@@ -138,7 +139,7 @@ class RetryPolicy:
         """The dedicated jitter stream (``None`` when jitter is off)."""
         if self.jitter_fraction == 0.0:
             return None
-        return np.random.default_rng([self.seed, 0x0177])
+        return stream_rng(self.seed, "ota.retry_jitter")
 
     def delay_s(self, attempt: int,
                 jitter_rng: np.random.Generator | None = None) -> float:
@@ -148,10 +149,7 @@ class RetryPolicy:
         else:
             delay = min(self.base_delay_s * float(2 ** attempt),
                         self.max_delay_s)
-        if self.jitter_fraction > 0.0 and jitter_rng is not None:
-            spread = self.jitter_fraction * (2.0 * jitter_rng.random() - 1.0)
-            delay = delay * (1.0 + spread)
-        return delay
+        return jittered(delay, self.jitter_fraction, jitter_rng)
 
 
 def crc32(data: bytes) -> int:

@@ -21,7 +21,6 @@ from repro.fpga.config import NODE_FPGA, FpgaConfigurator
 from repro.mcu.msp432 import NODE_MCU, Msp432
 from repro.ota.bank import BootResult
 from repro.ota.blocks import (
-    BLOCK_BYTES,
     reassemble,
     split_and_compress,
     total_compressed_bytes,
@@ -77,7 +76,6 @@ class UpdateReport:
         boot: what a dual-bank node ended up running (``None`` for a
             single-bank install).
         resumes: transfers continued from a flash checkpoint.
-        watchdog_resets: hangs the watchdog cleared this session.
     """
 
     transfer: TransferReport
@@ -91,7 +89,6 @@ class UpdateReport:
                                       compare=False)
     boot: BootResult | None = None
     resumes: int = 0
-    watchdog_resets: int = 0
 
     @property
     def applied(self) -> bool:
@@ -145,7 +142,6 @@ class OtaUpdater:
     def update(self, image: bytes, link: OtaLink,
                rng: np.random.Generator,
                is_fpga_image: bool = True,
-               block_bytes: int = BLOCK_BYTES,
                timeline: Timeline | None = None) -> UpdateReport:
         """Run one full OTA session.
 
@@ -155,7 +151,6 @@ class OtaUpdater:
             rng: randomness source for packet outcomes.
             is_fpga_image: FPGA images end with a quad-SPI reconfigure;
                 MCU images end with a self-flash and reboot.
-            block_bytes: compression block size.
             timeline: ledger the session is recorded on (a fresh one
                 when not supplied).
 
@@ -166,7 +161,7 @@ class OtaUpdater:
         timeline = timeline if timeline is not None else Timeline()
         since = timeline.checkpoint()
         session_start_s = timeline.now_s
-        blocks = split_and_compress(image, block_bytes)
+        blocks = split_and_compress(image)
         wire_image = b"".join(block.header() + block.payload
                               for block in blocks)
         compressed_bytes = total_compressed_bytes(blocks)

@@ -456,15 +456,14 @@ def estimate_cfo_bins(n: int, up_bin: int, down_bin: int) -> int:
     return (signed(up_bin) + signed(down_bin)) // 2
 
 
-def receive_fir_taps(params: LoRaParams,
-                     use_fir: bool | None) -> np.ndarray | None:
+def receive_fir_taps(params: LoRaParams) -> np.ndarray | None:
     """The receive low-pass taps, or ``None`` when the FIR is off.
 
-    ``use_fir=None`` turns the filter on only when oversampling > 1.
+    The filter runs only when oversampling > 1: at critical sampling the
+    signal already occupies the whole band and the filter would bite
+    into the outer bins.
     """
-    if use_fir is None:
-        use_fir = params.oversampling > 1
-    if not use_fir:
+    if params.oversampling <= 1:
         return None
     cutoff_hz = params.bandwidth_hz / 2.0 * 1.1
     return get_or_build(
@@ -476,22 +475,20 @@ def receive_fir_taps(params: LoRaParams,
 class LoRaDemodulator:
     """Full receive chain: FIR front-end, synchronizer, symbol demod, codec.
 
+    The paper's 14-tap low-pass runs in front of the demodulator when
+    oversampling > 1 (:func:`receive_fir_taps`).
+
     Args:
         params: LoRa PHY configuration.
         crc: expect a payload CRC (must match the transmitter).
-        use_fir: run the paper's 14-tap low-pass in front of the
-            demodulator.  Defaults to on only when oversampling > 1 - at
-            critical sampling the signal already occupies the whole band
-            and the filter would bite into the outer bins.
     """
 
-    def __init__(self, params: LoRaParams, crc: bool = True,
-                 use_fir: bool | None = None) -> None:
+    def __init__(self, params: LoRaParams, crc: bool = True) -> None:
         self.params = params
         self.codec = LoRaCodec(params, crc=crc)
         self.synchronizer = PacketSynchronizer(params)
         self.symbol_demod = self.synchronizer.symbol_demod
-        self._fir_taps = receive_fir_taps(params, use_fir)
+        self._fir_taps = receive_fir_taps(params)
 
     def frontend(self, samples: np.ndarray) -> np.ndarray:
         """Apply the receive FIR (identity when disabled)."""
@@ -542,7 +539,5 @@ class LoRaDemodulator:
         if not self.params.explicit_header:
             raise DemodulationError(
                 "receive_all requires explicit-header mode")
-        receiver = StreamingDemodulator(
-            self.params, crc=self.codec.crc,
-            use_fir=self._fir_taps is not None)
+        receiver = StreamingDemodulator(self.params, crc=self.codec.crc)
         return receiver.push(samples) + receiver.flush()

@@ -92,18 +92,17 @@ class StreamingDemodulator:
     Feed arbitrary sample chunks with :meth:`push`; each call returns
     the packets completed by that chunk.  :meth:`flush` ends the capture
     (emitting any packet the FIR tail completes and discarding partial
-    state).  The packet list does not depend on the chunking.
+    state).  The packet list does not depend on the chunking.  The
+    paper's 14-tap low-pass front-end runs when oversampling > 1, the
+    same rule as :class:`LoRaDemodulator`.
 
     Args:
         params: LoRa PHY configuration (explicit-header mode required —
             streaming reception learns packet lengths from the header).
         crc: expect a payload CRC (must match the transmitter).
-        use_fir: run the paper's 14-tap low-pass front-end; same default
-            rule as :class:`LoRaDemodulator`.
     """
 
-    def __init__(self, params: LoRaParams, crc: bool = True,
-                 use_fir: bool | None = None) -> None:
+    def __init__(self, params: LoRaParams, crc: bool = True) -> None:
         if not params.explicit_header:
             raise ConfigurationError(
                 "streaming demodulation requires explicit-header mode "
@@ -112,7 +111,7 @@ class StreamingDemodulator:
         self.codec = LoRaCodec(params, crc=crc)
         self.synchronizer = PacketSynchronizer(params)
         self.symbol_demod = self.synchronizer.symbol_demod
-        taps = receive_fir_taps(params, use_fir)
+        taps = receive_fir_taps(params)
         self._fir = None if taps is None else _AlignedStreamingFir(taps)
         self.reset()
 

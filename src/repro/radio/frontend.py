@@ -4,7 +4,9 @@ The AT86RF215's 14 dBm maximum is below the FCC's 30 dBm ceiling, so
 tinySDR adds optional external PAs (paper section 3.1.1): the SE2435L
 boosts the 900 MHz path to 30 dBm and the SKY66112 the 2.4 GHz path to
 27 dBm.  Both include a receive LNA and a bypass circuit; bypass draws at
-most 280 uA and sleep only 1 uA - numbers the power model uses directly.
+most 280 uA and sleep only 1 uA.  :meth:`RfFrontend.power_draw_w` turns
+these currents into a per-mode draw; the platform power model
+(:mod:`repro.power`) does not charge the front-ends.
 """
 
 from __future__ import annotations

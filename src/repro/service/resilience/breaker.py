@@ -6,10 +6,11 @@ touching the engine, though the result cache still answers hits — the
 degradation story); after a seeded-jittered cooldown the breaker goes
 half-open and admits a single probe job whose outcome closes or
 re-opens it.  All state runs on the service's virtual clock, and the
-probe jitter draws from a per-kind ``default_rng`` stream derived from
-the breaker seed and a hash of the kind name, so breaker behaviour is a
-pure function of configuration and the dispatch history — replayable
-bit-exactly during journal recovery.
+probe jitter draws from a per-kind ``service.breaker_jitter``
+sub-stream (:func:`repro.seeding.stream_rng`) keyed by the breaker seed
+and a hash of the kind name, so breaker behaviour is a pure function of
+configuration and the dispatch history — replayable bit-exactly during
+journal recovery.
 """
 
 from __future__ import annotations
@@ -18,17 +19,12 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigurationError
+from repro.seeding import jittered, stream_rng
 
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
-
-# Sub-stream tag separating breaker jitter from every other service
-# stream rooted at the same seed.
-_STREAM_BREAKER = 0x00B5
 
 
 def _kind_index(kind: str) -> int:
@@ -90,8 +86,8 @@ class CircuitBreaker:
         self.state = BREAKER_CLOSED
         self.failures = 0
         self.reopen_at_s: float | None = None
-        self._rng = np.random.default_rng(
-            [config.seed, _STREAM_BREAKER, _kind_index(kind)])
+        self._rng = stream_rng(config.seed, "service.breaker_jitter",
+                               _kind_index(kind))
 
     def allow(self, now_s: float) -> tuple[bool, str | None]:
         """Whether a dispatch may proceed at virtual time ``now_s``.
@@ -127,13 +123,10 @@ class CircuitBreaker:
         self.failures += 1
         if (self.state == BREAKER_HALF_OPEN
                 or self.failures >= self.config.failure_threshold):
-            spread = 0.0
-            if self.config.probe_jitter_fraction > 0.0:
-                spread = (self.config.probe_jitter_fraction
-                          * (2.0 * float(self._rng.random()) - 1.0))
             self.state = BREAKER_OPEN
-            self.reopen_at_s = (
-                now_s + self.config.open_duration_s * (1.0 + spread))
+            self.reopen_at_s = now_s + jittered(
+                self.config.open_duration_s,
+                self.config.probe_jitter_fraction, self._rng)
             self.failures = 0
             return "open"
         return None

@@ -32,10 +32,7 @@ from repro.errors import ConfigurationError
 # The MAC retry policy is scheduling machinery, not an engine entry
 # point: reusing it keeps one backoff vocabulary across layers.
 from repro.ota.mac import RetryPolicy
-
-# Sub-stream tag for per-job supervision jitter (the OTA jitter stream
-# uses 0x0177; this one must stay distinct under a shared seed).
-_STREAM_SUPERVISOR = 0x0178
+from repro.seeding import stream_rng
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -93,5 +90,4 @@ def job_jitter_rng(policy: RetryPolicy,
     """
     if policy.jitter_fraction == 0.0:
         return None
-    return np.random.default_rng(
-        [policy.seed, _STREAM_SUPERVISOR, job_id])
+    return stream_rng(policy.seed, "service.supervisor_jitter", job_id)

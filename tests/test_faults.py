@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import inspect
+import math
+import pkgutil
 
 import pytest
 
@@ -12,20 +16,37 @@ from repro.faults import (
     ApOutageModel,
     BrownoutModel,
     CorruptionModel,
+    FaultModel,
     FaultPlan,
     FaultyFlash,
     FlashFaultModel,
     GilbertElliott,
     HangModel,
-    spawn_rng,
+    ServiceFaultPlan,
 )
 from repro.ota.flash import PAGE_BYTES
+from repro.seeding import stream_rng
 from repro.sim import (
     FAULT_BROWNOUT,
     FAULT_LOSS,
     FAULT_OUTAGE,
     Timeline,
 )
+
+
+def _fault_models() -> list[type]:
+    """Every concrete fault model, found by walking the class tree."""
+    found, pending = [], [FaultModel]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            found.append(cls)
+            pending.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def _float_fields(cls: type) -> list[str]:
+    return [field.name for field in dataclasses.fields(cls)
+            if field.type in ("float", float)]
 
 
 class TestModelValidation:
@@ -49,24 +70,63 @@ class TestModelValidation:
         with pytest.raises(FaultInjectionError):
             ApOutageModel(seed=1, horizon_s=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("model, name", [
+        (ApOutageModel, "mean_interval_s"),
+        (ApOutageModel, "mean_duration_s"),
+        (ApOutageModel, "horizon_s"),
+        (BrownoutModel, "reboot_time_s")])
+    def test_positive_spans_must_be_finite(self, model, name, value):
+        # An infinite or NaN span never ends the outage-window draw
+        # loop, and a NaN reboot dwell reaches the ledger as a raw
+        # error: both are refused at construction, naming the field.
+        with pytest.raises(FaultInjectionError, match=name):
+            model(seed=1, **{name: value})
+
+    def test_every_seeded_fault_dataclass_subclasses_the_base(self):
+        seeded = {
+            cls
+            for info in pkgutil.iter_modules(repro.faults.__path__)
+            for cls in vars(importlib.import_module(
+                f"repro.faults.{info.name}")).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+            and "seed" in {f.name for f in dataclasses.fields(cls)}}
+        assert seeded - {FaultModel, FaultPlan, ServiceFaultPlan} \
+            == set(_fault_models())
+        assert len(_fault_models()) == 9
+
+    @pytest.mark.parametrize("model", _fault_models(),
+                             ids=lambda cls: cls.__name__)
+    def test_fault_model_fields_reject_out_of_range_values(self, model):
+        # The seed half of this property is
+        # TestSeededStreams.test_constructor_requires_a_keyword_seed.
+        model(seed=1)
+        assert _float_fields(model)
+        for name in _float_fields(model):
+            for value in (math.nan, math.inf):
+                with pytest.raises(FaultInjectionError, match=name):
+                    model(seed=1, **{name: value})
+        for name in model.probabilities:
+            for value in (-0.1, 1.1):
+                with pytest.raises(FaultInjectionError, match=name):
+                    model(seed=1, **{name: value})
+
 
 class TestSeededStreams:
-    @pytest.mark.parametrize("name", [
-        "FaultPlan", "GilbertElliott", "CorruptionModel", "FlashFaultModel",
-        "BrownoutModel", "ApOutageModel", "HangModel", "WorkerCrashModel",
-        "WorkloadHangModel", "JournalTornWriteModel", "ServiceFaultPlan"])
-    def test_constructor_requires_a_keyword_seed(self, name):
+    @pytest.mark.parametrize(
+        "cls", [FaultPlan, ServiceFaultPlan, *_fault_models()],
+        ids=lambda cls: cls.__name__)
+    def test_constructor_requires_a_keyword_seed(self, cls):
         # A chaos run replays from its configuration alone, so a call
         # site that forgets the seed must fail, not fall back to one.
-        seed = inspect.signature(
-            getattr(repro.faults, name)).parameters["seed"]
+        seed = inspect.signature(cls).parameters["seed"]
         assert seed.kind is inspect.Parameter.KEYWORD_ONLY
         assert seed.default is inspect.Parameter.empty
 
     def test_spawn_rng_streams_are_independent(self):
-        a = spawn_rng(7, 1, 3).random(8).tolist()
-        b = spawn_rng(7, 2, 3).random(8).tolist()
-        c = spawn_rng(7, 1, 4).random(8).tolist()
+        a = stream_rng(7, "fault.burst_loss", 3).random(8).tolist()
+        b = stream_rng(7, "fault.corruption", 3).random(8).tolist()
+        c = stream_rng(7, "fault.burst_loss", 4).random(8).tolist()
         assert a != b
         assert a != c
 

@@ -34,6 +34,7 @@ from repro.ota import (
     split_and_compress,
 )
 from repro.ota.ap import GOLDEN_IMAGE, GOLDEN_IMAGE_ID
+from repro.ota.hardened import IMAGE_ID
 from repro.ota.mac import ACK_TIMEOUT_S, MAX_ATTEMPTS_PER_PACKET
 from repro.sim import (
     OTA_RESUME,
@@ -244,12 +245,11 @@ class TestHardenedOtaSession:
         assert report.boot.bank == "a"
         assert not report.rolled_back
         assert report.resumes == 0
-        assert report.watchdog_resets == 0
         assert report.total_time_s > 0.0
         assert report.node_energy_j > 0.0
         assert banks.read_image("a") == IMAGE
         # A completed transfer discards its checkpoints.
-        assert banks.resume_point(session.image_id) == 0
+        assert banks.resume_point(IMAGE_ID) == 0
 
     def test_brownouts_resume_without_resending_acked_fragments(self):
         plan = FaultPlan(seed=4, brownout=BrownoutModel(

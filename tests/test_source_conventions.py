@@ -1,4 +1,4 @@
-"""Two source conventions no run can observe: named literals, cited constants.
+"""Three source conventions no run can observe.
 
 * **Named literals.**  A numeric literal of magnitude 1e5 or more
   (868 MHz, a 100 ks timeout) lives in a module-level UPPER_CASE
@@ -14,9 +14,15 @@
   belongs to (a blank line or any other statement ends the run).
   Module- and class-level constants count; derived constants (no
   literal) inherit their source.
+* **One sub-stream constructor.**  Outside ``repro/seeding.py`` no
+  module calls ``default_rng`` or ``SeedSequence`` with a list or tuple
+  of seed words: every sub-stream comes from
+  :func:`repro.seeding.stream_rng` and its one tag table.  A
+  root-seeded ``default_rng(seed)`` is legal everywhere.
 
-Respelling ``FREQUENCY_HZ`` as its value, or rewording a citation,
-changes no output, so these are text checks over ``src/``.
+Respelling ``FREQUENCY_HZ`` as its value, rewording a citation, or
+hand-building a stream that equals its ``stream_rng`` twin changes no
+output, so these are text checks over ``src/``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ SOURCE_MARKERS = ("datasheet:", "paper:", "spec:")
 LITERAL_EXEMPT = ("*/repro/units.py", "*/repro/analysis/*")
 COMPONENT_MODELS = ("*/radio/*.py", "*/fpga/*.py", "*/power/*.py",
                     "*/platforms/*.py")
+SEEDING = ("*/repro/seeding.py",)
+SEEDERS = {"default_rng": "seed", "SeedSequence": "entropy"}
 
 _UPPER = re.compile(r"^[A-Z][A-Z0-9_]*$")
 
@@ -152,6 +160,24 @@ def uncited_constants(source: str) -> list[int]:
                   for number in _uncited_in(body, lines))
 
 
+def listed_seeds(source: str) -> list[int]:
+    """Lines seeding ``default_rng``/``SeedSequence`` with a list/tuple."""
+    flagged = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) \
+            else getattr(func, "id", None)
+        if name not in SEEDERS:
+            continue
+        seeds = node.args[:1] + [keyword.value for keyword in node.keywords
+                                 if keyword.arg == SEEDERS[name]]
+        if any(isinstance(seed, (ast.List, ast.Tuple)) for seed in seeds):
+            flagged.append(node.lineno)
+    return sorted(flagged)
+
+
 def _violations(check, include, exclude=()) -> list[str]:
     found = []
     for path in sorted((REPO_ROOT / "src").rglob("*.py")):
@@ -170,6 +196,10 @@ def test_large_literals_are_named_or_annotated():
 
 def test_component_constants_cite_their_source():
     assert _violations(uncited_constants, COMPONENT_MODELS) == []
+
+
+def test_sub_streams_come_only_from_seeding():
+    assert _violations(listed_seeds, (), SEEDING) == []
 
 
 _LITERALS = '''\
@@ -213,6 +243,22 @@ class Radio:
 
 def test_cited_constants_flags_only_uncited_literal_constants():
     assert uncited_constants(_CONSTANTS) == [1, 7, 15]
+
+
+_STREAMS = '''\
+import numpy as np
+from numpy.random import SeedSequence, default_rng
+
+root = np.random.default_rng(seed)
+jitter = np.random.default_rng([seed, 0x0177])
+place = default_rng(SeedSequence((seed, 0x1E57)))
+fold = np.random.SeedSequence(entropy=[seed, node]).generate_state(1)
+spawned = np.random.default_rng(np.random.SeedSequence(seed))
+'''
+
+
+def test_listed_seeds_flags_only_hand_built_sub_streams():
+    assert listed_seeds(_STREAMS) == [5, 6, 7]
 
 
 @pytest.mark.parametrize("value, structural", [
