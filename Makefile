@@ -70,8 +70,17 @@ bench-trace-smoke:
 bench-paper:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Paper-table drift gate: regenerate every table under
-# benchmarks/results/ and fail when one differs from the committed
-# copy.  Commit the regenerated tables after an intentional change.
-paper-check: bench-paper
-	git diff --exit-code -- benchmarks/results/
+# Paper-table drift gate: regenerate every table into an emptied
+# benchmarks/results/ and fail when the directory differs from the
+# committed copy - a changed table, a new one or one no bench writes
+# any more.  Commit the regenerated tables after an intentional change.
+paper-check:
+	find benchmarks/results -mindepth 1 -delete
+	$(MAKE) bench-paper
+	@drift=$$(git status --porcelain --untracked-files=all -- benchmarks/results/); \
+	if [ -n "$$drift" ]; then \
+		echo "benchmarks/results/ differs from the committed tables:"; \
+		echo "$$drift"; \
+		git --no-pager diff -- benchmarks/results/; \
+		exit 1; \
+	fi

@@ -25,7 +25,6 @@ from repro.dsp.measure import (
     spurious_free_dynamic_range_db,
 )
 from repro.dsp.nco import Nco, NcoConfig
-from repro.dsp.resample import decimate, interpolate, resample_power_of_two
 from repro.dsp.pulse import (
     frequency_to_phase,
     gaussian_taps,
@@ -38,7 +37,6 @@ __all__ = [
     "NcoConfig",
     "Radix2Fft",
     "StreamingFir",
-    "decimate",
     "design_lowpass",
     "envelope",
     "estimate_snr_db",
@@ -49,12 +47,10 @@ __all__ = [
     "from_codes",
     "gaussian_taps",
     "ifft",
-    "interpolate",
     "periodogram",
     "quantization_snr_db",
     "quantize",
     "quantize_complex",
-    "resample_power_of_two",
     "scale_to_power",
     "shape_bits",
     "signal_power",

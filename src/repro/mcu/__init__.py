@@ -1,4 +1,4 @@
-"""MCU substrate: the MSP432 model and its timer/event scheduler."""
+"""MCU substrate: the MSP432's SRAM and flash budgets and power modes."""
 
 from repro.mcu.msp432 import (
     FLASH_BYTES,
@@ -10,13 +10,8 @@ from repro.mcu.msp432 import (
     SRAM_BYTES,
     firmware_footprint_report,
 )
-from repro.mcu.scheduler import EventScheduler
-from repro.mcu.watchdog import WATCHDOG_COMPONENT, Watchdog
 
 __all__ = [
-    "EventScheduler",
-    "WATCHDOG_COMPONENT",
-    "Watchdog",
     "FLASH_BYTES",
     "MODE_POWER_W",
     "McuMode",

@@ -115,12 +115,6 @@ class Msp432:
         self.mode = McuMode.ACTIVE
         self.timeline = timeline if timeline is not None else Timeline()
         self._since = self.timeline.checkpoint()
-        self._start_s = self.timeline.now_s
-
-    @property
-    def clock_s(self) -> float:
-        """Time this MCU has spent running, per the shared timeline."""
-        return self.timeline.now_s - self._start_s
 
     def set_mode(self, mode: McuMode) -> None:
         """Switch power mode (instantaneous; MSP432 wakes in ~10 us)."""

@@ -5,7 +5,6 @@ from repro.ota.bank import (
     BootResult,
     Checkpoint,
     CheckpointLog,
-    DualBankLayout,
     FirmwareBanks,
     ImageRecord,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "CampaignTimeline",
     "Checkpoint",
     "CheckpointLog",
-    "DualBankLayout",
     "FirmwareBanks",
     "HardenedOtaSession",
     "ImageRecord",

@@ -7,9 +7,8 @@ programmed along with the time they should wake up to receive the
 update" - then works through the nodes sequentially, retrying nodes
 whose sessions fail, against each node's periodic listen window.
 
-The scheduler is deterministic (built on
-:class:`repro.mcu.scheduler.EventScheduler` semantics but simple enough
-to run inline), so campaign timelines are reproducible.
+The AP runs its schedule inline on the campaign ledger, so campaign
+timelines are reproducible.
 """
 
 from __future__ import annotations
@@ -41,7 +40,12 @@ from repro.ota.hardened import (
     HardenedOtaSession,
 )
 from repro.ota.flash import Mx25R6435F
-from repro.ota.mac import OtaLink, ProgrammingRequest, RetryPolicy
+from repro.ota.mac import (
+    LISTEN_PERIOD_S,
+    OtaLink,
+    ProgrammingRequest,
+    RetryPolicy,
+)
 from repro.ota.updater import OtaUpdater, UpdateReport
 from repro.power import profiles
 from repro.sim import OTA_REQUEST, OTA_RETRY_WAIT, OTA_SESSION, Timeline
@@ -49,10 +53,6 @@ from repro.testbed.deployment import Deployment, NodePlacement
 
 AP_RADIO = "ap_radio"
 """Timeline component name for the access point's LoRa radio."""
-
-LISTEN_PERIOD_S = 60.0
-"""Nodes 'periodically turn off the FPGA and switch ... to the backbone
-radio to listen for new firmware updates' - this is that period."""
 
 LISTEN_WINDOW_S = 2.0
 """How long each listen window stays open."""

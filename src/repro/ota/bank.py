@@ -44,36 +44,28 @@ RECORD_MAGIC = 0x494D4731
 RECORD_BYTES = 16
 CHECKPOINT_RECORD_BYTES = 12
 
+MAX_IMAGE_BYTES = SLOT_BYTES - RECORD_BYTES
+"""Largest image a slot can hold next to its trailer."""
+
+MAX_PROGRAM_RETRIES = 3
+"""Extra erase + program rounds an install spends on read-back
+mismatches before leaving the image to the boot-time CRC check."""
+
 FLASH_COMPONENT = "flash"
 
+_BANK_OFFSETS = {"golden": GOLDEN_OFFSET, "a": BANK_A_OFFSET,
+                 "b": BANK_B_OFFSET}
 
-@dataclass(frozen=True)
-class DualBankLayout:
-    """The hardened flash map (offsets are module constants above)."""
 
-    golden_offset: int = GOLDEN_OFFSET
-    bank_a_offset: int = BANK_A_OFFSET
-    bank_b_offset: int = BANK_B_OFFSET
-    staging_offset: int = STAGING_OFFSET
-    slot_bytes: int = SLOT_BYTES
-    metadata_offset: int = METADATA_OFFSET
+def bank_offset(bank: str) -> int:
+    """Slot base address for a bank name.
 
-    def bank_offset(self, bank: str) -> int:
-        """Slot base address for a bank name.
-
-        Raises:
-            ConfigurationError: for unknown bank names.
-        """
-        offsets = {"golden": self.golden_offset, "a": self.bank_a_offset,
-                   "b": self.bank_b_offset}
-        if bank not in offsets:
-            raise ConfigurationError(f"unknown bank {bank!r}")
-        return offsets[bank]
-
-    @property
-    def max_image_bytes(self) -> int:
-        """Largest image a slot can hold next to its trailer."""
-        return self.slot_bytes - RECORD_BYTES
+    Raises:
+        ConfigurationError: for unknown bank names.
+    """
+    if bank not in _BANK_OFFSETS:
+        raise ConfigurationError(f"unknown bank {bank!r}")
+    return _BANK_OFFSETS[bank]
 
 
 @dataclass(frozen=True)
@@ -233,19 +225,10 @@ class FirmwareBanks:
     """Verified install and boot over the dual-bank layout."""
 
     def __init__(self, flash: Mx25R6435F | None = None,
-                 layout: DualBankLayout | None = None,
-                 timeline: Timeline | None = None,
-                 max_program_retries: int = 3) -> None:
-        if max_program_retries < 0:
-            raise ConfigurationError(
-                f"max_program_retries must be >= 0, "
-                f"got {max_program_retries}")
+                 timeline: Timeline | None = None) -> None:
         self.flash = flash if flash is not None else Mx25R6435F()
-        self.layout = layout if layout is not None else DualBankLayout()
         self.timeline = timeline
-        self.max_program_retries = max_program_retries
-        self.checkpoints = CheckpointLog(self.flash,
-                                         self.layout.metadata_offset)
+        self.checkpoints = CheckpointLog(self.flash, METADATA_OFFSET)
         self.active_bank = "golden"
         self._pending_bank: str | None = None
 
@@ -256,8 +239,7 @@ class FirmwareBanks:
     # -- slot IO -----------------------------------------------------------
 
     def _trailer_address(self, bank: str) -> int:
-        return (self.layout.bank_offset(bank) + self.layout.slot_bytes
-                - RECORD_BYTES)
+        return bank_offset(bank) + SLOT_BYTES - RECORD_BYTES
 
     def read_record(self, bank: str) -> ImageRecord | None:
         """The slot's trailer, or ``None`` when empty/corrupt."""
@@ -267,9 +249,9 @@ class FirmwareBanks:
     def read_image(self, bank: str) -> bytes | None:
         """The installed image bytes, per the slot trailer."""
         record = self.read_record(bank)
-        if record is None or record.length > self.layout.max_image_bytes:
+        if record is None or record.length > MAX_IMAGE_BYTES:
             return None
-        return self.flash.read(self.layout.bank_offset(bank), record.length)
+        return self.flash.read(bank_offset(bank), record.length)
 
     def inactive_bank(self) -> str:
         """The update bank the next install should target."""
@@ -278,8 +260,8 @@ class FirmwareBanks:
     def _program_slot(self, bank: str, image: bytes,
                       record: ImageRecord) -> bool:
         """One erase + program + read-back round; True when it verifies."""
-        base = self.layout.bank_offset(bank)
-        self.flash.erase_range(base, self.layout.slot_bytes)
+        base = bank_offset(bank)
+        self.flash.erase_range(base, SLOT_BYTES)
         self.flash.program(base, image)
         self.flash.program(self._trailer_address(bank), record.to_bytes())
         readback = self.flash.read(base, len(image))
@@ -291,7 +273,7 @@ class FirmwareBanks:
         """Install an image into a bank with read-back verification.
 
         Programs the slot, reads it back, and re-erases/re-programs up
-        to ``max_program_retries`` extra rounds when the array contents
+        to :data:`MAX_PROGRAM_RETRIES` extra rounds when the array contents
         do not match (failed page programs, stuck bits).  The installed
         bank becomes the boot candidate.
 
@@ -309,14 +291,14 @@ class FirmwareBanks:
         """
         if not image:
             raise ConfigurationError("cannot install an empty image")
-        if len(image) > self.layout.max_image_bytes:
+        if len(image) > MAX_IMAGE_BYTES:
             raise ConfigurationError(
                 f"image of {len(image)} bytes exceeds the "
-                f"{self.layout.max_image_bytes}-byte slot")
+                f"{MAX_IMAGE_BYTES}-byte slot")
         target = bank if bank is not None else self.inactive_bank()
         record = ImageRecord(image_id=image_id, length=len(image),
                              crc=crc32(image))
-        for round_ in range(1 + self.max_program_retries):
+        for round_ in range(1 + MAX_PROGRAM_RETRIES):
             if self._program_slot(target, image, record):
                 self._record(OTA_VERIFY,
                              f"bank {target} verified after "
@@ -338,11 +320,11 @@ class FirmwareBanks:
     def verify(self, bank: str) -> bool:
         """CRC-check a bank's contents against its trailer."""
         record = self.read_record(bank)
-        if record is None or record.length > self.layout.max_image_bytes \
+        if record is None or record.length > MAX_IMAGE_BYTES \
                 or record.length == 0:
             self._record(OTA_VERIFY, f"bank {bank} has no valid trailer")
             return False
-        image = self.flash.read(self.layout.bank_offset(bank), record.length)
+        image = self.flash.read(bank_offset(bank), record.length)
         ok = crc32(image) == record.crc
         self._record(OTA_VERIFY,
                      f"bank {bank} CRC {'ok' if ok else 'MISMATCH'}")

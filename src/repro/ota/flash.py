@@ -117,20 +117,25 @@ class Mx25R6435F:
             FlashError: when writing to a location that is not erased
                 (would need 0 -> 1 transitions).
         """
-        self._check_range(address, len(data))
-        # Validate the whole range before touching the array, so an
-        # illegal write is rejected atomically rather than leaving a
-        # partial program behind.
-        for offset, byte in enumerate(data):
-            current = self._data[address + offset]
-            if byte & ~current:
-                raise FlashError(
-                    f"programming {byte:#04x} over {current:#04x} at "
-                    f"{address + offset:#x} requires an erase first")
-        for offset, byte in enumerate(data):
-            self._data[address + offset] &= byte
-        self._bytes_programmed += len(data)
-        self._page_programs += self.page_span(address, len(data))
+        length = len(data)
+        self._check_range(address, length)
+        end = address + length
+        # The range as one big-endian integer: a write is legal when it
+        # sets no bit the array holds clear.  The check covers the whole
+        # range before the array changes, so an illegal write is
+        # rejected atomically rather than leaving a partial program.
+        current = int.from_bytes(self._data[address:end], "big")
+        written = int.from_bytes(data, "big")
+        illegal = written & ~current
+        if illegal:
+            offset = length - 1 - (illegal.bit_length() - 1) // 8
+            raise FlashError(
+                f"programming {data[offset]:#04x} over "
+                f"{self._data[address + offset]:#04x} at "
+                f"{address + offset:#x} requires an erase first")
+        self._data[address:end] = (current & written).to_bytes(length, "big")
+        self._bytes_programmed += length
+        self._page_programs += self.page_span(address, length)
 
     def write(self, address: int, data: bytes) -> None:
         """Convenience: erase the covered range, then program."""

@@ -16,11 +16,7 @@ step.  This package is the fleet-scale hot path:
   process pool.
 """
 
-from repro.ota.fleet.config import (
-    FleetBurstLoss,
-    FleetCampaignConfig,
-    LISTEN_PERIOD_S,
-)
+from repro.ota.fleet.config import FleetBurstLoss, FleetCampaignConfig
 from repro.ota.fleet.engine import (
     FleetReport,
     OUTCOME_LABELS,
@@ -45,7 +41,6 @@ __all__ = [
     "FleetCampaignConfig",
     "FleetLinkPlan",
     "FleetReport",
-    "LISTEN_PERIOD_S",
     "OUTCOME_LABELS",
     "finalize_fleet",
     "fleet_packet_error_probability",

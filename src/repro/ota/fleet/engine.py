@@ -53,7 +53,7 @@ from repro.ota.hardened import (
     OUTCOME_ROLLED_BACK,
     OUTCOME_SUCCEEDED,
 )
-from repro.ota.mac import NODE_RADIO
+from repro.ota.mac import ACK_TIMEOUT_S, LISTEN_PERIOD_S, NODE_RADIO
 from repro.ota.updater import DECOMPRESS_BANDWIDTH_BPS, NODE_FLASH
 from repro.power import profiles
 from repro.sim import (
@@ -342,7 +342,7 @@ def _simulate_node(config: FleetCampaignConfig, plan: FleetLinkPlan,
         else:
             timeouts += 1
             round_no += 1
-            record(PACKET_TIMEOUT, NODE_RADIO, config.retry_timeout_s,
+            record(PACKET_TIMEOUT, NODE_RADIO, ACK_TIMEOUT_S,
                    profiles.BACKBONE_RX_W)
 
         if frag == num_fragments:
@@ -377,7 +377,7 @@ def _simulate_node(config: FleetCampaignConfig, plan: FleetLinkPlan,
             record(OTA_FAILURE, NODE_RADIO)
             if attempt < config.max_session_attempts:
                 attempt += 1
-                record(OTA_RETRY_WAIT, NODE_RADIO, config.listen_period_s)
+                record(OTA_RETRY_WAIT, NODE_RADIO, LISTEN_PERIOD_S)
                 if frag > 0:
                     resumes += 1
                     record(OTA_RESUME, NODE_RADIO)
@@ -495,10 +495,10 @@ def finalize_fleet(config: FleetCampaignConfig, plan: FleetLinkPlan,
               if config.is_fpga_image else 0.0)
 
     rx_time = (d_full * plan.air_data_full_s + d_tail * plan.air_data_tail_s
-               + timeouts * config.retry_timeout_s
+               + timeouts * ACK_TIMEOUT_S
                + attempts * plan.air_request_s + ends * plan.air_end_s)
     tx_time = acks * plan.air_ack_s + attempts * plan.air_ready_s
-    wait_time = retries * config.listen_period_s
+    wait_time = retries * LISTEN_PERIOD_S
     decompress_time = ends * decompress_s
     fpga_time = ends * fpga_s
     duration = rx_time + tx_time + wait_time + decompress_time + fpga_time
@@ -533,13 +533,13 @@ def finalize_fleet(config: FleetCampaignConfig, plan: FleetLinkPlan,
     cell(CONTROL_TX, NODE_RADIO, attempts, plan.air_ready_s, tx_w)
     cell(PACKET_RX, NODE_RADIO, d_full, plan.air_data_full_s, rx_w)
     cell(PACKET_RX, NODE_RADIO, d_tail, plan.air_data_tail_s, rx_w)
-    cell(PACKET_TIMEOUT, NODE_RADIO, timeouts, config.retry_timeout_s, rx_w)
+    cell(PACKET_TIMEOUT, NODE_RADIO, timeouts, ACK_TIMEOUT_S, rx_w)
     cell(PACKET_TX, NODE_RADIO, acks, plan.air_ack_s, tx_w)
     cell(PACKET_DELIVERED, NODE_RADIO, frag)
     cell(OTA_CHECKPOINT, NODE_FLASH, frag)
     cell(FAULT_LOSS, NODE_RADIO, state["forced_losses"])
     cell(OTA_FAILURE, NODE_RADIO, state["session_failures"])
-    cell(OTA_RETRY_WAIT, NODE_RADIO, retries, config.listen_period_s)
+    cell(OTA_RETRY_WAIT, NODE_RADIO, retries, LISTEN_PERIOD_S)
     cell(OTA_RESUME, NODE_RADIO, state["resumes"])
     cell(MCU_DECOMPRESS, NODE_MCU, ends, decompress_s,
          profiles.MCU_ACTIVE_W)

@@ -30,10 +30,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ota.fleet.config import FleetCampaignConfig
-from repro.ota.mac import ACK_BYTES, CONTROL_BYTES, OTA_PREAMBLE_SYMBOLS
+from repro.ota.mac import (
+    ACK_BYTES,
+    CONTROL_BYTES,
+    DATA_PAYLOAD_BYTES,
+    DEFAULT_OTA_PARAMS,
+    OTA_PREAMBLE_SYMBOLS,
+)
 from repro.phy.lora.params import LoRaParams
 from repro.radio.sx1276 import NOISE_FIGURE_DB
 from repro.seeding import stream_rng
+from repro.testbed.deployment import (
+    AP_ANTENNA_GAIN_DBI,
+    AP_TX_POWER_DBM,
+    FREQUENCY_HZ,
+    NODE_TX_POWER_DBM,
+    PATHLOSS_EXPONENT,
+    SHADOWING_SIGMA_DB,
+)
 from repro.units import free_space_path_loss_db, noise_floor_dbm
 
 FRAGMENT_HEADER_BYTES = 8
@@ -127,19 +141,18 @@ def prepare_links(config: FleetCampaignConfig) -> FleetLinkPlan:
     radii = MIN_RADIUS_M + (config.max_radius_m - MIN_RADIUS_M) \
         * np.sqrt(rng.random(n))
     angles = rng.random(n) * 2.0 * np.pi
-    shadow_down = rng.standard_normal(n) * config.shadowing_sigma_db
-    shadow_up = rng.standard_normal(n) * config.shadowing_sigma_db
+    shadow_down = rng.standard_normal(n) * SHADOWING_SIGMA_DB
+    shadow_up = rng.standard_normal(n) * SHADOWING_SIGMA_DB
 
-    reference_loss = free_space_path_loss_db(1.0, config.frequency_hz)
-    mean_loss = reference_loss \
-        + 10.0 * config.pathloss_exponent * np.log10(radii)
-    downlink = (config.ap_tx_power_dbm + config.ap_antenna_gain_dbi
+    reference_loss = free_space_path_loss_db(1.0, FREQUENCY_HZ)
+    mean_loss = reference_loss + 10.0 * PATHLOSS_EXPONENT * np.log10(radii)
+    downlink = (AP_TX_POWER_DBM + AP_ANTENNA_GAIN_DBI
                 - (mean_loss + shadow_down))
-    uplink = (config.node_tx_power_dbm + config.ap_antenna_gain_dbi
+    uplink = (NODE_TX_POWER_DBM + AP_ANTENNA_GAIN_DBI
               - (mean_loss + shadow_up))
 
-    params = config.params
-    full_wire = FRAGMENT_HEADER_BYTES + config.payload_bytes
+    params = DEFAULT_OTA_PARAMS
+    full_wire = FRAGMENT_HEADER_BYTES + DATA_PAYLOAD_BYTES
     tail_wire = FRAGMENT_HEADER_BYTES + config.tail_payload_bytes
     request_wire = CONTROL_BYTES + REQUEST_ENTRY_BYTES
 

@@ -15,7 +15,7 @@ hardened pipeline the chaos suite beats on:
   :class:`~repro.ota.bank.FirmwareBanks` layout with read-back retry;
   the boot path CRC-verifies before switching and rolls back to the
   golden image on mismatch (``ota.rollback``).
-* **Watchdog** - a :class:`~repro.mcu.watchdog.Watchdog` armed around
+* **Watchdog** - a deadline of :data:`WATCHDOG_TIMEOUT_S` around
   decompression/install turns an injected MCU hang into a
   ``watchdog.reset`` plus a typed :class:`WatchdogTimeoutError` the AP
   can retry, instead of a silently dead node.
@@ -37,9 +37,7 @@ from repro.errors import (
 )
 from repro.fpga.config import NODE_FPGA, FpgaConfigurator
 from repro.mcu.msp432 import NODE_MCU, Msp432
-from repro.mcu.scheduler import EventScheduler
-from repro.mcu.watchdog import Watchdog
-from repro.ota.bank import FirmwareBanks
+from repro.ota.bank import STAGING_OFFSET, FirmwareBanks, bank_offset
 from repro.ota.blocks import (
     parse_wire_image,
     reassemble,
@@ -73,6 +71,8 @@ from repro.sim import (
     FPGA_CONFIG,
     MCU_DECOMPRESS,
     OTA_RESUME,
+    SCHEDULER_FIRE,
+    WATCHDOG_RESET,
     Timeline,
 )
 from repro.faults.plan import NodeFaults
@@ -138,12 +138,11 @@ class HardenedOtaSession:
                 deadline expired.
         """
         banks = self.banks
-        staging = banks.layout.staging_offset
         resumes = 0
         next_seq = banks.resume_point(IMAGE_ID)
         if next_seq == 0:
             total_bytes = sum(len(f.payload) for f in fragments)
-            banks.flash.erase_range(staging, total_bytes)
+            banks.flash.erase_range(STAGING_OFFSET, total_bytes)
         elif next_seq < len(fragments):
             timeline.record(OTA_RESUME, NODE_RADIO,
                             label=f"resume from seq={next_seq} "
@@ -156,7 +155,7 @@ class HardenedOtaSession:
             # so a resume point never covers bytes the flash dropped.
             # Re-programming the same data is legal NOR (it only clears
             # bits), so a failed or stuck page gets fresh tries.
-            address = staging + fragment.sequence * DATA_PAYLOAD_BYTES
+            address = STAGING_OFFSET + fragment.sequence * DATA_PAYLOAD_BYTES
             for _ in range(STAGING_PROGRAM_ATTEMPTS):
                 banks.flash.program(address, fragment.payload)
                 if banks.flash.read(address, len(fragment.payload)) \
@@ -201,18 +200,22 @@ class HardenedOtaSession:
                 so the next attempt re-transfers from scratch).
         """
         banks = self.banks
-        scheduler = EventScheduler(timeline)
-        watchdog = Watchdog(scheduler, WATCHDOG_TIMEOUT_S,
-                            name="node install watchdog")
-        watchdog.start()
         if self.faults is not None and self.faults.hangs_now():
-            # The MCU stops making progress; only the deadline fires.
-            scheduler.run_until(watchdog.deadline_s)
-            watchdog.stop()
+            # The MCU stops making progress: nothing kicks the watchdog,
+            # so at the deadline its timer fires the check and resets
+            # the node.
+            deadline_s = timeline.now_s + WATCHDOG_TIMEOUT_S
+            timeline.advance_to(deadline_s)
+            timeline.record(SCHEDULER_FIRE, "scheduler",
+                            label="node install watchdog deadline check",
+                            advance=False, t_start_s=deadline_s)
+            timeline.record(WATCHDOG_RESET, "watchdog",
+                            label=f"node install watchdog expired after "
+                                  f"{WATCHDOG_TIMEOUT_S:g} s without a kick")
             raise WatchdogTimeoutError(
                 f"install hang; watchdog reset after "
                 f"{WATCHDOG_TIMEOUT_S:g} s")
-        staged = banks.flash.read(banks.layout.staging_offset, wire_bytes)
+        staged = banks.flash.read(STAGING_OFFSET, wire_bytes)
         try:
             blocks = parse_wire_image(staged)
             recovered = reassemble(blocks, sram=self.mcu.sram)
@@ -220,7 +223,6 @@ class HardenedOtaSession:
             banks.checkpoints.clear()
             raise OtaError(
                 f"staged image failed decompression: {exc}") from exc
-        watchdog.kick()
         if recovered != self.image:
             banks.checkpoints.clear()
             raise OtaError(
@@ -231,9 +233,7 @@ class HardenedOtaSession:
             label=f"{len(blocks)} blocks, {len(recovered)} bytes",
             duration_s=len(recovered) * 8 / DECOMPRESS_BANDWIDTH_BPS,
             power_w=profiles.MCU_ACTIVE_W)
-        target = banks.install(recovered, IMAGE_ID)
-        watchdog.stop()
-        return target
+        return banks.install(recovered, IMAGE_ID)
 
     # -- the session -------------------------------------------------------
 
@@ -296,8 +296,8 @@ class HardenedOtaSession:
 
         target = self._install(len(wire_image), timeline)
         if self.is_fpga_image:
-            installed = banks.flash.read(
-                banks.layout.bank_offset(target), len(self.image))
+            installed = banks.flash.read(bank_offset(target),
+                                         len(self.image))
             timeline.record(
                 FPGA_CONFIG, NODE_FPGA, label="quad-SPI boot",
                 duration_s=self.configurator.program(installed),

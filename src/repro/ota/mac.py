@@ -69,6 +69,11 @@ ACK_TIMEOUT_S = 0.25
 
 MAX_ATTEMPTS_PER_PACKET = 50
 
+LISTEN_PERIOD_S = 60.0
+"""Nodes 'periodically turn off the FPGA and switch ... to the backbone
+radio to listen for new firmware updates' - this is that period, and
+the wait before a failed node's next session attempt."""
+
 
 @dataclass(frozen=True, kw_only=True)
 class RetryPolicy:

@@ -20,7 +20,6 @@ The model covers what the rest of the system observes:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,15 +75,6 @@ class RadioState(enum.Enum):
     TX = "tx"
 
 
-@dataclass(frozen=True)
-class StateTransition:
-    """A logged state change, for timing and energy accounting."""
-
-    time_s: float
-    state: RadioState
-    frequency_hz: float
-
-
 def tx_power_draw_w(output_power_dbm: float) -> float:
     """Radio DC draw while transmitting at a given RF output power.
 
@@ -104,25 +94,23 @@ def tx_power_draw_w(output_power_dbm: float) -> float:
 class At86Rf215:
     """Behavioural model of the AT86RF215 transceiver.
 
+    Every state dwell is a ``radio.mode`` event on a
+    :class:`~repro.sim.Timeline` at the power of the state it leaves,
+    and :meth:`energy_consumed_j` is a replayed view over the ledger.
+
     Args:
         frequency_hz: initial carrier frequency (must fall in a supported
             band).
-        agc_enabled: scale RX samples to full scale before quantization,
-            as the chip's automatic gain control does.
     """
 
     def __init__(self, frequency_hz: float = DEFAULT_FREQUENCY_HZ,
-                 agc_enabled: bool = True,
                  timeline: Timeline | None = None) -> None:
         self._check_frequency(frequency_hz)
         self.frequency_hz = frequency_hz
-        self.agc_enabled = agc_enabled
         self.tx_power_dbm = 0.0
         self.state = RadioState.SLEEP
         self.timeline = timeline if timeline is not None else Timeline()
-        self._start_s = self.timeline.now_s
-        self.transitions: list[StateTransition] = [
-            StateTransition(0.0, RadioState.SLEEP, frequency_hz)]
+        self._since = self.timeline.checkpoint()
         self._anti_alias_taps = design_lowpass(
             31, cutoff_hz=SAMPLE_RATE_HZ * 0.45, sample_rate_hz=SAMPLE_RATE_HZ)
 
@@ -167,11 +155,6 @@ class At86Rf215:
 
     # -- state machine ---------------------------------------------------
 
-    @property
-    def clock_s(self) -> float:
-        """Time this radio has been running, per the shared timeline."""
-        return self.timeline.now_s - self._start_s
-
     def _advance(self, duration_s: float, new_state: RadioState) -> None:
         self.timeline.record(
             RADIO_MODE, IQ_RADIO,
@@ -179,8 +162,6 @@ class At86Rf215:
             duration_s=duration_s,
             power_w=self.state_power_w(self.state))
         self.state = new_state
-        self.transitions.append(
-            StateTransition(self.clock_s, new_state, self.frequency_hz))
 
     def wake(self) -> float:
         """SLEEP -> TRXOFF; returns the setup latency consumed."""
@@ -244,7 +225,7 @@ class At86Rf215:
             raise RadioError(f"receive while in {self.state}, expected RX")
         samples = np.asarray(samples, dtype=np.complex128)
         filtered = filter_block(self._anti_alias_taps, samples)
-        if self.agc_enabled and filtered.size:
+        if filtered.size:
             rms = float(np.sqrt(np.mean(np.abs(filtered) ** 2)))
             if rms > 0:
                 # Back off 12 dB from full scale to leave headroom for the
@@ -269,9 +250,6 @@ class At86Rf215:
         return tx_power_draw_w(self.tx_power_dbm)
 
     def energy_consumed_j(self) -> float:
-        """Integrate power over the logged state timeline."""
-        energy = 0.0
-        for previous, current in zip(self.transitions, self.transitions[1:]):
-            duration = current.time_s - previous.time_s
-            energy += self.state_power_w(previous.state) * duration
-        return energy
+        """Total energy drawn so far (replayed from the ledger)."""
+        return self.timeline.energy_j(kinds={RADIO_MODE}, component=IQ_RADIO,
+                                      since=self._since)

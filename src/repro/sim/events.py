@@ -22,7 +22,7 @@ kind                meaning
 ``flash.busy``      external flash erase/program activity (concurrent)
 ``sleep``           duty-cycle sleep interval
 ``meter.segment``   a constant-power :class:`EnergyMeter` segment
-``scheduler.fire``  a discrete-event scheduler action ran
+``scheduler.fire``  the MSP432 timer fired the watchdog's deadline check
 ``ota.request``     AP campaign announcement airtime
 ``ota.session``     one node's whole programming session (span)
 ``ota.retry``       AP waiting out a node's next listen window

@@ -21,6 +21,20 @@ from repro.errors import ConfigurationError
 TESTBED_SIZE = 20
 """Node count of the paper's campus deployment."""
 
+FREQUENCY_HZ = 915e6  # units: Hz, 915 MHz ISM band
+"""Carrier of the campus backbone link."""
+
+PATHLOSS_EXPONENT = 3.4
+"""Log-distance path-loss exponent of the campus channel."""
+
+SHADOWING_SIGMA_DB = 4.0
+"""Lognormal shadowing sigma of the campus channel."""
+
+AP_TX_POWER_DBM = 14.0
+NODE_TX_POWER_DBM = 14.0
+AP_ANTENNA_GAIN_DBI = 6.0
+"""The paper's AP uses a patch antenna."""
+
 
 @dataclass(frozen=True)
 class NodePlacement:
@@ -48,10 +62,9 @@ class Deployment:
 
     nodes: tuple[NodePlacement, ...]
     channel: LogDistanceModel
-    ap_tx_power_dbm: float = 14.0
-    node_tx_power_dbm: float = 14.0
-    ap_antenna_gain_dbi: float = 6.0
-    """The paper's AP uses a patch antenna."""
+    ap_tx_power_dbm: float = AP_TX_POWER_DBM
+    node_tx_power_dbm: float = NODE_TX_POWER_DBM
+    ap_antenna_gain_dbi: float = AP_ANTENNA_GAIN_DBI
 
     def downlink_rssi_dbm(self, node: NodePlacement,
                           rng: np.random.Generator | None = None) -> float:
@@ -69,10 +82,10 @@ class Deployment:
 
 
 def campus_deployment(num_nodes: int = TESTBED_SIZE, seed: int = 2020,
-                      frequency_hz: float = 915e6,  # units: Hz, 915 MHz ISM
+                      frequency_hz: float = FREQUENCY_HZ,
                       max_radius_m: float = 1050.0,
-                      exponent: float = 3.4,
-                      shadowing_sigma_db: float = 4.0,
+                      exponent: float = PATHLOSS_EXPONENT,
+                      shadowing_sigma_db: float = SHADOWING_SIGMA_DB,
                       rng: np.random.Generator | None = None) -> Deployment:
     """Generate a campus-scale deployment around an AP at the origin.
 

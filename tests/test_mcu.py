@@ -1,10 +1,9 @@
-"""Tests for the MCU model and the event scheduler."""
+"""Tests for the MCU model."""
 
 import pytest
 
 from repro.errors import ConfigurationError, MemoryError_
 from repro.mcu import (
-    EventScheduler,
     FLASH_BYTES,
     McuMode,
     MemoryBank,
@@ -88,73 +87,3 @@ class TestMsp432:
         report = firmware_footprint_report(mcu)
         assert report["flash_utilization"] == pytest.approx(0.18, abs=0.005)
 
-
-class TestScheduler:
-    def test_events_fire_in_order(self):
-        scheduler = EventScheduler()
-        order = []
-        scheduler.schedule_at(2.0, "b", lambda s: order.append("b"))
-        scheduler.schedule_at(1.0, "a", lambda s: order.append("a"))
-        scheduler.schedule_at(3.0, "c", lambda s: order.append("c"))
-        scheduler.run_until(10.0)
-        assert order == ["a", "b", "c"]
-
-    def test_ties_fire_fifo(self):
-        scheduler = EventScheduler()
-        order = []
-        scheduler.schedule_at(1.0, "first", lambda s: order.append(1))
-        scheduler.schedule_at(1.0, "second", lambda s: order.append(2))
-        scheduler.run_until(2.0)
-        assert order == [1, 2]
-
-    def test_periodic_event(self):
-        scheduler = EventScheduler()
-        count = []
-        scheduler.schedule_every(1.0, "tick", lambda s: count.append(s.now_s))
-        scheduler.run_until(5.5)
-        assert count == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_run_until_stops_at_boundary(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.schedule_at(5.0, "late", lambda s: fired.append(1))
-        scheduler.run_until(4.0)
-        assert not fired
-        assert scheduler.pending() == 1
-        scheduler.run_until(5.0)
-        assert fired
-
-    def test_action_can_schedule_more(self):
-        scheduler = EventScheduler()
-        results = []
-
-        def chain(s):
-            results.append(s.now_s)
-            if len(results) < 3:
-                s.schedule_after(1.0, "chain", chain)
-
-        scheduler.schedule_at(0.5, "chain", chain)
-        scheduler.run_until(10.0)
-        assert results == [0.5, 1.5, 2.5]
-
-    def test_past_scheduling_rejected(self):
-        scheduler = EventScheduler()
-        scheduler.schedule_at(1.0, "x", lambda s: None)
-        scheduler.run_until(2.0)
-        with pytest.raises(ConfigurationError):
-            scheduler.schedule_at(1.5, "past", lambda s: None)
-
-    def test_runaway_loop_detected(self):
-        scheduler = EventScheduler()
-
-        def rearm(s):
-            s.schedule_after(0.0, "loop", rearm)
-
-        scheduler.schedule_at(0.0, "loop", rearm)
-        with pytest.raises(ConfigurationError):
-            scheduler.run_until(1.0, max_events=100)
-
-    def test_now_advances_to_end(self):
-        scheduler = EventScheduler()
-        scheduler.run_until(7.0)
-        assert scheduler.now_s == 7.0

@@ -20,7 +20,6 @@ from repro.faults import (
     FlashFaultModel,
     HangModel,
 )
-from repro.mcu import EventScheduler, Watchdog
 from repro.ota import (
     Checkpoint,
     CheckpointLog,
@@ -34,11 +33,14 @@ from repro.ota import (
     split_and_compress,
 )
 from repro.ota.ap import GOLDEN_IMAGE, GOLDEN_IMAGE_ID
-from repro.ota.hardened import IMAGE_ID
+from repro.ota.bank import GOLDEN_OFFSET, MAX_IMAGE_BYTES, bank_offset
+from repro.ota.hardened import IMAGE_ID, WATCHDOG_TIMEOUT_S
 from repro.ota.mac import ACK_TIMEOUT_S, MAX_ATTEMPTS_PER_PACKET
 from repro.sim import (
+    FAULT_HANG,
     OTA_RESUME,
     PACKET_DELIVERED,
+    SCHEDULER_FIRE,
     Timeline,
     WATCHDOG_RESET,
 )
@@ -156,7 +158,7 @@ class TestFirmwareBanks:
         target = banks.install(IMAGE, image_id=1)
         # NOR programming can only clear bits, so programming zeros over
         # the slot start corrupts the installed image in place.
-        banks.flash.program(banks.layout.bank_offset(target), bytes(16))
+        banks.flash.program(bank_offset(target), bytes(16))
         boot = banks.boot()
         assert boot.rolled_back
         assert boot.bank == "golden"
@@ -166,15 +168,15 @@ class TestFirmwareBanks:
     def test_rollback_error_when_golden_is_also_corrupt(self):
         banks = provisioned_banks()
         target = banks.install(IMAGE, image_id=1)
-        banks.flash.program(banks.layout.bank_offset(target), bytes(16))
-        banks.flash.program(banks.layout.golden_offset, bytes(16))
+        banks.flash.program(bank_offset(target), bytes(16))
+        banks.flash.program(GOLDEN_OFFSET, bytes(16))
         with pytest.raises(RollbackError):
             banks.boot()
 
     def test_image_must_fit_the_slot(self):
         banks = provisioned_banks()
         with pytest.raises(ConfigurationError):
-            banks.install(b"x" * (banks.layout.max_image_bytes + 1), 1)
+            banks.install(b"x" * (MAX_IMAGE_BYTES + 1), 1)
         with pytest.raises(ConfigurationError):
             banks.install(b"", 1)
 
@@ -184,36 +186,6 @@ class TestFirmwareBanks:
         banks.checkpoint(1, 7)
         assert banks.resume_point(1) == 7
         assert banks.resume_point(2) == 0
-
-
-class TestWatchdog:
-    def test_kicks_keep_the_dog_quiet(self):
-        timeline = Timeline()
-        scheduler = EventScheduler(timeline)
-        dog = Watchdog(scheduler, timeout_s=1.0)
-        dog.start()
-        for step in range(1, 6):
-            scheduler.schedule_at(0.5 * step, "work", lambda s: dog.kick())
-        scheduler.run_until(2.5)
-        assert not dog.expired
-        assert dog.resets == 0
-        dog.stop()
-
-    def test_missed_deadline_fires_a_reset_event(self):
-        timeline = Timeline()
-        scheduler = EventScheduler(timeline)
-        fired: list[Watchdog] = []
-        dog = Watchdog(scheduler, timeout_s=1.0, on_timeout=fired.append)
-        dog.start()
-        scheduler.run_until(5.0)
-        assert dog.expired
-        assert dog.resets == 1
-        assert fired == [dog]
-        assert timeline.count(kinds={WATCHDOG_RESET}) == 1
-
-    def test_timeout_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            Watchdog(EventScheduler(Timeline()), timeout_s=0.0)
 
 
 class TestParseWireImage:
@@ -277,6 +249,19 @@ class TestHardenedOtaSession:
         with pytest.raises(WatchdogTimeoutError):
             session.run(np.random.default_rng(3), timeline=timeline)
         assert timeline.count(kinds={WATCHDOG_RESET}) == 1
+        # Nothing kicks the hung MCU: the clock runs to the deadline,
+        # where the timer fires the check and the watchdog resets.
+        events = timeline.events
+        hang = [event.kind for event in events].index(FAULT_HANG)
+        deadline_s = events[hang].t_start_s + WATCHDOG_TIMEOUT_S
+        assert timeline.now_s == deadline_s
+        assert [(event.kind, event.component, event.label, event.t_start_s,
+                 event.advanced) for event in events[hang + 1:]] == [
+            (SCHEDULER_FIRE, "scheduler",
+             "node install watchdog deadline check", deadline_s, False),
+            (WATCHDOG_RESET, "watchdog",
+             "node install watchdog expired after 5 s without a kick",
+             deadline_s, True)]
 
     def test_session_deadline_fails_the_transfer_typed(self):
         policy = RetryPolicy(session_deadline_s=0.05)

@@ -11,9 +11,11 @@ from repro.radio import (
     FrontendMode,
     IqWord,
     LvdsTiming,
+    RADIO_SETUP_S,
     RadioState,
     RfFrontend,
     SE2435L,
+    SLEEP_POWER_W,
     SKY66112,
     Sx1276,
     bits_to_words,
@@ -198,6 +200,20 @@ class TestAt86Rf215:
         assert energy > 0
         # 10 ms of 50 mW RX is 0.5 mJ; allow for setup overheads.
         assert energy == pytest.approx(0.5e-3, rel=0.5)
+
+    def test_energy_charges_each_dwell_at_its_own_tx_power(self):
+        radio = At86Rf215()
+        radio.set_tx_power(-10.0)
+        radio.wake()
+        radio.enter_tx()
+        radio.transmit(np.zeros(4_000, dtype=complex))  # 1 ms at 4 MHz
+        radio.set_tx_power(14.0)
+        radio.transmit(np.zeros(4_000, dtype=complex))
+        energy = radio.energy_consumed_j()
+        assert energy == radio.timeline.energy_j()
+        assert energy == pytest.approx(
+            tx_power_draw_w(-10.0) * 1e-3 + tx_power_draw_w(14.0) * 1e-3
+            + SLEEP_POWER_W * RADIO_SETUP_S, rel=1e-12)
 
 
 class TestFrontends:

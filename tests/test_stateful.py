@@ -1,12 +1,12 @@
 """Stateful property tests (hypothesis RuleBasedStateMachine).
 
-Model-based testing of the three stateful substrates whose invariants
-everything else leans on: the NOR flash (erase-before-write semantics),
-the sample FIFO (strict queue order under interleaved I/O), and the
-event scheduler (time monotonicity).
+Model-based testing of the two stateful substrates whose invariants
+everything else leans on: the NOR flash (erase-before-write semantics)
+and the sample FIFO (strict queue order under interleaved I/O).
 """
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -18,7 +18,6 @@ from hypothesis.stateful import (
 
 from repro.errors import FlashError
 from repro.fpga.fifo import SampleFifo
-from repro.mcu.scheduler import EventScheduler
 from repro.ota.flash import Mx25R6435F, SECTOR_BYTES
 
 
@@ -41,19 +40,18 @@ class FlashMachine(RuleBasedStateMachine):
           data=st.binary(min_size=1, max_size=64))
     def program(self, offset, data):
         # NOR programming can only clear bits; the model predicts
-        # whether the device accepts or rejects the write.
-        legal = all((byte & ~self.model[offset + i]) == 0
-                    for i, byte in enumerate(data))
-        if legal:
+        # whether the device accepts or rejects the write, and which
+        # byte it names when it rejects it.
+        illegal = [i for i, byte in enumerate(data)
+                   if byte & ~self.model[offset + i]]
+        if not illegal:
             self.flash.program(offset, data)
             for i, byte in enumerate(data):
                 self.model[offset + i] &= byte
         else:
-            try:
+            with pytest.raises(FlashError,
+                               match=f"at {offset + illegal[0]:#x} "):
                 self.flash.program(offset, data)
-                raise AssertionError("illegal program was accepted")
-            except FlashError:
-                pass
 
     @rule(offset=st.integers(min_value=0, max_value=4 * SECTOR_BYTES - 64),
           length=st.integers(min_value=1, max_value=64))
@@ -99,50 +97,10 @@ class FifoMachine(RuleBasedStateMachine):
             self.CAPACITY_SAMPLES - len(self.model)
 
 
-class SchedulerMachine(RuleBasedStateMachine):
-    """Events must fire exactly once, in time order."""
-
-    def __init__(self):
-        super().__init__()
-        self.scheduler = EventScheduler()
-        self.scheduled: list[float] = []
-        self.fired: list[float] = []
-
-    @rule(delay=st.floats(min_value=0.0, max_value=10.0,
-                          allow_nan=False))
-    def schedule(self, delay):
-        time = self.scheduler.now_s + delay
-        self.scheduled.append(time)
-        self.scheduler.schedule_at(
-            time, f"event{len(self.scheduled)}",
-            lambda s, t=time: self.fired.append(t))
-
-    @rule(advance=st.floats(min_value=0.0, max_value=5.0,
-                            allow_nan=False))
-    def run(self, advance):
-        self.scheduler.run_until(self.scheduler.now_s + advance)
-        # After running, everything due by now must have fired.
-        due = [t for t in self.scheduled if t <= self.scheduler.now_s]
-        assert len(self.fired) == len(due)
-
-    @invariant()
-    def fired_in_order(self):
-        assert self.fired == sorted(self.fired)
-
-    @invariant()
-    def fired_subset_of_scheduled(self):
-        remaining = list(self.scheduled)
-        for time in self.fired:
-            assert time in remaining
-            remaining.remove(time)
-
-
 TestFlashMachine = FlashMachine.TestCase
 TestFifoMachine = FifoMachine.TestCase
-TestSchedulerMachine = SchedulerMachine.TestCase
 
 _MACHINE_SETTINGS = settings(max_examples=25, stateful_step_count=30,
                              deadline=None)
 TestFlashMachine.settings = _MACHINE_SETTINGS
 TestFifoMachine.settings = _MACHINE_SETTINGS
-TestSchedulerMachine.settings = _MACHINE_SETTINGS
