@@ -14,6 +14,7 @@ import numpy as np
 from repro import AdvPacket, TinySdr
 from repro.channel import awgn
 from repro.phy.ble import (
+    TINYSDR_HOP_DELAY_S,
     GfskDemodulator,
     beacon_airtime_s,
     bits_to_bytes_lsb_first,
@@ -45,7 +46,8 @@ print(f"\nscanner sees: {parsed.packet.adv_data!r}  CRC ok: {parsed.crc_ok}")
 
 # Battery life at one advertising event per second.
 event_energy = sum(record.energy_j for record in records)
-event_time = (beacon_airtime_s(len(packet.pdu())) * 3 + 2 * 220e-6)
+event_time = (beacon_airtime_s(len(packet.pdu())) * 3
+              + 2 * TINYSDR_HOP_DELAY_S)
 sleep_power = 30e-6
 meter = duty_cycle_profile(
     active_power_w=event_energy / event_time, active_time_s=event_time,

@@ -21,7 +21,7 @@ from repro.core.timing import platform_timings
 from repro.errors import ConfigurationError, FpgaError
 from repro.fpga.config import FpgaConfigurator
 from repro.mcu.msp432 import McuMode, Msp432
-from repro.ota.flash import FlashLayout, Mx25R6435F
+from repro.ota.flash import BOOT_OFFSET, MCU_OFFSET, Mx25R6435F
 from repro.ota.mac import OtaLink
 from repro.ota.updater import OtaUpdater, UpdateReport
 from repro.phy.ble.channels import (
@@ -36,7 +36,11 @@ from repro.phy.lora.modulator import LoRaModulator
 from repro.phy.lora.params import LoRaParams
 from repro.power.meter import EnergyMeter
 from repro.power.pmu import PlatformState, PowerManagementUnit
-from repro.radio.at86rf215 import DEFAULT_FREQUENCY_HZ, At86Rf215
+from repro.radio.at86rf215 import (
+    DEFAULT_FREQUENCY_HZ,
+    RADIO_SETUP_S,
+    At86Rf215,
+)
 
 BLE_CENTER_FREQUENCY_HZ = 2_440_000_000
 """Mid-band 2.4 GHz carrier used for BLE beacon bursts (paper Fig. 13)."""
@@ -71,7 +75,6 @@ class TinySdr:
         self.radio = At86Rf215(frequency_hz=frequency_hz)
         self.mcu = Msp432()
         self.flash = Mx25R6435F()
-        self.layout = FlashLayout()
         self.configurator = FpgaConfigurator()
         self.pmu = PowerManagementUnit()
         self.meter = EnergyMeter()
@@ -84,8 +87,8 @@ class TinySdr:
     def load_firmware(self, name: str) -> FirmwareImage:
         """Install a firmware personality into flash and boot the FPGA."""
         image = get_firmware(name)
-        self.flash.write(self.layout.boot_offset, image.fpga_bitstream)
-        self.flash.write(self.layout.mcu_offset, image.mcu_program)
+        self.flash.write(BOOT_OFFSET, image.fpga_bitstream)
+        self.flash.write(MCU_OFFSET, image.mcu_program)
         self.configurator.program(image.fpga_bitstream)
         self.firmware = image
         if self.radio.state.name == "SLEEP":
@@ -105,13 +108,13 @@ class TinySdr:
             raise FpgaError("no firmware loaded; call load_firmware() first")
         if not self.asleep:
             return 0.0
-        bitstream = self.flash.read(self.layout.boot_offset,
+        bitstream = self.flash.read(BOOT_OFFSET,
                                     len(self.firmware.fpga_bitstream))
         boot_time = self.configurator.program(bitstream)
         if self.radio.state.name == "SLEEP":
             self.radio.wake()
         self.mcu.set_mode(McuMode.ACTIVE)
-        wake_time = max(boot_time, 1.2e-3)
+        wake_time = max(boot_time, RADIO_SETUP_S)
         self.pmu.enter_state(PlatformState.FPGA_BOOT)
         self.meter.record("wakeup", self.pmu.battery_power_w(), wake_time)
         self.asleep = False
@@ -233,8 +236,7 @@ class TinySdr:
         decompress/reprogram pipeline, and accounts the energy.
         """
         image = get_firmware(firmware_name)
-        updater = OtaUpdater(flash=self.flash, mcu=self.mcu,
-                             layout=self.layout)
+        updater = OtaUpdater(flash=self.flash, mcu=self.mcu)
         self.pmu.enter_state(PlatformState.BACKBONE_RX)
         report = updater.update(image.fpga_bitstream, link, rng,
                                 is_fpga_image=True)

@@ -3,9 +3,10 @@
 The LoRa demodulator multiplies each received symbol by a conjugate chirp
 and takes an FFT whose length equals ``2**SF`` (paper Fig. 6b, "an FFT
 block implemented using a standard IP core from Lattice").  This module
-implements that core's iterative radix-2 decimation-in-time algorithm:
-its butterfly count sizes the core in :mod:`repro.fpga.resources`, and
+implements that core's iterative radix-2 decimation-in-time algorithm;
 its per-stage schedule is where fixed-point scaling would be modelled.
+(The core's LUT cost in :mod:`repro.fpga.resources` is the paper's
+per-SF table, not a butterfly count.)
 
 The receive path itself transforms with ``numpy.fft``
 (:func:`repro.phy.backend.dechirp_magnitudes`), as does spectral

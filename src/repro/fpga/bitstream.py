@@ -38,8 +38,7 @@ floor that keeps an empty bitstream from compressing to nothing."""
 
 
 def generate_bitstream(utilization: float, seed: int = 0,
-                       size_bytes: int = BITSTREAM_BYTES,
-                       rng: np.random.Generator | None = None) -> bytes:
+                       size_bytes: int = BITSTREAM_BYTES) -> bytes:
     """Create a synthetic bitstream for a design of given LUT utilization.
 
     The stream is a header followed by configuration frames.  A fraction
@@ -49,9 +48,8 @@ def generate_bitstream(utilization: float, seed: int = 0,
 
     Args:
         utilization: fraction of the fabric carrying logic, in [0, 1].
-        seed: deterministic content seed (used when ``rng`` is omitted).
+        seed: deterministic content seed.
         size_bytes: total container size.
-        rng: explicit generator; overrides ``seed`` when given.
 
     Raises:
         ConfigurationError: for utilization outside [0, 1] or a container
@@ -66,8 +64,7 @@ def generate_bitstream(utilization: float, seed: int = 0,
     body_bytes = size_bytes - len(_HEADER)
     num_frames = body_bytes // FRAME_BYTES
     remainder = body_bytes - num_frames * FRAME_BYTES
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     touched = min(1.0, utilization * ROUTING_OVERHEAD)
     used = rng.random(num_frames) < touched
     frames = bytearray()
@@ -92,8 +89,7 @@ def bitstream_fingerprint(bitstream: bytes) -> str:
 
 
 def generate_mcu_program(size_bytes: int = 78 * 1024, seed: int = 1,
-                         code_fraction: float = 0.35,
-                         rng: np.random.Generator | None = None) -> bytes:
+                         code_fraction: float = 0.35) -> bytes:
     """Synthetic MCU firmware image (paper: ~78 kB for LoRa and BLE).
 
     Compiled Cortex-M code mixes dense opcode regions with tables and
@@ -105,8 +101,7 @@ def generate_mcu_program(size_bytes: int = 78 * 1024, seed: int = 1,
     if not 0.0 <= code_fraction <= 1.0:
         raise ConfigurationError(
             f"code fraction must be in [0, 1], got {code_fraction!r}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     code_bytes = int(size_bytes * code_fraction)
     code = rng.integers(0, 256, code_bytes, dtype=np.uint8).tobytes()
     filler = (b"\x00\x00\x00\x00\xaa\x55" * (size_bytes // 6 + 1))

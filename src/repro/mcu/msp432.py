@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, MemoryError_
+from repro.power import profiles
 from repro.sim import MCU_MODE, MCU_RUN, Timeline
 
 NODE_MCU = "mcu"
@@ -34,9 +35,12 @@ class McuMode(enum.Enum):
 
 
 MODE_POWER_W = {
-    McuMode.ACTIVE: 0.0145,   # ~4.6 mA/MHz class core running at ~48 MHz
-    McuMode.LPM3: 0.85e-6 * 3.0,   # RTC + wakeup timer alive
-    McuMode.LPM45: 0.025e-6 * 3.0,
+    # ~4.6 mA/MHz class core at ~48 MHz: this ledger's own active draw,
+    # which disagrees with the profiles.MCU_ACTIVE_W (7.2 mW) that the
+    # OTA engines and the PMU charge.
+    McuMode.ACTIVE: 0.0145,
+    McuMode.LPM3: profiles.MCU_LPM3_W,
+    McuMode.LPM45: profiles.MCU_LPM45_W,
 }
 
 

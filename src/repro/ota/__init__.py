@@ -16,9 +16,9 @@ from repro.ota.blocks import (
     reassemble,
     split_and_compress,
     total_compressed_bytes,
+    wire_image,
 )
 from repro.ota.flash import (
-    FlashLayout,
     FlashStats,
     Mx25R6435F,
     PAGE_BYTES,
@@ -44,7 +44,6 @@ from repro.ota.mac import (
     RetryPolicy,
     TransferReport,
     fragment_image,
-    reassemble_image,
     simulate_transfer,
 )
 from repro.ota.minilzo import compress, compression_ratio, decompress
@@ -77,7 +76,6 @@ __all__ = [
     "DEFAULT_OTA_PARAMS",
     "DataPacket",
     "EndOfUpdate",
-    "FlashLayout",
     "FlashStats",
     "Mx25R6435F",
     "OTA_PREAMBLE_SYMBOLS",
@@ -96,8 +94,8 @@ __all__ = [
     "decompress",
     "fragment_image",
     "parse_wire_image",
-    "reassemble_image",
     "simulate_transfer",
     "split_and_compress",
     "total_compressed_bytes",
+    "wire_image",
 ]

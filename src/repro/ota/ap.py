@@ -33,6 +33,7 @@ from repro.errors import (
 from repro.faults.plan import FaultPlan, NodeFaults
 from repro.ota.bank import FirmwareBanks
 from repro.ota.hardened import (
+    IMAGE_ID,
     OUTCOME_ABANDONED,
     OUTCOME_RESUMED,
     OUTCOME_ROLLED_BACK,
@@ -56,6 +57,9 @@ AP_RADIO = "ap_radio"
 
 LISTEN_WINDOW_S = 2.0
 """How long each listen window stays open."""
+
+SCHEDULE_GUARD_S = 5.0
+"""Slack the schedule leaves after each node's estimated session."""
 
 GOLDEN_IMAGE = bytes(range(256)) * 4
 """Factory fallback firmware provisioned on every hardened node: 1 kB
@@ -201,8 +205,8 @@ class AccessPoint:
         self.image = image
         self.max_attempts = max_attempts_per_node
 
-    def build_request(self, wake_times: dict[int, float],
-                      image_id: int = 1) -> ProgrammingRequest:
+    def build_request(self, wake_times: dict[int, float]
+                      ) -> ProgrammingRequest:
         """The campaign announcement packet.
 
         Raises:
@@ -214,10 +218,9 @@ class AccessPoint:
         return ProgrammingRequest(
             device_ids=device_ids,
             wake_times_s=tuple(wake_times[d] for d in device_ids),
-            image_id=image_id)
+            image_id=IMAGE_ID)
 
-    def schedule(self, estimated_session_s: float,
-                 guard_s: float = 5.0) -> dict[int, float]:
+    def schedule(self, estimated_session_s: float) -> dict[int, float]:
         """Assign staggered wake times: node k wakes after k sessions.
 
         Each node's wake time is rounded up to its next listen window
@@ -229,7 +232,7 @@ class AccessPoint:
             aligned = np.ceil(cursor / LISTEN_PERIOD_S) * LISTEN_PERIOD_S \
                 if cursor > LISTEN_WINDOW_S else cursor
             wake_times[node.node_id] = float(aligned)
-            cursor = float(aligned) + estimated_session_s + guard_s
+            cursor = float(aligned) + estimated_session_s + SCHEDULE_GUARD_S
         return wake_times
 
     def run_campaign(self, rng: np.random.Generator,

@@ -23,6 +23,10 @@ from repro.ota import minilzo
 BLOCK_BYTES = 30 * 1024
 """The paper's block size: fits in MCU SRAM next to the runtime."""
 
+BLOCK_HEADER_BYTES = 6
+"""Wire header ahead of each block: index, raw size and payload size,
+two big-endian bytes each."""
+
 
 @dataclass(frozen=True)
 class CompressedBlock:
@@ -39,7 +43,7 @@ class CompressedBlock:
     payload: bytes
 
     def header(self) -> bytes:
-        """6-byte wire header: index (2), raw size (2), payload size (2)."""
+        """The :data:`BLOCK_HEADER_BYTES` wire header."""
         if self.raw_size > 0xFFFF or len(self.payload) > 0xFFFF:
             raise ConfigurationError("block exceeds the 16-bit size fields")
         return (self.index.to_bytes(2, "big")
@@ -100,14 +104,19 @@ def reassemble(blocks: list[CompressedBlock],
     return bytes(output)
 
 
+def wire_image(blocks: list[CompressedBlock]) -> bytes:
+    """The bytes an OTA session sends: each block's header, then payload."""
+    return b"".join(block.header() + block.payload for block in blocks)
+
+
 def parse_wire_image(wire: bytes) -> list[CompressedBlock]:
     """Parse a staged wire image (header + payload stream) into blocks.
 
-    This is the node-side inverse of joining ``block.header() +
-    block.payload`` - the hardened updater reads the staged bytes back
-    from flash and re-parses them, so any corruption the flash
-    introduced surfaces here or in the per-block decompression as a
-    typed error instead of silently propagating.
+    This is the node-side inverse of :func:`wire_image` - the hardened
+    updater reads the staged bytes back from flash and re-parses them,
+    so any corruption the flash introduced surfaces here or in the
+    per-block decompression as a typed error instead of silently
+    propagating.
 
     Raises:
         CompressionError: for truncated headers or payloads, or an empty
@@ -116,13 +125,13 @@ def parse_wire_image(wire: bytes) -> list[CompressedBlock]:
     blocks: list[CompressedBlock] = []
     cursor = 0
     while cursor < len(wire):
-        if cursor + 6 > len(wire):
+        if cursor + BLOCK_HEADER_BYTES > len(wire):
             raise CompressionError(
                 f"truncated block header at offset {cursor}")
         index = int.from_bytes(wire[cursor:cursor + 2], "big")
         raw_size = int.from_bytes(wire[cursor + 2:cursor + 4], "big")
         payload_size = int.from_bytes(wire[cursor + 4:cursor + 6], "big")
-        cursor += 6
+        cursor += BLOCK_HEADER_BYTES
         if payload_size == 0 or cursor + payload_size > len(wire):
             raise CompressionError(
                 f"block {index} claims {payload_size} payload bytes but "
@@ -136,13 +145,10 @@ def parse_wire_image(wire: bytes) -> list[CompressedBlock]:
     return blocks
 
 
-def total_compressed_bytes(blocks: list[CompressedBlock],
-                           include_headers: bool = True) -> int:
-    """Airtime-relevant byte count of a compressed image."""
-    payload = sum(len(block.payload) for block in blocks)
-    if include_headers:
-        payload += 6 * len(blocks)
-    return payload
+def total_compressed_bytes(blocks: list[CompressedBlock]) -> int:
+    """Airtime-relevant byte count: the length of :func:`wire_image`."""
+    return (sum(len(block.payload) for block in blocks)
+            + BLOCK_HEADER_BYTES * len(blocks))
 
 
 def compression_summary(data: bytes,

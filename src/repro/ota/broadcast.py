@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import OtaError
-from repro.ota.blocks import split_and_compress
+from repro.ota.blocks import split_and_compress, wire_image
 from repro.ota.mac import (
     DATA_PAYLOAD_BYTES,
+    FRAGMENT_HEADER_BYTES,
     OTA_PREAMBLE_SYMBOLS,
     OtaLink,
     fragment_image,
@@ -108,10 +109,7 @@ def simulate_broadcast_campaign(deployment: Deployment, image: bytes,
 
     if params is None:
         params = DEFAULT_OTA_PARAMS
-    blocks = split_and_compress(image)
-    wire_image = b"".join(block.header() + block.payload
-                          for block in blocks)
-    fragments = fragment_image(wire_image)
+    fragments = fragment_image(wire_image(split_and_compress(image)))
 
     nodes = []
     for placement in deployment.nodes:
@@ -121,7 +119,8 @@ def simulate_broadcast_campaign(deployment: Deployment, image: bytes,
             uplink_rssi_dbm=deployment.uplink_rssi_dbm(placement, rng)))
 
     link = OtaLink(params=params)
-    fragment_airtime = link.airtime_s(8 + DATA_PAYLOAD_BYTES)
+    fragment_airtime = link.airtime_s(FRAGMENT_HEADER_BYTES
+                                      + DATA_PAYLOAD_BYTES)
     nack_airtime = link.airtime_s(NACK_SLOT_BYTES)
 
     timeline = timeline if timeline is not None else Timeline()

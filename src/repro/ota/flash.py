@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, FlashError
+from repro.power import profiles
 
 CAPACITY_BYTES = 8 * 1024 * 1024
 SECTOR_BYTES = 4096
@@ -23,9 +24,17 @@ READ_BANDWIDTH_BPS = 8_000_000 * 8
 PAGE_PROGRAM_TIME_S = 0.9e-3
 SECTOR_ERASE_TIME_S = 40e-3
 
-ACTIVE_READ_POWER_W = 0.015
-PROGRAM_POWER_W = 0.030
-STANDBY_POWER_W = 0.2e-6 * 1.8
+# The single-bank firmware map of the classic updater (hardened nodes
+# partition the array with the dual-bank map of repro.ota.bank instead).
+STAGING_OFFSET = 0x000000
+"""Where compressed OTA blocks land as they arrive."""
+
+BOOT_OFFSET = 0x100000
+"""Where the decompressed FPGA bitstream lives: the address quad-SPI
+configuration reads from."""
+
+MCU_OFFSET = 0x200000
+"""Where the decompressed MCU program lives."""
 
 
 @dataclass(frozen=True)
@@ -55,9 +64,12 @@ class FlashStats:
     @property
     def energy_j(self) -> float:
         """Energy of the logged operations."""
-        read = self.bytes_read * 8 / READ_BANDWIDTH_BPS * ACTIVE_READ_POWER_W
-        program = self.page_programs * PAGE_PROGRAM_TIME_S * PROGRAM_POWER_W
-        erase = self.sectors_erased * SECTOR_ERASE_TIME_S * PROGRAM_POWER_W
+        read = (self.bytes_read * 8 / READ_BANDWIDTH_BPS
+                * profiles.FLASH_ACTIVE_W)
+        program = (self.page_programs * PAGE_PROGRAM_TIME_S
+                   * profiles.FLASH_PROGRAM_W)
+        erase = (self.sectors_erased * SECTOR_ERASE_TIME_S
+                 * profiles.FLASH_PROGRAM_W)
         return read + program + erase
 
 
@@ -162,31 +174,3 @@ class Mx25R6435F:
                           bytes_programmed=self._bytes_programmed,
                           page_programs=self._page_programs,
                           sectors_erased=self._sectors_erased)
-
-
-@dataclass(frozen=True)
-class FlashLayout:
-    """TinySDR's firmware storage map inside the 8 MB array.
-
-    Attributes:
-        staging_offset: where compressed OTA blocks land as they arrive.
-        boot_offset: where the decompressed FPGA bitstream lives (the
-            address quad-SPI configuration reads from).
-        mcu_offset: where the decompressed MCU program lives.
-        slot_bytes: size reserved per firmware slot.
-    """
-
-    staging_offset: int = 0x000000
-    boot_offset: int = 0x100000
-    mcu_offset: int = 0x200000
-    slot_bytes: int = 0x100000
-
-    def slot_address(self, base: int, slot: int) -> int:
-        """Address of a numbered firmware slot.
-
-        Raises:
-            ConfigurationError: for negative slots.
-        """
-        if slot < 0:
-            raise ConfigurationError(f"slot must be >= 0, got {slot}")
-        return base + slot * self.slot_bytes

@@ -15,11 +15,11 @@ worker processes unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.ota.mac import DATA_PAYLOAD_BYTES, MAX_ATTEMPTS_PER_PACKET
+from repro.testbed.deployment import CAMPUS_RADIUS_M, check_max_radius
 
 DEFAULT_SESSION_ATTEMPTS = 3
 """Session attempts before a node is abandoned (hardened-path default)."""
@@ -68,8 +68,8 @@ class FleetCampaignConfig:
     per-node engine are read from their one definition: the backbone
     PHY is :data:`repro.ota.mac.DEFAULT_OTA_PARAMS`, the fragment
     payload, ACK timeout and listen period are :mod:`repro.ota.mac`
-    constants, and the channel and transmit powers are the campus
-    constants of :mod:`repro.testbed.deployment`.
+    constants, and the channel, transmit powers, keep-out and default
+    radius are the campus constants of :mod:`repro.testbed.deployment`.
 
     Attributes:
         num_nodes: fleet size.
@@ -79,7 +79,8 @@ class FleetCampaignConfig:
         max_rounds_per_fragment: ARQ rounds per fragment before the
             session attempt fails.
         max_session_attempts: session attempts before abandoning a node.
-        max_radius_m: deployment disk radius (30 m keep-out inside).
+        max_radius_m: deployment disk radius (the campus keep-out
+            inside).
         verify_failure_prob: probability the post-install CRC verify
             fails and the node rolls back to its golden bank.
         loss: optional burst-loss fault model.
@@ -91,7 +92,7 @@ class FleetCampaignConfig:
     is_fpga_image: bool = True
     max_rounds_per_fragment: int = MAX_ATTEMPTS_PER_PACKET
     max_session_attempts: int = DEFAULT_SESSION_ATTEMPTS
-    max_radius_m: float = 1050.0
+    max_radius_m: float = CAMPUS_RADIUS_M
     verify_failure_prob: float = 0.0
     loss: FleetBurstLoss | None = None
 
@@ -110,10 +111,7 @@ class FleetCampaignConfig:
             raise ConfigurationError(
                 "max_session_attempts must be >= 1, got "
                 f"{self.max_session_attempts}")
-        if not 30.0 < self.max_radius_m < math.inf:
-            raise ConfigurationError(
-                f"max_radius_m must exceed the 30 m keep-out and be "
-                f"finite, got {self.max_radius_m!r}")
+        check_max_radius(self.max_radius_m)
         _check_probability("verify_failure_prob", self.verify_failure_prob)
 
     @property

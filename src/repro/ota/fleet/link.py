@@ -35,32 +35,23 @@ from repro.ota.mac import (
     CONTROL_BYTES,
     DATA_PAYLOAD_BYTES,
     DEFAULT_OTA_PARAMS,
+    FRAGMENT_HEADER_BYTES,
     OTA_PREAMBLE_SYMBOLS,
+    REQUEST_ENTRY_BYTES,
 )
 from repro.phy.lora.params import LoRaParams
-from repro.radio.sx1276 import NOISE_FIGURE_DB
+from repro.radio.sx1276 import NOISE_FIGURE_DB, SER_UNDERFLOW_EXPONENT
 from repro.seeding import stream_rng
 from repro.testbed.deployment import (
     AP_ANTENNA_GAIN_DBI,
     AP_TX_POWER_DBM,
     FREQUENCY_HZ,
+    KEEP_OUT_M,
     NODE_TX_POWER_DBM,
     PATHLOSS_EXPONENT,
     SHADOWING_SIGMA_DB,
 )
 from repro.units import free_space_path_loss_db, noise_floor_dbm
-
-FRAGMENT_HEADER_BYTES = 8
-"""Data-fragment wire overhead: sequence (4) + CRC (4), as DataPacket."""
-
-REQUEST_ENTRY_BYTES = 6
-"""Per-device (id, wake-time) entry in a programming request."""
-
-MIN_RADIUS_M = 30.0
-"""Keep-out radius around the AP (no node on the AP's roof)."""
-
-_SER_UNDERFLOW_EXPONENT = -700.0
-"""Below this, ``exp`` underflows to a denormal; the SER is zero."""
 
 
 def fleet_packet_error_probability(params: LoRaParams,
@@ -79,9 +70,9 @@ def fleet_packet_error_probability(params: LoRaParams,
     snr = 10.0 ** (snr_db / 10.0)
     exponent = -n * snr / 2.0
     ser = np.where(
-        exponent < _SER_UNDERFLOW_EXPONENT, 0.0,
+        exponent < SER_UNDERFLOW_EXPONENT, 0.0,
         np.minimum(1.0, (n - 1) / 2.0
-                   * np.exp(np.maximum(exponent, _SER_UNDERFLOW_EXPONENT))))
+                   * np.exp(np.maximum(exponent, SER_UNDERFLOW_EXPONENT))))
     symbols = (preamble_symbols + 4.25
                + params.airtime_s(payload_bytes, preamble_symbols)
                / params.symbol_duration_s)
@@ -132,13 +123,14 @@ def prepare_links(config: FleetCampaignConfig) -> FleetLinkPlan:
     """Build the full-fleet link table for a campaign configuration.
 
     Geometry mirrors :func:`repro.testbed.campus_deployment` — uniform
-    density over the disk via a square-root radial draw with the 30 m
-    keep-out — vectorized over the whole fleet, with one lognormal
-    shadowing draw per node per direction.
+    density over the disk via a square-root radial draw outside the
+    :data:`~repro.testbed.deployment.KEEP_OUT_M` keep-out — vectorized
+    over the whole fleet, with one lognormal shadowing draw per node per
+    direction.
     """
     rng = stream_rng(config.seed, "fleet.placement")
     n = config.num_nodes
-    radii = MIN_RADIUS_M + (config.max_radius_m - MIN_RADIUS_M) \
+    radii = KEEP_OUT_M + (config.max_radius_m - KEEP_OUT_M) \
         * np.sqrt(rng.random(n))
     angles = rng.random(n) * 2.0 * np.pi
     shadow_down = rng.standard_normal(n) * SHADOWING_SIGMA_DB

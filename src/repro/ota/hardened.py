@@ -43,6 +43,7 @@ from repro.ota.blocks import (
     reassemble,
     split_and_compress,
     total_compressed_bytes,
+    wire_image,
 )
 from repro.ota.mac import (
     DATA_PAYLOAD_BYTES,
@@ -272,9 +273,8 @@ class HardenedOtaSession:
         banks = self.banks
         stats_before = banks.flash.stats()
         blocks = split_and_compress(self.image)
-        wire_image = b"".join(block.header() + block.payload
-                              for block in blocks)
-        fragments = fragment_image(wire_image)
+        wire = wire_image(blocks)
+        fragments = fragment_image(wire)
 
         request = ProgrammingRequest((1,), (0.0,), image_id=IMAGE_ID)
         timeline.record(
@@ -288,13 +288,13 @@ class HardenedOtaSession:
 
         resumes = self._transfer(fragments, rng, timeline)
 
-        end = EndOfUpdate(len(fragments), crc32(wire_image))
+        end = EndOfUpdate(len(fragments), crc32(wire))
         timeline.record(
             CONTROL_RX, NODE_RADIO, label="end of update",
             duration_s=self.link.airtime_s(end.wire_bytes),
             power_w=profiles.BACKBONE_RX_W)
 
-        target = self._install(len(wire_image), timeline)
+        target = self._install(len(wire), timeline)
         if self.is_fpga_image:
             installed = banks.flash.read(bank_offset(target),
                                          len(self.image))

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.errors import BrownoutInterrupt, ConfigurationError, ProtocolError
+from repro.phy.lora.codec import MAX_PAYLOAD_BYTES
 from repro.phy.lora.params import LoRaParams
 from repro.power import profiles
 from repro.radio.sx1276 import packet_error_probability
@@ -52,8 +53,14 @@ DATA_PAYLOAD_BYTES = 60
 is the paper's operating point, not a protocol limit - the packet-size
 ablation sweeps around it up to :data:`MAX_DATA_PAYLOAD_BYTES`."""
 
-MAX_DATA_PAYLOAD_BYTES = 247
-"""LoRa's 255-byte PHY payload minus the 8-byte fragment header."""
+FRAGMENT_HEADER_BYTES = 8
+"""Data-fragment wire overhead: sequence number (4) + CRC-32 (4)."""
+
+MAX_DATA_PAYLOAD_BYTES = MAX_PAYLOAD_BYTES - FRAGMENT_HEADER_BYTES
+"""LoRa's 255-byte PHY payload minus the fragment header: 247 B."""
+
+REQUEST_ENTRY_BYTES = 6
+"""Per-device (id, wake time) entry of a programming request."""
 
 OTA_PREAMBLE_SYMBOLS = 8
 """'We choose a preamble of 8 chirps'."""
@@ -179,8 +186,8 @@ class ProgrammingRequest:
 
     @property
     def wire_bytes(self) -> int:
-        """Serialized size: header + 6 B per (id, wake) entry."""
-        return CONTROL_BYTES + 6 * len(self.device_ids)
+        """Serialized size: header + one entry per (id, wake) pair."""
+        return CONTROL_BYTES + REQUEST_ENTRY_BYTES * len(self.device_ids)
 
 
 @dataclass(frozen=True)
@@ -217,8 +224,8 @@ class DataPacket:
 
     @property
     def wire_bytes(self) -> int:
-        """Serialized size: seq (4) + CRC (4) + payload."""
-        return 8 + len(self.payload)
+        """Serialized size: fragment header + payload."""
+        return FRAGMENT_HEADER_BYTES + len(self.payload)
 
 
 @dataclass(frozen=True)
@@ -248,24 +255,6 @@ def fragment_image(image: bytes,
             f"payload size must be positive, got {payload_bytes}")
     return [DataPacket(sequence=index, payload=image[start:start + payload_bytes])
             for index, start in enumerate(range(0, len(image), payload_bytes))]
-
-
-def reassemble_image(packets: list[DataPacket]) -> bytes:
-    """Node-side reassembly with sequence/CRC verification.
-
-    Raises:
-        ProtocolError: for gaps or duplicate sequence numbers.
-    """
-    expected = 0
-    out = bytearray()
-    for packet in packets:
-        if packet.sequence != expected:
-            raise ProtocolError(
-                f"packet {packet.sequence} arrived where {expected} was "
-                "expected")
-        out += packet.payload
-        expected += 1
-    return bytes(out)
 
 
 @dataclass(frozen=True)
@@ -357,7 +346,6 @@ def run_stop_and_wait(fragments: list[DataPacket],
                       rng: np.random.Generator,
                       timeline: Timeline,
                       link_for_attempt: LinkForAttempt,
-                      component: str = NODE_RADIO,
                       policy: RetryPolicy | None = None,
                       faults: "NodeFaults | None" = None,
                       on_delivered: Callable[[DataPacket], None] | None = None,
@@ -403,7 +391,7 @@ def run_stop_and_wait(fragments: list[DataPacket],
             if pol.session_deadline_s is not None and \
                     timeline.now_s - started_s >= pol.session_deadline_s:
                 timeline.record(
-                    OTA_FAILURE, component,
+                    OTA_FAILURE, NODE_RADIO,
                     label=f"session deadline {pol.session_deadline_s:g} s "
                           f"exceeded at fragment {fragment.sequence}")
                 return fragment
@@ -411,7 +399,7 @@ def run_stop_and_wait(fragments: list[DataPacket],
             data_airtime = link.airtime_s(fragment.wire_bytes)
             ack_airtime = link.airtime_s(ACK_BYTES)
             timeline.record(
-                PACKET_RX, component,
+                PACKET_RX, NODE_RADIO,
                 label=f"data seq={fragment.sequence} attempt={attempt}",
                 duration_s=data_airtime, power_w=profiles.BACKBONE_RX_W)
             forced_loss = faults is not None and faults.packet_lost(
@@ -419,7 +407,7 @@ def run_stop_and_wait(fragments: list[DataPacket],
             if forced_loss or not link.packet_success(
                     fragment.wire_bytes, uplink=False, rng=rng):
                 timeline.record(
-                    PACKET_TIMEOUT, component,
+                    PACKET_TIMEOUT, NODE_RADIO,
                     label=f"data seq={fragment.sequence} lost",
                     duration_s=pol.delay_s(attempt, jitter_rng),
                     power_w=profiles.BACKBONE_RX_W)
@@ -429,13 +417,13 @@ def run_stop_and_wait(fragments: list[DataPacket],
                 # Delivered but failing the node's CRC: the node stays
                 # silent and the AP's ACK wait expires.
                 timeline.record(
-                    PACKET_TIMEOUT, component,
+                    PACKET_TIMEOUT, NODE_RADIO,
                     label=f"data seq={fragment.sequence} corrupt",
                     duration_s=pol.delay_s(attempt, jitter_rng),
                     power_w=profiles.BACKBONE_RX_W)
                 continue
             timeline.record(
-                PACKET_TX, component,
+                PACKET_TX, NODE_RADIO,
                 label=f"ack seq={fragment.sequence}",
                 duration_s=ack_airtime,
                 power_w=profiles.BACKBONE_TX_14DBM_W)
@@ -444,7 +432,7 @@ def run_stop_and_wait(fragments: list[DataPacket],
             if not ack_forced_loss and link.packet_success(
                     ACK_BYTES, uplink=True, rng=rng):
                 delivered = True
-                timeline.record(PACKET_DELIVERED, component,
+                timeline.record(PACKET_DELIVERED, NODE_RADIO,
                                 label=f"seq={fragment.sequence}")
                 if on_delivered is not None:
                     on_delivered(fragment)
@@ -452,12 +440,12 @@ def run_stop_and_wait(fragments: list[DataPacket],
                     raise BrownoutInterrupt(fragment.sequence + 1)
                 break
             timeline.record(
-                PACKET_TIMEOUT, component,
+                PACKET_TIMEOUT, NODE_RADIO,
                 label=f"ack seq={fragment.sequence} lost",
                 duration_s=pol.delay_s(attempt, jitter_rng),
                 power_w=profiles.BACKBONE_RX_W)
         if not delivered:
-            timeline.record(OTA_FAILURE, component,
+            timeline.record(OTA_FAILURE, NODE_RADIO,
                             label=f"fragment {fragment.sequence} undeliverable")
             return fragment
     return None
@@ -466,8 +454,7 @@ def run_stop_and_wait(fragments: list[DataPacket],
 def transfer_report_from_timeline(timeline: Timeline, since: int,
                                   failed: bool,
                                   messages: list[str],
-                                  timeout_is_rx: bool = True,
-                                  component: str = NODE_RADIO
+                                  timeout_is_rx: bool = True
                                   ) -> TransferReport:
     """Materialize a :class:`TransferReport` from the ledger.
 
@@ -480,18 +467,18 @@ def transfer_report_from_timeline(timeline: Timeline, since: int,
     """
     rx_kinds = {PACKET_RX, PACKET_TIMEOUT} if timeout_is_rx \
         else {PACKET_RX}
-    node_rx = timeline.time_s(kinds=rx_kinds, component=component,
+    node_rx = timeline.time_s(kinds=rx_kinds, component=NODE_RADIO,
                               since=since)
     node_rx = node_rx + timeline.time_s(kinds={CONTROL_RX},
-                                        component=component, since=since)
-    node_tx = timeline.time_s(kinds={PACKET_TX}, component=component,
+                                        component=NODE_RADIO, since=since)
+    node_tx = timeline.time_s(kinds={PACKET_TX}, component=NODE_RADIO,
                               since=since)
     node_tx = node_tx + timeline.time_s(kinds={CONTROL_TX},
-                                        component=component, since=since)
-    packets_sent = timeline.count(kinds={PACKET_RX}, component=component,
+                                        component=NODE_RADIO, since=since)
+    packets_sent = timeline.count(kinds={PACKET_RX}, component=NODE_RADIO,
                                   since=since)
     delivered = timeline.count(kinds={PACKET_DELIVERED},
-                               component=component, since=since)
+                               component=NODE_RADIO, since=since)
     fragments_attempted = delivered + (1 if failed else 0)
     return TransferReport(
         duration_s=timeline.time_s(since=since, advancing_only=True),

@@ -24,8 +24,14 @@ from repro.ota.blocks import (
     reassemble,
     split_and_compress,
     total_compressed_bytes,
+    wire_image,
 )
-from repro.ota.flash import FlashLayout, Mx25R6435F
+from repro.ota.flash import (
+    BOOT_OFFSET,
+    MCU_OFFSET,
+    STAGING_OFFSET,
+    Mx25R6435F,
+)
 from repro.ota.mac import (
     NODE_RADIO,
     OtaLink,
@@ -101,8 +107,7 @@ class UpdateReport:
         return self.boot is not None and self.boot.rolled_back
 
 
-def node_energy_from_timeline(timeline: Timeline, since: int = 0,
-                              component: str = NODE_RADIO) -> float:
+def node_energy_from_timeline(timeline: Timeline, since: int = 0) -> float:
     """Node-side session energy, derived entirely from the ledger.
 
     Combines the radio receive/transmit dwells, the MCU-active time
@@ -113,13 +118,13 @@ def node_energy_from_timeline(timeline: Timeline, since: int = 0,
     replaced.
     """
     rx_time = timeline.time_s(kinds={PACKET_RX, PACKET_TIMEOUT},
-                              component=component, since=since)
+                              component=NODE_RADIO, since=since)
     rx_time = rx_time + timeline.time_s(kinds={CONTROL_RX},
-                                        component=component, since=since)
-    tx_time = timeline.time_s(kinds={PACKET_TX}, component=component,
+                                        component=NODE_RADIO, since=since)
+    tx_time = timeline.time_s(kinds={PACKET_TX}, component=NODE_RADIO,
                               since=since)
     tx_time = tx_time + timeline.time_s(kinds={CONTROL_TX},
-                                        component=component, since=since)
+                                        component=NODE_RADIO, since=since)
     decompress_time = timeline.time_s(kinds={MCU_DECOMPRESS}, since=since)
     flash_energy = timeline.energy_j(kinds={FLASH_BUSY}, since=since)
     rx = rx_time * profiles.BACKBONE_RX_W
@@ -132,11 +137,9 @@ class OtaUpdater:
     """Drives complete update sessions against a node model."""
 
     def __init__(self, flash: Mx25R6435F | None = None,
-                 mcu: Msp432 | None = None,
-                 layout: FlashLayout | None = None) -> None:
+                 mcu: Msp432 | None = None) -> None:
         self.flash = flash or Mx25R6435F()
         self.mcu = mcu or Msp432()
-        self.layout = layout or FlashLayout()
         self.configurator = FpgaConfigurator()
 
     def update(self, image: bytes, link: OtaLink,
@@ -162,13 +165,11 @@ class OtaUpdater:
         since = timeline.checkpoint()
         session_start_s = timeline.now_s
         blocks = split_and_compress(image)
-        wire_image = b"".join(block.header() + block.payload
-                              for block in blocks)
+        wire = wire_image(blocks)
         compressed_bytes = total_compressed_bytes(blocks)
         stats_before = self.flash.stats()
 
-        transfer = simulate_transfer(wire_image, link, rng,
-                                     timeline=timeline)
+        transfer = simulate_transfer(wire, link, rng, timeline=timeline)
         if transfer.failed:
             raise OtaError(
                 f"transfer aborted after {transfer.packets_sent} packets: "
@@ -176,12 +177,11 @@ class OtaUpdater:
 
         # Stage compressed data, then decompress block by block through
         # the SRAM-bounded pipeline and install the boot image.
-        self.flash.write(self.layout.staging_offset, wire_image)
+        self.flash.write(STAGING_OFFSET, wire)
         recovered = reassemble(blocks, sram=self.mcu.sram)
         if recovered != image:
             raise OtaError("decompressed image does not match the original")
-        target = (self.layout.boot_offset if is_fpga_image
-                  else self.layout.mcu_offset)
+        target = BOOT_OFFSET if is_fpga_image else MCU_OFFSET
         self.flash.write(target, recovered)
 
         timeline.record(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.radio.at86rf215 import FREQUENCY_SWITCH_S
 
 ADVERTISING_CHANNELS = (37, 38, 39)
 ADVERTISING_FREQUENCIES_HZ = (2_402_000_000, 2_426_000_000, 2_480_000_000)
@@ -22,8 +23,8 @@ BLE_CHANNEL_SPACING_HZ = 2_000_000
 BLE_DATA_LOW_BASE_HZ = 2_404_000_000
 BLE_DATA_HIGH_BASE_HZ = 2_428_000_000
 
-TINYSDR_HOP_DELAY_S = 220e-6
-"""Frequency switch delay measured on tinySDR (paper Table 4 / Fig. 13)."""
+TINYSDR_HOP_DELAY_S = FREQUENCY_SWITCH_S
+"""tinySDR's hop gap is the radio's frequency switch (Table 4 / Fig. 13)."""
 
 IPHONE8_HOP_DELAY_S = 350e-6
 """The corresponding gap measured from an iPhone 8 (paper section 5.2)."""

@@ -490,21 +490,3 @@ class LoRaCodec:
             nibbles.append(nibble)
             errors += int(err)
         return nibbles, errors
-
-    # -- sizing ------------------------------------------------------------
-
-    def symbol_count(self, payload_bytes: int) -> int:
-        """Number of payload-section symbols a payload will occupy."""
-        if payload_bytes < 0 or payload_bytes > MAX_PAYLOAD_BYTES:
-            raise CodingError(f"invalid payload length {payload_bytes}")
-        total_nibbles = 2 * (payload_bytes + (2 if self.crc else 0))
-        count = 0
-        if self.params.explicit_header:
-            header_ppm = self.params.spreading_factor - 2
-            absorbed = header_ppm - HEADER_NIBBLES
-            total_nibbles = max(0, total_nibbles - absorbed)
-            count += HEADER_CR_DENOMINATOR
-        ppm = self.params.payload_bits_per_symbol
-        blocks = -(-total_nibbles // ppm) if total_nibbles else 0
-        count += blocks * self.params.coding_rate_denominator
-        return count

@@ -13,6 +13,9 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, PowerError
+# The module, not its constant: repro.fpga.config imports repro.power,
+# so the quad-SPI clock is read when a state is entered, not at import.
+from repro.fpga import config as fpga_config
 from repro.fpga.resources import (
     ble_tx_design,
     concurrent_rx_design,
@@ -21,8 +24,6 @@ from repro.fpga.resources import (
 )
 from repro.power import profiles
 from repro.power.domains import PowerDomain, build_domains
-
-FPGA_BOOT_CLOCK_HZ = 62e6  # datasheet: Lattice ECP5 sysCONFIG master clock
 
 
 class PlatformState(enum.Enum):
@@ -124,7 +125,7 @@ class PowerManagementUnit:
                      if state == PlatformState.IQ_TX
                      else profiles.FPGA_RX_CLOCK_HZ)
             if state == PlatformState.FPGA_BOOT:
-                clock = FPGA_BOOT_CLOCK_HZ
+                clock = fpga_config.QUAD_SPI_CLOCK_HZ
             fpga_w = profiles.fpga_power_w(fpga_luts, clock)
             self._power_domain("V2", {"fpga_core": fpga_w})
             self._power_domain(

@@ -1,11 +1,19 @@
-"""Per-component power profiles.
+"""Per-component power profiles: the one table of chip draws.
 
-Every number the PMU sums comes from here.  Datasheet figures are used
-where the paper quotes them; the two free parameters (FPGA dynamic power
-coefficient and board leakage) are calibrated once against the paper's
-measured totals - 30 uW sleep, 231/283 mW single-tone TX at 0/14 dBm
-(Fig. 9), 186 mW LoRa RX with 59 mW in the radio, 207 mW concurrent RX -
-and then reused unchanged by every benchmark.
+Every chip draw a model charges is defined here once.  The chip ledgers
+(:mod:`repro.radio.at86rf215`, :mod:`repro.mcu.msp432`,
+:mod:`repro.ota.flash`), the OTA engines and the PMU all read it, so
+this module imports nothing from the models and stays an import leaf.
+Two chip-local draws still disagree with it: the MSP432 ledger's
+14.5 mW active draw (:data:`MCU_ACTIVE_W` is 7.2 mW) and
+:func:`repro.radio.at86rf215.tx_power_draw_w` (against
+:func:`iq_radio_tx_w`); reconciling either moves the pinned ledgers.
+Datasheet figures are used where the paper quotes them; the two free
+parameters (FPGA dynamic power coefficient and board leakage) are
+calibrated once against the paper's measured totals - 30 uW sleep,
+231/283 mW single-tone TX at 0/14 dBm (Fig. 9), 186 mW LoRa RX with
+59 mW in the radio, 207 mW concurrent RX - and then reused unchanged by
+every benchmark.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ MCU_ACTIVE_W = 7.2e-3  # datasheet: MSP432P401R, ~4 mA active at 1.8 V
 
 MCU_LPM3_W = 2.55e-6  # datasheet: MSP432P401R, LPM3 0.85 uA at 3 V
 """0.85 uA at 3 V: RTC + wakeup timer only."""
+
+MCU_LPM45_W = 0.025e-6 * 3.0  # datasheet: MSP432P401R, LPM4.5 25 nA at 3 V
 
 # --- I/Q radio (AT86RF215) ---------------------------------------------------
 
@@ -34,6 +44,9 @@ IQ_RADIO_TX_SLOPE_W_PER_RF_W = 2.37  # paper: Fig. 9 (+14 dBm calibration)
 costs 179 mW, the radio share the paper reports for LoRa TX."""
 
 IQ_RADIO_SLEEP_W = 30e-9  # datasheet: AT86RF215, DEEP_SLEEP current
+"""Deep-sleep draw of the radio chip itself (sub-microamp)."""
+
+IQ_RADIO_TRXOFF_W = 0.0003  # datasheet: AT86RF215, TRXOFF supply current
 
 
 def iq_radio_tx_w(output_power_dbm: float) -> float:
@@ -50,10 +63,9 @@ def iq_radio_tx_w(output_power_dbm: float) -> float:
 
 # --- Backbone radio (SX1276) -------------------------------------------------
 
-# datasheet: SX1276 supply-current table (RX, +14 dBm TX, sleep).
-BACKBONE_RX_W = 0.0396
-BACKBONE_TX_14DBM_W = 0.120
-BACKBONE_SLEEP_W = 0.66e-6
+BACKBONE_RX_W = 0.0396  # datasheet: SX1276, ~12 mA RX at 3.3 V
+BACKBONE_TX_14DBM_W = 0.120  # datasheet: SX1276, +14 dBm TX supply current
+BACKBONE_SLEEP_W = 0.66e-6  # datasheet: SX1276, 0.2 uA sleep at 3.3 V
 
 # --- FPGA (LFE5U-25F) ---------------------------------------------------------
 
@@ -87,7 +99,8 @@ FPGA_RX_CLOCK_HZ = 32e6  # paper: LoRa RX total (calibrated toggle rate)
 
 # --- Memories -----------------------------------------------------------------
 
-FLASH_ACTIVE_W = 0.015  # datasheet: serial NOR flash, active read/program
+FLASH_ACTIVE_W = 0.015  # datasheet: serial NOR flash, active read
+FLASH_PROGRAM_W = 0.030  # datasheet: serial NOR flash, program/erase
 FLASH_STANDBY_W = 0.2e-6 * 1.8  # datasheet: serial NOR flash, standby
 MICROSD_ACTIVE_W = 0.060  # spec: typical microSD active draw
 

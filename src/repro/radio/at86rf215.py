@@ -14,7 +14,14 @@ The model covers what the rest of the system observes:
 * the RX chain - AGC gain, anti-alias filtering and 13-bit quantization
   of the incoming complex baseband;
 * the TX chain - 13-bit DAC quantization and output power limiting;
-* per-state power draw for the energy accounting.
+* per-state power draw for the energy accounting: the sleep, TRXOFF and
+  receive draws come from :mod:`repro.power.profiles`, while
+  :func:`tx_power_draw_w` is the ledger's own TX curve (it disagrees
+  with :func:`repro.power.profiles.iq_radio_tx_w`).
+
+This module is the one home of the chip's Table 2 and Table 4 numbers:
+the I/Q word format, the BLE hop gap and the platform wake-up all read
+them from here.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import numpy as np
 from repro.dsp.filters import design_lowpass, filter_block
 from repro.dsp.fixedpoint import quantize_complex
 from repro.errors import ConfigurationError, RadioError
+from repro.power import profiles
 from repro.sim import RADIO_MODE, Timeline
 
 SAMPLE_RATE_HZ = 4_000_000  # paper: Table 2 (4 MHz baseband sampling)
@@ -34,14 +42,6 @@ DAC_BITS = 13  # paper: Table 2 (13-bit TX DAC)
 
 MIN_TX_POWER_DBM = -14.0  # datasheet: AT86RF215, TXPWR field range
 MAX_TX_POWER_DBM = 14.0  # paper: Table 2 (14 dBm programmable PA)
-
-RX_POWER_W = 0.050  # paper: Table 2 (50 mW receive power)
-"""Receive-mode power draw (paper Table 2: 50 mW)."""
-
-SLEEP_POWER_W = 30e-9  # datasheet: AT86RF215, DEEP_SLEEP current
-"""Deep-sleep draw of the radio chip itself (sub-microamp)."""
-
-TRXOFF_POWER_W = 0.0003  # datasheet: AT86RF215, TRXOFF supply current
 
 NOISE_FIGURE_DB = 4.0  # paper: section 3.1.1 (3-5 dB noise figure)
 """Paper: 'the RF front-end has a 3-5 dB noise figure'."""
@@ -240,13 +240,11 @@ class At86Rf215:
     def state_power_w(self, state: RadioState) -> float:
         """DC power draw in a given state."""
         if state == RadioState.SLEEP:
-            return SLEEP_POWER_W
-        if state == RadioState.TRXOFF:
-            return TRXOFF_POWER_W
-        if state == RadioState.TXPREP:
-            return TRXOFF_POWER_W
+            return profiles.IQ_RADIO_SLEEP_W
+        if state in (RadioState.TRXOFF, RadioState.TXPREP):
+            return profiles.IQ_RADIO_TRXOFF_W
         if state == RadioState.RX:
-            return RX_POWER_W
+            return profiles.IQ_RADIO_RX_W
         return tx_power_draw_w(self.tx_power_dbm)
 
     def energy_consumed_j(self) -> float:

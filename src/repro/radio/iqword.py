@@ -25,15 +25,18 @@ import numpy as np
 
 from repro.dsp.fixedpoint import from_codes, to_codes
 from repro.errors import FramingError
+from repro.radio.at86rf215 import ADC_BITS, SAMPLE_RATE_HZ
 
 WORD_BITS = 32  # paper: Fig. 4 (32-bit LVDS I/Q word)
-SAMPLE_BITS = 13  # paper: Fig. 4 (13-bit I and Q fields)
+SAMPLE_BITS = ADC_BITS
+"""The I and Q fields carry the converters' 13-bit codes (Fig. 4)."""
+
 I_SYNC = 0b10  # datasheet: AT86RF215, I/Q IF sync pattern
 Q_SYNC = 0b01  # datasheet: AT86RF215, I/Q IF sync pattern
 SYNC_BITS = 2  # paper: Fig. 4 (2-bit sync prefix per field)
 
-WORD_RATE_HZ = 4_000_000  # paper: section 3.1.1 (4 Mwords/s)
-"""The radio outputs 32-bit words at 4 Mwords/s."""
+WORD_RATE_HZ = SAMPLE_RATE_HZ
+"""One 32-bit word per baseband sample: 4 Mwords/s (section 3.1.1)."""
 
 BIT_RATE_BPS = WORD_BITS * WORD_RATE_HZ
 """128 Mbps serial rate, carried by a 64 MHz DDR clock."""

@@ -1,4 +1,4 @@
-"""SX1276 LoRa transceiver model - the backbone radio and reference chip.
+"""SX1276 LoRa link budget - the backbone radio and reference chip.
 
 The SX1276 plays two roles in the paper: it is the comparison baseline for
 the LoRa modulator/demodulator case study (Figs. 10-11, "we achieve a
@@ -6,44 +6,35 @@ comparable sensitivity ... which is similar to an SX1276 LoRa chip with
 the same configuration"), and it is tinySDR's OTA backbone radio
 (section 3.1.2, chosen at $4.50 for its range and rate flexibility).
 
-The model is a *packet-level* transceiver: it modulates/demodulates ideal
-(unquantized) chirps through the same PHY pipeline the tinySDR model uses,
-and exposes the datasheet sensitivity table so the OTA link simulator can
-compute packet error rates without running sample-level DSP for every one
-of the thousands of OTA packets.
+This module holds the chip's datasheet sensitivity table and the
+analytic packet error rate built on it, so the OTA link simulator can
+compute packet outcomes without running sample-level DSP for every one
+of the thousands of OTA packets.  The ideal-chirp reference transmitter
+is :class:`repro.phy.lora.LoRaModulator` with ``quantized=False`` (a
+hardwired ASIC has no NCO LUTs), and the chip's supply draws live in
+:mod:`repro.power.profiles`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.phy.lora.demodulator import LoRaDemodulator
-from repro.phy.lora.modulator import LoRaModulator
 from repro.phy.lora.params import LoRaParams
 from repro.units import noise_floor_dbm
 
 NOISE_FIGURE_DB = 6.0  # datasheet: SX1276, implied by sensitivity table
 """Effective SX1276 receiver noise figure implied by its sensitivity table."""
 
-MAX_TX_POWER_DBM = 14.0  # datasheet: SX1276, RFO pin output range
-MIN_TX_POWER_DBM = -4.0  # datasheet: SX1276, RFO pin output range
-
-RX_POWER_W = 0.0396  # datasheet: SX1276, ~12 mA RX at 3.3 V
-"""RX supply current ~12 mA at 3.3 V."""
-
-SLEEP_POWER_W = 0.2e-6 * 3.3  # datasheet: SX1276, 0.2 uA sleep current
-
-UNIT_COST_USD = 4.5  # paper: section 3.1.2 ($4.50 backbone radio)
-
 # Demodulation SNR thresholds per spreading factor (datasheet: SX1276,
 # table "LoRa modem sensitivity"): the SNR at which PER hits ~1 %.
 SNR_THRESHOLD_DB = {  # datasheet: SX1276, LoRa modem sensitivity table
     6: -5.0, 7: -7.5, 8: -10.0, 9: -12.5, 10: -15.0, 11: -17.5, 12: -20.0,
 }
+
+SER_UNDERFLOW_EXPONENT = -700.0  # spec: IEEE 754 binary64 exp() range
+"""Below this exponent ``exp`` underflows toward a denormal; the union
+bound is then zero.  The fleet engine's vectorized twin cuts here too."""
 
 
 def sensitivity_dbm(params: LoRaParams) -> float:
@@ -96,55 +87,6 @@ def symbol_error_probability(spreading_factor: int, snr_db: float) -> float:
     n = 2 ** spreading_factor
     snr = 10.0 ** (snr_db / 10.0)
     exponent = -n * snr / 2.0
-    if exponent < -700.0:
+    if exponent < SER_UNDERFLOW_EXPONENT:
         return 0.0
     return min(1.0, (n - 1) / 2.0 * math.exp(exponent))
-
-
-@dataclass
-class Sx1276:
-    """Packet/sample-level SX1276 model for one LoRa configuration.
-
-    Attributes:
-        params: LoRa PHY configuration (SF, BW, CR).
-        tx_power_dbm: programmed transmit power.
-    """
-
-    params: LoRaParams
-    tx_power_dbm: float = 14.0
-
-    def __post_init__(self) -> None:
-        if not MIN_TX_POWER_DBM <= self.tx_power_dbm <= MAX_TX_POWER_DBM:
-            raise ConfigurationError(
-                f"SX1276 TX power must be {MIN_TX_POWER_DBM}.."
-                f"{MAX_TX_POWER_DBM} dBm, got {self.tx_power_dbm!r}")
-        # Ideal (unquantized) chirps: a hardwired ASIC has no NCO LUTs.
-        self._modulator = LoRaModulator(self.params, quantized=False)
-        self._demodulator = LoRaDemodulator(self.params)
-
-    @property
-    def sensitivity_dbm(self) -> float:
-        """Datasheet sensitivity for the configured SF/BW."""
-        return sensitivity_dbm(self.params)
-
-    def modulate(self, payload: bytes,
-                 preamble_symbols: int = 8) -> np.ndarray:
-        """Generate a unit-power packet waveform."""
-        return self._modulator.modulate(payload, preamble_symbols)
-
-    def demodulate(self, samples: np.ndarray):
-        """Receive the first packet in a stream (sample-level)."""
-        return self._demodulator.receive(samples)
-
-    def packet_error_probability(self, rssi_dbm: float,
-                                 payload_bytes: int,
-                                 preamble_symbols: int = 8) -> float:
-        """Analytic link-level PER at a given RSSI."""
-        return packet_error_probability(self.params, rssi_dbm,
-                                        payload_bytes, preamble_symbols)
-
-    def tx_power_draw_w(self) -> float:
-        """DC draw while transmitting (datasheet current at 3.3 V)."""
-        # 20 mA floor plus PA current rising to ~120 mA at +14 dBm (PA_BOOST).
-        rf_watts = 10.0 ** (self.tx_power_dbm / 10.0) / 1e3
-        return 3.3 * (0.020 + rf_watts / 0.22 / 3.3)

@@ -11,6 +11,7 @@ CDF shows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,27 @@ AP_TX_POWER_DBM = 14.0
 NODE_TX_POWER_DBM = 14.0
 AP_ANTENNA_GAIN_DBI = 6.0
 """The paper's AP uses a patch antenna."""
+
+KEEP_OUT_M = 30.0
+"""Keep-out radius around the AP: no node sits on the AP's roof."""
+
+CAMPUS_RADIUS_M = 1050.0
+"""Default deployment disk radius: the tail reaches the kilometer scale
+where SF8/BW500 links get marginal."""
+
+
+def check_max_radius(max_radius_m: float) -> None:
+    """Refuse a deployment radius outside ``(KEEP_OUT_M, inf)``.
+
+    The chained comparison is false for NaN, so NaN is refused too.
+
+    Raises:
+        ConfigurationError: naming ``max_radius_m`` and the value.
+    """
+    if not KEEP_OUT_M < max_radius_m < math.inf:
+        raise ConfigurationError(
+            f"max_radius_m must exceed the {KEEP_OUT_M:g} m keep-out and "
+            f"be finite, got {max_radius_m!r}")
 
 
 @dataclass(frozen=True)
@@ -83,28 +105,26 @@ class Deployment:
 
 def campus_deployment(num_nodes: int = TESTBED_SIZE, seed: int = 2020,
                       frequency_hz: float = FREQUENCY_HZ,
-                      max_radius_m: float = 1050.0,
+                      max_radius_m: float = CAMPUS_RADIUS_M,
                       exponent: float = PATHLOSS_EXPONENT,
-                      shadowing_sigma_db: float = SHADOWING_SIGMA_DB,
-                      rng: np.random.Generator | None = None) -> Deployment:
+                      shadowing_sigma_db: float = SHADOWING_SIGMA_DB
+                      ) -> Deployment:
     """Generate a campus-scale deployment around an AP at the origin.
 
     Node distances follow a square-root-uniform radial draw (uniform
-    density over the disk) with a 30 m keep-out so no node sits on the
-    AP's roof.
+    density over the disk) outside the :data:`KEEP_OUT_M` keep-out.
 
     Raises:
-        ConfigurationError: for non-positive node counts or radii.
+        ConfigurationError: for non-positive node counts, or a radius
+            that is not finite or does not exceed the keep-out.
     """
     if num_nodes <= 0:
         raise ConfigurationError(
             f"need at least one node, got {num_nodes}")
-    if max_radius_m <= 30.0:
-        raise ConfigurationError(
-            f"radius must exceed the 30 m keep-out, got {max_radius_m!r}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    radii = 30.0 + (max_radius_m - 30.0) * np.sqrt(rng.random(num_nodes))
+    check_max_radius(max_radius_m)
+    rng = np.random.default_rng(seed)
+    radii = KEEP_OUT_M + (max_radius_m - KEEP_OUT_M) \
+        * np.sqrt(rng.random(num_nodes))
     angles = rng.random(num_nodes) * 2.0 * np.pi
     nodes = tuple(
         NodePlacement(node_id=i,

@@ -181,38 +181,3 @@ def lora_airtime_s(payload_bytes: int, spreading_factor: int,
         math.ceil(numerator / denominator) * coding_rate_denominator, 0)
     preamble_time = (preamble_symbols + 4.25) * t_sym
     return preamble_time + payload_symbols * t_sym
-
-
-def duty_cycled_power_w(active_power_w: float, sleep_power_w: float,
-                        active_time_s: float, period_s: float) -> float:
-    """Average power of a duty-cycled device.
-
-    The heart of the paper's argument: with a 30 uW sleep floor, average
-    power collapses with the duty cycle, whereas a platform whose sleep
-    power exceeds tinySDR's *transmit* power gains nothing.
-
-    Raises:
-        ValueError: if the active time exceeds the period or is negative.
-    """
-    if period_s <= 0.0:
-        raise ValueError(f"period must be positive, got {period_s!r}")
-    if not 0.0 <= active_time_s <= period_s:
-        raise ValueError(
-            f"active time {active_time_s!r} must lie within period {period_s!r}")
-    duty = active_time_s / period_s
-    return active_power_w * duty + sleep_power_w * (1.0 - duty)
-
-
-def battery_lifetime_s(capacity_mah: float, voltage_v: float,
-                       average_power_w: float) -> float:
-    """Ideal battery lifetime in seconds for a given average power draw.
-
-    Raises:
-        ValueError: for non-positive capacity, voltage or power.
-    """
-    if capacity_mah <= 0.0 or voltage_v <= 0.0:
-        raise ValueError("battery capacity and voltage must be positive")
-    if average_power_w <= 0.0:
-        raise ValueError(f"average power must be positive, got {average_power_w!r}")
-    energy_j = capacity_mah * 1e-3 * 3600.0 * voltage_v
-    return energy_j / average_power_w

@@ -26,6 +26,7 @@ from repro.fpga import (
     generate_bitstream,
 )
 from repro.ota import OtaLink, OtaUpdater, compress, decompress
+from repro.ota.flash import BOOT_OFFSET
 from repro.phy.lora import LoRaDemodulator, LoRaModulator, LoRaParams
 
 PARAMS = LoRaParams(8, 125e3)
@@ -105,13 +106,13 @@ class TestOtaFailures:
         updater = OtaUpdater()
         updater.update(image, OtaLink(downlink_rssi_dbm=-90.0), rng)
         # A cosmic ray flips one flash bit under the installed image.
-        address = updater.layout.boot_offset + 12345
+        address = BOOT_OFFSET + 12345
         byte = updater.flash.read(address, 1)[0]
         updater.flash.erase_range(address & ~0xFFF, 4096)
         restored = bytearray(image[12288 - 57:])  # arbitrary valid refill
         updater.flash.program(address & ~0xFFF,
                               bytes(4096))  # corrupt the whole sector
-        stored = updater.flash.read(updater.layout.boot_offset, len(image))
+        stored = updater.flash.read(BOOT_OFFSET, len(image))
         assert bitstream_fingerprint(stored) != bitstream_fingerprint(image)
 
     def test_corrupt_compressed_stream_never_passes_silently(self):
@@ -137,14 +138,13 @@ class TestOtaFailures:
         updater = OtaUpdater()
         updater.update(good, OtaLink(downlink_rssi_dbm=-90.0), rng)
         fingerprint = bitstream_fingerprint(
-            updater.flash.read(updater.layout.boot_offset, len(good)))
+            updater.flash.read(BOOT_OFFSET, len(good)))
         bad_link = OtaLink(downlink_rssi_dbm=-140.0, fading_sigma_db=0.0)
         with pytest.raises(OtaError):
             updater.update(generate_bitstream(0.1, seed=62), bad_link, rng)
         # The failed session never reached the boot region.
         assert bitstream_fingerprint(
-            updater.flash.read(updater.layout.boot_offset,
-                               len(good))) == fingerprint
+            updater.flash.read(BOOT_OFFSET, len(good))) == fingerprint
 
 
 class TestCryptoFailures:

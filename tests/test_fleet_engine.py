@@ -32,7 +32,17 @@ from repro.ota.fleet import (
     write_fleet_spill,
 )
 from repro.ota.fleet.engine import _simulate_range, _simulate_range_reference
-from repro.ota.mac import DEFAULT_OTA_PARAMS
+from repro.ota.hardened import IMAGE_ID
+from repro.ota.mac import (
+    ACK_BYTES,
+    DATA_PAYLOAD_BYTES,
+    DEFAULT_OTA_PARAMS,
+    DataPacket,
+    EndOfUpdate,
+    OtaLink,
+    ProgrammingRequest,
+    ReadyMessage,
+)
 from repro.radio.sx1276 import packet_error_probability
 from repro.sim import TimelineRollup, read_jsonl_records
 from repro.sim.stream import DEFAULT_BUFFER_ROWS
@@ -161,6 +171,25 @@ def test_vectorized_per_matches_scalar_model():
     for dbm, per in zip(rssi, vector):
         assert float(per) == pytest.approx(
             packet_error_probability(params, float(dbm), 68), rel=1e-12)
+
+
+def test_link_plan_airtimes_match_the_per_node_messages():
+    # 1,830 B leaves a 30 B tail fragment.  Every fleet airtime is the
+    # per-node engine's airtime of the same message.
+    config = FleetCampaignConfig(num_nodes=2, image_bytes=1830, seed=1)
+    assert config.tail_payload_bytes < DATA_PAYLOAD_BYTES
+    plan = prepare_links(config)
+    airtime_s = OtaLink().airtime_s
+    full = DataPacket(0, bytes(DATA_PAYLOAD_BYTES))
+    tail = DataPacket(1, bytes(config.tail_payload_bytes))
+    request = ProgrammingRequest((0,), (0.0,), image_id=IMAGE_ID)
+    end = EndOfUpdate(config.num_fragments, image_crc=0)
+    assert plan.air_data_full_s == airtime_s(full.wire_bytes)
+    assert plan.air_data_tail_s == airtime_s(tail.wire_bytes)
+    assert plan.air_request_s == airtime_s(request.wire_bytes)
+    assert plan.air_ready_s == airtime_s(ReadyMessage(0).wire_bytes)
+    assert plan.air_end_s == airtime_s(end.wire_bytes)
+    assert plan.air_ack_s == airtime_s(ACK_BYTES)
 
 
 def test_mcu_image_skips_fpga_configuration():

@@ -14,6 +14,7 @@ from repro import LoRaParams, TinySdr
 from repro.channel import LinkBudget, ReceivedSignal, receive
 from repro.core.firmware import get_firmware
 from repro.fpga import SampleFifo
+from repro.ota.flash import BOOT_OFFSET
 from repro.ota.mac import OtaLink
 from repro.phy.lora import LoRaDemodulator, LoRaModulator
 from repro.power import LIPO_1000MAH, duty_cycle_profile
@@ -147,9 +148,8 @@ class TestOtaEndToEnd:
         report = node.take_ota_update(
             "ble_beacon", OtaLink(downlink_rssi_dbm=-95.0), rng)
         assert report.transfer.packets_delivered > 0
-        installed = node.flash.read(node.layout.boot_offset,
-                                    len(get_firmware("ble_beacon")
-                                        .fpga_bitstream))
+        installed = node.flash.read(
+            BOOT_OFFSET, len(get_firmware("ble_beacon").fpga_bitstream))
         assert installed == get_firmware("ble_beacon").fpga_bitstream
 
         records = node.transmit_ble_beacons(AdvPacket(bytes(6), b"updated"))

@@ -6,7 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import CodingError
-from repro.phy.lora.codec import LoRaCodec, crc16_ccitt
+from repro.phy.lora.codec import (
+    HEADER_CR_DENOMINATOR,
+    LoRaCodec,
+    crc16_ccitt,
+)
 from repro.phy.lora.params import LoRaParams
 
 
@@ -102,10 +106,12 @@ class TestCodecStructure:
         assert all(int(s) % 4 == 0 for s in header_block)
 
     def test_symbol_count_prediction(self):
+        # The count the streaming receiver runs: header block + payload.
         for length in (0, 1, 5, 20, 100):
             for sf in (7, 9, 12):
                 codec = LoRaCodec(LoRaParams(sf, 125e3))
-                predicted = codec.symbol_count(length)
+                predicted = (HEADER_CR_DENOMINATOR
+                             + codec.payload_section_symbols(length))
                 actual = len(codec.encode(bytes(length)))
                 assert predicted == actual, (length, sf)
 

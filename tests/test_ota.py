@@ -16,7 +16,6 @@ from repro.ota import (
     BLOCK_BYTES,
     DataPacket,
     EndOfUpdate,
-    FlashLayout,
     Mx25R6435F,
     OtaLink,
     OtaUpdater,
@@ -26,11 +25,10 @@ from repro.ota import (
     decompress,
     fragment_image,
     reassemble,
-    reassemble_image,
     simulate_transfer,
     split_and_compress,
 )
-from repro.ota.flash import SECTOR_BYTES
+from repro.ota.flash import BOOT_OFFSET, SECTOR_BYTES
 from repro.phy.lora import LoRaParams
 
 
@@ -182,29 +180,18 @@ class TestFlash:
         assert stats.busy_time_s > 0
         assert stats.energy_j > 0
 
-    def test_layout_slots(self):
-        layout = FlashLayout()
-        assert layout.slot_address(layout.boot_offset, 0) == \
-            layout.boot_offset
-        assert layout.slot_address(layout.boot_offset, 2) == \
-            layout.boot_offset + 2 * layout.slot_bytes
-
 
 class TestOtaMac:
     def test_fragmentation_roundtrip(self, rng):
         image = rng.integers(0, 256, 5000, dtype=np.uint8).tobytes()
         packets = fragment_image(image)
         assert all(len(p.payload) <= 60 for p in packets)
-        assert reassemble_image(packets) == image
+        assert [p.sequence for p in packets] == list(range(len(packets)))
+        assert b"".join(p.payload for p in packets) == image
 
     def test_fragment_rejects_empty(self):
         with pytest.raises(ProtocolError):
             fragment_image(b"")
-
-    def test_reassemble_detects_gap(self):
-        packets = fragment_image(bytes(300))
-        with pytest.raises(ProtocolError):
-            reassemble_image([packets[0], packets[2]])
 
     def test_data_packet_crc_changes_with_payload(self):
         a = DataPacket(0, b"aaa")
@@ -265,8 +252,7 @@ class TestUpdater:
         assert report.reconfigure_time_s == pytest.approx(22e-3, rel=0.1)
         assert updater.configurator.configured
         # The installed image is byte-identical.
-        installed = updater.flash.read(updater.layout.boot_offset,
-                                       len(image))
+        installed = updater.flash.read(BOOT_OFFSET, len(image))
         assert installed == image
 
     def test_mcu_update_skips_reconfigure(self, rng):

@@ -31,6 +31,8 @@ from repro.ota import (
     RetryPolicy,
     parse_wire_image,
     split_and_compress,
+    total_compressed_bytes,
+    wire_image,
 )
 from repro.ota.ap import GOLDEN_IMAGE, GOLDEN_IMAGE_ID
 from repro.ota.bank import GOLDEN_OFFSET, MAX_IMAGE_BYTES, bank_offset
@@ -191,14 +193,14 @@ class TestFirmwareBanks:
 class TestParseWireImage:
     def test_roundtrips_the_block_container(self):
         blocks = split_and_compress(IMAGE, 1024)
-        wire = b"".join(b.header() + b.payload for b in blocks)
-        parsed = parse_wire_image(wire)
-        assert [(b.index, b.raw_size, b.payload) for b in parsed] \
-            == [(b.index, b.raw_size, b.payload) for b in blocks]
+        wire = wire_image(blocks)
+        assert parse_wire_image(wire) == blocks
+        # The byte count the reports quote is the image the session sends.
+        assert len(wire) == total_compressed_bytes(blocks)
 
     def test_truncated_streams_raise_typed_errors(self):
         blocks = split_and_compress(IMAGE, 1024)
-        wire = b"".join(b.header() + b.payload for b in blocks)
+        wire = wire_image(blocks)
         with pytest.raises(CompressionError):
             parse_wire_image(wire[:4])  # inside a header
         with pytest.raises(CompressionError):

@@ -1,5 +1,7 @@
 """Tests for the platform catalogs, BOM cost model and testbed campaigns."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,14 @@ class TestDeployment:
     def test_rejects_zero_nodes(self):
         with pytest.raises(ConfigurationError):
             campus_deployment(num_nodes=0)
+
+    @pytest.mark.parametrize("radius_m", [math.nan, math.inf, 30.0, 10.0],
+                             ids=["nan", "inf", "keep-out", "inside"])
+    def test_rejects_a_radius_outside_keep_out_to_infinity(self, radius_m):
+        # A NaN or infinite radius used to place every node at NaN or
+        # infinite coordinates and abandon them all without an error.
+        with pytest.raises(ConfigurationError, match="max_radius_m"):
+            campus_deployment(max_radius_m=radius_m)
 
 
 class TestCampaign:

@@ -1,11 +1,12 @@
 """Tests for the radio substrate: I/Q words, LVDS, AT86RF215, front-ends,
-SX1276."""
+the SX1276 link budget."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, FramingError, PowerError, RadioError
 from repro.phy.lora import LoRaParams
+from repro.power.profiles import IQ_RADIO_SLEEP_W
 from repro.radio import (
     At86Rf215,
     FrontendMode,
@@ -15,15 +16,14 @@ from repro.radio import (
     RadioState,
     RfFrontend,
     SE2435L,
-    SLEEP_POWER_W,
     SKY66112,
-    Sx1276,
     bits_to_words,
     ddr_merge,
     ddr_split,
     find_word_alignment,
     inject_bit_errors,
     pack_word,
+    packet_error_probability,
     samples_to_words,
     sensitivity_dbm,
     symbol_error_probability,
@@ -213,7 +213,7 @@ class TestAt86Rf215:
         assert energy == radio.timeline.energy_j()
         assert energy == pytest.approx(
             tx_power_draw_w(-10.0) * 1e-3 + tx_power_draw_w(14.0) * 1e-3
-            + SLEEP_POWER_W * RADIO_SETUP_S, rel=1e-12)
+            + IQ_RADIO_SLEEP_W * RADIO_SETUP_S, rel=1e-12)
 
 
 class TestFrontends:
@@ -276,14 +276,6 @@ class TestSx1276:
         assert sers == sorted(sers, reverse=True)
 
     def test_per_waterfall(self):
-        sx = Sx1276(LoRaParams(8, 125e3))
-        assert sx.packet_error_probability(-115.0, 30) < 0.01
-        assert sx.packet_error_probability(-132.0, 30) > 0.99
-
-    def test_tx_power_validation(self):
-        with pytest.raises(ConfigurationError):
-            Sx1276(LoRaParams(8, 125e3), tx_power_dbm=20.0)
-
-    def test_tx_power_draw_positive(self):
-        sx = Sx1276(LoRaParams(8, 125e3))
-        assert 0.05 < sx.tx_power_draw_w() < 0.5
+        params = LoRaParams(8, 125e3)
+        assert packet_error_probability(params, -115.0, 30) < 0.01
+        assert packet_error_probability(params, -132.0, 30) > 0.99

@@ -11,9 +11,8 @@ from repro.core.sweeps import (
     lora_symbol_error_rate,
 )
 from repro.phy.ble.gfsk import GfskConfig
-from repro.phy.lora import LoRaParams
+from repro.phy.lora import LoRaModulator, LoRaParams
 from repro.radio.sx1276 import (
-    Sx1276,
     packet_error_probability,
     symbol_error_probability,
 )
@@ -118,6 +117,6 @@ class TestSx1276Analytic:
             packet_error_probability(params, rssi, 10)
 
     def test_sx1276_sample_level_modulator_is_ideal(self):
-        sx = Sx1276(LoRaParams(8, 125e3))
-        waveform = sx.modulate(b"ideal chirps")
+        sx1276_tx = LoRaModulator(LoRaParams(8, 125e3), quantized=False)
+        waveform = sx1276_tx.modulate(b"ideal chirps")
         assert np.allclose(np.abs(waveform), 1.0)

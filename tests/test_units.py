@@ -1,10 +1,17 @@
-"""Tests for repro.units: dB math, noise floors, LoRa airtime."""
+"""Tests for repro.units: dB math, noise floors, LoRa airtime.
+
+The duty-cycle and battery-lifetime cases run on the one implementation
+of each, :func:`repro.power.duty_cycle_profile` and
+:class:`repro.power.Battery`.
+"""
 
 import math
 
 import pytest
 
 from repro import units
+from repro.errors import ConfigurationError
+from repro.power import Battery, duty_cycle_profile
 
 
 class TestDbConversions:
@@ -145,38 +152,43 @@ class TestLoRaAirtime:
 
 class TestDutyCycle:
     def test_full_duty_equals_active_power(self):
-        avg = units.duty_cycled_power_w(0.2, 30e-6, 1.0, 1.0)
-        assert avg == pytest.approx(0.2)
+        meter = duty_cycle_profile(active_power_w=0.2, active_time_s=1.0,
+                                   sleep_power_w=30e-6, period_s=1.0)
+        assert meter.average_power_w == pytest.approx(0.2)
 
     def test_zero_duty_equals_sleep_power(self):
-        avg = units.duty_cycled_power_w(0.2, 30e-6, 0.0, 1.0)
-        assert avg == pytest.approx(30e-6)
+        meter = duty_cycle_profile(active_power_w=0.2, active_time_s=0.0,
+                                   sleep_power_w=30e-6, period_s=1.0)
+        assert meter.average_power_w == pytest.approx(30e-6)
 
     def test_tinysdr_sleep_dominates_at_low_duty(self):
         # 100 ms of 283 mW TX per hour: sleep power matters.
-        avg = units.duty_cycled_power_w(0.283, 30e-6, 0.1, 3600.0)
-        assert avg < 110e-6
+        meter = duty_cycle_profile(active_power_w=0.283, active_time_s=0.1,
+                                   sleep_power_w=30e-6, period_s=3600.0)
+        assert meter.average_power_w < 110e-6
 
     def test_high_sleep_power_platform_gains_nothing(self):
         # bladeRF-class sleep (717 mW) swamps any duty cycling.
-        avg = units.duty_cycled_power_w(1.5, 0.717, 0.1, 3600.0)
-        assert avg > 0.7
+        meter = duty_cycle_profile(active_power_w=1.5, active_time_s=0.1,
+                                   sleep_power_w=0.717, period_s=3600.0)
+        assert meter.average_power_w > 0.7
 
     def test_rejects_active_exceeding_period(self):
-        with pytest.raises(ValueError):
-            units.duty_cycled_power_w(0.2, 30e-6, 2.0, 1.0)
+        with pytest.raises(ConfigurationError):
+            duty_cycle_profile(active_power_w=0.2, active_time_s=2.0,
+                               sleep_power_w=30e-6, period_s=1.0)
 
 
 class TestBatteryLifetime:
     def test_lifetime_scales_inversely_with_power(self):
-        life1 = units.battery_lifetime_s(1000, 3.7, 1e-3)
-        life2 = units.battery_lifetime_s(1000, 3.7, 2e-3)
+        life1 = Battery(1000, 3.7).lifetime_s(1e-3)
+        life2 = Battery(1000, 3.7).lifetime_s(2e-3)
         assert life1 / life2 == pytest.approx(2.0)
 
     def test_sleep_only_lifetime_exceeds_a_decade(self):
-        life = units.battery_lifetime_s(1000, 3.7, 30e-6)
+        life = Battery(1000, 3.7).lifetime_s(30e-6)
         assert life / (365.25 * 86400) > 10.0
 
     def test_rejects_zero_power(self):
-        with pytest.raises(ValueError):
-            units.battery_lifetime_s(1000, 3.7, 0.0)
+        with pytest.raises(ConfigurationError):
+            Battery(1000, 3.7).lifetime_s(0.0)
