@@ -24,10 +24,11 @@ chaos:
 chaos-service:
 	$(PYTHON) -m pytest -q tests/test_chaos_service.py
 
-# Full gate: the golden-vector and paper-table drift gates, the OTA
-# and service chaos suites, the traced benchmark smoke and the
-# perf-regression check, as CI would run them.
-check: golden-check paper-check chaos chaos-service bench-trace-smoke bench-check
+# Full gate: what CI runs - tier-1 (which collects the OTA and service
+# chaos suites), the golden-vector and paper-table drift gates and the
+# traced benchmark smoke - plus the perf-regression check, which CI
+# does not run.
+check: test golden-check paper-check bench-trace-smoke bench-check
 
 # PHY golden-vector drift gate: the committed conformance corpus
 # (tests/fixtures/phy_golden/) must match what the current modulators

@@ -17,8 +17,8 @@ sleep power under three alternatives:
 from _report import format_table, publish
 
 from repro.fpga.resources import lora_rx_design
-from repro.power import LIPO_1000MAH, PlatformState, PowerManagementUnit
-from repro.power import profiles
+from repro.power import LIPO_1000MAH, profiles
+from repro.power.pmu import PlatformState, PowerManagementUnit
 
 
 def run_ablation():

@@ -15,7 +15,7 @@ from _report import format_table, publish
 from repro.channel import LinkBudget, ReceivedSignal, receive
 from repro.fpga import concurrent_rx_design
 from repro.phy.lora import ConcurrentReceiver, LoRaModulator, LoRaParams
-from repro.power import PlatformState, PowerManagementUnit
+from repro.power.pmu import PlatformState, PowerManagementUnit
 
 RSSI_SWEEP = [-100.0, -108.0, -114.0, -118.0, -121.0]
 PACKETS_PER_POINT = 8

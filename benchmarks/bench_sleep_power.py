@@ -8,13 +8,8 @@ below existing SDR platforms, which is what makes duty cycling pay off.
 from _report import format_table, publish
 
 from repro.platforms import SDR_PLATFORMS
-from repro.power import (
-    LIPO_1000MAH,
-    PlatformState,
-    PowerManagementUnit,
-    duty_cycle_profile,
-)
-from repro.power.pmu import PowerBreakdown
+from repro.power import LIPO_1000MAH, duty_cycle_profile
+from repro.power.pmu import PlatformState, PowerBreakdown, PowerManagementUnit
 
 
 def run_sleep_power():

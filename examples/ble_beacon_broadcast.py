@@ -11,10 +11,11 @@ Run:  python examples/ble_beacon_broadcast.py
 
 import numpy as np
 
-from repro import AdvPacket, TinySdr
 from repro.channel import awgn
+from repro.core import TinySdr
 from repro.phy.ble import (
     TINYSDR_HOP_DELAY_S,
+    AdvPacket,
     GfskDemodulator,
     beacon_airtime_s,
     bits_to_bytes_lsb_first,

@@ -17,7 +17,7 @@ from repro.core.sweeps import concurrent_symbol_error_rates
 from repro.fpga import concurrent_rx_design
 from repro.phy.lora import ConcurrentReceiver, LoRaParams
 from repro.phy.lora.chirp import chirp_train
-from repro.power import PlatformState, PowerManagementUnit
+from repro.power.pmu import PlatformState, PowerManagementUnit
 
 rng = np.random.default_rng(6)
 

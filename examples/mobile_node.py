@@ -12,10 +12,10 @@ Run:  python examples/mobile_node.py
 
 import numpy as np
 
-from repro.testbed import (
+from repro.testbed import campus_deployment
+from repro.testbed.mobility import (
     MobilePath,
     Waypoint,
-    campus_deployment,
     simulate_mobile_transfer,
 )
 

@@ -16,7 +16,9 @@ every shard count in :data:`FLEET_SHARDS` as well, which its
 ``(seed, node_id, draw_index)`` contract promises away.
 
 The chaos suite and the examples reuse the scenario functions: the
-resilient session is the crash-recovery parity oracle.
+resilient session is the crash-recovery parity oracle.  Each scenario
+imports the engines it drives inside its own body, so a caller that
+needs one helper here loads no engine it does not run.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def resilient_session_service(seed: int, journal=None):
         WorkerCrashModel,
         WorkloadHangModel,
     )
-    from repro.ota.mac import RetryPolicy
+    from repro.retry import RetryPolicy
     from repro.service import (
         BreakerConfig,
         CampaignService,
@@ -292,8 +294,8 @@ def ledger_fingerprint(seed: int) -> str:
     from repro.ota.broadcast import simulate_broadcast_campaign
     from repro.ota.fleet import FleetBurstLoss, FleetCampaignConfig
     from repro.ota.fleet.engine import simulate_node_timeline
-    from repro.ota.mac import RetryPolicy
     from repro.phy.lora import LoRaParams
+    from repro.retry import RetryPolicy
     from repro.sim import Timeline
     from repro.sim.trace import to_jsonl
     from repro.testbed import campus_deployment

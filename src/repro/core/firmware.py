@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.fpga.bitstream import generate_bitstream, generate_mcu_program
 from repro.fpga.resources import (
+    LFE5U_25F_LUTS,
     ble_tx_design,
     concurrent_rx_design,
     lora_rx_design,
@@ -40,7 +41,6 @@ class FirmwareImage:
 
 
 def _build(name: str, luts: int, seed: int) -> FirmwareImage:
-    from repro.fpga.resources import LFE5U_25F_LUTS
     return FirmwareImage(
         name=name,
         fpga_bitstream=generate_bitstream(luts / LFE5U_25F_LUTS, seed=seed),

@@ -20,7 +20,7 @@ from repro.phy.ble.gfsk import GfskConfig, GfskDemodulator, GfskModulator
 from repro.phy.ble.packet import AdvPacket
 from repro.phy.lora.chirp import chirp_train
 from repro.phy.lora.concurrent import ConcurrentReceiver
-from repro.phy.lora.demodulator import SymbolDemodulator
+from repro.phy.lora.demodulator import LoRaDemodulator, SymbolDemodulator
 from repro.phy.lora.modulator import LoRaModulator
 from repro.phy.lora.params import LoRaParams
 
@@ -99,7 +99,6 @@ def lora_packet_error_rate(params: LoRaParams, rssi_dbm: float,
     budget = LinkBudget(bandwidth_hz=params.sample_rate_hz,
                         noise_figure_db=DEFAULT_NOISE_FIGURE_DB)
     modulator = LoRaModulator(params, quantized=quantized_tx)
-    from repro.phy.lora.demodulator import LoRaDemodulator
     demodulator = LoRaDemodulator(params)
     frame = modulator.frame_for_payload(payload)
     waveform = modulator.modulate_frame(frame)

@@ -10,12 +10,14 @@ The package splits cleanly into *what can go wrong* and *doing it*:
   campaign; :meth:`FaultPlan.bind` yields a per-node :class:`NodeFaults`
   injector whose hooks the hardened OTA pipeline polls, emitting a
   ``fault.*`` :class:`~repro.sim.SimEvent` for every injected failure.
-* :mod:`repro.faults.hardware` — :class:`FaultyFlash`, an MX25R6435F
-  whose page programs occasionally fail or leave stuck bits.
 * :mod:`repro.faults.service` — service-layer chaos for the campaign
   service: worker crashes, workload hangs, and torn journal writes,
   bundled by :class:`ServiceFaultPlan` into per-job :class:`JobFaults`
   injectors.  ``NodeFaults`` and ``JobFaults`` share one injector base.
+
+Flash faults act through :class:`repro.ota.flash.FaultyFlash`, beside
+the flash model it subclasses: this package imports only
+:mod:`repro.errors`, :mod:`repro.seeding` and :mod:`repro.sim`.
 
 Reproducibility contract: every model takes an explicit keyword-only
 ``seed`` with no default (``tests/test_faults.py`` checks every
@@ -47,10 +49,6 @@ from repro.faults.service import (
     WorkloadHangModel,
 )
 
-# Last: hardware transitively imports repro.ota, which imports the plan
-# and model names above right back out of this package.
-from repro.faults.hardware import FaultyFlash
-
 __all__ = [
     "ApOutageModel",
     "BrownoutModel",
@@ -58,7 +56,6 @@ __all__ = [
     "CorruptionModel",
     "FaultModel",
     "FaultPlan",
-    "FaultyFlash",
     "FlashFaultModel",
     "GilbertElliott",
     "HangModel",

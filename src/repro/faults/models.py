@@ -9,13 +9,15 @@ reboot a node mid-transfer, AP outage windows, and MCU hangs that only a
 watchdog can clear.
 
 Every model, here and in :mod:`repro.faults.service`, subclasses
-:class:`FaultModel`.  Reproducibility contract: every model carries an
-explicit keyword-only ``seed``; all randomness in a fault path derives
-from that seed plus the node id through the model's own
-:func:`repro.seeding.stream_rng` sub-stream, so fault sequences are (a)
-bit-reproducible from configuration alone and (b) independent of both
-the session RNG and the order nodes are simulated in.  The seed has no
-default, so a call site that omits it raises ``TypeError``.
+:class:`FaultModel`; :class:`BurstLossChain` is the seedless chain that
+:class:`GilbertElliott` and the fleet engine's burst loss share.
+Reproducibility contract: every model carries an explicit keyword-only
+``seed``; all randomness in a fault path derives from that seed plus the
+node id through the model's own :func:`repro.seeding.stream_rng`
+sub-stream, so fault sequences are (a) bit-reproducible from
+configuration alone and (b) independent of both the session RNG and the
+order nodes are simulated in.  The seed has no default, so a call site
+that omits it raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -31,24 +33,15 @@ from repro.seeding import stream_rng
 
 
 @dataclass(frozen=True, kw_only=True)
-class FaultModel:
-    """The frozen base of every seeded fault model.
+class CheckedFields:
+    """A frozen configuration whose fields are range-checked on creation.
 
-    A subclass names its sub-stream in ``stream`` (a key of
-    :data:`repro.seeding.STREAM_TAGS`), its probability fields in
-    ``probabilities`` and its positive, finite fields in ``positives``;
-    the base validates both on construction and derives the model's
-    per-subject draw streams.
-
-    Attributes:
-        seed: randomness root of every subclass (keyword-only, required).
+    A subclass names its probability fields in ``probabilities`` and its
+    positive, finite fields in ``positives``.
     """
 
-    stream: ClassVar[str]
     probabilities: ClassVar[tuple[str, ...]] = ()
     positives: ClassVar[tuple[str, ...]] = ()
-
-    seed: int
 
     def __post_init__(self) -> None:
         # Chained comparisons are false for NaN, so both checks also
@@ -65,14 +58,36 @@ class FaultModel:
                 raise FaultInjectionError(
                     f"{name} must be positive and finite, got {value!r}")
 
+
+@dataclass(frozen=True, kw_only=True)
+class FaultModel(CheckedFields):
+    """The frozen base of every seeded fault model.
+
+    A subclass names its sub-stream in ``stream`` (a key of
+    :data:`repro.seeding.STREAM_TAGS`) and its checked fields as
+    :class:`CheckedFields` does; the base derives the model's
+    per-subject draw streams.
+
+    Attributes:
+        seed: randomness root of every subclass (keyword-only, required).
+    """
+
+    stream: ClassVar[str]
+
+    seed: int
+
     def start(self, subject_id: int) -> np.random.Generator:
         """The model's draw stream for one node, job or journal record."""
         return stream_rng(self.seed, self.stream, subject_id)
 
 
 @dataclass(frozen=True, kw_only=True)
-class GilbertElliott(FaultModel):
+class BurstLossChain(CheckedFields):
     """Burst packet loss: a two-state good/bad Markov chain per packet.
+
+    The chain's parameters only; :class:`GilbertElliott` seeds it per
+    node and :class:`repro.ota.fleet.FleetBurstLoss` runs it on the
+    fleet engine's counter streams.
 
     Attributes:
         p_enter_bad: per-packet probability of a good->bad transition.
@@ -81,13 +96,19 @@ class GilbertElliott(FaultModel):
         loss_bad: loss probability while in the bad state.
     """
 
-    stream = "fault.burst_loss"
     probabilities = ("p_enter_bad", "p_exit_bad", "loss_good", "loss_bad")
 
     p_enter_bad: float = 0.05
     p_exit_bad: float = 0.25
     loss_good: float = 0.0
     loss_bad: float = 0.9
+
+
+@dataclass(frozen=True, kw_only=True)
+class GilbertElliott(BurstLossChain, FaultModel):
+    """The seeded :class:`BurstLossChain` of the OTA fault plan."""
+
+    stream = "fault.burst_loss"
 
     def start(self, node_id: int) -> "BurstLossProcess":
         """A fresh per-node chain, seeded independently of other nodes."""

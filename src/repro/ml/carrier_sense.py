@@ -25,6 +25,7 @@ from repro.errors import ConfigurationError
 from repro.ml.mlp import MlpClassifier, fpga_inference_cost
 from repro.phy.lora.chirp import chirp_train, ideal_downchirp
 from repro.phy.lora.params import LoRaParams
+from repro.power.profiles import iq_radio_tx_w
 
 FEATURE_BINS = 32
 
@@ -135,7 +136,6 @@ def run_carrier_sense_study(rng: np.random.Generator,
     cost = fpga_inference_cost(model.multiply_accumulates)
     # The alternative: transmit the window's raw I/Q (13-bit I + Q per
     # sample) over LoRa at SF8/BW125, 14 dBm, for the cloud to classify.
-    from repro.power.profiles import iq_radio_tx_w
     raw_bytes = int(np.ceil(params.samples_per_symbol * 26 / 8))
     airtime = params.airtime_s(min(raw_bytes, 255))
     packets = int(np.ceil(raw_bytes / 255))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.power.profiles import fpga_power_w
 
 WEIGHT_BITS = 8
 ACCUMULATOR_BITS = 16
@@ -196,7 +197,6 @@ def fpga_inference_cost(macs: int,
     """
     if macs <= 0 or macs_per_cycle <= 0 or clock_hz <= 0:
         raise ConfigurationError("cost parameters must be positive")
-    from repro.power.profiles import fpga_power_w
     luts = 35 * macs_per_cycle + 220  # multipliers + accumulate/control
     cycles = int(np.ceil(macs / macs_per_cycle))
     latency_s = cycles / clock_hz

@@ -27,10 +27,7 @@ from repro.errors import (
     TransferAbandonedError,
     WatchdogTimeoutError,
 )
-# Imported from the submodule (not the repro.faults package) so that an
-# `import repro.faults` entry point - whose __init__ transitively pulls
-# in repro.ota - does not hit a partially-initialized package here.
-from repro.faults.plan import FaultPlan, NodeFaults
+from repro.faults import FaultPlan, NodeFaults
 from repro.ota.bank import FirmwareBanks
 from repro.ota.hardened import (
     IMAGE_ID,
@@ -40,15 +37,11 @@ from repro.ota.hardened import (
     OUTCOME_SUCCEEDED,
     HardenedOtaSession,
 )
-from repro.ota.flash import Mx25R6435F
-from repro.ota.mac import (
-    LISTEN_PERIOD_S,
-    OtaLink,
-    ProgrammingRequest,
-    RetryPolicy,
-)
+from repro.ota.flash import FaultyFlash, Mx25R6435F
+from repro.ota.mac import LISTEN_PERIOD_S, OtaLink, ProgrammingRequest
 from repro.ota.updater import OtaUpdater, UpdateReport
 from repro.power import profiles
+from repro.retry import RetryPolicy
 from repro.sim import OTA_REQUEST, OTA_RETRY_WAIT, OTA_SESSION, Timeline
 from repro.testbed.deployment import Deployment, NodePlacement
 
@@ -288,8 +281,7 @@ class AccessPoint:
         the golden image on the bench, not over a flaky field link.
         """
         if injector is not None and injector.plan.flash is not None:
-            from repro.faults.hardware import FaultyFlash
-            flash: Mx25R6435F = FaultyFlash(injector)
+            flash = FaultyFlash(injector)
             flash.inject = False
             banks = FirmwareBanks(flash)
             banks.install_golden(GOLDEN_IMAGE, GOLDEN_IMAGE_ID)

@@ -30,6 +30,7 @@ from repro.errors import OtaError
 from repro.ota.blocks import split_and_compress, wire_image
 from repro.ota.mac import (
     DATA_PAYLOAD_BYTES,
+    DEFAULT_OTA_PARAMS,
     FRAGMENT_HEADER_BYTES,
     OTA_PREAMBLE_SYMBOLS,
     OtaLink,
@@ -37,8 +38,9 @@ from repro.ota.mac import (
 )
 from repro.ota.updater import DECOMPRESS_BANDWIDTH_BPS, NODE_MCU
 from repro.phy.lora.params import LoRaParams
-from repro.sim import MCU_DECOMPRESS, PACKET_TX, Timeline
+from repro.power import profiles
 from repro.radio.sx1276 import packet_error_probability
+from repro.sim import MCU_DECOMPRESS, PACKET_TX, Timeline
 from repro.testbed.deployment import Deployment
 
 NACK_SLOT_BYTES = 24
@@ -104,9 +106,6 @@ def simulate_broadcast_campaign(deployment: Deployment, image: bytes,
     Raises:
         OtaError: if any node remains incomplete after ``max_rounds``.
     """
-    from repro.ota.mac import DEFAULT_OTA_PARAMS
-    from repro.power import profiles
-
     if params is None:
         params = DEFAULT_OTA_PARAMS
     fragments = fragment_image(wire_image(split_and_compress(image)))

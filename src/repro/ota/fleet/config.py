@@ -18,46 +18,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.ota.mac import DATA_PAYLOAD_BYTES, MAX_ATTEMPTS_PER_PACKET
+from repro.faults.models import BurstLossChain
+from repro.ota.mac import DATA_PAYLOAD_BYTES
+from repro.retry import MAX_ATTEMPTS_PER_PACKET
 from repro.testbed.deployment import CAMPUS_RADIUS_M, check_max_radius
 
 DEFAULT_SESSION_ATTEMPTS = 3
 """Session attempts before a node is abandoned (hardened-path default)."""
 
 
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(
-            f"{name} must be a probability in [0, 1], got {value!r}")
-
-
-@dataclass(frozen=True)
-class FleetBurstLoss:
+@dataclass(frozen=True, kw_only=True)
+class FleetBurstLoss(BurstLossChain):
     """Gilbert-Elliott burst loss for the fleet engine.
 
-    Same chain as :class:`repro.faults.GilbertElliott`, but stateless:
-    the fleet engine keeps the per-node chain state in cohort buffers
-    and draws transitions from the node's counter stream, so the model
-    needs no seed of its own — all randomness roots in the campaign
-    seed.  One transition draw and one loss draw are consumed per ARQ
-    round (unconditionally, which keeps every node's draw count
-    identical for a given trajectory).
-
-    Attributes:
-        p_enter_bad: per-round probability of a good->bad transition.
-        p_exit_bad: per-round probability of a bad->good transition.
-        loss_good: forced-loss probability in the good state.
-        loss_bad: forced-loss probability in the bad state.
+    The :class:`~repro.faults.models.BurstLossChain` that
+    :class:`repro.faults.GilbertElliott` seeds per node, here stepped
+    per ARQ round and stateless: the fleet engine keeps the per-node
+    chain state in cohort buffers and draws transitions from the node's
+    counter stream, so the model needs no seed of its own — all
+    randomness roots in the campaign seed.  One transition draw and one
+    loss draw are consumed per ARQ round (unconditionally, which keeps
+    every node's draw count identical for a given trajectory).
     """
-
-    p_enter_bad: float = 0.05
-    p_exit_bad: float = 0.25
-    loss_good: float = 0.0
-    loss_bad: float = 0.9
-
-    def __post_init__(self) -> None:
-        for name in ("p_enter_bad", "p_exit_bad", "loss_good", "loss_bad"):
-            _check_probability(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -67,7 +49,8 @@ class FleetCampaignConfig:
     The link and protocol constants the campaign shares with the
     per-node engine are read from their one definition: the backbone
     PHY is :data:`repro.ota.mac.DEFAULT_OTA_PARAMS`, the fragment
-    payload, ACK timeout and listen period are :mod:`repro.ota.mac`
+    payload and listen period are :mod:`repro.ota.mac` constants, the
+    ACK timeout and fragment round budget are :mod:`repro.retry`
     constants, and the channel, transmit powers, keep-out and default
     radius are the campus constants of :mod:`repro.testbed.deployment`.
 
@@ -112,7 +95,10 @@ class FleetCampaignConfig:
                 "max_session_attempts must be >= 1, got "
                 f"{self.max_session_attempts}")
         check_max_radius(self.max_radius_m)
-        _check_probability("verify_failure_prob", self.verify_failure_prob)
+        if not 0.0 <= self.verify_failure_prob <= 1.0:
+            raise ConfigurationError(
+                "verify_failure_prob must be a probability in [0, 1], "
+                f"got {self.verify_failure_prob!r}")
 
     @property
     def num_fragments(self) -> int:

@@ -53,9 +53,10 @@ from repro.ota.hardened import (
     OUTCOME_ROLLED_BACK,
     OUTCOME_SUCCEEDED,
 )
-from repro.ota.mac import ACK_TIMEOUT_S, LISTEN_PERIOD_S, NODE_RADIO
+from repro.ota.mac import LISTEN_PERIOD_S, NODE_RADIO
 from repro.ota.updater import DECOMPRESS_BANDWIDTH_BPS, NODE_FLASH
 from repro.power import profiles
+from repro.retry import ACK_TIMEOUT_S
 from repro.sim import (
     CONTROL_RX,
     CONTROL_TX,

@@ -52,7 +52,6 @@ from repro.ota.mac import (
     OtaLink,
     ProgrammingRequest,
     ReadyMessage,
-    RetryPolicy,
     crc32,
     fragment_image,
     run_stop_and_wait,
@@ -65,6 +64,7 @@ from repro.ota.updater import (
     node_energy_from_timeline,
 )
 from repro.power import profiles
+from repro.retry import RetryPolicy
 from repro.sim import (
     CONTROL_RX,
     CONTROL_TX,

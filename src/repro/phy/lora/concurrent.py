@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DemodulationError
 from repro.phy.lora.codec import DecodedPayload
-from repro.phy.lora.demodulator import SymbolDemodulator
+from repro.phy.lora.demodulator import LoRaDemodulator, SymbolDemodulator
 from repro.phy.lora.params import LoRaParams
 
 
@@ -144,7 +144,6 @@ class ConcurrentReceiver:
         exactly as on the FPGA.  Branches with no decodable packet
         return ``None``.
         """
-        from repro.phy.lora.demodulator import LoRaDemodulator
         samples = np.asarray(samples, dtype=np.complex128)
         results: list[DecodedPayload | None] = []
         for params in self.branch_params:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, DemodulationError
+from repro.phy.lora.codec import crc16_ccitt
 
 SIGFOX_BIT_RATE_BPS = 100.0
 SIGFOX_BANDWIDTH_HZ = 200.0
@@ -154,7 +155,6 @@ class UnbFrame:
 
     def to_bits(self) -> np.ndarray:
         """Frame bits: preamble (1010..1), sync, id, seq, payload, CRC."""
-        from repro.phy.lora.codec import crc16_ccitt
         preamble = np.tile([1, 0], self.PREAMBLE_BITS)[:self.PREAMBLE_BITS]
         sync = np.array([1, 0, 0, 1, 0, 1, 1, 0], dtype=np.int64)
         body = (self.device_id.to_bytes(4, "big")
@@ -173,7 +173,6 @@ class UnbFrame:
         Raises:
             DemodulationError: on sync or CRC failure.
         """
-        from repro.phy.lora.codec import crc16_ccitt
         bits = np.asarray(bits, dtype=np.int64)
         header = cls.PREAMBLE_BITS + 8
         sync = bits[cls.PREAMBLE_BITS:header]

@@ -1,4 +1,8 @@
-"""Power substrate: regulators, domains, PMU, metering and batteries."""
+"""Power substrate: regulators, domains, metering and batteries.
+
+The PMU is imported from :mod:`repro.power.pmu`: it reads the FPGA
+models, and :mod:`repro.fpga.config` imports this package.
+"""
 
 from repro.power.battery import Battery, LIPO_1000MAH, SECONDS_PER_YEAR
 from repro.power.domains import (
@@ -9,11 +13,6 @@ from repro.power.domains import (
     domain_for_component,
 )
 from repro.power.meter import EnergyMeter, TimelineSegment, duty_cycle_profile
-from repro.power.pmu import (
-    PlatformState,
-    PowerBreakdown,
-    PowerManagementUnit,
-)
 from repro.power.profiles import fpga_power_w, iq_radio_tx_w
 from repro.power.regulators import (
     Regulator,
@@ -30,10 +29,7 @@ __all__ = [
     "DomainSpec",
     "EnergyMeter",
     "LIPO_1000MAH",
-    "PlatformState",
-    "PowerBreakdown",
     "PowerDomain",
-    "PowerManagementUnit",
     "Regulator",
     "RegulatorSpec",
     "SC195",

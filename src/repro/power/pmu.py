@@ -13,9 +13,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, PowerError
-# The module, not its constant: repro.fpga.config imports repro.power,
-# so the quad-SPI clock is read when a state is entered, not at import.
-from repro.fpga import config as fpga_config
+from repro.fpga.config import QUAD_SPI_CLOCK_HZ
 from repro.fpga.resources import (
     ble_tx_design,
     concurrent_rx_design,
@@ -125,7 +123,7 @@ class PowerManagementUnit:
                      if state == PlatformState.IQ_TX
                      else profiles.FPGA_RX_CLOCK_HZ)
             if state == PlatformState.FPGA_BOOT:
-                clock = fpga_config.QUAD_SPI_CLOCK_HZ
+                clock = QUAD_SPI_CLOCK_HZ
             fpga_w = profiles.fpga_power_w(fpga_luts, clock)
             self._power_domain("V2", {"fpga_core": fpga_w})
             self._power_domain(

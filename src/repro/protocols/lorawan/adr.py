@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.phy.lora.params import LoRaParams
+from repro.power.profiles import iq_radio_tx_w
 from repro.protocols.lorawan.channels import LORA_BW_125K_HZ
 from repro.radio.sx1276 import (
     SNR_THRESHOLD_DB,
@@ -144,7 +145,6 @@ def simulate_adr(path_loss_db: float, rng: np.random.Generator,
     """
     if uplinks <= 0:
         raise ConfigurationError(f"need uplinks > 0, got {uplinks}")
-    from repro.power.profiles import iq_radio_tx_w
 
     state = AdrState()
     floor = noise_floor_dbm(bandwidth_hz, 6.0)
@@ -189,7 +189,6 @@ def fixed_rate_cost(spreading_factor: int, tx_power_dbm: float,
                     bandwidth_hz: float = LORA_BW_125K_HZ
                     ) -> tuple[float, float]:
     """(airtime, energy) per packet for a fixed configuration baseline."""
-    from repro.power.profiles import iq_radio_tx_w
     params = LoRaParams(spreading_factor, bandwidth_hz)
     airtime = params.airtime_s(payload_bytes)
     return airtime, airtime * iq_radio_tx_w(min(tx_power_dbm, 14.0))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, RadioError
-from repro.radio.at86rf215 import At86Rf215, RadioState
+from repro.radio.at86rf215 import MAX_TX_POWER_DBM, At86Rf215, RadioState
 
 # Register addresses (sub-GHz radio block, RF09_*).
 REG_STATE = 0x0102       # datasheet: AT86RF215 register map, RF09_STATE
@@ -184,7 +184,6 @@ class At86Rf215Driver:
 
     def set_tx_power(self, power_dbm: float) -> None:
         """Program the PAC register for a target output power."""
-        from repro.radio.at86rf215 import MAX_TX_POWER_DBM
         attenuation = round(MAX_TX_POWER_DBM - power_dbm)
         if not 0 <= attenuation <= PAC_TXPWR_MASK:
             raise ConfigurationError(

@@ -438,7 +438,7 @@ class CampaignService:
         workload — or, during journal replay, substitutes the logged
         result — and finally checks the per-job deadline.  Transient
         strikes retry under the supervisor's
-        :class:`~repro.ota.mac.RetryPolicy` budget and then quarantine;
+        :class:`~repro.retry.RetryPolicy` budget and then quarantine;
         a :class:`~repro.errors.ReproError` from the engine, or from a
         payload that is not canonical JSON, fails permanently (the job
         is deterministic — a rerun fails identically).

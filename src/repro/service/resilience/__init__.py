@@ -6,8 +6,8 @@ happy-path demo into a service that survives its own failures:
 * :mod:`~repro.service.resilience.journal` — the write-ahead,
   hash-chained JSONL job journal and the chaos :class:`CrashPlan`;
 * :mod:`~repro.service.resilience.supervisor` — per-job deadlines,
-  heartbeat and watchdog dwells, bounded :class:`RetryPolicy` retry
-  and poison-job quarantine;
+  heartbeat and watchdog dwells, bounded
+  :class:`~repro.retry.RetryPolicy` retry and poison-job quarantine;
 * :mod:`~repro.service.resilience.breaker` — per-workload
   closed/open/half-open circuit breakers with seeded probe jitter;
 * :mod:`~repro.service.resilience.shedding` — admission-control load
@@ -49,7 +49,6 @@ from repro.service.resilience.journal import (
 )
 from repro.service.resilience.shedding import SheddingPolicy
 from repro.service.resilience.supervisor import (
-    RetryPolicy,
     SupervisorConfig,
     job_jitter_rng,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "JobJournal",
     "JournalReadResult",
     "JournalRecord",
-    "RetryPolicy",
     "SheddingPolicy",
     "SupervisorConfig",
     "job_jitter_rng",

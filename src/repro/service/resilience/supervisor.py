@@ -9,9 +9,10 @@ The supervisor wraps every engine execution the service dispatches:
   (heartbeats keep flowing, progress does not) after
   ``watchdog_timeout_s``, and an optional per-job deadline kills an
   attempt whose cost would overrun it;
-* a **bounded retry budget** — the OTA :class:`RetryPolicy` reused at
-  the service layer, with a deterministic per-job jitter stream — backs
-  transient strikes off without synchronized retry storms;
+* a **bounded retry budget** — the :class:`~repro.retry.RetryPolicy`
+  the OTA MAC retransmits with, reused at the service layer with a
+  deterministic per-job jitter stream — backs transient strikes off
+  without synchronized retry storms;
 * **poison-job quarantine**: a job that strikes out lands in the
   terminal ``JOB_QUARANTINED`` state, never an infinite retry loop.
 
@@ -29,9 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-# The MAC retry policy is scheduling machinery, not an engine entry
-# point: reusing it keeps one backoff vocabulary across layers.
-from repro.ota.mac import RetryPolicy
+from repro.retry import RetryPolicy
 from repro.seeding import stream_rng
 
 

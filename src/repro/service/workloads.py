@@ -20,7 +20,9 @@ Two invariants matter here:
 
 Engines are called directly here and nowhere else under
 ``repro/service/`` or the CLI; the pinned service digests, which hash
-the registry's invocation counters, catch a call around it.
+the registry's invocation counters, catch a call around it.  Each
+adapter imports its engine inside its own body, so ``import
+repro.service`` loads no engine until a job of that kind runs.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def run_info(config: Mapping[str, Any], seed: int,
 def run_power(config: Mapping[str, Any], seed: int,
               emit: ProgressEmit) -> tuple[dict[str, Any], float]:
     """Battery power per platform state (the legacy ``repro power``)."""
-    from repro.power import PlatformState, PowerManagementUnit
+    from repro.power.pmu import PlatformState, PowerManagementUnit
 
     reader = _Config("power", config)
     tx_power_dbm = reader.take("tx_power_dbm", 14.0, float)

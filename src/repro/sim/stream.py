@@ -18,20 +18,30 @@ the two fleet-scale alternatives:
   :func:`read_jsonl_records` is the matching generator-based reader.
 
 The spill format follows :mod:`repro.sim.trace`: one JSON object per
-line, each carrying a ``record`` tag naming its type.
+line, each carrying a ``record`` tag naming its type.  Every reader of
+either format parses a line with :func:`parse_jsonl_line` and reads a
+row's fields with :func:`record_fields`, so malformed input raises a
+:class:`~repro.errors.ConfigurationError` naming what is wrong.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NoReturn
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping, NoReturn
 
 from repro.errors import ConfigurationError
 from repro.sim.timeline import Timeline
 
 DEFAULT_BUFFER_ROWS = 1024
 """Rows buffered in memory before the spill writer drains to disk."""
+
+NUMBER = (int, float)
+"""The types a JSON number decodes to (a bool is not one here)."""
+
+_ROLLUP_FIELDS = {"kind": (str,), "component": (str,), "count": (int,),
+                  "time_s": NUMBER, "energy_j": NUMBER}
 
 
 class RollupBin:
@@ -169,17 +179,12 @@ class TimelineRollup:
         """Rebuild a rollup from its spill rows.
 
         Raises:
-            ConfigurationError: for rows that are not rollup records.
+            ConfigurationError: for a row that is not a rollup record,
+                or naming a field that is missing or ill-typed.
         """
         rollup = cls()
         for row in rows:
-            if row.get("record") != "rollup":
-                raise ConfigurationError(
-                    f"expected a rollup row, got {row.get('record')!r}")
-            rollup.add(row["kind"], row["component"],
-                       count=int(row["count"]),
-                       time_s=float(row["time_s"]),
-                       energy_j=float(row["energy_j"]))
+            rollup.add(**record_fields(row, "rollup", _ROLLUP_FIELDS))
         return rollup
 
     def __eq__(self, other: object) -> bool:
@@ -281,24 +286,57 @@ class StreamingLedgerWriter:
 
 
 def _reject_non_finite(token: str) -> NoReturn:
-    raise ConfigurationError(
-        f"non-finite number {token} is not valid JSON (RFC 8259)")
+    raise ValueError(f"non-finite number {token} is not valid JSON "
+                     "(RFC 8259)")
+
+
+def parse_jsonl_line(line: str) -> dict[str, Any]:
+    """One JSON Lines row: a JSON object, as RFC 8259 defines JSON.
+
+    Raises:
+        ConfigurationError: quoting the line when it is not JSON, holds
+            ``NaN``, ``Infinity`` or ``-Infinity``, or is not an object.
+    """
+    try:
+        row = json.loads(line, parse_constant=_reject_non_finite)
+    except ValueError as exc:
+        raise ConfigurationError(f"{exc}: {line.strip()}") from None
+    if not isinstance(row, dict):
+        raise ConfigurationError(
+            f"expected a JSON object per line, got {row!r}")
+    return row
+
+
+def record_fields(row: Any, record: str,
+                  fields: Mapping[str, tuple[type, ...]],
+                  defaults: Mapping[str, Any] = MappingProxyType({})
+                  ) -> dict[str, Any]:
+    """The ``fields`` of a row tagged ``record``, each one of its types.
+
+    An absent field reads as its ``defaults`` value, else as ``None``.
+
+    Raises:
+        ConfigurationError: when ``row`` is not an object tagged
+            ``record``, or naming a field whose value has another type.
+    """
+    if not isinstance(row, dict) or row.get("record") != record:
+        raise ConfigurationError(f"expected a {record} row, got {row!r}")
+    values = {name: row.get(name, defaults.get(name)) for name in fields}
+    for name, types in fields.items():
+        if not isinstance(values[name], types) \
+                or isinstance(values[name], bool) and bool not in types:
+            raise ConfigurationError(f"{record} field {name!r} is missing "
+                                     f"or ill-typed: {values[name]!r}")
+    return values
 
 
 def read_jsonl_records(path: str | Path) -> Iterator[dict[str, Any]]:
     """Yield spill rows one at a time (never loads the whole file).
 
     Raises:
-        ConfigurationError: for a row that is not a JSON object, or one
-            holding ``NaN``, ``Infinity`` or ``-Infinity``.
+        ConfigurationError: for a line :func:`parse_jsonl_line` rejects.
     """
     with Path(path).open("r", encoding="utf-8") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line, parse_constant=_reject_non_finite)
-            if not isinstance(row, dict):
-                raise ConfigurationError(
-                    f"expected a JSON object per line, got {row!r}")
-            yield row
+            if line.strip():
+                yield parse_jsonl_line(line)

@@ -20,10 +20,19 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.sim.events import SimEvent
+from repro.sim.stream import NUMBER, parse_jsonl_line, record_fields
 from repro.sim.timeline import Timeline
 
 _HEADER_RECORD = "timeline"
 _EVENT_RECORD = "event"
+
+_HEADER_FIELDS = {"now_s": NUMBER, "events": (int,)}
+_EVENT_FIELDS = {"t_start_s": NUMBER, "duration_s": NUMBER,
+                 "kind": (str,), "component": (str,), "label": (str,),
+                 "power_w": (*NUMBER, type(None)),
+                 "energy_override_j": (*NUMBER, type(None)),
+                 "advanced": (bool,)}
+_EVENT_DEFAULTS = {"label": "", "advanced": False}
 
 MICROSECONDS_PER_SECOND = 1e6
 """Chrome trace timestamps are microseconds."""
@@ -65,36 +74,24 @@ def from_jsonl(text: str) -> Timeline:
     """Reconstruct a timeline from its JSONL serialization.
 
     Raises:
-        ConfigurationError: for a missing/invalid header, malformed
-            event rows, or fewer or more rows than the header's count
-            (a truncated trace).
+        ConfigurationError: for a line that is not a JSON object, a
+            missing/invalid header, an event row with a missing or
+            ill-typed field (naming it), or fewer or more rows than the
+            header's count (a truncated trace).
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    rows = [parse_jsonl_line(line) for line in text.splitlines()
+            if line.strip()]
+    if not rows:
         raise ConfigurationError("empty timeline serialization")
-    header = json.loads(lines[0])
-    if header.get("record") != _HEADER_RECORD:
+    header = record_fields(rows[0], _HEADER_RECORD, _HEADER_FIELDS)
+    if header["events"] != len(rows) - 1:
         raise ConfigurationError(
-            f"expected a timeline header, got {header.get('record')!r}")
-    if header.get("events") != len(lines) - 1:
-        raise ConfigurationError(
-            f"timeline header counts {header.get('events')!r} events, "
-            f"found {len(lines) - 1} rows")
+            f"timeline header counts {header['events']!r} events, "
+            f"found {len(rows) - 1} rows")
     timeline = Timeline()
-    for line in lines[1:]:
-        row = json.loads(line)
-        if row.get("record") != _EVENT_RECORD:
-            raise ConfigurationError(
-                f"expected an event row, got {row.get('record')!r}")
-        timeline._append(SimEvent(
-            t_start_s=row["t_start_s"],
-            duration_s=row["duration_s"],
-            kind=row["kind"],
-            component=row["component"],
-            label=row.get("label", ""),
-            power_w=row.get("power_w"),
-            energy_override_j=row.get("energy_override_j"),
-            advanced=bool(row.get("advanced", False))))
+    for row in rows[1:]:
+        timeline._append(SimEvent(**record_fields(
+            row, _EVENT_RECORD, _EVENT_FIELDS, _EVENT_DEFAULTS)))
     timeline.advance_to(float(header["now_s"]))
     return timeline
 

@@ -1,7 +1,8 @@
-"""Campus testbed: node deployments, mobility and multi-hop relaying.
+"""Campus testbed: node deployments, which :mod:`repro.ota` places nodes with.
 
 OTA programming campaigns over a deployment run on
-:class:`repro.ota.AccessPoint`.
+:class:`repro.ota.AccessPoint`; the mobile-node and multi-hop scenarios,
+which build on the OTA MAC, are imported from their own modules.
 """
 
 from repro.testbed.deployment import (
@@ -10,18 +11,8 @@ from repro.testbed.deployment import (
     TESTBED_SIZE,
     campus_deployment,
 )
-from repro.testbed.mobility import (
-    MobilePath,
-    MobileTransferResult,
-    Waypoint,
-    simulate_mobile_transfer,
-)
 
 __all__ = [
-    "MobilePath",
-    "MobileTransferResult",
-    "Waypoint",
-    "simulate_mobile_transfer",
     "Deployment",
     "NodePlacement",
     "TESTBED_SIZE",

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import AdvPacket, LoRaParams, TinySdr
 from repro.core import (
+    TinySdr,
     available_firmware,
     ble_bit_error_rate,
     find_sensitivity_dbm,
@@ -23,6 +23,8 @@ from repro.errors import (
     FpgaError,
 )
 from repro.ota.mac import OtaLink
+from repro.phy.ble import AdvPacket
+from repro.phy.lora import LoRaParams
 
 
 class TestTimings:

@@ -18,13 +18,12 @@ from repro.faults import (
     CorruptionModel,
     FaultModel,
     FaultPlan,
-    FaultyFlash,
     FlashFaultModel,
     GilbertElliott,
     HangModel,
     ServiceFaultPlan,
 )
-from repro.ota.flash import PAGE_BYTES
+from repro.ota.flash import PAGE_BYTES, FaultyFlash
 from repro.seeding import stream_rng
 from repro.sim import (
     FAULT_BROWNOUT,

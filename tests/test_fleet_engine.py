@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FaultInjectionError
 from repro.ota.fleet import (
     FleetBurstLoss,
     FleetCampaignConfig,
@@ -227,7 +227,7 @@ def test_config_validation_rejects_bad_values():
     with pytest.raises(ConfigurationError):
         FleetCampaignConfig(num_nodes=1, image_bytes=100,
                             verify_failure_prob=1.5)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(FaultInjectionError):
         FleetBurstLoss(p_enter_bad=-0.1)
     with pytest.raises(ConfigurationError):
         simulate_node_timeline(CLEAN, CLEAN.num_nodes)

@@ -10,13 +10,14 @@ battery-life accounting through the PMU.
 import numpy as np
 import pytest
 
-from repro import LoRaParams, TinySdr
 from repro.channel import LinkBudget, ReceivedSignal, receive
+from repro.core import TinySdr
 from repro.core.firmware import get_firmware
 from repro.fpga import SampleFifo
 from repro.ota.flash import BOOT_OFFSET
 from repro.ota.mac import OtaLink
-from repro.phy.lora import LoRaDemodulator, LoRaModulator
+from repro.phy.ble import AdvPacket
+from repro.phy.lora import LoRaDemodulator, LoRaModulator, LoRaParams
 from repro.power import LIPO_1000MAH, duty_cycle_profile
 from repro.power.pmu import PlatformState, PowerManagementUnit
 from repro.protocols.lorawan import (
@@ -139,7 +140,6 @@ class TestOtaEndToEnd:
     def test_node_updates_and_runs_new_protocol(self, rng):
         """A LoRa node takes a BLE firmware update over the backbone and
         immediately transmits BLE beacons - the testbed's core loop."""
-        from repro import AdvPacket
         node = TinySdr()
         node.load_firmware("lora_modem")
         node.configure_lora(PARAMS)

@@ -16,7 +16,6 @@ from repro.errors import (
 from repro.faults import (
     BrownoutModel,
     FaultPlan,
-    FaultyFlash,
     FlashFaultModel,
     HangModel,
 )
@@ -36,8 +35,9 @@ from repro.ota import (
 )
 from repro.ota.ap import GOLDEN_IMAGE, GOLDEN_IMAGE_ID
 from repro.ota.bank import GOLDEN_OFFSET, MAX_IMAGE_BYTES, bank_offset
+from repro.ota.flash import FaultyFlash
 from repro.ota.hardened import IMAGE_ID, WATCHDOG_TIMEOUT_S
-from repro.ota.mac import ACK_TIMEOUT_S, MAX_ATTEMPTS_PER_PACKET
+from repro.retry import ACK_TIMEOUT_S, MAX_ATTEMPTS_PER_PACKET
 from repro.sim import (
     FAULT_HANG,
     OTA_RESUME,

@@ -8,8 +8,6 @@ from repro.power import (
     DOMAIN_TABLE,
     EnergyMeter,
     LIPO_1000MAH,
-    PlatformState,
-    PowerManagementUnit,
     Regulator,
     SC195,
     TPS62240,
@@ -20,6 +18,7 @@ from repro.power import (
     fpga_power_w,
     iq_radio_tx_w,
 )
+from repro.power.pmu import PlatformState, PowerManagementUnit
 
 
 class TestRegulators:

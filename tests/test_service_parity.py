@@ -175,7 +175,7 @@ class TestTableParity:
 
     @pytest.mark.parametrize("tx_power_dbm", [14.0, 0.0, -10.0])
     def test_power_table_matches_pmu(self, tx_power_dbm):
-        from repro.power import PlatformState, PowerManagementUnit
+        from repro.power.pmu import PlatformState, PowerManagementUnit
 
         pmu = PowerManagementUnit()
         expected = {}

@@ -3,7 +3,8 @@
 Covers the two fleet-scale primitives in :mod:`repro.sim`:
 hierarchical :class:`TimelineRollup` aggregates (associative merges,
 ledger equivalence, row round-trips) and the bounded-memory
-:class:`StreamingLedgerWriter` JSONL spill.
+:class:`StreamingLedgerWriter` JSONL spill, plus the typed errors both
+JSONL readers (spill rows and ledger traces) raise for malformed rows.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.sim import (
     StreamingLedgerWriter,
     Timeline,
     TimelineRollup,
+    from_jsonl,
     read_jsonl_records,
 )
 
@@ -87,6 +89,51 @@ def test_rollup_rows_round_trip():
     assert rebuilt == rollup
     with pytest.raises(ConfigurationError):
         TimelineRollup.from_rows([{"record": "node"}])
+
+
+_EVENT = {"record": "event", "t_start_s": 0.0, "duration_s": 0.25,
+          "kind": PACKET_RX, "component": "node_radio", "label": "",
+          "power_w": 0.04, "energy_override_j": None, "advanced": True}
+_ROLLUP = {"record": "rollup", "kind": PACKET_RX, "component": "node_radio",
+           "count": 2, "time_s": 0.5, "energy_j": 0.02}
+
+
+def _trace(row) -> str:
+    """A one-event trace whose event line is ``row``."""
+    header = {"record": "timeline", "now_s": 1.0, "events": 1}
+    line = row if isinstance(row, str) else json.dumps(row)
+    return json.dumps(header) + "\n" + line + "\n"
+
+
+def _without(row: dict, name: str) -> dict:
+    return {key: value for key, value in row.items() if key != name}
+
+
+MALFORMED = {
+    "event-without-t_start_s":
+        (lambda: from_jsonl(_trace(_without(_EVENT, "t_start_s"))),
+         "'t_start_s'"),
+    "non-json-line": (lambda: from_jsonl(_trace("{not json")), "not json"),
+    "top-level-array": (lambda: from_jsonl("[1, 2]\n"), "JSON object"),
+    "string-t_start_s":
+        (lambda: from_jsonl(_trace({**_EVENT, "t_start_s": "0.0"})),
+         "'t_start_s'"),
+    "rollup-without-energy_j":
+        (lambda: TimelineRollup.from_rows([_without(_ROLLUP, "energy_j")]),
+         "'energy_j'"),
+    "rollup-count-not-a-number":
+        (lambda: TimelineRollup.from_rows([{**_ROLLUP, "count": "abc"}]),
+         "'count'"),
+    "non-object-rollup-row":
+        (lambda: TimelineRollup.from_rows([[1, 2]]), "rollup row"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_ledger_readers_raise_typed_errors_for_malformed_rows(case):
+    read, match = MALFORMED[case]
+    with pytest.raises(ConfigurationError, match=match):
+        read()
 
 
 def test_rollup_rejects_negative_input():

@@ -1,4 +1,4 @@
-"""Three source conventions no run can observe.
+"""Four source conventions no run can observe.
 
 * **Named literals.**  A numeric literal of magnitude 1e5 or more
   (868 MHz, a 100 ks timeout) lives in a module-level UPPER_CASE
@@ -19,10 +19,15 @@
   of seed words: every sub-stream comes from
   :func:`repro.seeding.stream_rng` and its one tag table.  A
   root-seeded ``default_rng(seed)`` is legal everywhere.
+* **Module-level imports.**  A ``repro`` import runs at module level
+  unless it sits under ``if TYPE_CHECKING:`` or in one of the
+  :data:`DEFERRED_IMPORTS` places, each of which names its reason.  The
+  runtime import graph is acyclic (``tests/test_package_imports.py``),
+  so a function-level import avoids nothing anywhere else.
 
-Respelling ``FREQUENCY_HZ`` as its value, rewording a citation, or
-hand-building a stream that equals its ``stream_rng`` twin changes no
-output, so these are text checks over ``src/``.
+Respelling ``FREQUENCY_HZ`` as its value, rewording a citation,
+hand-building a stream that equals its ``stream_rng`` twin or deferring
+an import changes no output, so these are text checks over ``src/``.
 """
 
 from __future__ import annotations
@@ -47,6 +52,16 @@ COMPONENT_MODELS = ("*/radio/*.py", "*/fpga/*.py", "*/power/*.py",
                     "*/platforms/*.py")
 SEEDING = ("*/repro/seeding.py",)
 SEEDERS = {"default_rng": "seed", "SeedSequence": "entropy"}
+
+DEFERRED_IMPORTS = {
+    # Scenario functions: a caller needing one helper loads no engine.
+    "src/repro/analysis/determinism.py": "*",
+    # Workload adapters: ``import repro.service`` loads no engine.
+    "src/repro/service/workloads.py": "*",
+    # The streaming receiver imports the demodulator module.
+    "src/repro/phy/lora/demodulator.py": "LoRaDemodulator.receive_all",
+}
+"""File -> the function (``*``: any) whose ``repro`` imports may stay."""
 
 _UPPER = re.compile(r"^[A-Z][A-Z0-9_]*$")
 
@@ -178,6 +193,35 @@ def listed_seeds(source: str) -> list[int]:
     return sorted(flagged)
 
 
+def deferred_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, function)`` of each ``repro`` import inside a function."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...], in_function: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and ast.unparse(child.test) in (
+                    "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+                continue
+            if in_function and isinstance(child, (ast.Import,
+                                                  ast.ImportFrom)):
+                modules = ([alias.name for alias in child.names]
+                           if isinstance(child, ast.Import)
+                           else ["." * child.level + (child.module or "")])
+                if any(module.startswith(".")
+                       or module.partition(".")[0] == "repro"
+                       for module in modules):
+                    found.append((child.lineno, ".".join(scope)))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,), in_function
+                      or not isinstance(child, ast.ClassDef))
+            else:
+                visit(child, scope, in_function)
+
+    visit(ast.parse(source), (), False)
+    return found
+
+
 def _violations(check, include, exclude=()) -> list[str]:
     found = []
     for path in sorted((REPO_ROOT / "src").rglob("*.py")):
@@ -200,6 +244,18 @@ def test_component_constants_cite_their_source():
 
 def test_sub_streams_come_only_from_seeding():
     assert _violations(listed_seeds, (), SEEDING) == []
+
+
+def test_repro_imports_run_at_module_level():
+    found = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        relpath = path.relative_to(REPO_ROOT).as_posix()
+        allowed = DEFERRED_IMPORTS.get(relpath)
+        found += [f"{relpath}:{line} in {function}"
+                  for line, function
+                  in deferred_imports(path.read_text(encoding="utf-8"))
+                  if allowed not in ("*", function)]
+    assert found == []
 
 
 _LITERALS = '''\
@@ -259,6 +315,38 @@ spawned = np.random.default_rng(np.random.SeedSequence(seed))
 
 def test_listed_seeds_flags_only_hand_built_sub_streams():
     assert listed_seeds(_STREAMS) == [5, 6, 7]
+
+
+_IMPORTS = '''\
+from typing import TYPE_CHECKING
+
+import numpy as np
+from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.faults import NodeFaults
+
+
+def run(seed):
+    import json
+    from repro.sim import Timeline
+    if TYPE_CHECKING:
+        from repro.ota import AccessPoint
+
+
+class Receiver:
+    from repro.phy import backend
+
+    def receive_all(self):
+        import repro.phy.lora.streaming
+        from . import codec
+'''
+
+
+def test_deferred_imports_flags_only_function_level_repro_imports():
+    assert deferred_imports(_IMPORTS) == [
+        (12, "run"), (21, "Receiver.receive_all"),
+        (22, "Receiver.receive_all")]
 
 
 @pytest.mark.parametrize("value, structural", [
