@@ -9,10 +9,10 @@ same BLE-sized image, and quantifies the campaign-time win and its cost
 import numpy as np
 from _report import format_table, publish
 
-from repro.fpga import generate_bitstream
-from repro.ota import AccessPoint
+from repro.fpga.bitstream import generate_bitstream
+from repro.ota.ap import AccessPoint
 from repro.ota.broadcast import simulate_broadcast_campaign
-from repro.testbed import campus_deployment
+from repro.testbed.deployment import campus_deployment
 
 
 def run_ablation(rng):

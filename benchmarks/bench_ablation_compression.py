@@ -10,10 +10,11 @@ import numpy as np
 from _report import format_table, publish
 
 from repro.errors import MemoryError_
-from repro.fpga import generate_bitstream
+from repro.fpga.bitstream import generate_bitstream
 from repro.mcu.msp432 import Msp432
-from repro.ota import OtaLink, OtaUpdater, simulate_transfer
 from repro.ota.blocks import BLOCK_BYTES, split_and_compress
+from repro.ota.mac import OtaLink, simulate_transfer
+from repro.ota.updater import OtaUpdater
 
 
 def run_ablation(rng):

@@ -11,7 +11,7 @@ import numpy as np
 from _report import format_table, publish
 
 from repro.protocols.lorawan.adr import fixed_rate_cost, simulate_adr
-from repro.testbed import campus_deployment
+from repro.testbed.deployment import campus_deployment
 
 
 def run_adr(rng):

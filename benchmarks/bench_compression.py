@@ -9,14 +9,14 @@ import time
 
 from _report import format_table, publish
 
-from repro.fpga import generate_bitstream, generate_mcu_program
-from repro.ota import (
+from repro.fpga.bitstream import generate_bitstream, generate_mcu_program
+from repro.mcu.msp432 import DECOMPRESS_BANDWIDTH_BPS
+from repro.ota.blocks import (
     BLOCK_BYTES,
     compression_summary,
     reassemble,
     split_and_compress,
 )
-from repro.ota.updater import DECOMPRESS_BANDWIDTH_BPS
 
 PAPER_KB = {"FPGA: LoRa": 99.0, "FPGA: BLE": 40.0, "MCU": 24.0}
 

@@ -12,8 +12,8 @@ that makes the capability meaningful on an IoT device.
 import numpy as np
 from _report import format_table, publish
 
-from repro.channel import LinkBudget, ReceivedSignal, receive
-from repro.fpga import concurrent_rx_design
+from repro.channel.link import LinkBudget, ReceivedSignal, receive
+from repro.fpga.resources import concurrent_rx_design
 from repro.phy.lora import ConcurrentReceiver, LoRaModulator, LoRaParams
 from repro.power.pmu import PlatformState, PowerManagementUnit
 

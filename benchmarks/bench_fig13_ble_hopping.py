@@ -11,15 +11,14 @@ import numpy as np
 from _report import format_table, publish
 
 from repro.dsp.measure import envelope
-from repro.phy.ble import (
-    AdvPacket,
-    GfskConfig,
-    GfskModulator,
+from repro.phy.ble.channels import (
     IPHONE8_HOP_DELAY_S,
     TINYSDR_HOP_DELAY_S,
     advertising_event,
     beacon_airtime_s,
 )
+from repro.phy.ble.gfsk import GfskConfig, GfskModulator
+from repro.phy.ble.packet import AdvPacket
 
 
 def run_fig13():

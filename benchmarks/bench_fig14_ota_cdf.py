@@ -12,9 +12,9 @@ and report the resulting CDFs.
 import numpy as np
 from _report import format_table, publish
 
-from repro.fpga import generate_bitstream, generate_mcu_program
-from repro.ota import AccessPoint
-from repro.testbed import campus_deployment
+from repro.fpga.bitstream import generate_bitstream, generate_mcu_program
+from repro.ota.ap import AccessPoint
+from repro.testbed.deployment import campus_deployment
 
 PAPER_MEAN_S = {"FPGA: LoRa": 150.0, "FPGA: BLE": 59.0, "MCU": 39.0}
 

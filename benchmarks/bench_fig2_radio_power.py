@@ -8,7 +8,7 @@ burns hundreds of milliwatts to watts while tinySDR sits far below.
 
 from _report import format_table, publish
 
-from repro.platforms import SDR_PLATFORMS, get_platform
+from repro.platforms.catalog import SDR_PLATFORMS, get_platform
 
 
 def build_fig2() -> list[list[str]]:

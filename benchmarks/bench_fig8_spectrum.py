@@ -12,7 +12,7 @@ from _report import format_table, publish
 
 from repro.dsp.measure import periodogram, spurious_free_dynamic_range_db
 from repro.phy.lora import LoRaModulator, LoRaParams
-from repro.radio import At86Rf215
+from repro.radio.at86rf215 import At86Rf215
 
 TONE_HZ = 250e3
 SAMPLE_RATE_HZ = 4e6

@@ -8,7 +8,7 @@ USRP E310 under the same conditions.
 
 from _report import format_table, publish
 
-from repro.platforms import get_platform
+from repro.platforms.catalog import get_platform
 from repro.power.pmu import PlatformState, PowerManagementUnit
 
 SWEEP_DBM = [-14, -12, -10, -8, -6, -4, -2, 0, 2, 4, 6, 8, 10, 12, 14]

@@ -50,14 +50,20 @@ if str(REPO_ROOT / "src") not in sys.path:
 import numpy as np
 
 from repro.channel.awgn import awgn
-from repro.faults import (
+from repro.dsp.fft import Radix2Fft
+from repro.faults.models import (
     BrownoutModel,
     CorruptionModel,
-    FaultPlan,
     FlashFaultModel,
     GilbertElliott,
 )
-from repro.fpga import generate_bitstream
+from repro.faults.plan import FaultPlan
+from repro.faults.service import (
+    ServiceFaultPlan,
+    WorkerCrashModel,
+    WorkloadHangModel,
+)
+from repro.fpga.bitstream import generate_bitstream
 from repro.ota.ap import AccessPoint
 from repro.ota.fleet import (
     FleetBurstLoss,
@@ -65,7 +71,6 @@ from repro.ota.fleet import (
     run_fleet_campaign,
     write_fleet_spill,
 )
-from repro.ota.mac import RetryPolicy
 from repro.perf import cache
 from repro.perf.timing import ThroughputReport, measure_throughput
 from repro.phy.lora import (
@@ -76,13 +81,8 @@ from repro.phy.lora import (
 )
 from repro.phy.lora.chirp import chirp_train, ideal_chirp_reference
 from repro.phy.lora.demodulator import SymbolDemodulator
-from repro.dsp.fft import Radix2Fft
 from repro.radio import iqword, lvds
-from repro.faults.service import (
-    ServiceFaultPlan,
-    WorkerCrashModel,
-    WorkloadHangModel,
-)
+from repro.retry import RetryPolicy
 from repro.service import (
     TERMINAL_STATES,
     BreakerConfig,
@@ -90,7 +90,7 @@ from repro.service import (
     JobSpec,
     SupervisorConfig,
 )
-from repro.testbed import campus_deployment
+from repro.testbed.deployment import campus_deployment
 
 BENCH_PATH = REPO_ROOT / "BENCH_hotpath.json"
 

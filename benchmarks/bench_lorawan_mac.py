@@ -10,13 +10,13 @@ MSP432's 256 kB flash (the resource claim).
 
 from _report import format_table, publish
 
-from repro.mcu import Msp432, firmware_footprint_report
+from repro.mcu.msp432 import Msp432, firmware_footprint_report
 from repro.phy.lora import LoRaParams
-from repro.protocols.lorawan import (
+from repro.protocols.lorawan.frames import SessionKeys
+from repro.protocols.lorawan.mac import (
     DeviceIdentity,
     LoRaWanDevice,
     NetworkServer,
-    SessionKeys,
 )
 
 # Flash budget of each firmware component (kB), sized after the TTN

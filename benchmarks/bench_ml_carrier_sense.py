@@ -10,7 +10,8 @@ SNR ladder, and prices the on-board classifier against shipping raw I/Q.
 import numpy as np
 from _report import format_table, publish
 
-from repro.ml import fpga_inference_cost, run_carrier_sense_study
+from repro.ml.carrier_sense import run_carrier_sense_study
+from repro.ml.mlp import fpga_inference_cost
 
 SNR_RANGES = [(-8.0, -2.0), (-12.0, -6.0), (-16.0, -10.0), (-22.0, -16.0)]
 
@@ -56,7 +57,7 @@ def test_ml_carrier_sense(benchmark, rng):
     for _, study in results:
         assert study.quantized_accuracy > study.float_accuracy - 0.07
     # The classifier plus the LoRa demodulator fit the FPGA together.
-    from repro.fpga import LFE5U_25F_LUTS, lora_rx_design
+    from repro.fpga.resources import LFE5U_25F_LUTS, lora_rx_design
     assert results[0][1].fpga_cost["luts"] + lora_rx_design(8).luts \
         < 0.2 * LFE5U_25F_LUTS
     # Orders of magnitude cheaper than cloud offload.

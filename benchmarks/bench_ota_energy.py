@@ -9,9 +9,10 @@ and at one update per day the OTA subsystem's average power is
 import numpy as np
 from _report import format_table, publish
 
-from repro.fpga import generate_bitstream
-from repro.ota import OtaLink, OtaUpdater
-from repro.power import LIPO_1000MAH
+from repro.fpga.bitstream import generate_bitstream
+from repro.ota.mac import OtaLink
+from repro.ota.updater import OtaUpdater
+from repro.power.battery import LIPO_1000MAH
 
 PAPER = {
     "LoRa": {"energy_mj": 6144.0, "updates": 2100, "daily_uw": 71.0},

@@ -10,13 +10,13 @@ round-trip* for every protocol this repository implements end to end
 import numpy as np
 from _report import format_table, publish
 
-from repro.channel import awgn
-from repro.phy.ble import AdvPacket, GfskDemodulator, GfskModulator
-from repro.phy.ble.packet import bits_to_bytes_lsb_first
+from repro.channel.awgn import awgn
+from repro.phy.ble.gfsk import GfskDemodulator, GfskModulator
+from repro.phy.ble.packet import AdvPacket, bits_to_bytes_lsb_first
 from repro.phy.lora import LoRaDemodulator, LoRaModulator, LoRaParams
-from repro.phy.oqpsk import Ieee802154Frame, Ieee802154Transceiver
-from repro.phy.unb import UnbDemodulator, UnbFrame, UnbModulator
-from repro.platforms import (
+from repro.phy.oqpsk.frame import Ieee802154Frame, Ieee802154Transceiver
+from repro.phy.unb.dbpsk import UnbDemodulator, UnbFrame, UnbModulator
+from repro.platforms.catalog import (
     IOT_PROTOCOL_BANDWIDTHS_HZ,
     get_platform,
     supports_protocol,

@@ -7,8 +7,9 @@ below existing SDR platforms, which is what makes duty cycling pay off.
 
 from _report import format_table, publish
 
-from repro.platforms import SDR_PLATFORMS
-from repro.power import LIPO_1000MAH, duty_cycle_profile
+from repro.platforms.catalog import SDR_PLATFORMS
+from repro.power.battery import LIPO_1000MAH
+from repro.power.meter import duty_cycle_profile
 from repro.power.pmu import PlatformState, PowerBreakdown, PowerManagementUnit
 
 

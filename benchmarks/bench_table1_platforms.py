@@ -7,7 +7,7 @@ programmable, sub-$100 platform with microwatt sleep.
 
 from _report import format_table, publish
 
-from repro.platforms import (
+from repro.platforms.catalog import (
     SDR_PLATFORMS,
     endpoint_requirements_report,
     sleep_power_advantage,

@@ -7,7 +7,7 @@ lowest-power option.
 
 from _report import format_table, publish
 
-from repro.platforms import IQ_RADIO_CHIPS
+from repro.platforms.catalog import IQ_RADIO_CHIPS
 
 
 def build_table2() -> list[list[str]]:

@@ -9,7 +9,11 @@ other domain can be gated off.
 from _report import format_table, publish
 
 from repro.errors import PowerError
-from repro.power import DOMAIN_TABLE, build_domains, domain_for_component
+from repro.power.domains import (
+    DOMAIN_TABLE,
+    build_domains,
+    domain_for_component,
+)
 
 
 def build_table3() -> list[list[str]]:

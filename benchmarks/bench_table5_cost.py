@@ -2,7 +2,7 @@
 
 from _report import format_table, publish
 
-from repro.platforms import (
+from repro.platforms.cost import (
     BILL_OF_MATERIALS,
     cost_by_group,
     cost_without,

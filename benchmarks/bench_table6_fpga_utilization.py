@@ -8,7 +8,7 @@ custom logic.
 
 from _report import format_table, publish
 
-from repro.fpga import (
+from repro.fpga.resources import (
     LFE5U_25F_LUTS,
     ble_tx_design,
     concurrent_rx_design,

@@ -10,9 +10,9 @@ commercial 802.15.4 radios.
 import numpy as np
 from _report import format_table, publish
 
-from repro.channel import LinkBudget, ReceivedSignal, receive
+from repro.channel.link import LinkBudget, ReceivedSignal, receive
 from repro.errors import DemodulationError
-from repro.phy.oqpsk import Ieee802154Frame, Ieee802154Transceiver
+from repro.phy.oqpsk.frame import Ieee802154Frame, Ieee802154Transceiver
 
 RSSI_SWEEP = [-90.0, -94.0, -97.0, -100.0, -103.0, -106.0, -109.0, -112.0]
 FRAMES_PER_POINT = 15

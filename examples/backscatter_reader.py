@@ -11,7 +11,11 @@ Run:  python examples/backscatter_reader.py
 
 import numpy as np
 
-from repro.backscatter import BackscatterConfig, BackscatterReader, reader_link
+from repro.backscatter.system import (
+    BackscatterConfig,
+    BackscatterReader,
+    reader_link,
+)
 
 rng = np.random.default_rng(23)
 config = BackscatterConfig(subcarrier_hz=100e3, bit_rate_bps=10e3,

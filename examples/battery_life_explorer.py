@@ -11,8 +11,9 @@ Run:  python examples/battery_life_explorer.py
 """
 
 from repro.phy.lora import LoRaParams
-from repro.platforms import SDR_PLATFORMS
-from repro.power import LIPO_1000MAH, duty_cycle_profile
+from repro.platforms.catalog import SDR_PLATFORMS
+from repro.power.battery import LIPO_1000MAH
+from repro.power.meter import duty_cycle_profile
 
 params = LoRaParams(spreading_factor=8, bandwidth_hz=125e3)
 airtime = params.airtime_s(20)

@@ -11,17 +11,17 @@ Run:  python examples/ble_beacon_broadcast.py
 
 import numpy as np
 
-from repro.channel import awgn
-from repro.core import TinySdr
-from repro.phy.ble import (
-    TINYSDR_HOP_DELAY_S,
+from repro.channel.awgn import awgn
+from repro.core.tinysdr import TinySdr
+from repro.phy.ble.channels import TINYSDR_HOP_DELAY_S, beacon_airtime_s
+from repro.phy.ble.gfsk import GfskDemodulator
+from repro.phy.ble.packet import (
     AdvPacket,
-    GfskDemodulator,
-    beacon_airtime_s,
     bits_to_bytes_lsb_first,
     parse_air_bytes,
 )
-from repro.power import LIPO_1000MAH, duty_cycle_profile
+from repro.power.battery import LIPO_1000MAH
+from repro.power.meter import duty_cycle_profile
 
 rng = np.random.default_rng(3)
 

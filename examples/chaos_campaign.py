@@ -13,19 +13,19 @@ Run:  python examples/chaos_campaign.py  (takes a few seconds)
 
 import numpy as np
 
-from repro.faults import (
+from repro.faults.models import (
     ApOutageModel,
     BrownoutModel,
     CorruptionModel,
-    FaultPlan,
     FlashFaultModel,
     GilbertElliott,
     HangModel,
 )
-from repro.ota import RetryPolicy
+from repro.faults.plan import FaultPlan
 from repro.ota.ap import AccessPoint
-from repro.sim import FAULT_KINDS
-from repro.testbed import campus_deployment
+from repro.retry import RetryPolicy
+from repro.sim.events import FAULT_KINDS
+from repro.testbed.deployment import campus_deployment
 
 SEED = 2026
 

@@ -12,9 +12,9 @@ Run:  python examples/concurrent_reception.py  (takes ~20 s)
 
 import numpy as np
 
-from repro.channel import LinkBudget, ReceivedSignal, receive
+from repro.channel.link import LinkBudget, ReceivedSignal, receive
 from repro.core.sweeps import concurrent_symbol_error_rates
-from repro.fpga import concurrent_rx_design
+from repro.fpga.resources import concurrent_rx_design
 from repro.phy.lora import ConcurrentReceiver, LoRaParams
 from repro.phy.lora.chirp import chirp_train
 from repro.power.pmu import PlatformState, PowerManagementUnit

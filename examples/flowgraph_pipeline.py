@@ -11,14 +11,14 @@ Run:  python examples/flowgraph_pipeline.py
 
 import numpy as np
 
-from repro.flowgraph import (
+from repro.flowgraph.blocks import (
     AddBlock,
     AwgnChannelBlock,
-    FlowGraph,
     GainBlock,
     LoRaPacketSource,
     LoRaReceiverSink,
 )
+from repro.flowgraph.graph import FlowGraph
 from repro.phy.lora import LoRaParams
 
 rng = np.random.default_rng(14)

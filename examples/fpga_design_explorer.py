@@ -10,7 +10,7 @@ Run:  python examples/fpga_design_explorer.py
 """
 
 from repro.errors import ResourceExhaustedError
-from repro.fpga import (
+from repro.fpga.resources import (
     LFE5U_25F_LUTS,
     ble_tx_design,
     concurrent_rx_design,

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from repro.localization import angle_of_arrival, multicarrier_range
+from repro.localization.ranging import angle_of_arrival, multicarrier_range
 
 rng = np.random.default_rng(29)
 

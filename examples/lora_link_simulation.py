@@ -11,7 +11,7 @@ Run:  python examples/lora_link_simulation.py  (takes ~1 minute)
 
 import numpy as np
 
-from repro.channel import LogDistanceModel
+from repro.channel.pathloss import LogDistanceModel
 from repro.core.sweeps import find_sensitivity_dbm, lora_symbol_error_rate
 from repro.phy.lora import LoRaParams
 

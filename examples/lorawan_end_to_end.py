@@ -10,9 +10,9 @@ Run:  python examples/lorawan_end_to_end.py
 
 import numpy as np
 
-from repro.channel import LinkBudget, ReceivedSignal, receive
+from repro.channel.link import LinkBudget, ReceivedSignal, receive
 from repro.phy.lora import LoRaDemodulator, LoRaModulator, LoRaParams
-from repro.protocols.lorawan import (
+from repro.protocols.lorawan.mac import (
     DeviceIdentity,
     LoRaWanDevice,
     NetworkServer,

@@ -12,7 +12,7 @@ Run:  python examples/mobile_node.py
 
 import numpy as np
 
-from repro.testbed import campus_deployment
+from repro.testbed.deployment import campus_deployment
 from repro.testbed.mobility import (
     MobilePath,
     Waypoint,

@@ -11,9 +11,9 @@ Run:  python examples/ota_testbed_campaign.py  (takes ~10 s)
 
 import numpy as np
 
-from repro.fpga import generate_bitstream
-from repro.ota import AccessPoint
-from repro.testbed import campus_deployment
+from repro.fpga.bitstream import generate_bitstream
+from repro.ota.ap import AccessPoint
+from repro.testbed.deployment import campus_deployment
 
 rng = np.random.default_rng(42)
 

@@ -9,8 +9,8 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.channel import LinkBudget, ReceivedSignal, receive
-from repro.core import TinySdr
+from repro.channel.link import LinkBudget, ReceivedSignal, receive
+from repro.core.tinysdr import TinySdr
 from repro.phy.lora import LoRaParams
 
 rng = np.random.default_rng(1)

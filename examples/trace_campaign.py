@@ -19,11 +19,11 @@ import tempfile
 
 import numpy as np
 
-from repro.fpga import generate_bitstream
+from repro.fpga.bitstream import generate_bitstream
 from repro.ota.ap import AccessPoint
 from repro.ota.updater import node_energy_from_timeline
-from repro.sim import from_jsonl, write_chrome_trace, write_jsonl
-from repro.testbed import campus_deployment
+from repro.sim.trace import from_jsonl, write_chrome_trace, write_jsonl
+from repro.testbed.deployment import campus_deployment
 
 deployment = campus_deployment(max_radius_m=700.0, seed=3)
 image = generate_bitstream(utilization=0.03, seed=43)

@@ -9,8 +9,8 @@ configuration models, the MSP432 MCU, the seven-domain power management
 unit, the miniLZO-based OTA programming stack, a LoRaWAN MAC, and a
 campus testbed with its OTA programming campaigns.
 
-Each subsystem is imported from the package that owns it; importing
-this package loads nothing else.  Quick start::
+Each name is imported from the module that defines it; importing this
+package loads nothing else.  Quick start::
 
     from repro.phy.lora import LoRaDemodulator, LoRaModulator, LoRaParams
     params = LoRaParams(spreading_factor=8, bandwidth_hz=125e3)

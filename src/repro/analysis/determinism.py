@@ -269,7 +269,7 @@ def ledger_fingerprint(seed: int) -> str:
     """Digest of every ledger a fixed scenario set writes, keyed by seed.
 
     The scenarios reach every module that records onto a
-    :class:`~repro.sim.Timeline`: a classic and a hardened (fully
+    :class:`~repro.sim.timeline.Timeline`: a classic and a hardened (fully
     faulted) three-node AP campaign, a broadcast campaign, one fleet
     node's reconstructed ledger, a tinySDR node's LoRa transmit and
     sleep (radio, MCU, FPGA and energy-meter ledgers) and the resilient
@@ -281,24 +281,24 @@ def ledger_fingerprint(seed: int) -> str:
     import numpy as np
 
     from repro.core.tinysdr import TinySdr
-    from repro.faults import (
+    from repro.faults.models import (
         ApOutageModel,
         BrownoutModel,
         CorruptionModel,
-        FaultPlan,
         FlashFaultModel,
         GilbertElliott,
         HangModel,
     )
+    from repro.faults.plan import FaultPlan
     from repro.ota.ap import AccessPoint
     from repro.ota.broadcast import simulate_broadcast_campaign
     from repro.ota.fleet import FleetBurstLoss, FleetCampaignConfig
     from repro.ota.fleet.engine import simulate_node_timeline
     from repro.phy.lora import LoRaParams
     from repro.retry import RetryPolicy
-    from repro.sim import Timeline
+    from repro.sim.timeline import Timeline
     from repro.sim.trace import to_jsonl
-    from repro.testbed import campus_deployment
+    from repro.testbed.deployment import campus_deployment
 
     deployment = campus_deployment(num_nodes=3, max_radius_m=400.0,
                                    seed=seed)

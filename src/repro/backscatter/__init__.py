@@ -1,15 +1,4 @@
-"""Backscatter reader/tag building blocks (paper section 7)."""
+"""Backscatter reader/tag building blocks (paper section 7).
 
-from repro.backscatter.system import (
-    BackscatterConfig,
-    BackscatterReader,
-    BackscatterTag,
-    reader_link,
-)
-
-__all__ = [
-    "BackscatterConfig",
-    "BackscatterReader",
-    "BackscatterTag",
-    "reader_link",
-]
+:mod:`repro.backscatter.system` holds the whole model.
+"""

@@ -1,27 +1,8 @@
-"""Channel substrate: noise, path loss, link budgets and impairments."""
+"""Channel substrate.
 
-from repro.channel.awgn import awgn, complex_noise, noise_only
-from repro.channel.impairments import (
-    apply_cfo,
-    apply_dc_offset,
-    apply_iq_imbalance,
-    apply_phase_noise,
-    ppm_to_hz,
-)
-from repro.channel.link import LinkBudget, ReceivedSignal, receive
-from repro.channel.pathloss import LogDistanceModel
-
-__all__ = [
-    "LinkBudget",
-    "LogDistanceModel",
-    "ReceivedSignal",
-    "apply_cfo",
-    "apply_dc_offset",
-    "apply_iq_imbalance",
-    "apply_phase_noise",
-    "awgn",
-    "complex_noise",
-    "noise_only",
-    "ppm_to_hz",
-    "receive",
-]
+* :mod:`~repro.channel.awgn` — complex AWGN and noise-only captures;
+* :mod:`~repro.channel.impairments` — CFO, DC offset, I/Q imbalance and
+  phase noise;
+* :mod:`~repro.channel.link` — the link budget and the received signal;
+* :mod:`~repro.channel.pathloss` — the log-distance path-loss model.
+"""

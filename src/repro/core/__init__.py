@@ -1,44 +1,7 @@
-"""The platform core: the TinySDR facade, timings, firmware and sweeps."""
+"""The platform core.
 
-from repro.core.firmware import FirmwareImage, available_firmware, get_firmware
-from repro.core.sweeps import (
-    SweepPoint,
-    ble_beacon_error_rate,
-    ble_bit_error_rate,
-    concurrent_symbol_error_rates,
-    find_sensitivity_dbm,
-    lora_packet_error_rate,
-    lora_symbol_error_rate,
-    sweep_rssi,
-)
-from repro.core.timing import (
-    OperationTimings,
-    SMARTSENSE_WAKEUP_S,
-    meets_ble_advertising_hop,
-    meets_lorawan_rx1,
-    platform_timings,
-    wakeup_penalty_vs_commercial,
-)
-from repro.core.tinysdr import TinySdr, TransmitRecord
-
-__all__ = [
-    "FirmwareImage",
-    "OperationTimings",
-    "SMARTSENSE_WAKEUP_S",
-    "SweepPoint",
-    "TinySdr",
-    "TransmitRecord",
-    "available_firmware",
-    "ble_beacon_error_rate",
-    "ble_bit_error_rate",
-    "concurrent_symbol_error_rates",
-    "find_sensitivity_dbm",
-    "get_firmware",
-    "lora_packet_error_rate",
-    "lora_symbol_error_rate",
-    "meets_ble_advertising_hop",
-    "meets_lorawan_rx1",
-    "platform_timings",
-    "sweep_rssi",
-    "wakeup_penalty_vs_commercial",
-]
+* :mod:`~repro.core.tinysdr` — ``TinySdr``, the one-node platform facade;
+* :mod:`~repro.core.timing` — the Table 4 operation timings;
+* :mod:`~repro.core.firmware` — the catalog of firmware images;
+* :mod:`~repro.core.sweeps` — the RSSI sweeps behind the PHY figures.
+"""

@@ -103,7 +103,7 @@ class JournalError(ReproError):
 class SimulatedCrashError(ReproError):
     """Control-flow signal: the chaos harness killed the service process.
 
-    Raised by :class:`repro.service.resilience.CrashPlan` at a journal
+    Raised by :class:`repro.service.resilience.journal.CrashPlan` at a journal
     append boundary.  The service never catches it - the chaos driver
     does, then exercises ``CampaignService.recover``.
     """

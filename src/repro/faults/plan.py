@@ -5,7 +5,7 @@ run.  :meth:`FaultPlan.bind` derives a :class:`NodeFaults` injector for
 one node: the stateful per-node fault processes (seeded independently of
 the session RNG and of node iteration order) plus the hooks the hardened
 OTA pipeline polls.  Every injected fault is emitted as a namespaced
-``fault.*`` :class:`~repro.sim.SimEvent` on the bound timeline, so a
+``fault.*`` :class:`~repro.sim.events.SimEvent` on the bound timeline, so a
 trace shows exactly what was done to the system and when - separate from
 the ``ota.*`` events that show how the pipeline coped.
 """
@@ -28,14 +28,14 @@ from repro.faults.models import (
     HangModel,
 )
 from repro.seeding import fold_seed
-from repro.sim import (
+from repro.sim.events import (
     FAULT_BROWNOUT,
     FAULT_CORRUPT,
     FAULT_HANG,
     FAULT_LOSS,
     FAULT_OUTAGE,
-    Timeline,
 )
+from repro.sim.timeline import Timeline
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -20,11 +20,8 @@ from repro.errors import FaultInjectionError
 from repro.faults.models import FaultModel
 from repro.faults.plan import FaultInjector
 from repro.seeding import fold_seed
-from repro.sim import (
-    FAULT_WORKER_CRASH,
-    FAULT_WORKLOAD_HANG,
-    Timeline,
-)
+from repro.sim.events import FAULT_WORKER_CRASH, FAULT_WORKLOAD_HANG
+from repro.sim.timeline import Timeline
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -1,27 +1,5 @@
-"""GNU Radio-style flowgraph framework over the repro components."""
+"""GNU Radio-style flowgraph framework over the repro components.
 
-from repro.flowgraph.blocks import (
-    AddBlock,
-    AwgnChannelBlock,
-    FirFilterBlock,
-    GainBlock,
-    LoRaPacketSource,
-    LoRaReceiverSink,
-    VectorSink,
-    VectorSource,
-)
-from repro.flowgraph.graph import Block, Connection, FlowGraph
-
-__all__ = [
-    "AddBlock",
-    "AwgnChannelBlock",
-    "Block",
-    "Connection",
-    "FirFilterBlock",
-    "FlowGraph",
-    "GainBlock",
-    "LoRaPacketSource",
-    "LoRaReceiverSink",
-    "VectorSink",
-    "VectorSource",
-]
+:mod:`~repro.flowgraph.graph` holds the block base class and the
+scheduler; :mod:`~repro.flowgraph.blocks` the blocks that run on it.
+"""

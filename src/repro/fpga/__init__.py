@@ -1,59 +1,7 @@
-"""FPGA substrate: resources, sample FIFO, bitstreams and configuration."""
+"""FPGA substrate.
 
-from repro.fpga.bitstream import (
-    BITSTREAM_BYTES,
-    bitstream_fingerprint,
-    generate_bitstream,
-    generate_mcu_program,
-)
-from repro.fpga.config import (
-    CONFIG_OVERHEAD_S,
-    FpgaConfigurator,
-    QUAD_SPI_CLOCK_HZ,
-    programming_time_s,
-    transfer_time_s,
-)
-from repro.fpga.fifo import (
-    BYTES_PER_SAMPLE,
-    DEFAULT_CAPACITY_BYTES,
-    SampleFifo,
-)
-from repro.fpga.resources import (
-    Block,
-    DesignReport,
-    FFT_LUTS_BY_SF,
-    LFE5U_25F_BRAM_BITS,
-    LFE5U_25F_LUTS,
-    ble_tx_design,
-    concurrent_rx_design,
-    fft_block,
-    lora_rx_design,
-    lora_tx_design,
-    table6,
-)
-
-__all__ = [
-    "BITSTREAM_BYTES",
-    "BYTES_PER_SAMPLE",
-    "Block",
-    "CONFIG_OVERHEAD_S",
-    "DEFAULT_CAPACITY_BYTES",
-    "DesignReport",
-    "FFT_LUTS_BY_SF",
-    "FpgaConfigurator",
-    "LFE5U_25F_BRAM_BITS",
-    "LFE5U_25F_LUTS",
-    "QUAD_SPI_CLOCK_HZ",
-    "SampleFifo",
-    "ble_tx_design",
-    "bitstream_fingerprint",
-    "concurrent_rx_design",
-    "fft_block",
-    "generate_bitstream",
-    "generate_mcu_program",
-    "lora_rx_design",
-    "lora_tx_design",
-    "programming_time_s",
-    "table6",
-    "transfer_time_s",
-]
+* :mod:`~repro.fpga.resources` — the LFE5U-25F budget and Table 6 designs;
+* :mod:`~repro.fpga.fifo` — the sample FIFO between radio and fabric;
+* :mod:`~repro.fpga.bitstream` — synthetic bitstreams and MCU programs;
+* :mod:`~repro.fpga.config` — quad-SPI configuration and its timing.
+"""

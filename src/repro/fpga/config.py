@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError, FpgaError
 from repro.fpga.bitstream import BITSTREAM_BYTES, bitstream_fingerprint
 from repro.power import profiles
-from repro.sim import FPGA_CONFIG, Timeline
+from repro.sim.events import FPGA_CONFIG
+from repro.sim.timeline import Timeline
 
 NODE_FPGA = "fpga"
 """Timeline component name for the ECP5 fabric."""

@@ -1,21 +1,5 @@
-"""Phase-based localization primitives (paper section 7)."""
+"""Phase-based localization primitives (paper section 7).
 
-from repro.localization.ranging import (
-    AoaResult,
-    RangingResult,
-    angle_of_arrival,
-    estimate_phase,
-    multicarrier_range,
-    received_tone,
-    tone_phase_at_distance,
-)
-
-__all__ = [
-    "AoaResult",
-    "RangingResult",
-    "angle_of_arrival",
-    "estimate_phase",
-    "multicarrier_range",
-    "received_tone",
-    "tone_phase_at_distance",
-]
+:mod:`repro.localization.ranging` holds multicarrier ranging and
+angle-of-arrival estimation.
+"""

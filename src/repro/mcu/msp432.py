@@ -17,10 +17,15 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, MemoryError_
 from repro.power import profiles
-from repro.sim import MCU_MODE, MCU_RUN, Timeline
+from repro.sim.events import MCU_MODE, MCU_RUN
+from repro.sim.timeline import Timeline
 
 NODE_MCU = "mcu"
 """Timeline component name for the MSP432."""
+
+DECOMPRESS_BANDWIDTH_BPS = 1.35e6 * 8
+"""MSP432 miniLZO throughput, calibrated so a full 579 kB image
+decompresses in the paper's 'maximum of 450 ms'."""
 
 SRAM_BYTES = 64 * 1024
 FLASH_BYTES = 256 * 1024
@@ -107,10 +112,11 @@ class MemoryBank:
 class Msp432:
     """Behavioural MSP432 model: memory banks plus a power-mode timeline.
 
-    All time/energy state lives on a :class:`~repro.sim.Timeline`: every
-    :meth:`run` dwell is an ``mcu.run`` event at the current mode's
-    power, every :meth:`set_mode` a zero-duration ``mcu.mode`` marker,
-    and :meth:`energy_consumed_j` is a replayed view over the ledger.
+    All time/energy state lives on a
+    :class:`~repro.sim.timeline.Timeline`: every :meth:`run` dwell is an
+    ``mcu.run`` event at the current mode's power, every
+    :meth:`set_mode` a zero-duration ``mcu.mode`` marker, and
+    :meth:`energy_consumed_j` is a replayed view over the ledger.
     """
 
     def __init__(self, timeline: Timeline | None = None) -> None:

@@ -1,23 +1,5 @@
-"""On-board machine learning (paper section 7, the DeepSense use case)."""
+"""On-board machine learning (paper section 7, the DeepSense use case).
 
-from repro.ml.carrier_sense import (
-    CarrierSenseStudy,
-    extract_features,
-    run_carrier_sense_study,
-    synthesize_dataset,
-)
-from repro.ml.mlp import (
-    MlpClassifier,
-    QuantizedMlp,
-    fpga_inference_cost,
-)
-
-__all__ = [
-    "CarrierSenseStudy",
-    "MlpClassifier",
-    "QuantizedMlp",
-    "extract_features",
-    "fpga_inference_cost",
-    "run_carrier_sense_study",
-    "synthesize_dataset",
-]
+:mod:`~repro.ml.mlp` holds the classifier and its quantized FPGA
+version; :mod:`~repro.ml.carrier_sense` the carrier-sense study.
+"""

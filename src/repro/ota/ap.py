@@ -27,26 +27,26 @@ from repro.errors import (
     TransferAbandonedError,
     WatchdogTimeoutError,
 )
-from repro.faults import FaultPlan, NodeFaults
+from repro.faults.plan import FaultPlan, NodeFaults
 from repro.ota.bank import FirmwareBanks
-from repro.ota.hardened import (
-    IMAGE_ID,
+from repro.ota.flash import FaultyFlash, Mx25R6435F
+from repro.ota.hardened import IMAGE_ID, HardenedOtaSession
+from repro.ota.mac import (
+    AP_RADIO,
+    LISTEN_PERIOD_S,
     OUTCOME_ABANDONED,
     OUTCOME_RESUMED,
     OUTCOME_ROLLED_BACK,
     OUTCOME_SUCCEEDED,
-    HardenedOtaSession,
+    OtaLink,
+    ProgrammingRequest,
 )
-from repro.ota.flash import FaultyFlash, Mx25R6435F
-from repro.ota.mac import LISTEN_PERIOD_S, OtaLink, ProgrammingRequest
 from repro.ota.updater import OtaUpdater, UpdateReport
 from repro.power import profiles
 from repro.retry import RetryPolicy
-from repro.sim import OTA_REQUEST, OTA_RETRY_WAIT, OTA_SESSION, Timeline
+from repro.sim.events import OTA_REQUEST, OTA_RETRY_WAIT, OTA_SESSION
+from repro.sim.timeline import Timeline
 from repro.testbed.deployment import Deployment, NodePlacement
-
-AP_RADIO = "ap_radio"
-"""Timeline component name for the access point's LoRa radio."""
 
 LISTEN_WINDOW_S = 2.0
 """How long each listen window stays open."""

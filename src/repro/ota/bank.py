@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, FlashError, RollbackError
-from repro.ota.flash import SECTOR_BYTES, Mx25R6435F
+from repro.ota.flash import NODE_FLASH, SECTOR_BYTES, Mx25R6435F
 from repro.ota.mac import crc32
-from repro.sim import OTA_CHECKPOINT, OTA_ROLLBACK, OTA_VERIFY, Timeline
+from repro.sim.events import OTA_CHECKPOINT, OTA_ROLLBACK, OTA_VERIFY
+from repro.sim.timeline import Timeline
 
 GOLDEN_OFFSET = 0x000000
 """Write-once factory image slot: the rollback target."""
@@ -38,6 +39,9 @@ SLOT_BYTES = 0x100000
 METADATA_OFFSET = 0x7FF000
 """Last 4 kB sector: the append-only checkpoint log."""
 
+STAGING_CAPACITY_BYTES = METADATA_OFFSET - STAGING_OFFSET
+"""Most compressed image data a node can stage: 5,238,784 B."""
+
 RECORD_MAGIC = 0x494D4731
 """``"IMG1"`` - marks a valid image trailer record."""
 
@@ -50,8 +54,6 @@ MAX_IMAGE_BYTES = SLOT_BYTES - RECORD_BYTES
 MAX_PROGRAM_RETRIES = 3
 """Extra erase + program rounds an install spends on read-back
 mismatches before leaving the image to the boot-time CRC check."""
-
-FLASH_COMPONENT = "flash"
 
 _BANK_OFFSETS = {"golden": GOLDEN_OFFSET, "a": BANK_A_OFFSET,
                  "b": BANK_B_OFFSET}
@@ -234,7 +236,7 @@ class FirmwareBanks:
 
     def _record(self, kind: str, label: str) -> None:
         if self.timeline is not None:
-            self.timeline.record(kind, FLASH_COMPONENT, label=label)
+            self.timeline.record(kind, NODE_FLASH, label=label)
 
     # -- slot IO -----------------------------------------------------------
 

@@ -27,20 +27,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import OtaError
+from repro.mcu.msp432 import DECOMPRESS_BANDWIDTH_BPS, NODE_MCU
 from repro.ota.blocks import split_and_compress, wire_image
 from repro.ota.mac import (
+    AP_RADIO,
     DATA_PAYLOAD_BYTES,
     DEFAULT_OTA_PARAMS,
     FRAGMENT_HEADER_BYTES,
+    NODE_RADIO,
     OTA_PREAMBLE_SYMBOLS,
     OtaLink,
     fragment_image,
 )
-from repro.ota.updater import DECOMPRESS_BANDWIDTH_BPS, NODE_MCU
 from repro.phy.lora.params import LoRaParams
 from repro.power import profiles
 from repro.radio.sx1276 import packet_error_probability
-from repro.sim import MCU_DECOMPRESS, PACKET_TX, Timeline
+from repro.sim.events import MCU_DECOMPRESS, PACKET_TX
+from repro.sim.timeline import Timeline
 from repro.testbed.deployment import Deployment
 
 NACK_SLOT_BYTES = 24
@@ -135,7 +138,7 @@ def simulate_broadcast_campaign(deployment: Deployment, image: bytes,
         for fragment_index in to_send:
             broadcast_packets += 1
             timeline.record(
-                PACKET_TX, "ap_radio",
+                PACKET_TX, AP_RADIO,
                 label=f"broadcast seq={fragment_index} round={rounds}",
                 duration_s=fragment_airtime,
                 power_w=profiles.BACKBONE_TX_14DBM_W)
@@ -156,7 +159,7 @@ def simulate_broadcast_campaign(deployment: Deployment, image: bytes,
             if not missing:
                 continue
             timeline.record(
-                PACKET_TX, "node_radio",
+                PACKET_TX, NODE_RADIO,
                 label=f"nack node={node.node_id} round={rounds}",
                 duration_s=nack_airtime,
                 power_w=profiles.BACKBONE_TX_14DBM_W)

@@ -16,10 +16,13 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, FlashError
 from repro.power import profiles
-from repro.sim import FAULT_FLASH
+from repro.sim.events import FAULT_FLASH
 
 if TYPE_CHECKING:
     from repro.faults.plan import NodeFaults
+
+NODE_FLASH = "flash"
+"""Timeline component name for the node's external NOR flash."""
 
 CAPACITY_BYTES = 8 * 1024 * 1024
 SECTOR_BYTES = 4096

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.faults.models import BurstLossChain
+from repro.ota.bank import STAGING_CAPACITY_BYTES
 from repro.ota.mac import DATA_PAYLOAD_BYTES
 from repro.retry import MAX_ATTEMPTS_PER_PACKET
 from repro.testbed.deployment import CAMPUS_RADIUS_M, check_max_radius
@@ -32,7 +33,7 @@ class FleetBurstLoss(BurstLossChain):
     """Gilbert-Elliott burst loss for the fleet engine.
 
     The :class:`~repro.faults.models.BurstLossChain` that
-    :class:`repro.faults.GilbertElliott` seeds per node, here stepped
+    :class:`repro.faults.models.GilbertElliott` seeds per node, here stepped
     per ARQ round and stateless: the fleet engine keeps the per-node
     chain state in cohort buffers and draws transitions from the node's
     counter stream, so the model needs no seed of its own — all
@@ -56,7 +57,8 @@ class FleetCampaignConfig:
 
     Attributes:
         num_nodes: fleet size.
-        image_bytes: wire size of the (compressed) firmware image.
+        image_bytes: wire size of the (compressed) firmware image, at
+            most :data:`repro.ota.bank.STAGING_CAPACITY_BYTES`.
         seed: root of every random stream in the campaign.
         is_fpga_image: FPGA images end with a quad-SPI reconfigure.
         max_rounds_per_fragment: ARQ rounds per fragment before the
@@ -86,6 +88,11 @@ class FleetCampaignConfig:
         if self.image_bytes < 1:
             raise ConfigurationError(
                 f"image must be non-empty, got {self.image_bytes} bytes")
+        if self.image_bytes > STAGING_CAPACITY_BYTES:
+            raise ConfigurationError(
+                f"image_bytes must be at most {STAGING_CAPACITY_BYTES} "
+                "(the node's flash staging area), got "
+                f"{self.image_bytes}")
         if self.max_rounds_per_fragment < 1:
             raise ConfigurationError(
                 "max_rounds_per_fragment must be >= 1, got "

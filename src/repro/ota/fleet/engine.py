@@ -1,12 +1,12 @@
 """Vectorized fleet campaign engine: whole-cohort OTA stepping.
 
 The legacy campaign path (:class:`repro.ota.ap.AccessPoint`) simulates
-one node at a time and appends one :class:`~repro.sim.SimEvent` per
+one node at a time and appends one :class:`~repro.sim.events.SimEvent` per
 protocol action — faithful, but O(events) Python work.  This engine
 advances the *whole fleet* one ARQ round per step on struct-of-arrays
 cohort buffers, replacing per-event ledger appends with per-node
 integer counters that are expanded into a
-:class:`~repro.sim.TimelineRollup` at the end.  Same protocol shape as
+:class:`~repro.sim.stream.TimelineRollup` at the end.  Same protocol shape as
 the hardened session loop — stop-and-wait ARQ with per-fragment round
 budgets, bounded session attempts with checkpoint/resume, CRC verify
 with golden-bank rollback — at fleet-scale throughput.
@@ -20,8 +20,8 @@ Determinism and parity contracts:
   results are independent of vector scheduling and shard boundaries
   (``tests/test_fleet_sharding.py``).
 * :func:`simulate_node_timeline` re-derives any single node's full
-  event-level :class:`~repro.sim.Timeline` from the same draw stream —
-  drill-down without ever materializing the fleet's ledger.
+  event-level :class:`~repro.sim.timeline.Timeline` from the same draw
+  stream — drill-down without ever materializing the fleet's ledger.
 
 Draw order per node per ARQ round (normative — both twins and the
 timeline reconstruction follow it exactly): burst-loss transition draw
@@ -42,22 +42,23 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fpga.config import NODE_FPGA, programming_time_s
-from repro.mcu.msp432 import NODE_MCU
+from repro.mcu.msp432 import DECOMPRESS_BANDWIDTH_BPS, NODE_MCU
+from repro.ota.flash import NODE_FLASH
 from repro.ota.fleet.config import FleetCampaignConfig
 from repro.ota.fleet.link import FleetLinkPlan, prepare_links
 from repro.ota.fleet.rng import node_keys, node_keys_reference, uniforms, \
     uniforms_reference
-from repro.ota.hardened import (
+from repro.ota.mac import (
+    LISTEN_PERIOD_S,
+    NODE_RADIO,
     OUTCOME_ABANDONED,
     OUTCOME_RESUMED,
     OUTCOME_ROLLED_BACK,
     OUTCOME_SUCCEEDED,
 )
-from repro.ota.mac import LISTEN_PERIOD_S, NODE_RADIO
-from repro.ota.updater import DECOMPRESS_BANDWIDTH_BPS, NODE_FLASH
 from repro.power import profiles
 from repro.retry import ACK_TIMEOUT_S
-from repro.sim import (
+from repro.sim.events import (
     CONTROL_RX,
     CONTROL_TX,
     FAULT_LOSS,
@@ -75,11 +76,13 @@ from repro.sim import (
     PACKET_RX,
     PACKET_TIMEOUT,
     PACKET_TX,
+)
+from repro.sim.stream import (
+    DEFAULT_BUFFER_ROWS,
     StreamingLedgerWriter,
-    Timeline,
     TimelineRollup,
 )
-from repro.sim.stream import DEFAULT_BUFFER_ROWS
+from repro.sim.timeline import Timeline
 
 CODE_SUCCEEDED = 0
 CODE_RESUMED = 1
@@ -266,7 +269,7 @@ def _simulate_node(config: FleetCampaignConfig, plan: FleetLinkPlan,
 
     This is the normative specification of the draw order the
     vectorized stepper must match.  With a ``timeline`` it also emits
-    the node's event-level ledger, one :class:`~repro.sim.SimEvent` per
+    the node's event-level ledger, one :class:`~repro.sim.events.SimEvent` per
     counted action, in chronological order.
     """
     key = node_keys_reference(config.seed, [node_id])[0]

@@ -122,8 +122,8 @@ class FleetLinkPlan:
 def prepare_links(config: FleetCampaignConfig) -> FleetLinkPlan:
     """Build the full-fleet link table for a campaign configuration.
 
-    Geometry mirrors :func:`repro.testbed.campus_deployment` — uniform
-    density over the disk via a square-root radial draw outside the
+    Geometry mirrors :func:`repro.testbed.deployment.campus_deployment` —
+    uniform density over the disk via a square-root radial draw outside the
     :data:`~repro.testbed.deployment.KEEP_OUT_M` keep-out — vectorized
     over the whole fleet, with one lognormal shadowing draw per node per
     direction.

@@ -4,7 +4,7 @@ The fleet engine advances whole cohorts per step, so its randomness
 cannot live in one sequential generator: the draw *order* across nodes
 changes with vector scheduling and with shard boundaries.  Instead every
 node owns a keyed counter stream, the same idea as
-:meth:`repro.faults.FaultPlan.bind` — a node's draws depend only on
+:meth:`repro.faults.plan.FaultPlan.bind` — a node's draws depend only on
 ``(seed, node_id, draw_index)``, never on when other nodes drew — which
 is exactly the property that makes shard count irrelevant to results.
 

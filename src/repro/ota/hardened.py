@@ -35,8 +35,9 @@ from repro.errors import (
     OtaError,
     WatchdogTimeoutError,
 )
+from repro.faults.plan import NodeFaults
 from repro.fpga.config import NODE_FPGA, FpgaConfigurator
-from repro.mcu.msp432 import NODE_MCU, Msp432
+from repro.mcu.msp432 import DECOMPRESS_BANDWIDTH_BPS, NODE_MCU, Msp432
 from repro.ota.bank import STAGING_OFFSET, FirmwareBanks, bank_offset
 from repro.ota.blocks import (
     parse_wire_image,
@@ -45,6 +46,7 @@ from repro.ota.blocks import (
     total_compressed_bytes,
     wire_image,
 )
+from repro.ota.flash import NODE_FLASH
 from repro.ota.mac import (
     DATA_PAYLOAD_BYTES,
     NODE_RADIO,
@@ -57,15 +59,10 @@ from repro.ota.mac import (
     run_stop_and_wait,
     transfer_report_from_timeline,
 )
-from repro.ota.updater import (
-    DECOMPRESS_BANDWIDTH_BPS,
-    NODE_FLASH,
-    UpdateReport,
-    node_energy_from_timeline,
-)
+from repro.ota.updater import UpdateReport, node_energy_from_timeline
 from repro.power import profiles
 from repro.retry import RetryPolicy
-from repro.sim import (
+from repro.sim.events import (
     CONTROL_RX,
     CONTROL_TX,
     FLASH_BUSY,
@@ -74,9 +71,8 @@ from repro.sim import (
     OTA_RESUME,
     SCHEDULER_FIRE,
     WATCHDOG_RESET,
-    Timeline,
 )
-from repro.faults.plan import NodeFaults
+from repro.sim.timeline import Timeline
 
 STAGING_PROGRAM_ATTEMPTS = 6
 """Program/verify rounds per staged fragment before declaring the
@@ -89,12 +85,6 @@ only ever catches real hangs."""
 
 IMAGE_ID = 1
 """Firmware identifier a session stages under (scopes its checkpoints)."""
-
-# Terminal per-node outcome classes for campaign reporting.
-OUTCOME_SUCCEEDED = "succeeded"
-OUTCOME_RESUMED = "resumed"
-OUTCOME_ROLLED_BACK = "rolled_back"
-OUTCOME_ABANDONED = "abandoned"
 
 
 class HardenedOtaSession:

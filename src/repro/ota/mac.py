@@ -30,7 +30,7 @@ from repro.phy.lora.params import LoRaParams
 from repro.power import profiles
 from repro.radio.sx1276 import packet_error_probability
 from repro.retry import MAX_ATTEMPTS_PER_PACKET, RetryPolicy
-from repro.sim import (
+from repro.sim.events import (
     CONTROL_RX,
     CONTROL_TX,
     OTA_FAILURE,
@@ -38,14 +38,23 @@ from repro.sim import (
     PACKET_RX,
     PACKET_TIMEOUT,
     PACKET_TX,
-    Timeline,
 )
+from repro.sim.timeline import Timeline
 
 if TYPE_CHECKING:
     from repro.faults.plan import NodeFaults
 
 NODE_RADIO = "node_radio"
 """Timeline component name for the node's backbone (SX1276) radio."""
+
+AP_RADIO = "ap_radio"
+"""Timeline component name for the access point's LoRa radio."""
+
+# Terminal per-node outcome classes for campaign reporting.
+OUTCOME_SUCCEEDED = "succeeded"
+OUTCOME_RESUMED = "resumed"
+OUTCOME_ROLLED_BACK = "rolled_back"
+OUTCOME_ABANDONED = "abandoned"
 
 DATA_PAYLOAD_BYTES = 60
 """'packets of 60 B ... balances protocol overhead versus range'.  This
@@ -223,7 +232,7 @@ class TransferReport:
     """Outcome of one firmware transfer session.
 
     Every numeric field is a *view* over the session's
-    :class:`~repro.sim.Timeline` ledger, materialized when the session
+    :class:`~repro.sim.timeline.Timeline` ledger, materialized when the session
     ends (see :func:`transfer_report_from_timeline`); nothing here is
     accumulated by hand.
 
@@ -276,7 +285,7 @@ def run_stop_and_wait(fragments: list[DataPacket],
     and the hardened resumable session
     (:class:`repro.ota.hardened.HardenedOtaSession`).
 
-    ``faults`` threads a :class:`~repro.faults.NodeFaults` injector into
+    ``faults`` threads a :class:`~repro.faults.plan.NodeFaults` injector into
     the loop: forced packet loss (AP outages, burst-loss chain) is
     checked *before* the link draw, corruption after a successful data
     delivery (the node refuses to ACK a CRC-failing fragment), and

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import OtaError
 from repro.fpga.config import NODE_FPGA, FpgaConfigurator
-from repro.mcu.msp432 import NODE_MCU, Msp432
+from repro.mcu.msp432 import DECOMPRESS_BANDWIDTH_BPS, NODE_MCU, Msp432
 from repro.ota.bank import BootResult
 from repro.ota.blocks import (
     reassemble,
@@ -29,6 +29,7 @@ from repro.ota.blocks import (
 from repro.ota.flash import (
     BOOT_OFFSET,
     MCU_OFFSET,
+    NODE_FLASH,
     STAGING_OFFSET,
     Mx25R6435F,
 )
@@ -39,7 +40,7 @@ from repro.ota.mac import (
     simulate_transfer,
 )
 from repro.power import profiles
-from repro.sim import (
+from repro.sim.events import (
     CONTROL_RX,
     CONTROL_TX,
     FLASH_BUSY,
@@ -48,15 +49,8 @@ from repro.sim import (
     PACKET_RX,
     PACKET_TIMEOUT,
     PACKET_TX,
-    Timeline,
 )
-
-DECOMPRESS_BANDWIDTH_BPS = 1.35e6 * 8
-"""MSP432 miniLZO throughput, calibrated so a full 579 kB image
-decompresses in the paper's 'maximum of 450 ms'."""
-
-NODE_FLASH = "flash"
-"""Timeline component name for the node's external NOR flash."""
+from repro.sim.timeline import Timeline
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,7 @@ class UpdateReport:
     """Everything one OTA session cost.
 
     All time and energy fields are views derived from the session's
-    :class:`~repro.sim.Timeline` ledger (see
+    :class:`~repro.sim.timeline.Timeline` ledger (see
     :func:`node_energy_from_timeline`), not hand-kept accumulators.
     The robustness fields default to what :class:`OtaUpdater` does: a
     single-bank install with nothing resumed; a

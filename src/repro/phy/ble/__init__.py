@@ -1,59 +1,7 @@
-"""BLE beacon PHY: advertising packets, GFSK waveforms, channel hopping."""
+"""BLE beacon PHY.
 
-from repro.phy.ble.channels import (
-    ADVERTISING_CHANNELS,
-    ADVERTISING_FREQUENCIES_HZ,
-    IPHONE8_HOP_DELAY_S,
-    TINYSDR_HOP_DELAY_S,
-    BeaconTransmission,
-    advertising_event,
-    beacon_airtime_s,
-    channel_frequency_hz,
-)
-from repro.phy.ble.gfsk import (
-    BLE_BIT_RATE_BPS,
-    BLE_BT_PRODUCT,
-    BLE_MODULATION_INDEX,
-    GfskConfig,
-    GfskDemodulator,
-    GfskModulator,
-)
-from repro.phy.ble.packet import (
-    ACCESS_ADDRESS,
-    ADV_NONCONN_IND,
-    AdvPacket,
-    ParsedAdvPacket,
-    bits_to_bytes_lsb_first,
-    bytes_to_bits_lsb_first,
-    crc24,
-    parse_air_bytes,
-    whiten_pdu_and_crc,
-    whitening_bits,
-)
-
-__all__ = [
-    "ACCESS_ADDRESS",
-    "ADVERTISING_CHANNELS",
-    "ADVERTISING_FREQUENCIES_HZ",
-    "ADV_NONCONN_IND",
-    "AdvPacket",
-    "BLE_BIT_RATE_BPS",
-    "BLE_BT_PRODUCT",
-    "BLE_MODULATION_INDEX",
-    "BeaconTransmission",
-    "GfskConfig",
-    "GfskDemodulator",
-    "GfskModulator",
-    "IPHONE8_HOP_DELAY_S",
-    "ParsedAdvPacket",
-    "TINYSDR_HOP_DELAY_S",
-    "advertising_event",
-    "beacon_airtime_s",
-    "bits_to_bytes_lsb_first",
-    "bytes_to_bits_lsb_first",
-    "channel_frequency_hz",
-    "crc24",
-    "parse_air_bytes",
-    "whiten_pdu_and_crc",
-    "whitening_bits",
-]
+* :mod:`~repro.phy.ble.packet` — advertising packets, CRC-24 and
+  whitening;
+* :mod:`~repro.phy.ble.gfsk` — the GFSK modulator and demodulator;
+* :mod:`~repro.phy.ble.channels` — advertising channels and hopping.
+"""

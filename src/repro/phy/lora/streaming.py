@@ -42,6 +42,7 @@ from repro.phy.lora.demodulator import (
     HEADER_SYMBOLS,
     PacketSynchronizer,
     ReceivedPacket,
+    finite_samples,
     receive_fir_taps,
 )
 from repro.phy.lora.packet import SyncResult
@@ -123,12 +124,17 @@ class StreamingDemodulator:
         return self._buffer.size
 
     def push(self, chunk: np.ndarray) -> list[ReceivedPacket]:
-        """Feed one chunk of raw samples; return packets it completed."""
+        """Feed one chunk of raw samples; return packets it completed.
+
+        Raises:
+            DemodulationError: when a sample is NaN or infinite (the
+                offset is the chunk's; the receiver state is untouched).
+        """
         if self._finished:
             raise ConfigurationError(
                 "demodulator was flushed; call reset() to start a new "
                 "capture")
-        chunk = np.asarray(chunk, dtype=np.complex128).reshape(-1)
+        chunk = finite_samples(chunk).reshape(-1)
         filtered = self._fir.process(chunk) if self._fir is not None \
             else chunk
         self._append(filtered)

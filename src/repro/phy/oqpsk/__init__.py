@@ -1,40 +1,7 @@
-"""IEEE 802.15.4 O-QPSK PHY (the ZigBee physical layer)."""
+"""IEEE 802.15.4 O-QPSK PHY (the ZigBee physical layer).
 
-from repro.phy.oqpsk.frame import (
-    Ieee802154Frame,
-    Ieee802154Transceiver,
-    ReceivedFrame,
-    crc16_itut,
-)
-from repro.phy.oqpsk.modem import OqpskDemodulator, OqpskModulator
-from repro.phy.oqpsk.spreading import (
-    BIT_RATE_BPS,
-    CHIP_RATE_HZ,
-    CHIPS_PER_SYMBOL,
-    bytes_to_symbols,
-    despread,
-    despread_symbol,
-    sequence_cross_correlation,
-    spread,
-    symbol_to_chips,
-    symbols_to_bytes,
-)
-
-__all__ = [
-    "BIT_RATE_BPS",
-    "CHIPS_PER_SYMBOL",
-    "CHIP_RATE_HZ",
-    "Ieee802154Frame",
-    "Ieee802154Transceiver",
-    "OqpskDemodulator",
-    "OqpskModulator",
-    "ReceivedFrame",
-    "bytes_to_symbols",
-    "crc16_itut",
-    "despread",
-    "despread_symbol",
-    "sequence_cross_correlation",
-    "spread",
-    "symbol_to_chips",
-    "symbols_to_bytes",
-]
+* :mod:`~repro.phy.oqpsk.spreading` — symbol-to-chip spreading and
+  despreading;
+* :mod:`~repro.phy.oqpsk.modem` — the O-QPSK modulator and demodulator;
+* :mod:`~repro.phy.oqpsk.frame` — frames, CRC-16 and the transceiver.
+"""

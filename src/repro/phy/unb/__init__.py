@@ -1,21 +1,4 @@
-"""Ultra-narrowband (Sigfox-class) DBPSK PHY."""
+"""Ultra-narrowband (Sigfox-class) DBPSK PHY.
 
-from repro.phy.unb.dbpsk import (
-    SIGFOX_BANDWIDTH_HZ,
-    SIGFOX_BIT_RATE_BPS,
-    UnbConfig,
-    UnbDemodulator,
-    UnbFrame,
-    UnbModulator,
-    differential_encode,
-)
-
-__all__ = [
-    "SIGFOX_BANDWIDTH_HZ",
-    "SIGFOX_BIT_RATE_BPS",
-    "UnbConfig",
-    "UnbDemodulator",
-    "UnbFrame",
-    "UnbModulator",
-    "differential_encode",
-]
+:mod:`repro.phy.unb.dbpsk` holds the whole PHY.
+"""

@@ -1,39 +1,5 @@
-"""Platform catalogs: the paper's comparison tables and the BOM."""
+"""Platform catalogs: the paper's comparison tables and the BOM.
 
-from repro.platforms.catalog import (
-    IOT_PROTOCOL_BANDWIDTHS_HZ,
-    IQ_RADIO_CHIPS,
-    IqRadioChip,
-    SDR_PLATFORMS,
-    SdrPlatform,
-    covers_band,
-    endpoint_requirements_report,
-    get_platform,
-    sleep_power_advantage,
-    supports_protocol,
-)
-from repro.platforms.cost import (
-    BILL_OF_MATERIALS,
-    BomLine,
-    cost_by_group,
-    cost_without,
-    total_cost_usd,
-)
-
-__all__ = [
-    "BILL_OF_MATERIALS",
-    "BomLine",
-    "IOT_PROTOCOL_BANDWIDTHS_HZ",
-    "IQ_RADIO_CHIPS",
-    "IqRadioChip",
-    "SDR_PLATFORMS",
-    "SdrPlatform",
-    "cost_by_group",
-    "cost_without",
-    "covers_band",
-    "endpoint_requirements_report",
-    "get_platform",
-    "sleep_power_advantage",
-    "supports_protocol",
-    "total_cost_usd",
-]
+:mod:`~repro.platforms.catalog` holds Tables 1 and 2 (SDR platforms and
+I/Q radio chips); :mod:`~repro.platforms.cost` the Table 5 BOM.
+"""

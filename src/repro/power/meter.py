@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.sim import METER_SEGMENT, Timeline
+from repro.sim.events import METER_SEGMENT
+from repro.sim.timeline import Timeline
 
 METER_COMPONENT = "meter"
 """Timeline component name for metered power segments."""
@@ -50,7 +51,7 @@ class EnergyMeter:
     """Thin consumer of a simulation timeline.
 
     Each recorded segment becomes a ``meter.segment`` event on the
-    underlying :class:`~repro.sim.Timeline`; every total is a replayed
+    underlying :class:`~repro.sim.timeline.Timeline`; every total is a replayed
     view over the ledger rather than a running accumulator, so a meter
     can share a timeline with the rest of the platform model and its
     numbers stay consistent with the trace exporters.

@@ -1,72 +1,10 @@
-"""LoRaWAN 1.0 MAC: AES/CMAC primitives, frame codec, ABP/OTAA flows."""
+"""LoRaWAN 1.0 MAC.
 
-from repro.protocols.lorawan.adr import AdrState, fixed_rate_cost, simulate_adr
-from repro.protocols.lorawan.aes import decrypt_block, encrypt_block, expand_key
-from repro.protocols.lorawan.cmac import aes_cmac, truncated_cmac
-from repro.protocols.lorawan.channels import (
-    Channel,
-    ChannelHopper,
-    ChannelPlan,
-    DutyCycleLedger,
-    eu868_plan,
-    us915_plan,
-)
-from repro.protocols.lorawan.frames import (
-    DataFrame,
-    MType,
-    SessionKeys,
-    compute_mic,
-    deserialize,
-    encrypt_payload,
-    serialize,
-)
-from repro.protocols.lorawan.timing import (
-    ReceiveWindow,
-    class_a_windows,
-    check_platform_meets_windows,
-    confirmed_uplink_exchange,
-)
-from repro.protocols.lorawan.mac import (
-    DeviceIdentity,
-    LoRaWanDevice,
-    NetworkServer,
-    build_join_accept,
-    build_join_request,
-    derive_session_keys,
-    parse_join_accept,
-)
-
-__all__ = [
-    "AdrState",
-    "Channel",
-    "ChannelHopper",
-    "ChannelPlan",
-    "DataFrame",
-    "DutyCycleLedger",
-    "ReceiveWindow",
-    "check_platform_meets_windows",
-    "class_a_windows",
-    "confirmed_uplink_exchange",
-    "eu868_plan",
-    "fixed_rate_cost",
-    "simulate_adr",
-    "us915_plan",
-    "DeviceIdentity",
-    "LoRaWanDevice",
-    "MType",
-    "NetworkServer",
-    "SessionKeys",
-    "aes_cmac",
-    "build_join_accept",
-    "build_join_request",
-    "compute_mic",
-    "decrypt_block",
-    "derive_session_keys",
-    "deserialize",
-    "encrypt_block",
-    "encrypt_payload",
-    "expand_key",
-    "parse_join_accept",
-    "serialize",
-    "truncated_cmac",
-]
+* :mod:`~repro.protocols.lorawan.aes`, :mod:`~repro.protocols.lorawan.cmac`
+  — AES-128 and CMAC;
+* :mod:`~repro.protocols.lorawan.frames` — the frame codec and MIC;
+* :mod:`~repro.protocols.lorawan.mac` — devices and the network server;
+* :mod:`~repro.protocols.lorawan.channels` — channel plans and duty cycle;
+* :mod:`~repro.protocols.lorawan.timing` — Class A receive windows;
+* :mod:`~repro.protocols.lorawan.adr` — adaptive data rate.
+"""

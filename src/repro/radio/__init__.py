@@ -1,120 +1,10 @@
-"""Radio substrate: the AT86RF215 I/Q radio, its LVDS/word interface,
-external RF front-ends and the SX1276 backbone link budget."""
+"""Radio substrate.
 
-from repro.radio.at86rf215 import (
-    ADC_BITS,
-    At86Rf215,
-    DAC_BITS,
-    FREQUENCY_BANDS_HZ,
-    FREQUENCY_SWITCH_S,
-    MAX_TX_POWER_DBM,
-    NOISE_FIGURE_DB,
-    RADIO_SETUP_S,
-    RX_TO_TX_S,
-    RadioState,
-    SAMPLE_RATE_HZ,
-    TX_TO_RX_S,
-    tx_power_draw_w,
-)
-from repro.radio.frontend import (
-    FrontendMode,
-    FrontendSpec,
-    RfFrontend,
-    SE2435L,
-    SKY66112,
-)
-from repro.radio.iqword import (
-    BIT_RATE_BPS,
-    I_SYNC,
-    IqWord,
-    Q_SYNC,
-    SAMPLE_BITS,
-    WORD_BITS,
-    WORD_RATE_HZ,
-    bits_to_words,
-    bits_to_words_reference,
-    find_word_alignment,
-    find_word_alignment_reference,
-    pack_codes,
-    pack_word,
-    samples_to_words,
-    samples_to_words_reference,
-    unpack_codes,
-    unpack_word,
-    words_to_bits,
-    words_to_bits_reference,
-    words_to_samples,
-    words_to_samples_reference,
-)
-from repro.radio.lvds import (
-    LVDS_CLOCK_HZ,
-    LvdsTiming,
-    ddr_merge,
-    ddr_split,
-    deserialize_words,
-    deserialize_words_reference,
-    inject_bit_errors,
-    serialize_words,
-    serialize_words_reference,
-    verify_paper_budget,
-)
-from repro.radio.sx1276 import (
-    packet_error_probability,
-    sensitivity_dbm,
-    symbol_error_probability,
-)
-
-__all__ = [
-    "ADC_BITS",
-    "At86Rf215",
-    "BIT_RATE_BPS",
-    "DAC_BITS",
-    "FREQUENCY_BANDS_HZ",
-    "FREQUENCY_SWITCH_S",
-    "FrontendMode",
-    "FrontendSpec",
-    "I_SYNC",
-    "IqWord",
-    "LVDS_CLOCK_HZ",
-    "LvdsTiming",
-    "MAX_TX_POWER_DBM",
-    "NOISE_FIGURE_DB",
-    "Q_SYNC",
-    "RADIO_SETUP_S",
-    "RX_TO_TX_S",
-    "RadioState",
-    "RfFrontend",
-    "SAMPLE_BITS",
-    "SAMPLE_RATE_HZ",
-    "SE2435L",
-    "SKY66112",
-    "TX_TO_RX_S",
-    "WORD_BITS",
-    "WORD_RATE_HZ",
-    "bits_to_words",
-    "bits_to_words_reference",
-    "ddr_merge",
-    "ddr_split",
-    "deserialize_words",
-    "deserialize_words_reference",
-    "find_word_alignment",
-    "find_word_alignment_reference",
-    "inject_bit_errors",
-    "pack_codes",
-    "pack_word",
-    "packet_error_probability",
-    "samples_to_words",
-    "samples_to_words_reference",
-    "sensitivity_dbm",
-    "serialize_words",
-    "serialize_words_reference",
-    "symbol_error_probability",
-    "tx_power_draw_w",
-    "unpack_codes",
-    "unpack_word",
-    "verify_paper_budget",
-    "words_to_bits",
-    "words_to_bits_reference",
-    "words_to_samples",
-    "words_to_samples_reference",
-]
+* :mod:`~repro.radio.at86rf215` — the AT86RF215 I/Q radio and its
+  Table 2/4 numbers;
+* :mod:`~repro.radio.iqword`, :mod:`~repro.radio.lvds` — the I/Q word
+  format and the LVDS interface;
+* :mod:`~repro.radio.registers` — the radio's register map;
+* :mod:`~repro.radio.frontend` — external RF front ends;
+* :mod:`~repro.radio.sx1276` — the SX1276 backbone link budget.
+"""

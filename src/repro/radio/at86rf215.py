@@ -34,7 +34,8 @@ from repro.dsp.filters import design_lowpass, filter_block
 from repro.dsp.fixedpoint import quantize_complex
 from repro.errors import ConfigurationError, RadioError
 from repro.power import profiles
-from repro.sim import RADIO_MODE, Timeline
+from repro.sim.events import RADIO_MODE
+from repro.sim.timeline import Timeline
 
 SAMPLE_RATE_HZ = 4_000_000  # paper: Table 2 (4 MHz baseband sampling)
 ADC_BITS = 13  # paper: Table 2 (13-bit I/Q resolution)
@@ -95,7 +96,7 @@ class At86Rf215:
     """Behavioural model of the AT86RF215 transceiver.
 
     Every state dwell is a ``radio.mode`` event on a
-    :class:`~repro.sim.Timeline` at the power of the state it leaves,
+    :class:`~repro.sim.timeline.Timeline` at the power of the state it leaves,
     and :meth:`energy_consumed_j` is a replayed view over the ledger.
 
     Args:

@@ -14,7 +14,7 @@ front door:
   the one door to the engines and the adapters behind it (the pinned
   service digests count every engine invocation through it);
 * :mod:`repro.service.api` — :class:`CampaignService`, the virtual-time
-  scheduler tying it all together on a :class:`repro.sim.Timeline`;
+  scheduler tying it all together on a :class:`repro.sim.timeline.Timeline`;
 * :mod:`repro.service.resilience` — crash recovery (the write-ahead
   job journal), supervised workers, circuit breakers and load shedding.
 """
@@ -48,15 +48,14 @@ from repro.service.registry import (
     UnknownWorkloadError,
     WorkloadRegistry,
 )
-from repro.service.resilience import (
-    BreakerConfig,
-    CircuitBreaker,
+from repro.service.resilience.breaker import BreakerConfig, CircuitBreaker
+from repro.service.resilience.journal import (
     CrashPlan,
     JobJournal,
-    SheddingPolicy,
-    SupervisorConfig,
     read_journal,
 )
+from repro.service.resilience.shedding import SheddingPolicy
+from repro.service.resilience.supervisor import SupervisorConfig
 from repro.service.tenancy import (
     TenantConfig,
     TenantCounters,

@@ -11,10 +11,10 @@ execution loop around the
 :class:`~repro.service.registry.WorkloadRegistry`.
 
 Every decision is journaled twice: as a ``service.*`` event on one
-:class:`repro.sim.Timeline` (the service's *only* clock — admission
+:class:`repro.sim.timeline.Timeline` (the service's *only* clock — admission
 overheads are seeded draws, execution spans are the deterministic
 virtual costs the adapters report, and nothing ever reads wall time),
-and, when a :class:`~repro.service.resilience.JobJournal` is attached,
+and, when a :class:`~repro.service.resilience.journal.JobJournal` is attached,
 as a hash-chained write-ahead record on disk.  Determinism is what
 makes the journal a *recovery log* rather than an audit trail:
 :meth:`CampaignService.recover` re-drives the journaled prefix through
@@ -69,7 +69,7 @@ from repro.service.resilience.supervisor import (
 )
 from repro.service.tenancy import TenantConfig, TenantState
 from repro.service.workloads import default_registry
-from repro.sim import (
+from repro.sim.events import (
     SERVICE_ADMIT,
     SERVICE_BREAKER_CLOSE,
     SERVICE_BREAKER_HALF_OPEN,
@@ -86,8 +86,8 @@ from repro.sim import (
     SERVICE_SUBMIT,
     WATCHDOG_RESET,
     SimEvent,
-    Timeline,
 )
+from repro.sim.timeline import Timeline
 
 SERVICE_COMPONENT = "service"
 """Timeline component every service.* ledger row is attributed to."""

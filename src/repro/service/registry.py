@@ -4,7 +4,7 @@ Every computation the service can run is an adapter registered here by
 kind.  Code in :mod:`repro.service` and the CLI reaches engines
 *through* ``WorkloadRegistry.invoke`` (whose adapters live in
 :mod:`repro.service.workloads`), never by calling
-:meth:`repro.ota.AccessPoint.run_campaign` and friends directly.  The
+:meth:`repro.ota.ap.AccessPoint.run_campaign` and friends directly.  The
 pinned service and resilient-session digests
 (``tests/test_determinism_pins.py``) hold that boundary: they hash the
 per-kind invocation counters and every job's result, so an engine

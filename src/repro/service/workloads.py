@@ -93,8 +93,12 @@ def run_info(config: Mapping[str, Any], seed: int,
              emit: ProgressEmit) -> tuple[dict[str, Any], float]:
     """Platform summary: cost, FPGA budgets, operation timings."""
     from repro.core.timing import platform_timings
-    from repro.fpga import LFE5U_25F_LUTS, lora_rx_design, lora_tx_design
-    from repro.platforms import total_cost_usd
+    from repro.fpga.resources import (
+        LFE5U_25F_LUTS,
+        lora_rx_design,
+        lora_tx_design,
+    )
+    from repro.platforms.cost import total_cost_usd
 
     reader = _Config("info", config)
     spreading_factor = reader.take("spreading_factor", 8, int)
@@ -224,9 +228,9 @@ def run_testbed_campaign(config: Mapping[str, Any], seed: int,
                          emit: ProgressEmit
                          ) -> tuple[dict[str, Any], float]:
     """Campus OTA programming campaign (the legacy ``repro campaign``)."""
-    from repro.fpga import generate_bitstream
-    from repro.ota import AccessPoint
-    from repro.testbed import campus_deployment
+    from repro.fpga.bitstream import generate_bitstream
+    from repro.ota.ap import AccessPoint
+    from repro.testbed.deployment import campus_deployment
 
     reader = _Config("campaign", config)
     image_label = reader.take("image", "ble", str)
@@ -316,7 +320,7 @@ def run_adr(config: Mapping[str, Any], seed: int,
             emit: ProgressEmit) -> tuple[dict[str, Any], float]:
     """Rate-adaptation study (the legacy ``repro adr``)."""
     from repro.protocols.lorawan.adr import fixed_rate_cost, simulate_adr
-    from repro.testbed import campus_deployment
+    from repro.testbed.deployment import campus_deployment
 
     reader = _Config("adr", config)
     reader.finish()

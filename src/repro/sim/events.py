@@ -127,21 +127,6 @@ SERVICE_BREAKER_OPEN = "service.breaker.open"
 SERVICE_BREAKER_HALF_OPEN = "service.breaker.half_open"
 SERVICE_BREAKER_CLOSE = "service.breaker.close"
 
-#: Every kind the ledger understands, for validation and docs.
-ALL_KINDS = frozenset({
-    RADIO_MODE, PACKET_TX, PACKET_RX, PACKET_TIMEOUT, PACKET_DELIVERED,
-    CONTROL_TX, CONTROL_RX, MCU_MODE, MCU_RUN, MCU_DECOMPRESS,
-    FPGA_CONFIG, FLASH_BUSY, SLEEP, METER_SEGMENT, SCHEDULER_FIRE,
-    OTA_REQUEST, OTA_SESSION, OTA_RETRY_WAIT, OTA_FAILURE,
-    OTA_CHECKPOINT, OTA_RESUME, OTA_ROLLBACK, OTA_VERIFY, WATCHDOG_RESET,
-    FAULT_LOSS, FAULT_CORRUPT, FAULT_FLASH, FAULT_BROWNOUT, FAULT_OUTAGE,
-    FAULT_HANG, FAULT_WORKER_CRASH, FAULT_WORKLOAD_HANG,
-    SERVICE_SUBMIT, SERVICE_ADMIT, SERVICE_REJECT, SERVICE_SHED,
-    SERVICE_DISPATCH, SERVICE_PROGRESS, SERVICE_EXECUTE, SERVICE_RETRY,
-    SERVICE_CACHE_HIT, SERVICE_COMPLETE, SERVICE_QUARANTINE,
-    SERVICE_BREAKER_OPEN, SERVICE_BREAKER_HALF_OPEN, SERVICE_BREAKER_CLOSE,
-})
-
 #: The injected-failure namespace (every kind repro.faults may emit).
 FAULT_KINDS = frozenset({
     FAULT_LOSS, FAULT_CORRUPT, FAULT_FLASH, FAULT_BROWNOUT, FAULT_OUTAGE,

@@ -1,6 +1,6 @@
 """Hierarchical timeline rollups and the bounded-memory JSONL spill.
 
-A 20-node campaign can afford a full :class:`~repro.sim.Timeline`
+A 20-node campaign can afford a full :class:`~repro.sim.timeline.Timeline`
 ledger — a few hundred thousand :class:`~repro.sim.events.SimEvent`
 objects.  A 100k-node fleet campaign cannot: tens of millions of event
 rows would dominate RAM before the first query ran.  This module holds

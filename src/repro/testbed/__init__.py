@@ -1,20 +1,6 @@
-"""Campus testbed: node deployments, which :mod:`repro.ota` places nodes with.
+"""Campus testbed.
 
-OTA programming campaigns over a deployment run on
-:class:`repro.ota.AccessPoint`; the mobile-node and multi-hop scenarios,
-which build on the OTA MAC, are imported from their own modules.
+:mod:`~repro.testbed.deployment` places the nodes;
+:mod:`~repro.testbed.mobility` and :mod:`~repro.testbed.multihop` hold
+the mobile-node and multi-hop scenarios, which build on the OTA MAC.
 """
-
-from repro.testbed.deployment import (
-    Deployment,
-    NodePlacement,
-    TESTBED_SIZE,
-    campus_deployment,
-)
-
-__all__ = [
-    "Deployment",
-    "NodePlacement",
-    "TESTBED_SIZE",
-    "campus_deployment",
-]

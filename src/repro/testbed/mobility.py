@@ -23,7 +23,7 @@ from repro.ota.mac import (
     run_stop_and_wait,
     transfer_report_from_timeline,
 )
-from repro.sim import Timeline
+from repro.sim.timeline import Timeline
 from repro.testbed.deployment import Deployment
 
 

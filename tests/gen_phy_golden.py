@@ -40,10 +40,10 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.phy import backend
-from repro.phy.ble import GfskConfig, GfskDemodulator, GfskModulator
+from repro.phy.ble.gfsk import GfskConfig, GfskDemodulator, GfskModulator
 from repro.phy.lora import LoRaDemodulator, LoRaModulator, LoRaParams
-from repro.phy.oqpsk import OqpskDemodulator, OqpskModulator, despread, \
-    spread, symbols_to_bytes
+from repro.phy.oqpsk.modem import OqpskDemodulator, OqpskModulator
+from repro.phy.oqpsk.spreading import despread, spread, symbols_to_bytes
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "fixtures" \
     / "phy_golden"

@@ -19,7 +19,7 @@ from repro.ota.fleet import (
     FleetCampaignConfig,
     run_fleet_campaign,
 )
-from repro.sim import Timeline
+from repro.sim.timeline import Timeline
 
 CONFIG = FleetCampaignConfig(
     num_nodes=96, image_bytes=600, seed=7,

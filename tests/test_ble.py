@@ -3,21 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.channel import awgn
+from repro.channel.awgn import awgn
 from repro.errors import ConfigurationError, DemodulationError
-from repro.phy.ble import (
-    ACCESS_ADDRESS,
+from repro.phy.ble.channels import (
     ADVERTISING_CHANNELS,
-    AdvPacket,
-    GfskConfig,
-    GfskDemodulator,
-    GfskModulator,
     TINYSDR_HOP_DELAY_S,
     advertising_event,
     beacon_airtime_s,
+    channel_frequency_hz,
+)
+from repro.phy.ble.gfsk import GfskConfig, GfskDemodulator, GfskModulator
+from repro.phy.ble.packet import (
+    ACCESS_ADDRESS,
+    AdvPacket,
     bits_to_bytes_lsb_first,
     bytes_to_bits_lsb_first,
-    channel_frequency_hz,
     crc24,
     parse_air_bytes,
     whiten_pdu_and_crc,

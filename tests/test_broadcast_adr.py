@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, OtaError
-from repro.fpga import generate_bitstream
+from repro.fpga.bitstream import generate_bitstream
 from repro.ota.broadcast import (
     BroadcastNodeState,
     simulate_broadcast_campaign,
@@ -14,7 +14,7 @@ from repro.protocols.lorawan.adr import (
     fixed_rate_cost,
     simulate_adr,
 )
-from repro.testbed import campus_deployment
+from repro.testbed.deployment import campus_deployment
 
 
 class TestBroadcastNodeState:

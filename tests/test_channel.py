@@ -3,20 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.channel import (
-    LinkBudget,
-    LogDistanceModel,
-    ReceivedSignal,
+from repro.channel.awgn import awgn, complex_noise, noise_only
+from repro.channel.impairments import (
     apply_cfo,
     apply_dc_offset,
     apply_iq_imbalance,
     apply_phase_noise,
-    awgn,
-    complex_noise,
-    noise_only,
     ppm_to_hz,
-    receive,
 )
+from repro.channel.link import LinkBudget, ReceivedSignal, receive
+from repro.channel.pathloss import LogDistanceModel
 from repro.errors import ChannelError
 from repro.units import noise_floor_dbm
 

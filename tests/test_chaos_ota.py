@@ -23,29 +23,30 @@ from repro.errors import (
     OtaError,
     ReproError,
 )
-from repro.faults import (
+from repro.faults.models import (
     ApOutageModel,
     BrownoutModel,
     CorruptionModel,
-    FaultPlan,
     FlashFaultModel,
     GilbertElliott,
     HangModel,
 )
-from repro.ota import (
-    FirmwareBanks,
-    HardenedOtaSession,
-    Mx25R6435F,
-    OtaLink,
+from repro.faults.plan import FaultPlan
+from repro.ota.ap import GOLDEN_IMAGE, GOLDEN_IMAGE_ID, AccessPoint
+from repro.ota.bank import FirmwareBanks
+from repro.ota.flash import Mx25R6435F
+from repro.ota.hardened import HardenedOtaSession
+from repro.ota.mac import (
     OUTCOME_ABANDONED,
     OUTCOME_RESUMED,
     OUTCOME_ROLLED_BACK,
     OUTCOME_SUCCEEDED,
-    RetryPolicy,
+    OtaLink,
 )
-from repro.ota.ap import GOLDEN_IMAGE, GOLDEN_IMAGE_ID, AccessPoint
-from repro.sim import OTA_RESUME, PACKET_DELIVERED, Timeline
-from repro.testbed import campus_deployment
+from repro.retry import RetryPolicy
+from repro.sim.events import OTA_RESUME, PACKET_DELIVERED
+from repro.sim.timeline import Timeline
+from repro.testbed.deployment import campus_deployment
 
 CHAOS_SEEDS = list(range(25))
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel import LinkBudget, ReceivedSignal, receive
+from repro.channel.link import LinkBudget, ReceivedSignal, receive
 from repro.phy.lora import ConcurrentReceiver, LoRaModulator, LoRaParams
 
 BW125 = LoRaParams(8, 125e3)

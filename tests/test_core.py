@@ -3,27 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    TinySdr,
-    available_firmware,
+from repro.core.firmware import available_firmware, get_firmware
+from repro.core.sweeps import (
+    SweepPoint,
     ble_bit_error_rate,
     find_sensitivity_dbm,
-    get_firmware,
     lora_symbol_error_rate,
+    sweep_rssi,
+)
+from repro.core.timing import (
     meets_ble_advertising_hop,
     meets_lorawan_rx1,
     platform_timings,
-    sweep_rssi,
     wakeup_penalty_vs_commercial,
 )
-from repro.core.sweeps import SweepPoint
+from repro.core.tinysdr import TinySdr
 from repro.errors import (
     ConfigurationError,
     DemodulationError,
     FpgaError,
 )
 from repro.ota.mac import OtaLink
-from repro.phy.ble import AdvPacket
+from repro.phy.ble.packet import AdvPacket
 from repro.phy.lora import LoRaParams
 
 

@@ -10,7 +10,7 @@ propagated, which is what separates a deployable stack from a demo.
 import numpy as np
 import pytest
 
-from repro.channel import LinkBudget, ReceivedSignal, receive
+from repro.channel.link import LinkBudget, ReceivedSignal, receive
 from repro.errors import (
     CompressionError,
     DemodulationError,
@@ -19,14 +19,13 @@ from repro.errors import (
     MicError,
     OtaError,
 )
-from repro.fpga import (
-    FpgaConfigurator,
-    SampleFifo,
-    bitstream_fingerprint,
-    generate_bitstream,
-)
-from repro.ota import OtaLink, OtaUpdater, compress, decompress
+from repro.fpga.bitstream import bitstream_fingerprint, generate_bitstream
+from repro.fpga.config import FpgaConfigurator
+from repro.fpga.fifo import SampleFifo
 from repro.ota.flash import BOOT_OFFSET
+from repro.ota.mac import OtaLink
+from repro.ota.minilzo import compress, decompress
+from repro.ota.updater import OtaUpdater
 from repro.phy.lora import LoRaDemodulator, LoRaModulator, LoRaParams
 
 PARAMS = LoRaParams(8, 125e3)
@@ -35,7 +34,7 @@ PARAMS = LoRaParams(8, 125e3)
 class TestLinkLayerCorruption:
     def test_corrupted_word_sync_is_detected_not_decoded(self, rng):
         from repro.errors import FramingError
-        from repro.radio import samples_to_words, unpack_word
+        from repro.radio.iqword import samples_to_words, unpack_word
         words = samples_to_words(rng.uniform(-0.9, 0.9, 10) + 0j)
         corrupted = int(words[3]) ^ (1 << 31)  # breaks I_SYNC
         with pytest.raises(FramingError):
@@ -149,7 +148,7 @@ class TestOtaFailures:
 
 class TestCryptoFailures:
     def test_bitflip_anywhere_in_frame_is_caught(self, rng):
-        from repro.protocols.lorawan import (
+        from repro.protocols.lorawan.frames import (
             DataFrame,
             MType,
             SessionKeys,
@@ -171,7 +170,7 @@ class TestCryptoFailures:
         # LoRaWAN 1.0's known weakness, made visible: replaying a join
         # creates a *different* session (new AppNonce), so the replayer
         # gains nothing but the server does burn an address.
-        from repro.protocols.lorawan import (
+        from repro.protocols.lorawan.mac import (
             DeviceIdentity,
             NetworkServer,
             build_join_request,

@@ -12,25 +12,21 @@ import pytest
 
 import repro.faults
 from repro.errors import FaultInjectionError
-from repro.faults import (
+from repro.faults.models import (
     ApOutageModel,
     BrownoutModel,
     CorruptionModel,
     FaultModel,
-    FaultPlan,
     FlashFaultModel,
     GilbertElliott,
     HangModel,
-    ServiceFaultPlan,
 )
+from repro.faults.plan import FaultPlan
+from repro.faults.service import ServiceFaultPlan
 from repro.ota.flash import PAGE_BYTES, FaultyFlash
 from repro.seeding import stream_rng
-from repro.sim import (
-    FAULT_BROWNOUT,
-    FAULT_LOSS,
-    FAULT_OUTAGE,
-    Timeline,
-)
+from repro.sim.events import FAULT_BROWNOUT, FAULT_LOSS, FAULT_OUTAGE
+from repro.sim.timeline import Timeline
 
 
 def _fault_models() -> list[type]:

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, FaultInjectionError
+from repro.ota.bank import METADATA_OFFSET, STAGING_OFFSET
 from repro.ota.fleet import (
     FleetBurstLoss,
     FleetCampaignConfig,
@@ -44,8 +45,11 @@ from repro.ota.mac import (
     ReadyMessage,
 )
 from repro.radio.sx1276 import packet_error_probability
-from repro.sim import TimelineRollup, read_jsonl_records
-from repro.sim.stream import DEFAULT_BUFFER_ROWS
+from repro.sim.stream import (
+    DEFAULT_BUFFER_ROWS,
+    TimelineRollup,
+    read_jsonl_records,
+)
 
 PER_NODE_ARRAYS = (
     "node_ids", "outcome_codes", "fragments", "attempts", "data_rx_full",
@@ -231,6 +235,16 @@ def test_config_validation_rejects_bad_values():
         FleetBurstLoss(p_enter_bad=-0.1)
     with pytest.raises(ConfigurationError):
         simulate_node_timeline(CLEAN, CLEAN.num_nodes)
+
+
+def test_config_refuses_an_image_the_node_cannot_stage():
+    # A 10**9-byte image used to step 16.7 M fragments before returning.
+    capacity = METADATA_OFFSET - STAGING_OFFSET
+    FleetCampaignConfig(num_nodes=1, image_bytes=capacity)
+    for image_bytes in (capacity + 1, 10 ** 9):
+        with pytest.raises(ConfigurationError,
+                           match=f"image_bytes must be at most {capacity}"):
+            FleetCampaignConfig(num_nodes=1, image_bytes=image_bytes)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])

@@ -5,18 +5,17 @@ import pytest
 
 from repro.dsp.filters import design_lowpass
 from repro.errors import ConfigurationError
-from repro.flowgraph import (
+from repro.flowgraph.blocks import (
     AddBlock,
     AwgnChannelBlock,
-    Block,
     FirFilterBlock,
-    FlowGraph,
     GainBlock,
     LoRaPacketSource,
     LoRaReceiverSink,
     VectorSink,
     VectorSource,
 )
+from repro.flowgraph.graph import Block, FlowGraph
 from repro.phy.lora import LoRaParams
 
 

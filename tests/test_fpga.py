@@ -10,22 +10,26 @@ from repro.errors import (
     FpgaError,
     ResourceExhaustedError,
 )
-from repro.fpga import (
+from repro.fpga.bitstream import (
     BITSTREAM_BYTES,
-    FpgaConfigurator,
-    LFE5U_25F_LUTS,
-    SampleFifo,
-    ble_tx_design,
     bitstream_fingerprint,
-    concurrent_rx_design,
-    fft_block,
     generate_bitstream,
     generate_mcu_program,
+)
+from repro.fpga.config import (
+    FpgaConfigurator,
+    programming_time_s,
+    transfer_time_s,
+)
+from repro.fpga.fifo import SampleFifo
+from repro.fpga.resources import (
+    LFE5U_25F_LUTS,
+    ble_tx_design,
+    concurrent_rx_design,
+    fft_block,
     lora_rx_design,
     lora_tx_design,
-    programming_time_s,
     table6,
-    transfer_time_s,
 )
 
 

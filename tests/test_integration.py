@@ -10,23 +10,24 @@ battery-life accounting through the PMU.
 import numpy as np
 import pytest
 
-from repro.channel import LinkBudget, ReceivedSignal, receive
-from repro.core import TinySdr
+from repro.channel.link import LinkBudget, ReceivedSignal, receive
 from repro.core.firmware import get_firmware
-from repro.fpga import SampleFifo
+from repro.core.tinysdr import TinySdr
+from repro.fpga.fifo import SampleFifo
 from repro.ota.flash import BOOT_OFFSET
 from repro.ota.mac import OtaLink
-from repro.phy.ble import AdvPacket
+from repro.phy.ble.packet import AdvPacket
 from repro.phy.lora import LoRaDemodulator, LoRaModulator, LoRaParams
-from repro.power import LIPO_1000MAH, duty_cycle_profile
+from repro.power.battery import LIPO_1000MAH
+from repro.power.meter import duty_cycle_profile
 from repro.power.pmu import PlatformState, PowerManagementUnit
-from repro.protocols.lorawan import (
+from repro.protocols.lorawan.mac import (
     DeviceIdentity,
     LoRaWanDevice,
     NetworkServer,
 )
-from repro.radio import (
-    At86Rf215,
+from repro.radio.at86rf215 import At86Rf215
+from repro.radio.iqword import (
     bits_to_words,
     find_word_alignment,
     samples_to_words,

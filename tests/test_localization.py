@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.localization import (
+from repro.localization.ranging import (
     angle_of_arrival,
     estimate_phase,
     multicarrier_range,

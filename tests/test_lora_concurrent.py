@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel import LinkBudget, ReceivedSignal, receive
+from repro.channel.link import LinkBudget, ReceivedSignal, receive
 from repro.core.sweeps import concurrent_symbol_error_rates
 from repro.errors import ConfigurationError, DemodulationError
 from repro.phy.lora import ConcurrentReceiver, LoRaParams, align_to_rate

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.channel import LinkBudget, ReceivedSignal, receive
 from repro.channel.impairments import apply_cfo
+from repro.channel.link import LinkBudget, ReceivedSignal, receive
 from repro.errors import ConfigurationError, DemodulationError
 from repro.phy.lora import (
     LoRaDemodulator,

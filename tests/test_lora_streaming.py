@@ -7,6 +7,7 @@ whole capture, while holding only a bounded sample window.
 """
 
 import resource
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,59 @@ class TestTailWindows:
         with pytest.raises(DemodulationError):
             demod.receive(cut, payload_symbols=8)
         assert demod.receive_all(cut) == []
+
+
+class TestNonFiniteSamples:
+    """A NaN or infinite sample is refused with its offset, not decoded."""
+
+    PARAMS = LoRaParams(spreading_factor=8, bandwidth_hz=125e3)
+    PAD = 1000
+    CHUNK = 1000
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        pad = np.zeros(self.PAD, dtype=np.complex128)
+        packet = LoRaModulator(self.PARAMS).modulate(b"hostile capture!")
+        return np.concatenate([pad, packet, pad])
+
+    def _offset(self, symbol):
+        return self.PAD + symbol * self.PARAMS.samples_per_symbol + 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("symbol", range(14))
+    def test_every_receiver_refuses_it(self, clean, symbol, bad):
+        offset = self._offset(symbol)
+        capture = clean.copy()
+        capture[offset] = bad
+        receiver = StreamingDemodulator(self.PARAMS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DemodulationError, match=f"sample {offset} "):
+                LoRaDemodulator(self.PARAMS).receive_all(capture)
+            with pytest.raises(DemodulationError, match=f"sample {offset} "):
+                LoRaDemodulator(self.PARAMS).receive(capture)
+            with pytest.raises(DemodulationError,
+                               match=f"sample {offset % self.CHUNK} "):
+                for start in range(0, capture.size, self.CHUNK):
+                    receiver.push(capture[start:start + self.CHUNK])
+
+    @pytest.mark.parametrize("symbol", range(14))
+    def test_rejected_push_leaves_the_receiver_unchanged(self, clean,
+                                                         symbol):
+        offset = self._offset(symbol)
+        capture = clean.copy()
+        capture[offset] = np.nan
+        receiver = StreamingDemodulator(self.PARAMS)
+        packets = []
+        for start in range(0, clean.size, self.CHUNK):
+            if start <= offset < start + self.CHUNK:
+                with pytest.raises(DemodulationError):
+                    receiver.push(capture[start:start + self.CHUNK])
+            packets += receiver.push(clean[start:start + self.CHUNK])
+        packets += receiver.flush()
+        assert [packet.decoded.payload for packet in packets] \
+            == [b"hostile capture!"]
+        assert packets == LoRaDemodulator(self.PARAMS).receive_all(clean)
 
 
 class TestStreamingLifecycle:

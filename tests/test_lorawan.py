@@ -3,22 +3,22 @@
 import pytest
 
 from repro.errors import ConfigurationError, MicError, ProtocolError
-from repro.protocols.lorawan import (
+from repro.protocols.lorawan.aes import decrypt_block, encrypt_block
+from repro.protocols.lorawan.cmac import aes_cmac, truncated_cmac
+from repro.protocols.lorawan.frames import (
     DataFrame,
-    DeviceIdentity,
-    LoRaWanDevice,
     MType,
-    NetworkServer,
     SessionKeys,
-    aes_cmac,
-    build_join_request,
-    decrypt_block,
-    derive_session_keys,
     deserialize,
-    encrypt_block,
     encrypt_payload,
     serialize,
-    truncated_cmac,
+)
+from repro.protocols.lorawan.mac import (
+    DeviceIdentity,
+    LoRaWanDevice,
+    NetworkServer,
+    build_join_request,
+    derive_session_keys,
 )
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")

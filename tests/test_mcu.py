@@ -3,12 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError, MemoryError_
-from repro.mcu import (
+from repro.mcu.msp432 import (
     FLASH_BYTES,
+    SRAM_BYTES,
     McuMode,
     MemoryBank,
     Msp432,
-    SRAM_BYTES,
     firmware_footprint_report,
 )
 

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.ml import (
-    MlpClassifier,
-    QuantizedMlp,
+from repro.ml.carrier_sense import (
     extract_features,
-    fpga_inference_cost,
     run_carrier_sense_study,
     synthesize_dataset,
 )
+from repro.ml.mlp import MlpClassifier, QuantizedMlp, fpga_inference_cost
 from repro.phy.lora import LoRaParams
 
 PARAMS = LoRaParams(8, 125e3)
@@ -72,7 +70,7 @@ class TestInferenceCost:
         assert large["latency_s"] > small["latency_s"]
 
     def test_fits_alongside_lora_modem(self):
-        from repro.fpga import LFE5U_25F_LUTS, lora_rx_design
+        from repro.fpga.resources import LFE5U_25F_LUTS, lora_rx_design
         cost = fpga_inference_cost(544)
         assert cost["luts"] + lora_rx_design(8).luts < LFE5U_25F_LUTS / 2
 

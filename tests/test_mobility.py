@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.testbed import campus_deployment
+from repro.testbed.deployment import campus_deployment
 from repro.testbed.mobility import (
     MobilePath,
     Waypoint,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.phy.lora import LoRaParams
-from repro.testbed import campus_deployment
+from repro.testbed.deployment import campus_deployment
 from repro.testbed.multihop import (
     GATEWAY_ID,
     MeshGraph,

@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.channel import awgn
+from repro.channel.awgn import awgn
 from repro.errors import CodingError, ConfigurationError, DemodulationError
-from repro.phy.oqpsk import (
-    BIT_RATE_BPS,
-    CHIP_RATE_HZ,
-    CHIPS_PER_SYMBOL,
+from repro.phy.oqpsk.frame import (
     Ieee802154Frame,
     Ieee802154Transceiver,
-    OqpskDemodulator,
-    OqpskModulator,
-    bytes_to_symbols,
     crc16_itut,
+)
+from repro.phy.oqpsk.modem import OqpskDemodulator, OqpskModulator
+from repro.phy.oqpsk.spreading import (
+    BIT_RATE_BPS,
+    CHIPS_PER_SYMBOL,
+    CHIP_RATE_HZ,
+    bytes_to_symbols,
     despread,
     despread_symbol,
     sequence_cross_correlation,

@@ -10,25 +10,25 @@ from repro.errors import (
     OtaError,
     ProtocolError,
 )
-from repro.fpga import generate_bitstream, generate_mcu_program
+from repro.fpga.bitstream import generate_bitstream, generate_mcu_program
 from repro.mcu.msp432 import Msp432
-from repro.ota import (
+from repro.ota.blocks import (
     BLOCK_BYTES,
-    DataPacket,
-    EndOfUpdate,
-    Mx25R6435F,
-    OtaLink,
-    OtaUpdater,
-    ProgrammingRequest,
-    compress,
     compression_summary,
-    decompress,
-    fragment_image,
     reassemble,
-    simulate_transfer,
     split_and_compress,
 )
-from repro.ota.flash import BOOT_OFFSET, SECTOR_BYTES
+from repro.ota.flash import BOOT_OFFSET, SECTOR_BYTES, Mx25R6435F
+from repro.ota.mac import (
+    DataPacket,
+    EndOfUpdate,
+    OtaLink,
+    ProgrammingRequest,
+    fragment_image,
+    simulate_transfer,
+)
+from repro.ota.minilzo import compress, decompress
+from repro.ota.updater import OtaUpdater
 from repro.phy.lora import LoRaParams
 
 

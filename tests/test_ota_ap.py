@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fpga import generate_bitstream
-from repro.ota import OUTCOME_ABANDONED, OUTCOME_SUCCEEDED
-from repro.ota.ap import (
-    AccessPoint,
-    LISTEN_PERIOD_S,
-    LISTEN_WINDOW_S,
-)
-from repro.testbed import campus_deployment
+from repro.fpga.bitstream import generate_bitstream
+from repro.ota.ap import LISTEN_WINDOW_S, AccessPoint
+from repro.ota.mac import LISTEN_PERIOD_S, OUTCOME_ABANDONED, OUTCOME_SUCCEEDED
+from repro.testbed.deployment import campus_deployment
 
 
 @pytest.fixture(scope="module")

@@ -13,39 +13,36 @@ from repro.errors import (
     RollbackError,
     WatchdogTimeoutError,
 )
-from repro.faults import (
-    BrownoutModel,
-    FaultPlan,
-    FlashFaultModel,
-    HangModel,
-)
-from repro.ota import (
+from repro.faults.models import BrownoutModel, FlashFaultModel, HangModel
+from repro.faults.plan import FaultPlan
+from repro.ota.ap import GOLDEN_IMAGE, GOLDEN_IMAGE_ID
+from repro.ota.bank import (
+    GOLDEN_OFFSET,
+    MAX_IMAGE_BYTES,
     Checkpoint,
     CheckpointLog,
     FirmwareBanks,
-    HardenedOtaSession,
     ImageRecord,
-    Mx25R6435F,
-    OtaLink,
-    RetryPolicy,
+    bank_offset,
+)
+from repro.ota.blocks import (
     parse_wire_image,
     split_and_compress,
     total_compressed_bytes,
     wire_image,
 )
-from repro.ota.ap import GOLDEN_IMAGE, GOLDEN_IMAGE_ID
-from repro.ota.bank import GOLDEN_OFFSET, MAX_IMAGE_BYTES, bank_offset
-from repro.ota.flash import FaultyFlash
-from repro.ota.hardened import IMAGE_ID, WATCHDOG_TIMEOUT_S
-from repro.retry import ACK_TIMEOUT_S, MAX_ATTEMPTS_PER_PACKET
-from repro.sim import (
+from repro.ota.flash import FaultyFlash, Mx25R6435F
+from repro.ota.hardened import IMAGE_ID, WATCHDOG_TIMEOUT_S, HardenedOtaSession
+from repro.ota.mac import OtaLink
+from repro.retry import ACK_TIMEOUT_S, MAX_ATTEMPTS_PER_PACKET, RetryPolicy
+from repro.sim.events import (
     FAULT_HANG,
     OTA_RESUME,
     PACKET_DELIVERED,
     SCHEDULER_FIRE,
-    Timeline,
     WATCHDOG_RESET,
 )
+from repro.sim.timeline import Timeline
 
 IMAGE = np.random.default_rng(2020).integers(
     0, 256, 3000, dtype=np.uint8).tobytes()

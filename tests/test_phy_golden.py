@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.phy import backend
-from repro.phy.ble import GfskConfig, GfskDemodulator
+from repro.phy.ble.gfsk import GfskConfig, GfskDemodulator
 from repro.phy.lora import LoRaDemodulator, LoRaParams, StreamingDemodulator
-from repro.phy.oqpsk import OqpskDemodulator, despread, spread, \
-    symbols_to_bytes
+from repro.phy.oqpsk.modem import OqpskDemodulator
+from repro.phy.oqpsk.spreading import despread, spread, symbols_to_bytes
 from tests.gen_phy_golden import (
     GOLDEN_DIR,
     _sha256,

@@ -6,22 +6,24 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fpga import generate_bitstream
-from repro.platforms import (
-    BILL_OF_MATERIALS,
+from repro.fpga.bitstream import generate_bitstream
+from repro.ota.ap import AccessPoint
+from repro.platforms.catalog import (
     IQ_RADIO_CHIPS,
     SDR_PLATFORMS,
-    cost_by_group,
-    cost_without,
     covers_band,
     endpoint_requirements_report,
     get_platform,
     sleep_power_advantage,
     supports_protocol,
+)
+from repro.platforms.cost import (
+    BILL_OF_MATERIALS,
+    cost_by_group,
+    cost_without,
     total_cost_usd,
 )
-from repro.ota import AccessPoint
-from repro.testbed import TESTBED_SIZE, campus_deployment
+from repro.testbed.deployment import TESTBED_SIZE, campus_deployment
 
 
 class TestCatalog:

@@ -3,22 +3,16 @@
 import pytest
 
 from repro.errors import ConfigurationError, PowerError
-from repro.power import (
-    Battery,
+from repro.power.battery import LIPO_1000MAH, Battery
+from repro.power.domains import (
     DOMAIN_TABLE,
-    EnergyMeter,
-    LIPO_1000MAH,
-    Regulator,
-    SC195,
-    TPS62240,
-    TPS78218,
     build_domains,
     domain_for_component,
-    duty_cycle_profile,
-    fpga_power_w,
-    iq_radio_tx_w,
 )
+from repro.power.meter import EnergyMeter, duty_cycle_profile
 from repro.power.pmu import PlatformState, PowerManagementUnit
+from repro.power.profiles import fpga_power_w, iq_radio_tx_w
+from repro.power.regulators import SC195, TPS62240, TPS78218, Regulator
 
 
 class TestRegulators:

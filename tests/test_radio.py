@@ -7,31 +7,34 @@ import pytest
 from repro.errors import ConfigurationError, FramingError, PowerError, RadioError
 from repro.phy.lora import LoRaParams
 from repro.power.profiles import IQ_RADIO_SLEEP_W
-from repro.radio import (
-    At86Rf215,
-    FrontendMode,
-    IqWord,
-    LvdsTiming,
+from repro.radio.at86rf215 import (
     RADIO_SETUP_S,
+    At86Rf215,
     RadioState,
-    RfFrontend,
-    SE2435L,
-    SKY66112,
-    bits_to_words,
-    ddr_merge,
-    ddr_split,
-    find_word_alignment,
-    inject_bit_errors,
-    pack_word,
-    packet_error_probability,
-    samples_to_words,
-    sensitivity_dbm,
-    symbol_error_probability,
     tx_power_draw_w,
+)
+from repro.radio.frontend import SE2435L, SKY66112, FrontendMode, RfFrontend
+from repro.radio.iqword import (
+    IqWord,
+    bits_to_words,
+    find_word_alignment,
+    pack_word,
+    samples_to_words,
     unpack_word,
-    verify_paper_budget,
     words_to_bits,
     words_to_samples,
+)
+from repro.radio.lvds import (
+    LvdsTiming,
+    ddr_merge,
+    ddr_split,
+    inject_bit_errors,
+    verify_paper_budget,
+)
+from repro.radio.sx1276 import (
+    packet_error_probability,
+    sensitivity_dbm,
+    symbol_error_probability,
 )
 
 

@@ -31,7 +31,7 @@ from repro.service import (
     read_journal,
 )
 from repro.service.api import JOB_COMPLETED, JOB_FAILED, JOB_REJECTED
-from repro.sim import SERVICE_KINDS
+from repro.sim.events import SERVICE_KINDS
 
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers()

@@ -82,9 +82,9 @@ class TestSweepParity:
 
 class TestCampaignParity:
     def test_campus_campaign_bit_identical(self):
-        from repro.fpga import generate_bitstream
-        from repro.ota import AccessPoint
-        from repro.testbed import campus_deployment
+        from repro.fpga.bitstream import generate_bitstream
+        from repro.ota.ap import AccessPoint
+        from repro.testbed.deployment import campus_deployment
 
         rng = job_rng(SEED)
         deployment = campus_deployment(num_nodes=4)
@@ -128,7 +128,7 @@ class TestAdrParity:
             fixed_rate_cost,
             simulate_adr,
         )
-        from repro.testbed import campus_deployment
+        from repro.testbed.deployment import campus_deployment
 
         rng = job_rng(SEED)
         deployment = campus_deployment()
@@ -159,8 +159,12 @@ class TestAdrParity:
 class TestTableParity:
     def test_info_tables_match_engines(self):
         from repro.core.timing import platform_timings
-        from repro.fpga import LFE5U_25F_LUTS, lora_rx_design, lora_tx_design
-        from repro.platforms import total_cost_usd
+        from repro.fpga.resources import (
+            LFE5U_25F_LUTS,
+            lora_rx_design,
+            lora_tx_design,
+        )
+        from repro.platforms.cost import total_cost_usd
 
         payload = _service_payload("info", {})
         assert _hex(payload["unit_cost_usd"]) == _hex(total_cost_usd())

@@ -44,7 +44,7 @@ from repro.faults.service import (
     WorkerCrashModel,
     WorkloadHangModel,
 )
-from repro.ota.mac import RetryPolicy
+from repro.retry import RetryPolicy
 from repro.service import (
     JOB_COMPLETED,
     JOB_FAILED,
@@ -64,10 +64,13 @@ from repro.service import (
     WorkloadRegistry,
     read_journal,
 )
-from repro.service.resilience import (
+from repro.service.resilience import journal as journal_module
+from repro.service.resilience.breaker import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
+)
+from repro.service.resilience.journal import (
     GENESIS_DIGEST,
     RECORD_COMPLETE,
     RECORD_FAIL,
@@ -75,8 +78,7 @@ from repro.service.resilience import (
     RECORD_RECOVER,
     RECORD_SUBMIT,
 )
-from repro.service.resilience import journal as journal_module
-from repro.sim import (
+from repro.sim.events import (
     FAULT_WORKER_CRASH,
     FAULT_WORKLOAD_HANG,
     SERVICE_BREAKER_OPEN,

@@ -14,12 +14,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fpga import generate_bitstream
+from repro.fpga.bitstream import generate_bitstream
 from repro.ota.ap import AccessPoint
 from repro.ota.broadcast import simulate_broadcast_campaign
 from repro.ota.mac import OtaLink, simulate_transfer
 from repro.ota.updater import OtaUpdater, node_energy_from_timeline
-from repro.testbed import campus_deployment
+from repro.testbed.deployment import campus_deployment
 from repro.testbed.mobility import (
     MobilePath,
     Waypoint,

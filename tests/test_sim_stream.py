@@ -14,17 +14,15 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim import (
-    FLASH_BUSY,
-    PACKET_RX,
-    PACKET_TX,
+from repro.sim.events import FLASH_BUSY, PACKET_RX, PACKET_TX
+from repro.sim.stream import (
     RollupBin,
     StreamingLedgerWriter,
-    Timeline,
     TimelineRollup,
-    from_jsonl,
     read_jsonl_records,
 )
+from repro.sim.timeline import Timeline
+from repro.sim.trace import from_jsonl
 
 
 def _sample_timeline(offset: float = 0.0, events: int = 5) -> Timeline:

@@ -9,14 +9,16 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.power.meter import EnergyMeter
-from repro.sim import (
+from repro.sim.events import (
     MCU_RUN,
     PACKET_DELIVERED,
     PACKET_RX,
     PACKET_TX,
     SLEEP,
     SimEvent,
-    Timeline,
+)
+from repro.sim.timeline import Timeline
+from repro.sim.trace import (
     from_jsonl,
     to_chrome_trace,
     to_jsonl,

@@ -1,4 +1,4 @@
-"""Four source conventions no run can observe.
+"""Six source conventions no run can observe.
 
 * **Named literals.**  A numeric literal of magnitude 1e5 or more
   (868 MHz, a 100 ks timeout) lives in a module-level UPPER_CASE
@@ -24,15 +24,26 @@
   :data:`DEFERRED_IMPORTS` places, each of which names its reason.  The
   runtime import graph is acyclic (``tests/test_package_imports.py``),
   so a function-level import avoids nothing anywhere else.
+* **Docstring-only packages.**  A package ``__init__`` holds its
+  docstring and nothing else (``repro``'s also sets ``__version__``),
+  except the :data:`ENTRY_PACKAGES`.
+* **One import path per name.**  Every ``from repro... import name`` in
+  ``src/``, ``tests/``, ``benchmarks/`` and ``examples/`` names a
+  submodule or a name that module binds at its top level with ``def``,
+  ``class`` or an assignment; imports from ``repro`` and the entry
+  packages are exempt.  A re-export gives a name a second path and
+  makes importing one module load its whole package.
 
 Respelling ``FREQUENCY_HZ`` as its value, rewording a citation,
-hand-building a stream that equals its ``stream_rng`` twin or deferring
-an import changes no output, so these are text checks over ``src/``.
+hand-building a stream that equals its ``stream_rng`` twin, deferring
+an import or importing a name through another module changes no
+output, so these are text checks.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
 from fnmatch import fnmatch
 from pathlib import Path
@@ -62,6 +73,12 @@ DEFERRED_IMPORTS = {
     "src/repro/phy/lora/demodulator.py": "LoRaDemodulator.receive_all",
 }
 """File -> the function (``*``: any) whose ``repro`` imports may stay."""
+
+ENTRY_PACKAGES = ("repro.phy.lora", "repro.ota.fleet", "repro.service")
+"""Packages whose ``__init__`` keeps its re-exports: ``perfbench/``
+reaches the three headline paths through them."""
+
+IMPORTING_TREES = ("src", "tests", "benchmarks", "examples")
 
 _UPPER = re.compile(r"^[A-Z][A-Z0-9_]*$")
 
@@ -222,6 +239,58 @@ def deferred_imports(source: str) -> list[tuple[int, str]]:
     return found
 
 
+def _module_level(body: list[ast.stmt]):
+    """The statements of ``body`` and of the blocks nested in it."""
+    for stmt in body:
+        yield stmt
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_level(getattr(stmt, field, []))
+
+
+def defined_names(source: str) -> set[str]:
+    """Names a module's top level binds with def, class or assignment."""
+    names = set()
+    for stmt in _module_level(ast.parse(source).body):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names.update(name for target in stmt.targets
+                         for name in _names(target))
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+            names.update(_names(stmt.target))
+    return names
+
+
+def reexported_imports(source: str, package: str,
+                       modules: dict[str, set[str]]) -> list[tuple[int, str]]:
+    """``(line, module.name)`` of each import of a name ``module`` lacks.
+
+    ``modules`` maps each ``repro`` module to its :func:`defined_names`;
+    ``package`` resolves relative imports (``""`` outside ``src/``).
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom) or node.level and not package:
+            continue
+        module = importlib.util.resolve_name(
+            "." * node.level + (node.module or ""), package)
+        if module not in modules or module in ("repro", *ENTRY_PACKAGES):
+            continue
+        found += [(node.lineno, f"{module}.{alias.name}")
+                  for alias in node.names
+                  if alias.name not in modules[module]
+                  and f"{module}.{alias.name}" not in modules]
+    return sorted(found)
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(REPO_ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
 def _violations(check, include, exclude=()) -> list[str]:
     found = []
     for path in sorted((REPO_ROOT / "src").rglob("*.py")):
@@ -255,6 +324,45 @@ def test_repro_imports_run_at_module_level():
                   for line, function
                   in deferred_imports(path.read_text(encoding="utf-8"))
                   if allowed not in ("*", function)]
+    assert found == []
+
+
+def _docstring_or_version(stmt: ast.stmt, package: str) -> bool:
+    if isinstance(stmt, ast.Expr):
+        return isinstance(stmt.value, ast.Constant) \
+            and isinstance(stmt.value.value, str)
+    return package == "repro" and isinstance(stmt, ast.Assign) \
+        and [name for target in stmt.targets
+             for name in _names(target)] == ["__version__"]
+
+
+def test_package_inits_hold_only_their_docstring():
+    found = []
+    for path in sorted((REPO_ROOT / "src").rglob("__init__.py")):
+        package = _module_name(path)
+        if package in ENTRY_PACKAGES:
+            continue
+        found += [f"{path.relative_to(REPO_ROOT).as_posix()}:{stmt.lineno}"
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+                  if not _docstring_or_version(stmt, package)]
+    assert found == []
+
+
+def test_imports_name_a_submodule_or_a_name_their_module_defines():
+    modules = {_module_name(path): defined_names(
+        path.read_text(encoding="utf-8"))
+        for path in (REPO_ROOT / "src").rglob("*.py")}
+    found = []
+    for tree in IMPORTING_TREES:
+        for path in sorted((REPO_ROOT / tree).rglob("*.py")):
+            package = ""
+            if tree == "src":
+                package = _module_name(path)
+                if path.name != "__init__.py":
+                    package = package.rpartition(".")[0]
+            found += [f"{path.relative_to(REPO_ROOT).as_posix()}:{line} "
+                      f"{name}" for line, name in reexported_imports(
+                          path.read_text(encoding="utf-8"), package, modules)]
     assert found == []
 
 
@@ -347,6 +455,57 @@ def test_deferred_imports_flags_only_function_level_repro_imports():
     assert deferred_imports(_IMPORTS) == [
         (12, "run"), (21, "Receiver.receive_all"),
         (22, "Receiver.receive_all")]
+
+
+_DEFINITIONS = '''\
+import numpy as np
+from repro.sim.events import SimEvent
+
+LIMIT = 3
+rate: float = 1.5
+if LIMIT:
+    FLAG = True
+try:
+    SPEED, GAIN = 1, 2
+except ImportError:
+    SPEED = 0
+
+
+def run():
+    local = 1
+
+
+class Model:
+    FIELD = 1
+'''
+
+
+def test_defined_names_are_top_level_bindings_not_imports():
+    assert defined_names(_DEFINITIONS) == {
+        "LIMIT", "rate", "FLAG", "SPEED", "GAIN", "run", "Model"}
+
+
+_REEXPORTS = '''\
+from repro import units
+from repro.a import VALUE, b, helper
+from repro.phy.lora import LoRaParams
+from numpy import pi
+from .b import VALUE as value
+
+
+def late():
+    from repro.c import VALUE
+'''
+
+_MODULES = {"repro": set(), "repro.units": set(), "repro.a": {"VALUE"},
+            "repro.a.b": set(), "repro.c": set(), "repro.phy.lora": set()}
+
+
+def test_reexported_imports_flags_only_names_the_module_lacks():
+    assert reexported_imports(_REEXPORTS, "repro.a", _MODULES) == [
+        (2, "repro.a.helper"), (5, "repro.a.b.VALUE"), (9, "repro.c.VALUE")]
+    assert reexported_imports(_REEXPORTS, "", _MODULES) == [
+        (2, "repro.a.helper"), (9, "repro.c.VALUE")]
 
 
 @pytest.mark.parametrize("value, structural", [

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.backscatter import (
+from repro.backscatter.system import (
     BackscatterConfig,
     BackscatterReader,
     BackscatterTag,
     reader_link,
 )
-from repro.channel import awgn
+from repro.channel.awgn import awgn
 from repro.errors import ConfigurationError, DemodulationError
-from repro.phy.unb import (
+from repro.phy.unb.dbpsk import (
     SIGFOX_BANDWIDTH_HZ,
     UnbConfig,
     UnbDemodulator,

@@ -11,7 +11,8 @@ import pytest
 
 from repro import units
 from repro.errors import ConfigurationError
-from repro.power import Battery, duty_cycle_profile
+from repro.power.battery import Battery
+from repro.power.meter import duty_cycle_profile
 
 
 class TestDbConversions:
