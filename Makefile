@@ -53,11 +53,13 @@ bench-fleet:
 bench-check:
 	$(PYTHON) benchmarks/check_regression.py
 
-# Traced-benchmark smoke: each perfbench workload runs for 2 s with its
-# stage tracing on.  The last line must report "correct": true, which
-# fails when an operation fails or when a layer the benchmark traces is
-# no longer where the benchmark looks for it.
+# Traced-benchmark smoke: perfbench's own tests (tier-1 collects only
+# tests/), then each perfbench workload runs for 2 s with its stage
+# tracing on.  The last line must report "correct": true, which fails
+# when an operation fails or when a layer the benchmark traces is no
+# longer where the benchmark looks for it.
 bench-trace-smoke:
+	$(PYTHON) -m pytest -q perfbench
 	@for workload in lora_gateway_rx fleet_ota_100k service_zipf_journal; do \
 		result=$$($(PYTHON) perfbench/run.py --workload $$workload \
 			--trace 1 --seconds 2 | tail -n 1); \

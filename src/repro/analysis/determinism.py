@@ -75,16 +75,26 @@ def fleet_fingerprint(report: "FleetReport") -> str:
     return digest.hexdigest()
 
 
-def pinned_fleet_fingerprint(shards: int) -> str:
-    """Fingerprint of the fleet example's campaign at 2,048 nodes."""
+def pinned_fleet_report(shards: int) -> "FleetReport":
+    """The fleet example's campaign at 2,048 nodes, run in ``shards``."""
     from repro.ota.fleet import FleetBurstLoss, FleetCampaignConfig
     from repro.ota.fleet.shard import run_fleet_campaign_sharded
 
     config = FleetCampaignConfig(
         num_nodes=2048, image_bytes=1800, seed=2020,
         loss=FleetBurstLoss(), verify_failure_prob=0.01)
-    return fleet_fingerprint(
-        run_fleet_campaign_sharded(config, shards=shards))
+    return run_fleet_campaign_sharded(config, shards=shards)
+
+
+def fleet_spill_digest(report: "FleetReport") -> str:
+    """``"<bytes> <sha256>"`` of the report's JSONL spill file."""
+    from repro.ota.fleet import write_fleet_spill
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fleet.jsonl"
+        write_fleet_spill(report, path)
+        raw = path.read_bytes()
+    return f"{len(raw)} {hashlib.sha256(raw).hexdigest()}"
 
 
 # -- scripted service sessions ----------------------------------------------
@@ -374,7 +384,9 @@ def pinned_scenarios() -> dict[str, str]:
     digests["journal-0"] = resilient_journal_digest(0)
     digests["ledgers-0"] = ledger_fingerprint(0)
     for shards in FLEET_SHARDS:
-        digests[f"fleet-shards-{shards}"] = pinned_fleet_fingerprint(shards)
+        report = pinned_fleet_report(shards)
+        digests[f"fleet-shards-{shards}"] = fleet_fingerprint(report)
+        digests[f"fleet-spill-shards-{shards}"] = fleet_spill_digest(report)
     return digests
 
 

@@ -35,6 +35,7 @@ completion (only when ``verify_failure_prob > 0``).
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -94,6 +95,10 @@ OUTCOME_LABELS = (OUTCOME_SUCCEEDED, OUTCOME_RESUMED, OUTCOME_ROLLED_BACK,
                   OUTCOME_ABANDONED)
 #: Outcome code -> its label as the spill writes it (a JSON string).
 _OUTCOME_JSON = tuple(json.dumps(label) for label in OUTCOME_LABELS)
+#: A node row's spill-cache key: the eight fields after its id (outcome
+#: code, fragments, attempts, timeouts, flash bank, duration, energy,
+#: events) packed as native 64-bit words, the two floats by their bits.
+_NODE_TAIL_KEY = struct.Struct("5q2dq")
 
 GOLDEN_BANK = 0
 UPDATE_BANK = 1
@@ -617,17 +622,34 @@ def simulate_node_timeline(config: FleetCampaignConfig, node_id: int,
     return timeline
 
 
+def _node_tail(key: bytes) -> str:
+    """A node row's JSON after its id, from its packed spill-cache key.
+
+    Floats are written by ``repr``, as ``json.dumps`` writes them.
+    """
+    code, fragments, attempts, timeouts, bank, duration, energy, events = \
+        _NODE_TAIL_KEY.unpack(key)
+    return (f'"outcome": {_OUTCOME_JSON[code]}, "fragments": {fragments}, '
+            f'"attempts": {attempts}, "timeouts": {timeouts}, '
+            f'"flash_bank": {bank}, "duration_s": {duration!r}, '
+            f'"energy_j": {energy!r}, "events": {events}}}')
+
+
 def write_fleet_spill(report: FleetReport, path,
                       buffer_rows: int = DEFAULT_BUFFER_ROWS
                       ) -> dict[str, int]:
     """Spill a fleet report to JSONL with a bounded in-memory buffer.
 
     Layout: one campaign header row, one row per node, then the rollup
-    rows; every line is exactly ``json.dumps`` of its row.  Node rows
-    are rendered column-wise, ``buffer_rows`` at a time (ints bare,
-    floats by ``repr``, as ``json.dumps`` writes them).  Returns the
-    writer's spill statistics (``rows_written``, ``max_buffered``) so
-    callers can assert the resident buffer stayed bounded.
+    rows; every line is exactly ``json.dumps`` of its row.  Every field
+    of a node row after the id is a function of the node's small
+    counters, so a fleet repeats few distinct row tails: each is
+    rendered once, keyed by the row's exact values (floats by their
+    ``int64`` bits, so ``0.0`` and ``-0.0`` stay apart), and a node
+    line is its id prefix plus that tail.  Resident at any time:
+    ``buffer_rows`` lines plus one cached tail per distinct tail.
+    Returns the writer's spill statistics (``rows_written``,
+    ``max_buffered``) so callers can assert the buffer stayed bounded.
 
     Raises:
         ConfigurationError: when the report holds a NaN or infinite
@@ -643,9 +665,14 @@ def write_fleet_spill(report: FleetReport, path,
         raise ConfigurationError(
             "fleet report holds NaN or infinite values; JSON cannot "
             "encode them")
-    columns = (report.node_ids, report.outcome_codes, report.fragments,
-               report.attempts, report.timeouts, report.flash_bank,
-               report.duration_s, report.energy_j, report.events_per_node)
+    key_columns = (
+        report.outcome_codes, report.fragments, report.attempts,
+        report.timeouts, report.flash_bank,
+        np.asarray(report.duration_s, dtype=np.float64).view(np.int64),
+        np.asarray(report.energy_j, dtype=np.float64).view(np.int64),
+        report.events_per_node)
+    packed_row = np.dtype((np.void, _NODE_TAIL_KEY.size))
+    tails: dict[bytes, str] = {}
     with StreamingLedgerWriter(path, buffer_rows=buffer_rows) as writer:
         writer.write_row({
             "record": "fleet-campaign",
@@ -657,16 +684,17 @@ def write_fleet_spill(report: FleetReport, path,
             "outcomes": report.outcome_counts(),
         })
         for start in range(0, report.num_nodes, buffer_rows):
-            batch = [column[start:start + buffer_rows].tolist()
-                     for column in columns]
-            writer.write_lines([
-                f'{{"record": "node", "node": {node}, '
-                f'"outcome": {_OUTCOME_JSON[code]}, "fragments": {frag}, '
-                f'"attempts": {attempts}, "timeouts": {timeouts}, '
-                f'"flash_bank": {bank}, "duration_s": {duration!r}, '
-                f'"energy_j": {energy!r}, "events": {events}}}'
-                for node, code, frag, attempts, timeouts, bank, duration,
-                energy, events in zip(*batch)])
+            stop = start + buffer_rows
+            rows = np.column_stack(
+                [column[start:stop] for column in key_columns])
+            keys = rows.view(packed_row).ravel().tolist()
+            lines = []
+            for node, key in zip(report.node_ids[start:stop].tolist(), keys):
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = _node_tail(key)
+                lines.append(f'{{"record": "node", "node": {node}, {tail}')
+            writer.write_lines(lines)
         writer.write_rows(rollup_rows)
     return {"rows_written": writer.rows_written,
             "max_buffered": writer.max_buffered}

@@ -2,7 +2,10 @@
 
 One module holds the sample-level hot kernels: the FIR, the LoRa
 dechirp-FFT-fold, the BLE discriminator and integrate-and-dump, and the
-O-QPSK matched filter.  The FIR, GFSK and O-QPSK kernels are pinned bit
+O-QPSK matched filter.  :func:`finite_samples` guards them: the LoRa,
+GFSK and O-QPSK receivers pass every capture through it, so a NaN or
+infinite sample raises a ``DemodulationError`` naming its offset
+instead of reaching a kernel.  The FIR, GFSK and O-QPSK kernels are pinned bit
 for bit by their ``*_reference`` scalar twins and the golden-vector
 corpus (``tests/fixtures/phy_golden``).
 
@@ -34,10 +37,29 @@ from types import ModuleType
 
 import numpy as np
 
+from repro.errors import DemodulationError
+
 
 def get_backend() -> ModuleType:
     """The kernel set: this module."""
     return sys.modules[__name__]
+
+
+def finite_samples(samples: np.ndarray) -> np.ndarray:
+    """``samples`` as complex128, refusing a NaN or infinite sample.
+
+    Raises:
+        DemodulationError: naming the offset of the first bad sample.
+    """
+    samples = np.ascontiguousarray(samples, dtype=np.complex128)
+    flat = samples.reshape(-1)
+    # One pass over the interleaved floats: half the cost of the complex
+    # isfinite, which the 16 ksample chunks of a live capture pay.
+    if not np.isfinite(flat.view(np.float64)).all():
+        offset = int(np.argmin(np.isfinite(flat)))
+        raise DemodulationError(
+            f"sample {offset} is not finite ({flat[offset]})")
+    return samples
 
 
 def fir_carry(taps: np.ndarray, carry: np.ndarray,

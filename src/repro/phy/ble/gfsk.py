@@ -129,8 +129,13 @@ class GfskDemodulator:
                                         self.config.sample_rate_hz)
 
     def instantaneous_frequency(self, samples: np.ndarray) -> np.ndarray:
-        """Per-sample phase increments (radians/sample) after filtering."""
-        samples = np.asarray(samples, dtype=np.complex128)
+        """Per-sample phase increments (radians/sample) after filtering.
+
+        Raises:
+            DemodulationError: when a sample is NaN or infinite, or
+                fewer than 2 samples arrive.
+        """
+        samples = backend.finite_samples(samples)
         if samples.size < 2:
             raise DemodulationError("need at least 2 samples to discriminate")
         if self._taps is not None:
@@ -150,7 +155,8 @@ class GfskDemodulator:
             start_sample: index of the first sample of the first symbol.
 
         Raises:
-            DemodulationError: if the stream is too short.
+            DemodulationError: if the stream is too short or holds a NaN
+                or infinite sample.
         """
         sps = self.config.samples_per_symbol
         needed = start_sample + num_bits * sps

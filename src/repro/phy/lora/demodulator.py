@@ -456,23 +456,6 @@ def estimate_cfo_bins(n: int, up_bin: int, down_bin: int) -> int:
     return (signed(up_bin) + signed(down_bin)) // 2
 
 
-def finite_samples(samples: np.ndarray) -> np.ndarray:
-    """``samples`` as complex128, refusing a NaN or infinite sample.
-
-    Raises:
-        DemodulationError: naming the offset of the first bad sample.
-    """
-    samples = np.ascontiguousarray(samples, dtype=np.complex128)
-    flat = samples.reshape(-1)
-    # One pass over the interleaved floats: half the cost of the complex
-    # isfinite, which the 16 ksample chunks of a live capture pay.
-    if not np.isfinite(flat.view(np.float64)).all():
-        offset = int(np.argmin(np.isfinite(flat)))
-        raise DemodulationError(
-            f"sample {offset} is not finite ({flat[offset]})")
-    return samples
-
-
 def receive_fir_taps(params: LoRaParams) -> np.ndarray | None:
     """The receive low-pass taps, or ``None`` when the FIR is off.
 
@@ -527,7 +510,7 @@ class LoRaDemodulator:
             DemodulationError: when no packet can be found, or a sample
                 is NaN or infinite.
         """
-        filtered = self.frontend(finite_samples(samples))
+        filtered = self.frontend(backend.finite_samples(samples))
         sync = self.synchronizer.find_packet(filtered)
         start = sync.payload_start
         if payload_symbols is None:

@@ -37,12 +37,12 @@ import numpy as np
 
 from repro.dsp.filters import StreamingFir
 from repro.errors import ConfigurationError
+from repro.phy import backend
 from repro.phy.lora.codec import LoRaCodec
 from repro.phy.lora.demodulator import (
     HEADER_SYMBOLS,
     PacketSynchronizer,
     ReceivedPacket,
-    finite_samples,
     receive_fir_taps,
 )
 from repro.phy.lora.packet import SyncResult
@@ -134,7 +134,7 @@ class StreamingDemodulator:
             raise ConfigurationError(
                 "demodulator was flushed; call reset() to start a new "
                 "capture")
-        chunk = finite_samples(chunk).reshape(-1)
+        chunk = backend.finite_samples(chunk).reshape(-1)
         filtered = self._fir.process(chunk) if self._fir is not None \
             else chunk
         self._append(filtered)

@@ -93,8 +93,8 @@ class Ieee802154Transceiver:
         the body - mirroring a hardware receiver's two-phase operation.
 
         Raises:
-            DemodulationError: when the SFD cannot be found or the
-                length field is invalid.
+            DemodulationError: when the SFD cannot be found, the length
+                field is invalid or a sample is NaN or infinite.
         """
         header_symbols = (len(PREAMBLE_BYTES) + 2) * 2  # through length
         header_chips = header_symbols * CHIPS_PER_SYMBOL

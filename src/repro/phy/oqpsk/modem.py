@@ -102,9 +102,10 @@ class OqpskDemodulator:
         Bit-exact with :meth:`soft_chips_reference`.
 
         Raises:
-            DemodulationError: if the stream is too short.
+            DemodulationError: if the stream is too short or holds a NaN
+                or infinite sample.
         """
-        samples = np.asarray(samples, dtype=np.complex128)
+        samples = backend.finite_samples(samples)
         spc = self.samples_per_chip
         pair_samples = 2 * spc
         needed = start_sample + (num_chips // 2 + 1) * pair_samples
@@ -125,7 +126,7 @@ class OqpskDemodulator:
     def soft_chips_reference(self, samples: np.ndarray, num_chips: int,
                              start_sample: int = 0) -> np.ndarray:
         """Scalar twin of :meth:`soft_chips` (tap-major accumulation)."""
-        samples = np.asarray(samples, dtype=np.complex128)
+        samples = backend.finite_samples(samples)
         spc = self.samples_per_chip
         pair_samples = 2 * spc
         needed = start_sample + (num_chips // 2 + 1) * pair_samples

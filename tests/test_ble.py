@@ -1,5 +1,7 @@
 """Tests for the BLE beacon PHY: packets, GFSK, channels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,24 @@ class TestGfsk:
     def test_demodulate_stream_too_short(self):
         with pytest.raises(DemodulationError):
             GfskDemodulator().demodulate(np.zeros(10, dtype=complex), 100)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sample_is_refused_with_its_offset(self, rng, bad):
+        # A 200-bit burst with one inf sample used to come back with 5
+        # bit errors and 24 RuntimeWarnings, and with a NaN silently.
+        bits = rng.integers(0, 2, 200)
+        wave = GfskModulator().modulate(bits)
+        offset = 401
+        wave[offset] = bad
+        demod = GfskDemodulator()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for receive in (demod.demodulate, demod.demodulate_reference):
+                with pytest.raises(DemodulationError,
+                                   match=f"sample {offset} "):
+                    receive(wave, 200)
+            with pytest.raises(DemodulationError, match=f"sample {offset} "):
+                demod.correlate_bits(wave, bits[:16])
 
 
 class TestChannels:

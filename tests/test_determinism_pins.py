@@ -3,8 +3,9 @@
 The chaos and parity suites compare the code only with itself, so a
 reordered ledger row or journal record would pass them all.  These pins
 hold the session digests, one journal's exact bytes, the bytes of every
-ledger the ledger scenarios write, and the fleet fingerprint to fixed
-values: a refactor that claims identity must keep every one of them.
+ledger the ledger scenarios write, and the fleet fingerprint and spill
+bytes to fixed values: a refactor that claims identity must keep every
+one of them.
 
 Every digest is computed once per hash seed in
 :data:`~repro.analysis.determinism.HASH_SEEDS`, each in a fresh
@@ -79,6 +80,15 @@ def test_fleet_smoke_fingerprint_is_pinned(digests):
         _assert_pinned(digests, f"fleet-shards-{shards}",
                        "0e844f54e7f002f7b8277edde48f966a"
                        "b5062c6fe8001b09badc2fab0b4f0013")
+
+
+def test_fleet_spill_bytes_are_pinned(digests):
+    # "<file size in bytes> <sha256>" of the same campaign's JSONL spill,
+    # at every shard count.
+    for shards in FLEET_SHARDS:
+        _assert_pinned(digests, f"fleet-spill-shards-{shards}",
+                       "415155 568f10b374421380c4081869fbe2405f"
+                       "8adc18d2398a23bc08a374ebe2eb106b")
 
 
 def test_pinned_run_raises_when_a_child_fails():

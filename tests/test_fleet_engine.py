@@ -347,14 +347,51 @@ def test_spill_lines_are_json_dumps_of_each_row(tmp_path, config,
                                 tmp_path / "fleet.jsonl", buffer_rows)
 
 
-def test_spill_writes_floats_exactly_as_json_dumps(tmp_path):
+#: The integer node-row columns the spill writes after the node id.
+_TAIL_INTS = ("outcome_codes", "fragments", "attempts", "timeouts",
+              "flash_bank", "events_per_node")
+
+
+def _tricky_floats(report) -> dict[str, np.ndarray]:
     # Integral, tiny, huge and shortest-repr floats: a %g or fixed
     # precision format would write some of them differently.
-    report = run_fleet_campaign(CLEAN)
     tricky = np.resize([1.0, 0.1, 1e-07, 1e16, 2.5e-320, 123456789.125,
                         -0.0, 1 / 3], report.num_nodes)
-    report = dataclasses.replace(report, duration_s=tricky,
-                                 energy_j=tricky[::-1].copy())
+    return {"duration_s": tricky, "energy_j": tricky[::-1].copy()}
+
+
+def _signed_zeros(report) -> dict[str, np.ndarray]:
+    # Rows equal but for the sign of a zero duration (rows 0 and 1) or
+    # energy (rows 0 and 2): 0.0 == -0.0, so a row cache keyed on float
+    # values would write one tail for both.
+    columns = {name: np.full_like(getattr(report, name),
+                                  getattr(report, name)[0])
+               for name in _TAIL_INTS}
+    columns["duration_s"] = np.resize([0.0, -0.0], report.num_nodes)
+    columns["energy_j"] = np.resize([0.0, 0.0, -0.0, -0.0],
+                                    report.num_nodes)
+    return columns
+
+
+def _one_column_apart(report) -> dict[str, np.ndarray]:
+    # Constant floats; row 0 holds every integer column at 0 and each of
+    # the next six rows sets one column to 1, so a row cache whose key
+    # drops any column would write row 0's tail for one of them.
+    one_hot = np.eye(7, len(_TAIL_INTS), k=-1, dtype=np.int64)
+    one_hot = one_hot[np.arange(report.num_nodes) % 7]
+    columns = {name: one_hot[:, j].astype(getattr(report, name).dtype)
+               for j, name in enumerate(_TAIL_INTS)}
+    columns["duration_s"] = np.full(report.num_nodes, 1.5)
+    columns["energy_j"] = np.full(report.num_nodes, 0.25)
+    return columns
+
+
+@pytest.mark.parametrize("columns", [
+    _tricky_floats, _signed_zeros, _one_column_apart,
+], ids=["tricky-floats", "signed-zeros", "one-column-apart"])
+def test_spill_writes_floats_exactly_as_json_dumps(tmp_path, columns):
+    report = run_fleet_campaign(CLEAN)
+    report = dataclasses.replace(report, **columns(report))
     _assert_spill_is_json_dumps(report, tmp_path / "fleet.jsonl", 5)
 
 

@@ -1,5 +1,7 @@
 """Tests for the IEEE 802.15.4 O-QPSK PHY (ZigBee)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,21 @@ class TestFraming:
             except DemodulationError:
                 failures += 1
         assert failures >= 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sample_is_refused_with_its_offset(self, bad):
+        # The frame used to come back CRC-failed with a NaN or infinite
+        # mean_correlation.
+        transceiver = Ieee802154Transceiver()
+        wave = transceiver.transmit(Ieee802154Frame(psdu=b"hostile capture"))
+        offset = wave.size - 101
+        wave[offset] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DemodulationError, match=f"sample {offset} "):
+                transceiver.receive(wave)
+            with pytest.raises(DemodulationError, match=f"sample {offset} "):
+                transceiver.demodulator.soft_chips_reference(wave, 64)
 
     def test_fits_tinysdr_bandwidth(self):
         # 2 Mchip/s occupies ~2 MHz: inside the radio's 4 MHz and the
