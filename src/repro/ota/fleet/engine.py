@@ -29,7 +29,11 @@ and forced-loss draw (when a loss model is configured; unconditional,
 so every trajectory consumes a fixed two draws per round), then the
 data-packet draw (skipped on a forced loss), then the ACK draw (only
 when the data packet got through), and a final verify draw on image
-completion (only when ``verify_failure_prob > 0``).
+completion (only when ``verify_failure_prob > 0``).  The order fixes
+which counter each draw uses, not whether it is hashed: the vectorized
+stepper skips the hash of a settled draw (a threshold ``>= 1.0`` always
+passes, one ``<= 0.0`` never does), yet the draw still uses up its
+counter, while the scalar twin hashes every draw.
 """
 
 from __future__ import annotations
@@ -120,14 +124,44 @@ def _new_state(n: int,
     return state
 
 
+def _draw_below(keys: np.ndarray, counters: np.ndarray,
+                drawing: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """Whether each ``drawing`` row's next draw falls below its threshold.
+
+    Every ``drawing`` row's counter advances, but only the rows whose
+    threshold leaves the outcome open are hashed.  A draw lies in
+    ``[0, 1)``, so it passes every threshold ``>= 1.0`` and none
+    ``<= 0.0``; a NaN threshold counts as open.  The open rows are
+    gathered and hashed alone when they are at most half the cohort;
+    otherwise every row is hashed, which then costs less than the
+    gather.  Rows outside ``drawing`` come back ``False``.
+    """
+    counters += drawing
+    passed = threshold >= 1.0
+    open_rows = ~(passed | (threshold <= 0.0))
+    open_rows &= drawing
+    passed &= drawing
+    if 2 * np.count_nonzero(open_rows) <= keys.size:
+        # `.nonzero()[0]` rather than np.flatnonzero here and in
+        # _step_round: in a campaign's many small-cohort rounds the
+        # wrapper costs more than the scan.
+        rows = open_rows.nonzero()[0]
+        passed[rows] = uniforms(keys[rows], counters[rows]) < threshold[rows]
+    else:
+        passed |= open_rows & (uniforms(keys, counters) < threshold)
+    return passed
+
+
 def _step_round(config: FleetCampaignConfig,
                 cohort: dict[str, np.ndarray]) -> None:
     """Advance every live row of ``cohort`` by one ARQ round, in place.
 
-    Each per-round draw runs over all rows, live or not, and its result
-    is ANDed with the mask of rows that really draw.  A row's RNG
-    counter moves only under that mask, so a node's ``k``-th draw
-    always hashes counter ``k``, exactly as in :func:`_simulate_node`.
+    A row's RNG counter moves only when the normative draw order has
+    the node draw, so a node's ``k``-th draw always hashes counter
+    ``k``, exactly as in :func:`_simulate_node`.  The chain transition
+    draw hashes every row, live or not.  The forced-loss, data and ACK
+    draws go through :func:`_draw_below`: a settled draw (threshold
+    ``>= 1.0`` or ``<= 0.0``) uses up its counter without being hashed.
     The once-per-node verify draw gathers just the completing rows.
     """
     keys, counters = cohort["keys"], cohort["counters"]
@@ -136,20 +170,18 @@ def _step_round(config: FleetCampaignConfig,
     loss = config.loss
 
     # (1) burst-loss chain transition + forced-loss draw.  Finished rows
-    # draw too; nothing reads their chain state or counters again.  The
-    # two-way selects are spelled as `(c & a) | (~c & b)`: on random
-    # masks that is several times faster than np.where(c, a, b).
+    # take the transition draw too; nothing reads their chain state or
+    # counters again.  The chain's boolean two-way select is spelled as
+    # `(c & a) | (~c & b)`: on random masks that is several times faster
+    # than np.where(c, a, b).
     if loss is not None:
         counters += 1
         t = uniforms(keys, counters)
         was_bad = cohort["ge_bad"]
         bad = cohort["ge_bad"] = ((was_bad & (t >= loss.p_exit_bad))
                                   | (~was_bad & (t < loss.p_enter_bad)))
-        counters += 1
-        drop = uniforms(keys, counters)
-        forced = ((bad & (drop < loss.loss_bad))
-                  | (~bad & (drop < loss.loss_good)))
-        forced &= alive
+        forced = _draw_below(keys, counters, alive,
+                             np.where(bad, loss.loss_bad, loss.loss_good))
         cohort["forced_losses"] += forced
         clear = alive & ~forced
     else:
@@ -163,16 +195,12 @@ def _step_round(config: FleetCampaignConfig,
     cohort["rounds"] += alive
 
     # (3) data-packet outcome (forced losses short-circuit the draw).
-    counters += clear
-    draw = uniforms(keys, counters)
-    data_ok = ((is_tail & (draw < cohort["p_tail"]))
-               | (~is_tail & (draw < cohort["p_full"])))
-    data_ok &= clear
+    data_ok = _draw_below(
+        keys, counters, clear,
+        np.where(is_tail, cohort["p_tail"], cohort["p_full"]))
 
     # (4) the node ACKs every decoded fragment; the AP may miss it.
-    counters += data_ok
-    delivered = uniforms(keys, counters) < cohort["p_ack"]
-    delivered &= data_ok
+    delivered = _draw_below(keys, counters, data_ok, cohort["p_ack"])
     cohort["acks_tx"] += data_ok
     frag += delivered
     round_no += 1
@@ -181,7 +209,7 @@ def _step_round(config: FleetCampaignConfig,
     # Image complete (the tail fragment got through): verify, then
     # commit or roll back.
     outcome = cohort["outcome_codes"]
-    done = np.flatnonzero(is_tail & delivered)
+    done = (is_tail & delivered).nonzero()[0]
     if done.size:
         if config.verify_failure_prob > 0.0:
             counters[done] += 1
@@ -200,7 +228,7 @@ def _step_round(config: FleetCampaignConfig,
     # Round budget exhausted: retry the session or abandon the node.
     failed = round_no >= config.max_rounds_per_fragment
     failed &= alive
-    sub = np.flatnonzero(failed)
+    sub = failed.nonzero()[0]
     if sub.size:
         attempts = cohort["attempts"]
         cohort["session_failures"][sub] += 1
@@ -226,9 +254,13 @@ def _simulate_range(config: FleetCampaignConfig, lo: int, hi: int,
 
     The cohort starts as the output arrays themselves and steps in
     place under its ``alive`` mask.  Only once half its rows have
-    finished is it compacted: every row is scattered back to its node's
-    slot through the ``pos`` position map, then the finished rows are
-    dropped.  So no second full-size copy of the cohort is ever held.
+    finished is it compacted: the finished rows are scattered back to
+    their nodes' slots through the ``pos`` position map, and every
+    column is gathered down to the live rows through one index.  So no
+    second full-size copy of the cohort is ever held.  Each round's
+    settled draws use up their counters without being hashed
+    (:func:`_step_round`), so every per-node array equals
+    :func:`_simulate_range_reference`, which hashes every draw.
     """
     if plan is None:
         plan = prepare_links(config)
@@ -252,11 +284,14 @@ def _simulate_range(config: FleetCampaignConfig, lo: int, hi: int,
     live = n
     while live:
         _step_round(config, cohort)
-        live = np.count_nonzero(cohort["alive"])
-        if 2 * live <= cohort["pos"].size:
-            pos, keep = cohort["pos"], cohort["alive"]
+        alive = cohort["alive"]
+        live = np.count_nonzero(alive)
+        if 2 * live <= alive.size:
+            finished = np.flatnonzero(~alive)
+            slots = cohort["pos"][finished]
             for name, column in state.items():
-                column[pos] = cohort[name]
+                column[slots] = cohort[name][finished]
+            keep = np.flatnonzero(alive)
             cohort = {name: rows[keep] for name, rows in cohort.items()}
 
     # Every round is one data RX and ends in a delivery or a timeout.

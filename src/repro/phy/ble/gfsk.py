@@ -142,6 +142,26 @@ class GfskDemodulator:
             samples = filter_block(self._taps, samples)
         return backend.discriminate(samples)
 
+    def _aligned(self, samples: np.ndarray, num_bits: int,
+                 start_sample: int) -> np.ndarray:
+        """``samples`` as complex128, once they can supply ``num_bits``
+        symbols from ``start_sample``.
+
+        Raises:
+            DemodulationError: for a negative ``start_sample`` (it would
+                index from the end of the stream) or a stream too short.
+        """
+        if start_sample < 0:
+            raise DemodulationError(
+                f"start_sample must be >= 0, got offset {start_sample}")
+        samples = np.asarray(samples, dtype=np.complex128)
+        needed = start_sample + num_bits * self.config.samples_per_symbol
+        if samples.size < needed:
+            raise DemodulationError(
+                f"stream of {samples.size} samples cannot supply {num_bits} "
+                f"bits from offset {start_sample}")
+        return samples
+
     def demodulate(self, samples: np.ndarray, num_bits: int,
                    start_sample: int = 0) -> np.ndarray:
         """Recover ``num_bits`` symbol decisions from an aligned stream.
@@ -155,16 +175,11 @@ class GfskDemodulator:
             start_sample: index of the first sample of the first symbol.
 
         Raises:
-            DemodulationError: if the stream is too short or holds a NaN
-                or infinite sample.
+            DemodulationError: if ``start_sample`` is negative, or the
+                stream is too short or holds a NaN or infinite sample.
         """
         sps = self.config.samples_per_symbol
-        needed = start_sample + num_bits * sps
-        samples = np.asarray(samples, dtype=np.complex128)
-        if samples.size < needed:
-            raise DemodulationError(
-                f"stream of {samples.size} samples cannot supply {num_bits} "
-                f"bits from offset {start_sample}")
+        samples = self._aligned(samples, num_bits, start_sample)
         freq = self.instantaneous_frequency(samples)
         metrics = backend.integrate_bits(freq, start_sample, num_bits, sps)
         return (metrics > 0.0).astype(np.int64)
@@ -173,12 +188,7 @@ class GfskDemodulator:
                              start_sample: int = 0) -> np.ndarray:
         """One-bit-per-iteration scalar twin of :meth:`demodulate`."""
         sps = self.config.samples_per_symbol
-        needed = start_sample + num_bits * sps
-        samples = np.asarray(samples, dtype=np.complex128)
-        if samples.size < needed:
-            raise DemodulationError(
-                f"stream of {samples.size} samples cannot supply {num_bits} "
-                f"bits from offset {start_sample}")
+        samples = self._aligned(samples, num_bits, start_sample)
         freq = self.instantaneous_frequency(samples)
         bits = np.empty(num_bits, dtype=np.int64)
         for i in range(num_bits):
@@ -204,10 +214,16 @@ class GfskDemodulator:
             The best-matching start sample of the pattern.
 
         Raises:
-            DemodulationError: if the stream is shorter than the pattern.
+            DemodulationError: if the pattern is empty, ``max_offset`` is
+                negative, or the stream is shorter than the pattern.
         """
         sps = self.config.samples_per_symbol
         pattern = np.asarray(pattern_bits, dtype=np.float64) * 2.0 - 1.0
+        if pattern.size == 0:
+            raise DemodulationError("correlation pattern is empty")
+        if max_offset is not None and max_offset < 0:
+            raise DemodulationError(
+                f"max_offset must be >= 0, got {max_offset}")
         template = np.repeat(pattern, sps)
         freq = self.instantaneous_frequency(samples)
         if freq.size < template.size:

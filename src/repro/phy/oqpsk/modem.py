@@ -95,6 +95,28 @@ class OqpskDemodulator:
         return start_sample + pair * (2 * spc) + \
             np.where(chips % 2 == 0, 0, spc) + delay
 
+    def _aligned(self, samples: np.ndarray, num_chips: int,
+                 start_sample: int) -> np.ndarray:
+        """``samples`` as finite complex128, once they can supply
+        ``num_chips`` chips from ``start_sample``.
+
+        Raises:
+            DemodulationError: for a negative ``start_sample`` (it would
+                index from the end of the stream), a stream too short,
+                or a NaN or infinite sample.
+        """
+        if start_sample < 0:
+            raise DemodulationError(
+                f"start_sample must be >= 0, got offset {start_sample}")
+        samples = backend.finite_samples(samples)
+        pair_samples = 2 * self.samples_per_chip
+        needed = start_sample + (num_chips // 2 + 1) * pair_samples
+        if samples.size < needed:
+            raise DemodulationError(
+                f"stream of {samples.size} samples cannot supply "
+                f"{num_chips} chips from offset {start_sample}")
+        return samples
+
     def soft_chips(self, samples: np.ndarray, num_chips: int,
                    start_sample: int = 0) -> np.ndarray:
         """Recover ``num_chips`` soft chip values from an aligned stream.
@@ -102,17 +124,10 @@ class OqpskDemodulator:
         Bit-exact with :meth:`soft_chips_reference`.
 
         Raises:
-            DemodulationError: if the stream is too short or holds a NaN
-                or infinite sample.
+            DemodulationError: if ``start_sample`` is negative, or the
+                stream is too short or holds a NaN or infinite sample.
         """
-        samples = backend.finite_samples(samples)
-        spc = self.samples_per_chip
-        pair_samples = 2 * spc
-        needed = start_sample + (num_chips // 2 + 1) * pair_samples
-        if samples.size < needed:
-            raise DemodulationError(
-                f"stream of {samples.size} samples cannot supply "
-                f"{num_chips} chips from offset {start_sample}")
+        samples = self._aligned(samples, num_chips, start_sample)
         i_filtered = backend.matched_filter(
             np.ascontiguousarray(samples.real), self._matched)
         q_filtered = backend.matched_filter(
@@ -126,14 +141,9 @@ class OqpskDemodulator:
     def soft_chips_reference(self, samples: np.ndarray, num_chips: int,
                              start_sample: int = 0) -> np.ndarray:
         """Scalar twin of :meth:`soft_chips` (tap-major accumulation)."""
-        samples = backend.finite_samples(samples)
+        samples = self._aligned(samples, num_chips, start_sample)
         spc = self.samples_per_chip
         pair_samples = 2 * spc
-        needed = start_sample + (num_chips // 2 + 1) * pair_samples
-        if samples.size < needed:
-            raise DemodulationError(
-                f"stream of {samples.size} samples cannot supply "
-                f"{num_chips} chips from offset {start_sample}")
         taps = self._matched
         rails = []
         for rail in (samples.real, samples.imag):

@@ -188,6 +188,27 @@ class TestGfsk:
         with pytest.raises(DemodulationError):
             GfskDemodulator().demodulate(np.zeros(10, dtype=complex), 100)
 
+    @pytest.mark.parametrize("method", ["demodulate", "demodulate_reference"])
+    def test_negative_start_sample_is_refused(self, method):
+        # A negative offset used to read from the end of the capture:
+        # 100 zero samples came back as 2 bits from offset -50.
+        receive = getattr(GfskDemodulator(), method)
+        with pytest.raises(DemodulationError, match="offset -50"):
+            receive(np.zeros(100, dtype=complex), 2, start_sample=-50)
+
+    def test_correlator_refuses_an_empty_pattern(self, rng):
+        # numpy's own ValueError used to leak out of np.correlate.
+        wave = GfskModulator().modulate(rng.integers(0, 2, 32))
+        with pytest.raises(DemodulationError, match="pattern is empty"):
+            GfskDemodulator().correlate_bits(wave, [])
+
+    def test_correlator_refuses_a_negative_max_offset(self, rng):
+        # max_offset=-5 used to come back as offset 0.
+        bits = rng.integers(0, 2, 32)
+        wave = GfskModulator().modulate(bits)
+        with pytest.raises(DemodulationError, match="max_offset .* -5"):
+            GfskDemodulator().correlate_bits(wave, bits[:8], max_offset=-5)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_sample_is_refused_with_its_offset(self, rng, bad):
         # A 200-bit burst with one inf sample used to come back with 5

@@ -19,11 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.determinism import pinned_fleet_report
 from repro.errors import ConfigurationError, FaultInjectionError
 from repro.ota.bank import METADATA_OFFSET, STAGING_OFFSET
 from repro.ota.fleet import (
     FleetBurstLoss,
     FleetCampaignConfig,
+    engine,
     fleet_packet_error_probability,
     prepare_links,
     run_fleet_campaign,
@@ -279,6 +281,15 @@ LOSSY_40 = FleetCampaignConfig(
     verify_failure_prob=0.1)
 
 
+def _assert_range_matches_reference(config, lo, hi, plan) -> None:
+    fast = _simulate_range(config, lo, hi, plan)
+    reference = _simulate_range_reference(config, lo, hi, plan)
+    assert fast.keys() == reference.keys()
+    for name, expected in reference.items():
+        assert fast[name].dtype == expected.dtype, name
+        assert np.array_equal(fast[name], expected), name
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32),
        bounds=st.tuples(st.integers(min_value=0, max_value=40),
@@ -289,13 +300,92 @@ def test_range_stepper_matches_reference_on_any_slice(seed, bounds):
     # differ, so an offset bug in the position map cannot hide.
     lo, hi = sorted(bounds)
     config = dataclasses.replace(LOSSY_40, seed=seed)
-    plan = prepare_links(config)
-    fast = _simulate_range(config, lo, hi, plan)
-    reference = _simulate_range_reference(config, lo, hi, plan)
-    assert fast.keys() == reference.keys()
-    for name, expected in reference.items():
-        assert fast[name].dtype == expected.dtype, name
-        assert np.array_equal(fast[name], expected), name
+    _assert_range_matches_reference(config, lo, hi, prepare_links(config))
+
+
+# -- settled draws ---------------------------------------------------------
+
+# Success probabilities the stepper settles without a hash (1.0 always
+# passes, 0.0 never does) beside ones it must hash: NaN, which no draw
+# passes, and an interior value.  Each node's three link probabilities
+# are indices into this tuple.
+LINK_PROBABILITIES = (0.0, 1.0, math.nan, 0.55)
+SETTLED_BASE = FleetCampaignConfig(
+    num_nodes=24, image_bytes=300, seed=4, max_rounds_per_fragment=3,
+    max_session_attempts=2, verify_failure_prob=0.2)
+# Round 1's data draw leaves 8 of 24 rows open, so the stepper gathers
+# them; in the second input every row is open, so it hashes them all.
+GATHERED = dict(full=[1] * 16 + [3, 2] * 4, tail=[1, 2, 3, 0] * 6,
+                ack=[3, 1, 1, 2] * 6, loss=None, seed=4, bounds=(0, 24))
+HASHED_ALL = dict(full=[3] * 24, tail=[2, 3, 1] * 8, ack=[1, 3, 0] * 8,
+                  loss=None, seed=4, bounds=(0, 24))
+
+_node_links = st.lists(st.integers(min_value=0, max_value=3),
+                       min_size=24, max_size=24)
+
+
+def _with_links(plan, full, tail, ack):
+    """``plan`` with each node's link probabilities picked by index."""
+    pick = np.asarray(LINK_PROBABILITIES)
+    return dataclasses.replace(plan, p_data_full=pick[full],
+                               p_data_tail=pick[tail], p_ack=pick[ack])
+
+
+@settings(max_examples=25, deadline=None)
+@given(full=_node_links, tail=_node_links, ack=_node_links,
+       loss=st.one_of(st.none(), st.builds(
+           FleetBurstLoss, p_enter_bad=st.just(0.3),
+           p_exit_bad=st.just(0.4),
+           loss_good=st.sampled_from((0.0, 1.0, 0.25)),
+           loss_bad=st.sampled_from((0.0, 1.0, 0.8)))),
+       seed=st.integers(min_value=0, max_value=2**32),
+       bounds=st.tuples(st.integers(min_value=0, max_value=24),
+                        st.integers(min_value=0, max_value=24)))
+@example(**GATHERED)
+@example(**HASHED_ALL)
+def test_settled_draws_match_reference_on_any_slice(full, tail, ack, loss,
+                                                    seed, bounds):
+    # A settled draw is never hashed but still uses up its counter, so
+    # the node's later draws hash the same counters as the reference's.
+    lo, hi = sorted(bounds)
+    config = dataclasses.replace(SETTLED_BASE, seed=seed, loss=loss)
+    plan = _with_links(prepare_links(config), full, tail, ack)
+    _assert_range_matches_reference(config, lo, hi, plan)
+
+
+@pytest.fixture
+def hashed_rows(monkeypatch) -> list[int]:
+    """The row count of every ``engine.uniforms`` call, in call order."""
+    sizes = []
+    uniforms = engine.uniforms
+
+    def counting(keys, counters):
+        sizes.append(len(keys))
+        return uniforms(keys, counters)
+
+    monkeypatch.setattr(engine, "uniforms", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("links, gathered", [(GATHERED, True),
+                                             (HASHED_ALL, False)],
+                         ids=["gathered", "hashed-all"])
+def test_settled_examples_reach_both_draw_paths(hashed_rows, links,
+                                                gathered):
+    # Without a loss model the first hash is round 1's data draw over
+    # the whole 24-row cohort.
+    plan = _with_links(prepare_links(SETTLED_BASE), links["full"],
+                       links["tail"], links["ack"])
+    _simulate_range(SETTLED_BASE, 0, SETTLED_BASE.num_nodes, plan)
+    assert (2 * hashed_rows[0] <= SETTLED_BASE.num_nodes) == gathered
+
+
+def test_pinned_campaign_hashes_only_open_draws(hashed_rows):
+    # The determinism pins' 2,048-node campaign at one shard.  A row
+    # count, unlike a timing gate, does not move with the host; a
+    # stepper that hashes its settled draws again reads 317,093.
+    pinned_fleet_report(shards=1)
+    assert sum(hashed_rows) == 106_855
 
 
 # -- spill format ----------------------------------------------------------

@@ -110,6 +110,14 @@ class TestModem:
         with pytest.raises(DemodulationError):
             OqpskDemodulator().soft_chips(np.zeros(10, dtype=complex), 64)
 
+    @pytest.mark.parametrize("method", ["soft_chips", "soft_chips_reference"])
+    def test_negative_start_sample_is_refused(self, method):
+        # A negative offset used to index from the end of the capture:
+        # 100 samples came back as 4 chips from offset -20.
+        receive = getattr(OqpskDemodulator(), method)
+        with pytest.raises(DemodulationError, match="offset -20"):
+            receive(np.ones(100, dtype=complex), 4, start_sample=-20)
+
 
 class TestFraming:
     def test_crc16_detects_corruption(self):
