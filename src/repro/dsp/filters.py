@@ -61,7 +61,8 @@ def _window(name: str, length: int) -> np.ndarray:
     raise ConfigurationError(f"unknown window {name!r}")
 
 
-def filter_block(taps: np.ndarray, samples: np.ndarray) -> np.ndarray:
+def filter_block(taps: np.ndarray, samples: np.ndarray,
+                 step: int = 1) -> np.ndarray:
     """Filter one block of samples, returning the same-length aligned output.
 
     The output is delayed by the filter's group delay and truncated to the
@@ -69,17 +70,21 @@ def filter_block(taps: np.ndarray, samples: np.ndarray) -> np.ndarray:
     track alignment (this is what the demodulator does with the FIFO
     contents).  This is the streaming FIR kernel run from a zero delay
     line over the block plus a zero pad that flushes the group delay
-    (tap-major accumulation, see :mod:`repro.phy.backend`).
+    (tap-major accumulation, see :mod:`repro.phy.backend`).  With
+    ``step > 1`` only every ``step``-th output is computed: the result
+    is ``filter_block(taps, samples)[::step]`` bit for bit.
     """
     taps = np.asarray(taps, dtype=np.float64)
     samples = np.asarray(samples)
     if samples.size == 0:
         return samples.copy()
     delay = (taps.size - 1) // 2
-    padded = np.concatenate([samples, np.zeros(taps.size - 1 - delay)])
-    out = backend.fir_carry(
-        taps, np.zeros(taps.size - 1, dtype=np.complex128), padded)
-    return out[delay:delay + samples.size]
+    # Aligned output i is convolution output i + delay, which reads
+    # inputs up to i + delay: ``delay`` zeros flush the last one.
+    padded = np.concatenate([samples, np.zeros(delay)])
+    return backend.fir_carry(
+        taps, np.zeros(taps.size - 1, dtype=np.complex128), padded,
+        delay, step)
 
 
 def filter_block_reference(taps: np.ndarray,
@@ -125,12 +130,18 @@ class StreamingFir:
         """Clear the delay line."""
         self._state[:] = 0.0
 
-    def process(self, samples: np.ndarray) -> np.ndarray:
-        """Filter a block of samples, carrying state from previous blocks."""
+    def process(self, samples: np.ndarray, first: int = 0,
+                step: int = 1) -> np.ndarray:
+        """Filter a block of samples, carrying state from previous blocks.
+
+        Returns the block's outputs ``first, first + step, ...`` (all of
+        them by default); the delay line takes in the whole block.
+        """
         samples = np.asarray(samples, dtype=np.complex128)
         if samples.size == 0:
             return samples.copy()
-        output = backend.fir_carry(self._taps, self._state, samples)
+        output = backend.fir_carry(self._taps, self._state, samples,
+                                   first, step)
         keep = self._state.size
         if keep:
             # The delay line is the last ``keep`` inputs of the history.

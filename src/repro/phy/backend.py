@@ -3,8 +3,9 @@
 One module holds the sample-level hot kernels: the FIR, the LoRa
 dechirp-FFT-fold, the BLE discriminator and integrate-and-dump, and the
 O-QPSK matched filter.  :func:`finite_samples` guards them: the LoRa,
-GFSK and O-QPSK receivers pass every capture through it, so a NaN or
-infinite sample raises a ``DemodulationError`` naming its offset
+GFSK and O-QPSK receivers pass every capture through it, so input that
+is not a numeric array, or a NaN or infinite sample, raises a
+``DemodulationError`` (naming the type, or the sample's offset)
 instead of reaching a kernel.  The FIR, GFSK and O-QPSK kernels are pinned bit
 for bit by their ``*_reference`` scalar twins and the golden-vector
 corpus (``tests/fixtures/phy_golden``).
@@ -46,12 +47,24 @@ def get_backend() -> ModuleType:
 
 
 def finite_samples(samples: np.ndarray) -> np.ndarray:
-    """``samples`` as complex128, refusing a NaN or infinite sample.
+    """``samples`` as complex128, refusing all but finite numbers.
 
     Raises:
-        DemodulationError: naming the offset of the first bad sample.
+        DemodulationError: naming the type and dtype of input that is
+            not a numeric array, or the offset of the first NaN or
+            infinite sample.
     """
-    samples = np.ascontiguousarray(samples, dtype=np.complex128)
+    try:
+        array = np.asarray(samples)
+    except (TypeError, ValueError) as exc:
+        raise DemodulationError(
+            f"samples must be a numeric array, got "
+            f"{type(samples).__name__} ({exc})") from None
+    if not np.issubdtype(array.dtype, np.number):
+        raise DemodulationError(
+            f"samples must be a numeric array, got "
+            f"{type(samples).__name__} of dtype {array.dtype}")
+    samples = np.ascontiguousarray(array, dtype=np.complex128)
     flat = samples.reshape(-1)
     # One pass over the interleaved floats: half the cost of the complex
     # isfinite, which the 16 ksample chunks of a live capture pay.
@@ -62,25 +75,29 @@ def finite_samples(samples: np.ndarray) -> np.ndarray:
     return samples
 
 
-def fir_carry(taps: np.ndarray, carry: np.ndarray,
-              chunk: np.ndarray) -> np.ndarray:
-    """Streaming FIR step: ``len(chunk)`` new running-convolution outputs.
+def fir_carry(taps: np.ndarray, carry: np.ndarray, chunk: np.ndarray,
+              first: int = 0, step: int = 1) -> np.ndarray:
+    """Streaming FIR step: the running-convolution outputs of ``chunk``.
 
     ``carry`` holds the previous ``taps.size - 1`` input samples (zeros
     at stream start); output ``j`` is ``sum_k taps[k] * x[prev + j - k]``
     over the concatenated input history — exactly the next slice of the
-    whole-stream convolution.
+    whole-stream convolution.  Only outputs ``first, first + step, ...``
+    below ``len(chunk)`` are computed, each by the same tap-major sum, so
+    the result is ``full[first::step]`` bit for bit.
     """
-    if chunk.size == 0:
-        return np.zeros(0, dtype=np.complex128)
     extended = np.concatenate([
         np.ascontiguousarray(carry, dtype=np.complex128),
         np.ascontiguousarray(chunk, dtype=np.complex128)])
     num_taps = taps.size
-    n_out = extended.size - num_taps + 1
+    n_out = len(range(first, extended.size - num_taps + 1, step))
     acc = np.zeros(n_out, dtype=np.complex128)
+    if n_out == 0:
+        return acc
+    span = (n_out - 1) * step + 1
     for k in range(num_taps):
-        acc += taps[k] * extended[num_taps - 1 - k:num_taps - 1 - k + n_out]
+        start = num_taps - 1 - k + first
+        acc += taps[k] * extended[start:start + span:step]
     return acc
 
 

@@ -132,8 +132,8 @@ class GfskDemodulator:
         """Per-sample phase increments (radians/sample) after filtering.
 
         Raises:
-            DemodulationError: when a sample is NaN or infinite, or
-                fewer than 2 samples arrive.
+            DemodulationError: when ``samples`` is not a numeric array,
+                a sample is NaN or infinite, or fewer than 2 arrive.
         """
         samples = backend.finite_samples(samples)
         if samples.size < 2:
@@ -144,17 +144,18 @@ class GfskDemodulator:
 
     def _aligned(self, samples: np.ndarray, num_bits: int,
                  start_sample: int) -> np.ndarray:
-        """``samples`` as complex128, once they can supply ``num_bits``
-        symbols from ``start_sample``.
+        """``samples`` as finite complex128, once they can supply
+        ``num_bits`` symbols from ``start_sample``.
 
         Raises:
             DemodulationError: for a negative ``start_sample`` (it would
-                index from the end of the stream) or a stream too short.
+                index from the end of the stream), a stream too short,
+                or input :func:`repro.phy.backend.finite_samples` refuses.
         """
         if start_sample < 0:
             raise DemodulationError(
                 f"start_sample must be >= 0, got offset {start_sample}")
-        samples = np.asarray(samples, dtype=np.complex128)
+        samples = backend.finite_samples(samples)
         needed = start_sample + num_bits * self.config.samples_per_symbol
         if samples.size < needed:
             raise DemodulationError(
@@ -176,7 +177,8 @@ class GfskDemodulator:
 
         Raises:
             DemodulationError: if ``start_sample`` is negative, or the
-                stream is too short or holds a NaN or infinite sample.
+                stream is not a numeric array, is too short or holds a
+                NaN or infinite sample.
         """
         sps = self.config.samples_per_symbol
         samples = self._aligned(samples, num_bits, start_sample)

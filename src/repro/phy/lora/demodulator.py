@@ -434,7 +434,8 @@ class ReceivedPacket:
 
     Attributes:
         decoded: the codec output (payload bytes, CRC status, ...).
-        payload_start: sample index of the first payload symbol.
+        payload_start: input sample index of the first payload symbol
+            (its chip index times the oversampling).
         cfo_bins: integer carrier frequency offset estimate.
         symbols: the raw demodulated payload symbol values.
         sync_word: the packet's sync word.
@@ -476,7 +477,9 @@ class LoRaDemodulator:
     """Full receive chain: FIR front-end, synchronizer, symbol demod, codec.
 
     The paper's 14-tap low-pass runs in front of the demodulator when
-    oversampling > 1 (:func:`receive_fir_taps`).
+    oversampling > 1 (:func:`receive_fir_taps`) and keeps one output per
+    chip, so :attr:`synchronizer` and :attr:`symbol_demod` run at chip
+    rate, on ``params.with_oversampling(1)``.
 
     Args:
         params: LoRa PHY configuration.
@@ -486,15 +489,20 @@ class LoRaDemodulator:
     def __init__(self, params: LoRaParams, crc: bool = True) -> None:
         self.params = params
         self.codec = LoRaCodec(params, crc=crc)
-        self.synchronizer = PacketSynchronizer(params)
+        self.synchronizer = PacketSynchronizer(params.with_oversampling(1))
         self.symbol_demod = self.synchronizer.symbol_demod
         self._fir_taps = receive_fir_taps(params)
 
     def frontend(self, samples: np.ndarray) -> np.ndarray:
-        """Apply the receive FIR (identity when disabled)."""
+        """The receive FIR at chip rate (identity at oversampling 1).
+
+        Returns ``filter_block(taps, samples)[::oversampling]``, one
+        output per chip, computing only those outputs.
+        """
         if self._fir_taps is None:
             return np.asarray(samples, dtype=np.complex128)
-        return filter_block(self._fir_taps, samples)
+        return filter_block(self._fir_taps, samples,
+                            self.params.oversampling)
 
     def receive(self, samples: np.ndarray,
                 payload_symbols: int | None = None) -> DecodedPayload:
@@ -507,15 +515,16 @@ class LoRaDemodulator:
                 decodes as many whole blocks as are present).
 
         Raises:
-            DemodulationError: when no packet can be found, or a sample
-                is NaN or infinite.
+            DemodulationError: when no packet can be found, or
+                ``samples`` is not a numeric array or holds a NaN or
+                infinite sample.
         """
         filtered = self.frontend(backend.finite_samples(samples))
         sync = self.synchronizer.find_packet(filtered)
         start = sync.payload_start
         if payload_symbols is None:
             payload_symbols = max(
-                0, (filtered.size - start) // self.params.samples_per_symbol)
+                0, (filtered.size - start) // self.params.chips_per_symbol)
         values = self.symbol_demod.demodulate_stream(
             filtered, payload_symbols, start, sync.cfo_bins)
         return self.codec.decode(values)
@@ -532,8 +541,9 @@ class LoRaDemodulator:
         Requires explicit-header mode (the header carries the length).
 
         Raises:
-            DemodulationError: in implicit-header mode, or when a sample
-                is NaN or infinite.
+            DemodulationError: in implicit-header mode, or when
+                ``samples`` is not a numeric array or holds a NaN or
+                infinite sample.
         """
         # Imported here: the streaming receiver builds on this module.
         from repro.phy.lora.streaming import StreamingDemodulator

@@ -12,8 +12,10 @@ suites:
 
 1. The FIR front-end uses tap-major accumulation
    (:mod:`repro.phy.backend`), whose per-output add order is independent
-   of how the input is chunked, so the streamed filter output equals
-   ``filter_block`` on the whole capture bit for bit.
+   of how the input is chunked, and keeps the outputs at absolute
+   multiples of ``oversampling``, a phase it carries across chunks; so
+   the streamed chip-rate output equals ``filter_block(...)[::os]`` on
+   the whole capture bit for bit.
 2. Every synchronizer decision (preamble run bookkeeping, SFD walk,
    CFO estimate) is made per symbol-window on a fixed sample grid by
    :class:`PacketSynchronizer`, which resumes where the buffered samples
@@ -50,37 +52,33 @@ from repro.phy.lora.params import LoRaParams
 
 
 class _AlignedStreamingFir:
-    """Streaming twin of the aligned block FIR.
+    """Streaming twin of the aligned block FIR, keeping every ``step``-th
+    output.
 
     Across any chunking, the concatenated outputs equal
-    ``filter_block(taps, stream)`` bit for bit: the first ``delay``
-    convolution outputs are skipped and :meth:`flush` pushes the same
-    trailing zero padding the block path appends.
+    ``filter_block(taps, stream, step)`` — ``filter_block(taps,
+    stream)[::step]`` — bit for bit: convolution output ``m`` is aligned
+    output ``m - delay``, only those at a multiple of ``step`` are
+    computed, and :meth:`flush` pushes the ``delay`` zeros the block
+    path appends.
     """
 
-    def __init__(self, taps: np.ndarray) -> None:
+    def __init__(self, taps: np.ndarray, step: int = 1) -> None:
         self._fir = StreamingFir(taps)
         self._delay = (taps.size - 1) // 2
-        self._pad = taps.size - 1 - self._delay
+        self._step = step
         self._to_skip = self._delay
 
     def process(self, chunk: np.ndarray) -> np.ndarray:
-        return self._skip(self._fir.process(chunk))
+        out = self._fir.process(chunk, self._to_skip, self._step)
+        # Convolution outputs from the start of the next chunk up to the
+        # next one kept: the phase carried across chunks.
+        self._to_skip += out.size * self._step - chunk.size
+        return out
 
     def flush(self) -> np.ndarray:
         """Emit the delayed tail by pushing the block path's zero pad."""
-        # The last ``delay`` pushed samples (all, if fewer) owe an output.
-        owed = self._delay - self._to_skip
-        if owed <= 0:
-            return np.zeros(0, dtype=np.complex128)
-        tail = self._fir.process(np.zeros(self._pad, dtype=np.complex128))
-        return self._skip(tail)[:owed]
-
-    def _skip(self, out: np.ndarray) -> np.ndarray:
-        """Drop what is left of the group delay from the output head."""
-        skipped = min(self._to_skip, out.size)
-        self._to_skip -= skipped
-        return out[skipped:]
+        return self.process(np.zeros(self._delay, dtype=np.complex128))
 
     def reset(self) -> None:
         self._fir.reset()
@@ -95,7 +93,10 @@ class StreamingDemodulator:
     (emitting any packet the FIR tail completes and discarding partial
     state).  The packet list does not depend on the chunking.  The
     paper's 14-tap low-pass front-end runs when oversampling > 1, the
-    same rule as :class:`LoRaDemodulator`.
+    same rule as :class:`LoRaDemodulator`, and keeps one output per
+    chip: the buffer, :attr:`synchronizer` and :attr:`symbol_demod`
+    run at chip rate (on ``params.with_oversampling(1)``), while
+    :attr:`ReceivedPacket.payload_start` counts input samples.
 
     Args:
         params: LoRa PHY configuration (explicit-header mode required —
@@ -110,25 +111,27 @@ class StreamingDemodulator:
                 "(packet lengths come from the PHY header)")
         self.params = params
         self.codec = LoRaCodec(params, crc=crc)
-        self.synchronizer = PacketSynchronizer(params)
+        self.synchronizer = PacketSynchronizer(params.with_oversampling(1))
         self.symbol_demod = self.synchronizer.symbol_demod
         taps = receive_fir_taps(params)
-        self._fir = None if taps is None else _AlignedStreamingFir(taps)
+        self._fir = None if taps is None \
+            else _AlignedStreamingFir(taps, params.oversampling)
         self.reset()
 
     # -- public API --------------------------------------------------------
 
     @property
     def buffered_samples(self) -> int:
-        """Filtered samples currently held (bounded; see module doc)."""
+        """Chip-rate samples currently held (bounded; see module doc)."""
         return self._buffer.size
 
     def push(self, chunk: np.ndarray) -> list[ReceivedPacket]:
         """Feed one chunk of raw samples; return packets it completed.
 
         Raises:
-            DemodulationError: when a sample is NaN or infinite (the
-                offset is the chunk's; the receiver state is untouched).
+            DemodulationError: when the chunk is not a numeric array
+                or a sample is NaN or infinite (the offset is the
+                chunk's; the receiver state is untouched).
         """
         if self._finished:
             raise ConfigurationError(
@@ -181,7 +184,7 @@ class StreamingDemodulator:
     # -- state transitions -------------------------------------------------
 
     def _restart(self, search: int) -> None:
-        """Search for the next packet from absolute sample ``search``."""
+        """Search for the next packet from absolute chip ``search``."""
         self.synchronizer.restart(search)
         self._sync: SyncResult | None = None
         self._symbols: list[int] = []
@@ -203,7 +206,7 @@ class StreamingDemodulator:
 
         Returns ``False`` when the buffer holds too few samples to go on.
         """
-        sym = self.params.samples_per_symbol
+        sym = self.params.chips_per_symbol
         target = HEADER_SYMBOLS if self._symbols_needed is None \
             else self._symbols_needed
         position = self._payload_pos()
@@ -227,7 +230,7 @@ class StreamingDemodulator:
         packets.append(ReceivedPacket(
             decoded=self.codec.decode(
                 np.asarray(self._symbols, dtype=np.int64)),
-            payload_start=start,
+            payload_start=start * self.params.oversampling,
             cfo_bins=self._sync.cfo_bins,
             symbols=tuple(self._symbols),
             sync_word=self._sync.sync_word))
@@ -235,9 +238,9 @@ class StreamingDemodulator:
         return True
 
     def _payload_pos(self) -> int:
-        """Absolute position of the next payload symbol to demodulate."""
+        """Absolute chip index of the next payload symbol to demodulate."""
         return self._sync.payload_start + \
-            len(self._symbols) * self.params.samples_per_symbol
+            len(self._symbols) * self.params.chips_per_symbol
 
     def _announced_symbols(self) -> int | None:
         """Packet length in symbols from the header, ``None`` if corrupt."""

@@ -94,7 +94,8 @@ class Ieee802154Transceiver:
 
         Raises:
             DemodulationError: when the SFD cannot be found, the length
-                field is invalid or a sample is NaN or infinite.
+                field is invalid, or ``samples`` is not a numeric array
+                or holds a NaN or infinite sample.
         """
         header_symbols = (len(PREAMBLE_BYTES) + 2) * 2  # through length
         header_chips = header_symbols * CHIPS_PER_SYMBOL

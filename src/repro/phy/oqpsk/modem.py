@@ -103,7 +103,7 @@ class OqpskDemodulator:
         Raises:
             DemodulationError: for a negative ``start_sample`` (it would
                 index from the end of the stream), a stream too short,
-                or a NaN or infinite sample.
+                or input :func:`repro.phy.backend.finite_samples` refuses.
         """
         if start_sample < 0:
             raise DemodulationError(
@@ -125,7 +125,8 @@ class OqpskDemodulator:
 
         Raises:
             DemodulationError: if ``start_sample`` is negative, or the
-                stream is too short or holds a NaN or infinite sample.
+                stream is not a numeric array, is too short or holds a
+                NaN or infinite sample.
         """
         samples = self._aligned(samples, num_chips, start_sample)
         i_filtered = backend.matched_filter(

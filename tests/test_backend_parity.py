@@ -5,9 +5,14 @@ exactly: the FIR, GFSK and O-QPSK kernels in :mod:`repro.phy.backend`
 and the LoRa codec.  The LoRa dechirp kernel transforms with
 ``numpy.fft``; the radix-2 model of the FPGA's FFT core is its oracle,
 to a tolerance on magnitudes and exactly on well-separated peaks.
+The kernels' one input boundary, ``backend.finite_samples``, refuses
+what is not a numeric array at every receiver entry point.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,12 +23,15 @@ from repro.dsp.filters import (
     filter_block,
     filter_block_reference,
 )
+from repro.errors import DemodulationError
 from repro.phy import backend
 from repro.phy.ble.gfsk import GfskConfig, GfskDemodulator, GfskModulator
 from repro.phy.lora.chirp import chirp_train, ideal_chirp
 from repro.phy.lora.coding import whiten, whiten_reference
 from repro.phy.lora.codec import LoRaCodec
+from repro.phy.lora.demodulator import LoRaDemodulator
 from repro.phy.lora.params import LoRaParams
+from repro.phy.lora.streaming import StreamingDemodulator
 from repro.phy.oqpsk.modem import OqpskDemodulator, OqpskModulator
 
 
@@ -63,6 +71,23 @@ class TestFirParity:
                                   streaming.process(samples[split:])])
         whole = StreamingFir(taps).process(samples)
         assert np.array_equal(chunked, whole)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 80),
+           num_taps=st.integers(1, 20), first=st.integers(0, 12),
+           step=st.integers(1, 9))
+    def test_strided_fir_carry_equals_full_slice(self, seed, count,
+                                                 num_taps, first, step):
+        # Each kept output is the full kernel's tap-major sum, so the
+        # phase and stride select outputs without changing one bit.
+        rng = np.random.default_rng(seed)
+        taps = rng.normal(size=num_taps)
+        carry = random_samples(seed ^ 0x5A, num_taps - 1)
+        chunk = random_samples(seed ^ 0xC3, count)
+        full = backend.fir_carry(taps, carry, chunk)
+        assert np.array_equal(
+            backend.fir_carry(taps, carry, chunk, first, step),
+            full[first::step])
 
 
 class TestDechirpOracle:
@@ -193,3 +218,42 @@ class TestCodecParity:
     def test_whiten_custom_seed_matches_reference(self):
         data = bytes(range(64))
         assert whiten(data, seed=0x1D) == whiten_reference(data, seed=0x1D)
+
+
+LORA = LoRaParams(spreading_factor=8, bandwidth_hz=125e3)
+
+#: Every receiver entry point whose capture goes through
+#: ``backend.finite_samples``.
+ENTRY_POINTS = {
+    "lora_push": lambda x: StreamingDemodulator(LORA).push(x),
+    "lora_receive": lambda x: LoRaDemodulator(LORA).receive(x),
+    "lora_receive_all": lambda x: LoRaDemodulator(LORA).receive_all(x),
+    "gfsk_demodulate": lambda x: GfskDemodulator(GfskConfig()).demodulate(
+        x, 1),
+    "oqpsk_soft_chips": lambda x: OqpskDemodulator(2).soft_chips(x, 1),
+}
+
+NOT_SAMPLES = {
+    "none": None,
+    "str": "abc",
+    "bytes": b"\x01\x02\x03",
+    "object_array": np.array([0.5 + 0.5j, "x"], dtype=object),
+    "dict": {"i": 1.0, "q": 0.0},
+}
+
+
+class TestSampleBoundary:
+    @pytest.mark.parametrize("value", NOT_SAMPLES.values(),
+                             ids=NOT_SAMPLES.keys())
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(),
+                             ids=ENTRY_POINTS.keys())
+    def test_non_numeric_input_is_refused_with_its_type(self, entry,
+                                                        value):
+        # Neither a raw ValueError/TypeError from the complex cast nor a
+        # "sample 0 is not finite" for None: the error names the type.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DemodulationError,
+                               match=rf"numeric array, got "
+                                     rf"{type(value).__name__}\b"):
+                entry(value)

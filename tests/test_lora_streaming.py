@@ -11,18 +11,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dsp.filters import design_lowpass, filter_block
 from repro.errors import ConfigurationError, DemodulationError
+from repro.phy import backend
 from repro.phy.lora import (
     LoRaDemodulator,
     LoRaModulator,
     LoRaParams,
     StreamingDemodulator,
 )
-from repro.phy.lora.demodulator import SymbolDemodulator
+from repro.phy.lora.demodulator import SymbolDemodulator, receive_fir_taps
 from repro.phy.lora.streaming import _AlignedStreamingFir
 
 
@@ -58,10 +59,13 @@ PARAMS_CASES = [
     LoRaParams(spreading_factor=8, bandwidth_hz=125e3, oversampling=2),
 ]
 
+CHUNK_CASES = PARAMS_CASES + [
+    LoRaParams(spreading_factor=8, bandwidth_hz=125e3, oversampling=4)]
+CHUNK_IDS = ["sf7_os1", "sf8_os2", "sf8_os4"]
+
 
 class TestChunkInvariance:
-    @pytest.mark.parametrize("params", PARAMS_CASES,
-                             ids=["sf7_os1", "sf8_os2"])
+    @pytest.mark.parametrize("params", CHUNK_CASES, ids=CHUNK_IDS)
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            num_splits=st.integers(0, 40))
@@ -78,8 +82,7 @@ class TestChunkInvariance:
                                     capture, splits)
         assert streamed == batch
 
-    @pytest.mark.parametrize("params", PARAMS_CASES,
-                             ids=["sf7_os1", "sf8_os2"])
+    @pytest.mark.parametrize("params", CHUNK_CASES, ids=CHUNK_IDS)
     def test_one_sample_chunks_match_batch(self, params):
         # The adversarial extreme: every chunk boundary is exercised.
         # Restricted to the head of a capture for runtime; the sample
@@ -127,6 +130,34 @@ class TestAlignedFir:
         pieces = [fir.process(part) for part in np.split(samples, splits)]
         streamed = np.concatenate(pieces + [fir.flush()])
         assert np.array_equal(streamed, filter_block(taps, samples))
+
+    @pytest.mark.parametrize("oversampling", [2, 4, 8])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 90),
+           sizes=st.lists(st.integers(0, 9), max_size=12))
+    @example(seed=1, count=5, sizes=[1, 0, 1])  # under the group delay
+    @example(seed=2, count=61, sizes=[0, 1, 7, 1])  # odd length
+    @example(seed=3, count=64, sizes=[1, 0, 2, 9])  # even length
+    @example(seed=4, count=0, sizes=[0])
+    def test_decimated_stream_equals_frontend(self, oversampling, seed,
+                                              count, sizes):
+        # The chip-rate FIR keeps the aligned outputs at absolute
+        # multiples of the oversampling, whatever the chunk boundaries
+        # (0- and 1-sample chunks included) and the stream's length.
+        params = LoRaParams(spreading_factor=8, bandwidth_hz=125e3,
+                            oversampling=oversampling)
+        taps = receive_fir_taps(params)
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=count) + 1j * rng.normal(size=count)
+        bounds = np.minimum(np.cumsum(sizes, dtype=int), count)
+        pieces = np.split(samples, bounds)
+        fir = _AlignedStreamingFir(taps, oversampling)
+        streamed = np.concatenate([fir.process(part) for part in pieces]
+                                  + [fir.flush()])
+        decimated = filter_block(taps, samples)[::oversampling]
+        assert np.array_equal(streamed, decimated)
+        assert np.array_equal(LoRaDemodulator(params).frontend(samples),
+                              decimated)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), prefix=st.integers(1, 40),
@@ -180,6 +211,52 @@ class TestLinearWork:
         assert [p.decoded.payload for p in stepped] == payloads
         assert whole == stepped
         assert sum(rows) <= 1.5 * stepped_rows
+
+
+class TestChipRateWork:
+    """The FIR-fronted receiver's work, counted rather than timed.
+
+    A count repeats exactly on any host, so this guards the chip-rate
+    design in tier-1: a receiver that filters or dechirps at the full
+    input rate again fails it.
+    """
+
+    PARAMS = LoRaParams(spreading_factor=8, bandwidth_hz=125e3,
+                        oversampling=2)
+    CHUNK = 4096
+    DECHIRPED_ROWS = 356
+
+    def test_streaming_receiver_works_at_one_sample_per_chip(
+            self, monkeypatch):
+        fir_outputs, widths, rows = [], set(), []
+        fir_carry = backend.fir_carry
+        dechirp_magnitudes = backend.dechirp_magnitudes
+
+        def counted_fir(taps, carry, chunk, *args):
+            out = fir_carry(taps, carry, chunk, *args)
+            fir_outputs.append(out.size)
+            return out
+
+        def counted_dechirp(windows, *args):
+            widths.add(windows.shape[1])
+            rows.append(windows.shape[0])
+            return dechirp_magnitudes(windows, *args)
+
+        monkeypatch.setattr(backend, "fir_carry", counted_fir)
+        monkeypatch.setattr(backend, "dechirp_magnitudes", counted_dechirp)
+        rng = np.random.default_rng(34)
+        payloads = [bytes(rng.integers(0, 256, size).astype(np.uint8))
+                    for size in (12, 40, 25, 7)]
+        capture = make_capture(self.PARAMS, payloads, seed=34)
+        packets = stream_in_chunks(
+            StreamingDemodulator(self.PARAMS), capture,
+            range(self.CHUNK, capture.size, self.CHUNK))
+
+        assert [p.decoded.payload for p in packets] == payloads
+        chips = -(-capture.size // self.PARAMS.oversampling)
+        assert sum(fir_outputs) == chips
+        assert widths == {self.PARAMS.chips_per_symbol}
+        assert sum(rows) == self.DECHIRPED_ROWS
 
 
 class TestTailWindows:
