@@ -40,12 +40,7 @@ from repro.service.jobspec import DEFAULT_TENANT, JobResult, JobSpec
 from repro.service.queue import JobQueue
 from repro.service.registry import UnknownWorkloadError, WorkloadRegistry
 from repro.service.resilience.breaker import BreakerConfig, CircuitBreaker
-from repro.service.resilience.codec import (
-    decode_config,
-    encode_config,
-    encode_result,
-    encode_spec,
-)
+from repro.service.resilience.codec import decode_config, encode_config
 from repro.service.resilience.journal import (
     RECORD_ADMIT,
     RECORD_COMPLETE,
@@ -331,7 +326,7 @@ class CampaignService:
         tenant = self.tenant(spec.tenant)
         if self._journal is not None:
             self._journal.append(RECORD_SUBMIT, {
-                "job_id": self._next_job_id, "spec": encode_spec(spec)})
+                "job_id": self._next_job_id, "spec": spec.canonical_text()})
         job = Job(job_id=self._next_job_id, spec=spec)
         self._next_job_id += 1
         self._jobs[job.job_id] = job
@@ -614,7 +609,7 @@ class CampaignService:
         payload: dict[str, Any] = {"job_id": job.job_id}
         if detail_key is None:
             payload.update(cache_hit=job.cache_hit,
-                           result=encode_result(job.result),
+                           result=job.result.canonical_text(),
                            progress=list(job.progress))
         else:
             payload[detail_key] = job.detail

@@ -1,12 +1,15 @@
-"""JSON codecs for journal payloads: specs, results, and service config.
+"""JSON codecs for the service configuration a journal carries.
 
 The journal must be self-contained: ``CampaignService.recover`` rebuilds
 a session from the file alone (plus a workload registry, which is code,
-not data).  Specs and results travel as JSON objects with their config
-or payload inline.  Every configuration dataclass goes through one
-generic pair: :func:`encode_config` is ``dataclasses.asdict``, and
+not data).  Every configuration dataclass goes through one generic
+pair: :func:`encode_config` is ``dataclasses.asdict``, and
 :func:`decode_config` walks the dataclass fields back, recursing into
-dataclass-typed ones.  Floats round-trip bit-exactly, because
+dataclass-typed ones.  Specs and results are written by their own
+splices (``JobSpec.canonical_text()``/``JobResult.canonical_text()`` in
+:mod:`repro.service.jobspec`), config or payload inline as a JSON
+object, and read back through :func:`decode_config` like any other
+dataclass.  Floats round-trip bit-exactly, because
 ``json.dumps``/``json.loads`` round-trip every finite double through
 ``repr``, so a replayed spec hashes to the same content address and a
 replayed config reconstructs the same seeded streams.
@@ -19,21 +22,6 @@ import typing
 from typing import Any
 
 from repro.errors import JournalError
-from repro.service.jobspec import JobResult, JobSpec
-
-
-def encode_spec(spec: JobSpec) -> dict[str, Any]:
-    """A job spec as a JSON object (its config inline as an object)."""
-    return {"kind": spec.kind, "config": spec.config_mapping(),
-            "seed": spec.seed, "tenant": spec.tenant,
-            "priority": spec.priority}
-
-
-def encode_result(result: JobResult) -> dict[str, Any]:
-    """A job result as a JSON object (its payload inline as an object)."""
-    return {"address": result.address, "kind": result.kind,
-            "seed": result.seed, "payload": result.payload_mapping(),
-            "virtual_cost_s": result.virtual_cost_s}
 
 
 def encode_config(config: Any) -> dict[str, Any] | None:

@@ -15,10 +15,17 @@ regenerates — substituting only the engine invocation of journaled
 successful runs from the logged results.
 
 Serialization is :func:`~repro.service.jobspec.canonical_json`, the
-same ``json.dumps`` call that content addresses and result fingerprints
-hash: Python's ``repr``-based float rendering round-trips every finite
-double bit-exactly through ``json.loads``, which is what lets replayed
-specs and results hash to the same content addresses as the originals.
+canonical text content addresses and result fingerprints hash.  A
+record's body is spliced into the fixed sorted-key skeleton
+``{"payload":…,"prev":…,"seq":…,"type":…}``, and the spec of a
+``submit`` or the result of a ``complete`` arrives as its own spliced
+text (:class:`~repro.service.jobspec.CanonicalText`), so appending
+parses nothing.  The line equals one ``json.dumps`` of the parsed record
+(sorted keys, compact separators, NaN refused), which is what
+:func:`read_journal` re-derives to check each digest.  Python's
+``repr``-based float rendering round-trips every finite double
+bit-exactly through ``json.loads``, which is what lets replayed specs
+and results hash to the same content addresses as the originals.
 
 Torn tails: a crash mid-append can leave a partial final line.
 :func:`read_journal` accepts a *valid* trailing record that merely lost
@@ -73,7 +80,10 @@ class JournalRecord:
     Attributes:
         seq: zero-based position in the journal.
         type: one of the ``RECORD_*`` constants.
-        payload: the record's JSON body (shape depends on ``type``).
+        payload: the record's JSON body (shape depends on ``type``); in
+            a record :meth:`JobJournal.append` returns, a spec or result
+            is the :class:`~repro.service.jobspec.CanonicalText` it was
+            appended as.
         prev: the previous record's digest (genesis for ``seq == 0``).
         digest: SHA-256 over the canonical body serialization.
     """
@@ -101,14 +111,20 @@ class JournalReadResult:
 
 def _canonical_body(seq: int, rtype: str, payload: dict[str, Any],
                     prev: str) -> str:
-    """The digest pre-image: the record body, canonically serialized."""
+    """The digest pre-image: the record body, canonically serialized.
+
+    The payload's canonical text (a spec or result in it spliced in, see
+    :class:`~repro.service.jobspec.CanonicalText`) is spliced into the
+    body's sorted-key skeleton.  ``prev`` is a hex digest, ``seq`` an int
+    and ``rtype`` one of :data:`RECORD_TYPES`, so none needs escaping.
+    """
     try:
-        return canonical_json(
-            {"payload": payload, "prev": prev, "seq": seq, "type": rtype})
+        text = canonical_json(payload)
     except ConfigurationError as exc:
         raise JournalError(
             f"journal payload for {rtype!r} record is not "
             f"JSON-serializable: {exc}") from exc
+    return f'{{"payload":{text},"prev":"{prev}","seq":{seq},"type":"{rtype}"}}'
 
 
 def _record_line(body: str, digest: str) -> bytes:

@@ -1,12 +1,18 @@
 """Tests for the multi-tenant campaign service.
 
-Covers the canonical serialization and content addressing, the result
+Covers the canonical serialization and content addressing (spliced
+pre-images against one ``json.dumps`` of the parsed whole, and a
+journaled job's parsing and hashing pinned as counts), the result
 cache's zero-recompute dedupe (asserted through registry invocation
 counters), tenancy quotas and token buckets, priority scheduling on
 virtual time and the ``service.*`` event stream.
 """
 
+import hashlib
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +36,9 @@ from repro.service import (
     content_address,
     read_journal,
 )
+from repro.service import jobspec
 from repro.service.api import JOB_COMPLETED, JOB_FAILED, JOB_REJECTED
+from repro.service.jobspec import DEFAULT_TENANT
 from repro.sim.events import SERVICE_KINDS
 
 _JSON_VALUES = st.recursive(
@@ -186,6 +194,191 @@ class TestJobResult:
         with pytest.raises(ConfigurationError):
             JobResult(address="x", kind="k", seed=0, payload=(),
                       virtual_cost_s=-1.0)
+
+
+# Fields of the wrong type, each with the field its refusal names.
+_MISTYPED_FIELDS = [
+    (JobSpec, {"kind": "adr", "priority": "high"}, "JobSpec.priority"),
+    (JobSpec, {"kind": "sweep-lora", "seed": 1.5}, "JobSpec.seed"),
+    (JobSpec, {"kind": "adr", "seed": "3"}, "JobSpec.seed"),
+    (JobSpec, {"kind": "adr", "seed": True}, "JobSpec.seed"),
+    (JobSpec, {"kind": 3}, "JobSpec.kind"),
+    (JobSpec, {"kind": "adr", "tenant": 7}, "JobSpec.tenant"),
+    (JobResult, {"address": None, "kind": "k", "seed": 0, "payload": {}},
+     "JobResult.address"),
+    (JobResult, {"address": "x", "kind": b"k", "seed": 0, "payload": {}},
+     "JobResult.kind"),
+    (JobResult, {"address": "x", "kind": "k", "seed": 1.0, "payload": {}},
+     "JobResult.seed"),
+    (JobResult, {"address": "x", "kind": "k", "seed": False,
+                 "payload": {}}, "JobResult.seed"),
+]
+
+
+@pytest.mark.parametrize("cls,fields,name", _MISTYPED_FIELDS)
+def test_mistyped_field_is_refused_naming_it(cls, fields, name):
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(name)} "):
+        cls(**fields)
+
+
+# -- spliced pre-images ------------------------------------------------------
+
+def _dumps(value) -> str:
+    """The oracle: one ``json.dumps`` of the whole, parsed value."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _oracle_line(seq: int, rtype: str, payload, prev: str) -> bytes:
+    """A journal line as one ``json.dumps`` of the record writes it."""
+    record = {"payload": payload, "prev": prev, "seq": seq, "type": rtype}
+    record["digest"] = _sha(_dumps(record))
+    return (_dumps(record) + "\n").encode("utf-8")
+
+
+_TRICKY_TEXT = st.text() | st.sampled_from(
+    ['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t", " ", "é", "\U0001f4a1",
+     "\ud800"])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-(2 ** 200), max_value=2 ** 200)
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 5e-324, 1e308, -1e308]) | _TRICKY_TEXT)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(_TRICKY_TEXT, children, max_size=4)),
+    max_leaves=16)
+_MAPPINGS = st.dictionaries(_TRICKY_TEXT, _VALUES, max_size=5)
+_NAMES = _TRICKY_TEXT.filter(bool)
+_COSTS = (st.floats(min_value=0.0, max_value=1e308)
+          | st.integers(min_value=0, max_value=2 ** 80)
+          | st.sampled_from([-0.0, 5e-324, 1e308]))
+_EDGE_MAPPING = {"": {}, "a": [], "é\"\\": [-0.0, 5e-324, 1e308],
+                 "big": 2 ** 100, "nested": [{"x": [None, True]}]}
+
+
+class TestSplicedPreimages:
+    """Every spliced pre-image equals one ``json.dumps`` of the parsed
+    whole, the serialization the address, fingerprint and journal
+    hashed before the held text was spliced in."""
+
+    @given(kind=_NAMES, config=_MAPPINGS, seed=st.integers(min_value=0),
+           address=_TRICKY_TEXT, payload=_MAPPINGS, cost=_COSTS)
+    @example(kind='"\\', config=_EDGE_MAPPING, seed=2 ** 70, address='"',
+             payload=_EDGE_MAPPING, cost=-0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_address_and_fingerprint(self, kind, config, seed, address,
+                                     payload, cost):
+        spec = JobSpec(kind=kind, config=config, seed=seed)
+        expected = _sha(_dumps({"kind": kind, "seed": seed,
+                                "config": json.loads(spec.config)}))
+        assert spec.content_address == expected
+        assert content_address(kind, config, seed) == expected
+        result = JobResult(address=address, kind=kind, seed=seed,
+                           payload=payload, virtual_cost_s=cost)
+        assert result.fingerprint() == _sha(_dumps({
+            "address": address, "kind": kind, "seed": seed,
+            "payload": json.loads(result.payload),
+            "virtual_cost_s": cost}))
+
+    @given(kind=_NAMES, tenant=_NAMES, config=_MAPPINGS,
+           seed=st.integers(min_value=0), priority=st.integers(),
+           payload=_MAPPINGS, cost=_COSTS,
+           progress=st.lists(_TRICKY_TEXT, max_size=3))
+    @example(kind="k\x00", tenant="é\"", config=_EDGE_MAPPING,
+             seed=2 ** 70, priority=-(2 ** 70), payload=_EDGE_MAPPING,
+             cost=5e-324, progress=["\\", ""])
+    @settings(max_examples=100, deadline=None)
+    def test_submit_and_complete_lines(self, kind, tenant, config, seed,
+                                       priority, payload, cost, progress):
+        def adapter(config, seed, emit):
+            for detail in progress:
+                emit(detail)
+            return payload, cost
+
+        registry = WorkloadRegistry()
+        registry.register(kind, adapter)
+        spec = JobSpec(kind=kind, config=config, seed=seed, tenant=tenant,
+                       priority=priority)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "journal.jsonl"
+            journal = JobJournal(str(path))
+            service = CampaignService(registry=registry, journal=journal)
+            if tenant != DEFAULT_TENANT:
+                service.add_tenant(TenantConfig(name=tenant))
+            job = service.submit_and_run(spec)
+            journal.close()
+            lines = path.read_bytes().splitlines(keepends=True)
+            # Reading back re-derives every body and checks its digest.
+            records = read_journal(str(path)).records
+        assert job.state == JOB_COMPLETED
+        assert len(records) == len(lines)
+        seqs = {record.type: record.seq for record in records}
+        submit, complete = seqs["submit"], seqs["complete"]
+        assert lines[submit] == _oracle_line(
+            submit, "submit",
+            {"job_id": job.job_id,
+             "spec": {"kind": kind, "config": json.loads(spec.config),
+                      "seed": seed, "tenant": tenant,
+                      "priority": priority}},
+            records[submit - 1].digest)
+        assert lines[complete] == _oracle_line(
+            complete, "complete",
+            {"job_id": job.job_id, "cache_hit": False,
+             "result": {"address": spec.content_address, "kind": kind,
+                        "seed": seed,
+                        "payload": json.loads(job.result.payload),
+                        "virtual_cost_s": cost},
+             "progress": progress},
+            records[complete - 1].digest)
+
+
+class TestJobWork:
+    """A journaled job's parsing and hashing, counted rather than timed.
+
+    A count repeats exactly on any host, so this guards the spliced
+    pre-images in tier-1: a job that parses a config or payload it
+    holds as canonical text again, or hashes one more pre-image, fails
+    it.  A hit hashes its address, its cached result's fingerprint and
+    four journal records; a miss hashes the stored result's fingerprint
+    instead, and parses once, for the config the adapter reads.
+    """
+
+    SPEC = JobSpec(kind="sweep-lora",
+                   config={"spreading_factor": 7, "symbols": 24,
+                           "start_dbm": -118.0, "stop_dbm": -121.0,
+                           "step_db": 3.0},
+                   seed=2020)
+
+    def test_a_hit_parses_nothing(self, tmp_path, monkeypatch):
+        counts = {}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        service = CampaignService(
+            journal=JobJournal(str(tmp_path / "journal.jsonl")))
+        monkeypatch.setattr(json, "loads", counted("parses", json.loads))
+        monkeypatch.setattr(hashlib, "sha256",
+                            counted("digests", hashlib.sha256))
+        monkeypatch.setattr(jobspec, "content_address",
+                            counted("addresses", jobspec.content_address))
+        work = []
+        for _ in range(3):
+            counts.update(parses=0, digests=0, addresses=0)
+            job = service.submit_and_run(self.SPEC)
+            assert job.state == JOB_COMPLETED
+            work.append((job.cache_hit, dict(counts)))
+        miss = {"parses": 1, "digests": 6, "addresses": 1}
+        hit = {"parses": 0, "digests": 6, "addresses": 1}
+        assert work == [(False, miss), (True, hit), (True, hit)]
 
 
 def _result(address: str) -> JobResult:

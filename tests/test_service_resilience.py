@@ -492,6 +492,21 @@ class TestCacheCorruption:
                    and "corruption" in event.label]
         assert len(corrupt) == 1
 
+    def test_damaged_payload_text_is_a_miss_and_recomputes(self):
+        service = CampaignService(seed=7)
+        spec = JobSpec(kind="info", config={}, seed=0)
+        job = service.submit_and_run(spec)
+        # Bit rot in the held text: the payload loses its last character.
+        object.__setattr__(job.result, "payload", job.result.payload[:-1])
+        again = service.submit_and_run(spec)
+        assert again.state == JOB_COMPLETED and not again.cache_hit
+        assert service.cache.corruptions == 1
+        assert service.registry.invocations("info") == 2
+        assert service.tenant("default").pending == 0
+        assert any(event.kind == SERVICE_CACHE_HIT
+                   and "corruption" in event.label
+                   for event in service.timeline)
+
 
 # --- payload boundary -------------------------------------------------------
 
@@ -502,7 +517,12 @@ class TestUnserializablePayload:
         ({"x": np.zeros(2)}, 1.0),
         ({"x": float("nan")}, 1.0),
         ({"x": 1.0}, float("nan")),
-    ], ids=["ndarray", "nan-payload", "nan-cost"])
+        ({"x": 1.0}, "1"),
+        ({"x": 1.0}, None),
+        ({"x": 1.0}, True),
+        ({"x": 1.0}, 10 ** 400),
+    ], ids=["ndarray", "nan-payload", "nan-cost", "str-cost", "none-cost",
+            "bool-cost", "huge-int-cost"])
     def test_payload_fails_the_job_not_the_service(self, tmp_path,
                                                    output, journaled):
         registry = WorkloadRegistry()
@@ -518,6 +538,7 @@ class TestUnserializablePayload:
         assert job.detail.startswith("ConfigurationError: ")
         assert job.result is None
         assert service.stats().failed == 1
+        assert service.tenant("default").pending == 0
         assert SERVICE_BREAKER_OPEN in _kinds(service.timeline)
         if journaled:
             journal.close()
